@@ -93,8 +93,11 @@ std::string ResultFingerprint(const ExecResult& r) {
     }
   } else {
     out += StrFormat("|n=%zu", r.rows.size());
-    for (size_t i = 0; i < r.rows.tuples.size(); i += 97) {  // Sampled.
-      for (uint32_t t : r.rows.tuples[i]) out += StrFormat("|%u", t);
+    for (size_t i = 0; i < r.rows.size(); i += 97) {  // Sampled.
+      const uint32_t* tuple = r.rows.tuple(i);
+      for (size_t s = 0; s < r.rows.width(); ++s) {
+        out += StrFormat("|%u", tuple[s]);
+      }
     }
   }
   return out;

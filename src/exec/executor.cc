@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 
 #include "common/check.h"
 #include "exec/vectorized_executor.h"
@@ -114,7 +115,7 @@ RowSet Executor::ExecuteAccess(PlanNode* node) {
 
   // Reserve from the optimizer's cardinality estimate (clamped to the table)
   // so the scan loop doesn't pay repeated vector growth.
-  out.tuples.reserve(static_cast<size_t>(
+  out.ids.reserve(static_cast<size_t>(
       std::max(0.0, std::min(node->stats.est_rows,
                              static_cast<double>(table.num_rows())))));
 
@@ -124,7 +125,7 @@ RowSet Executor::ExecuteAccess(PlanNode* node) {
       node->stats.actual_access_rows += static_cast<double>(table.num_rows());
       for (size_t r = 0; r < table.num_rows(); ++r) {
         if (RowMatchesBound(residual, r)) {
-          out.tuples.push_back({static_cast<uint32_t>(r)});
+          out.ids.push_back(static_cast<uint32_t>(r));
         }
       }
       break;
@@ -132,22 +133,18 @@ RowSet Executor::ExecuteAccess(PlanNode* node) {
     case PhysOp::kIndexScan: {
       const BTreeIndex* idx = indexes_->GetOrBuild(node->index);
       node->stats.actual_access_rows += static_cast<double>(table.num_rows());
-      for (uint32_t r : idx->ScanAll()) {
-        if (RowMatchesBound(residual, r)) {
-          out.tuples.push_back({r});
-        }
+      for (uint32_t r : idx->Seek(KeyRange{})) {
+        if (RowMatchesBound(residual, r)) out.ids.push_back(r);
       }
       break;
     }
     case PhysOp::kIndexSeek: {
       const BTreeIndex* idx = indexes_->GetOrBuild(node->index);
-      const KeyRange range = BuildSeekRange(*db_, *node);
-      const std::vector<uint32_t> hits = idx->SeekRange(range);
+      const std::span<const uint32_t> hits =
+          idx->Seek(BuildSeekRange(*db_, *node));
       node->stats.actual_access_rows += static_cast<double>(hits.size());
       for (uint32_t r : hits) {
-        if (RowMatchesBound(residual, r)) {
-          out.tuples.push_back({r});
-        }
+        if (RowMatchesBound(residual, r)) out.ids.push_back(r);
       }
       break;
     }
@@ -157,68 +154,100 @@ RowSet Executor::ExecuteAccess(PlanNode* node) {
   return out;
 }
 
-RowSet Executor::ExecuteInner(PlanNode* node, double outer_value,
-                              int join_col) {
-  RowSet out;
+namespace {
+
+/// The inner side of a nested-loop join, resolved once per join: the index,
+/// bound predicates and join column every rebind needs. Supported shapes:
+/// [Filter ->] [KeyLookup ->] IndexSeek, or [Filter ->] TableScan; every
+/// one produces tuples of its leaf table alone.
+struct InnerPlan {
+  struct Step {
+    PlanNode* node;                        // Filter or KeyLookup.
+    std::vector<BoundPredicate> residual;  // Empty for KeyLookup.
+  };
+  PlanNode* leaf = nullptr;
+  std::vector<BoundPredicate> leaf_residual;
+  const BTreeIndex* index = nullptr;  // IndexSeek leaf.
+  KeyRange range;                     // Its seek; the bound is the outer value.
+  ColumnView join_col;                // TableScan leaf.
+  size_t table_rows = 0;
+  std::vector<Step> steps;  // Operators above the leaf, bottom-up.
+};
+
+InnerPlan PrepareInner(const Database& db, IndexManager* indexes,
+                       PlanNode* node, int join_col) {
+  InnerPlan plan;
+  std::vector<PlanNode*> above;
+  while (node->op == PhysOp::kFilter || node->op == PhysOp::kKeyLookup) {
+    above.push_back(node);
+    node = node->child(0);
+  }
+  plan.leaf = node;
   switch (node->op) {
-    case PhysOp::kFilter: {
-      out = ExecuteInner(node->child(0), outer_value, join_col);
-      const Table& table = db_->table(out.tables[0]);
-      const auto residual = BindConjunction(*db_, table, node->residual_preds);
-      RowSet filtered;
-      filtered.tables = out.tables;
-      for (auto& t : out.tuples) {
-        if (RowMatchesBound(residual, t[0])) {
-          filtered.tuples.push_back(std::move(t));
-        }
-      }
-      out = std::move(filtered);
-      break;
-    }
-    case PhysOp::kKeyLookup: {
-      out = ExecuteInner(node->child(0), outer_value, join_col);
-      break;  // Lookup fetches columns; row composition is unchanged.
-    }
-    case PhysOp::kIndexSeek: {
+    case PhysOp::kIndexSeek:
       AIMAI_CHECK_MSG(!node->index.key_columns.empty() &&
                           node->index.key_columns[0] == join_col,
                       "inner seek index must lead with the join column");
-      const BTreeIndex* idx = indexes_->GetOrBuild(node->index);
-      KeyRange range;
-      range.lower = {outer_value};
-      range.upper = {outer_value};
-      range.has_lower = range.has_upper = true;
-      const Table& table = db_->table(node->table_id);
-      const auto residual = BindConjunction(*db_, table, node->residual_preds);
-      out.tables = {node->table_id};
-      const std::vector<uint32_t> hits = idx->SeekRange(range);
-      node->stats.actual_access_rows += static_cast<double>(hits.size());
-      for (uint32_t r : hits) {
-        if (RowMatchesBound(residual, r)) {
-          out.tuples.push_back({r});
-        }
-      }
+      plan.index = indexes->GetOrBuild(node->index);
+      plan.range.lower = {0.0};
+      plan.range.upper = {0.0};
+      plan.range.has_lower = plan.range.has_upper = true;
       break;
-    }
-    case PhysOp::kTableScan: {
-      const Table& table = db_->table(node->table_id);
-      const Column& jc = table.column(static_cast<size_t>(join_col));
-      const auto residual = BindConjunction(*db_, table, node->residual_preds);
-      out.tables = {node->table_id};
-      node->stats.actual_access_rows += static_cast<double>(table.num_rows());
-      for (size_t r = 0; r < table.num_rows(); ++r) {
-        if (jc.NumericAt(r) == outer_value && RowMatchesBound(residual, r)) {
-          out.tuples.push_back({static_cast<uint32_t>(r)});
-        }
-      }
+    case PhysOp::kTableScan:
       break;
-    }
     default:
       AIMAI_CHECK_MSG(false, "unsupported nested-loop inner operator");
   }
-  Record(node, out.size());
-  return out;
+  const Table& table = db.table(node->table_id);
+  if (plan.index == nullptr) {
+    plan.join_col = ColumnView::Of(table.column(static_cast<size_t>(join_col)));
+    plan.table_rows = table.num_rows();
+  }
+  plan.leaf_residual = BindConjunction(db, table, node->residual_preds);
+  for (auto it = above.rbegin(); it != above.rend(); ++it) {
+    PlanNode* n = *it;
+    plan.steps.push_back(
+        {n, n->op == PhysOp::kFilter
+                ? BindConjunction(db, table, n->residual_preds)
+                : std::vector<BoundPredicate>{}});
+  }
+  return plan;
 }
+
+/// One rebind: the inner rows matching `outer_value`, into `out`
+/// (cleared first). Accumulates stats into the inner nodes.
+void RunInner(InnerPlan* plan, double outer_value, std::vector<uint32_t>* out) {
+  out->clear();
+  PlanNode* leaf = plan->leaf;
+  if (plan->index != nullptr) {
+    plan->range.lower[0] = outer_value;
+    plan->range.upper[0] = outer_value;
+    const std::span<const uint32_t> hits = plan->index->Seek(plan->range);
+    leaf->stats.actual_access_rows += static_cast<double>(hits.size());
+    for (uint32_t r : hits) {
+      if (RowMatchesBound(plan->leaf_residual, r)) out->push_back(r);
+    }
+  } else {
+    leaf->stats.actual_access_rows += static_cast<double>(plan->table_rows);
+    for (size_t r = 0; r < plan->table_rows; ++r) {
+      if (plan->join_col.NumericAt(static_cast<uint32_t>(r)) == outer_value &&
+          RowMatchesBound(plan->leaf_residual, r)) {
+        out->push_back(static_cast<uint32_t>(r));
+      }
+    }
+  }
+  Record(leaf, out->size());
+  for (InnerPlan::Step& step : plan->steps) {
+    if (!step.residual.empty()) {
+      std::erase_if(*out, [&step](uint32_t r) {
+        return !RowMatchesBound(step.residual, r);
+      });
+    }
+    Record(step.node, out->size());
+  }
+}
+
+}  // namespace
 
 ExecResult Executor::ExecuteNode(PlanNode* node) {
   ExecResult result;
@@ -246,10 +275,11 @@ ExecResult Executor::ExecuteNode(PlanNode* node) {
       const Table& table = db_->table(filter_table);
       const auto residual = BindConjunction(*db_, table, node->residual_preds);
       result.rows.tables = child.rows.tables;
-      result.rows.tuples.reserve(child.rows.tuples.size());
-      for (auto& t : child.rows.tuples) {
-        if (RowMatchesBound(residual, t[static_cast<size_t>(slot)])) {
-          result.rows.tuples.push_back(std::move(t));
+      result.rows.ids.reserve(child.rows.ids.size());
+      for (size_t t = 0; t < child.rows.size(); ++t) {
+        const uint32_t* tuple = child.rows.tuple(t);
+        if (RowMatchesBound(residual, tuple[static_cast<size_t>(slot)])) {
+          result.rows.Append(tuple);
         }
       }
       break;
@@ -258,31 +288,24 @@ ExecResult Executor::ExecuteNode(PlanNode* node) {
       ExecResult outer = ExecuteNode(node->child(0));
       AIMAI_CHECK(!outer.is_agg);
       PlanNode* inner = node->child(1);
-      // Inner nodes start fresh; ExecuteInner accumulates per rebind.
+      PlanNode* leaf = inner;
+      while (!leaf->children.empty()) leaf = leaf->child(0);
       RowSet& rows = result.rows;
       rows.tables = outer.rows.tables;
-      bool tables_set = false;
-      const ColumnRef outer_col = node->join.left;
-      const int inner_join_col = node->join.right.column_id;
+      rows.tables.push_back(leaf->table_id);
+      if (outer.rows.size() == 0) break;
+      InnerPlan plan = PrepareInner(*db_, indexes_, inner,
+                                    node->join.right.column_id);
+      const SlotColumn outer_col(*db_, outer.rows, node->join.left);
+      const size_t ow = outer.rows.width();
+      std::vector<uint32_t> matches;
       for (size_t t = 0; t < outer.rows.size(); ++t) {
-        const double v = TupleValue(*db_, outer.rows, outer_col, t);
-        RowSet matches = ExecuteInner(inner, v, inner_join_col);
-        if (!tables_set && !matches.tables.empty()) {
-          rows.tables.insert(rows.tables.end(), matches.tables.begin(),
-                             matches.tables.end());
-          tables_set = true;
+        const uint32_t* ot = outer.rows.tuple(t);
+        RunInner(&plan, outer_col.At(ot), &matches);
+        for (uint32_t m : matches) {
+          rows.ids.insert(rows.ids.end(), ot, ot + ow);
+          rows.ids.push_back(m);
         }
-        for (const auto& m : matches.tuples) {
-          std::vector<uint32_t> tuple = outer.rows.tuples[t];
-          tuple.insert(tuple.end(), m.begin(), m.end());
-          rows.tuples.push_back(std::move(tuple));
-        }
-      }
-      if (!tables_set) {
-        // No outer tuple produced matches; recover inner table layout.
-        PlanNode* leaf = inner;
-        while (!leaf->children.empty()) leaf = leaf->child(0);
-        rows.tables.push_back(leaf->table_id);
       }
       break;
     }
@@ -331,7 +354,7 @@ ExecResult Executor::ExecuteNode(PlanNode* node) {
           child.agg.agg_values.resize(n);
         }
       } else {
-        if (child.rows.size() > n) child.rows.tuples.resize(n);
+        child.rows.Truncate(n);
       }
       result = std::move(child);
       break;

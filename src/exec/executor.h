@@ -52,11 +52,6 @@ class Executor {
   /// Leaf access operators (scans / seeks).
   RowSet ExecuteAccess(PlanNode* node);
 
-  /// Executes the inner side of a nested-loop join for one outer value.
-  /// Supported inner shapes: [Filter ->] [KeyLookup ->] IndexSeek, or
-  /// [Filter ->] TableScan. Accumulates stats into the inner nodes.
-  RowSet ExecuteInner(PlanNode* node, double outer_value, int join_col);
-
   const Database* db_;
   IndexManager* indexes_;
   ExecMode mode_;

@@ -62,17 +62,35 @@ void AccumulateNumericT(const T* data, const uint32_t* ids, size_t n,
   *mx = hi;
 }
 
+template <typename T, typename Op>
+void AccumulateGroupedT(const T* data, const uint32_t* ids,
+                        const uint32_t* grp, size_t n, size_t stride,
+                        size_t offset, double* acc, Op op) {
+  for (size_t i = 0; i < n; ++i) {
+    const double v = static_cast<double>(data[ids[i]]);
+    const size_t slot = static_cast<size_t>(grp[i]) * stride + offset;
+    acc[slot] = op(acc[slot], v);
+  }
+}
+
+// One sweep per requested accumulator: a slot's chain of dependent
+// updates is then one operation long rather than three.
 template <typename T>
 void AccumulateNumericGroupedT(const T* data, const uint32_t* ids,
                                const uint32_t* grp, size_t n, size_t stride,
                                size_t offset, double* sums, double* mins,
                                double* maxs) {
-  for (size_t i = 0; i < n; ++i) {
-    const double v = static_cast<double>(data[ids[i]]);
-    const size_t slot = static_cast<size_t>(grp[i]) * stride + offset;
-    sums[slot] += v;
-    mins[slot] = std::min(mins[slot], v);
-    maxs[slot] = std::max(maxs[slot], v);
+  if (sums != nullptr) {
+    AccumulateGroupedT(data, ids, grp, n, stride, offset, sums,
+                       [](double a, double v) { return a + v; });
+  }
+  if (mins != nullptr) {
+    AccumulateGroupedT(data, ids, grp, n, stride, offset, mins,
+                       [](double a, double v) { return std::min(a, v); });
+  }
+  if (maxs != nullptr) {
+    AccumulateGroupedT(data, ids, grp, n, stride, offset, maxs,
+                       [](double a, double v) { return std::max(a, v); });
   }
 }
 

@@ -84,9 +84,10 @@ void AccumulateNumeric(const ColumnView& col, const uint32_t* ids, size_t n,
                        double* sum, double* mn, double* mx);
 
 /// Grouped variant: row i accumulates into slot `grp[i] * stride + offset`
-/// of the sums/mins/maxs arrays. Per slot, updates land for rows in id
-/// order — the identical sequence the row engine's per-row aggregate loop
-/// produces — so grouped sums stay FP-bit-identical.
+/// of the sums/mins/maxs arrays; a null array is not accumulated. Per slot,
+/// updates land for rows in id order — the identical sequence the row
+/// engine's per-row aggregate loop produces — so grouped sums stay
+/// FP-bit-identical.
 void AccumulateNumericGrouped(const ColumnView& col, const uint32_t* ids,
                               const uint32_t* grp, size_t n, size_t stride,
                               size_t offset, double* sums, double* mins,

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -17,37 +19,109 @@ int RowSet::SlotOf(int table_id) const {
   return -1;
 }
 
-double TupleValue(const Database& db, const RowSet& rs, ColumnRef col,
-                  size_t t) {
-  const int slot = rs.SlotOf(col.table_id);
+namespace {
+
+size_t SlotOrDie(const RowSet& rs, int table_id) {
+  const int slot = rs.SlotOf(table_id);
   AIMAI_CHECK_MSG(slot >= 0, "column's table not in rowset");
-  const uint32_t row = rs.tuples[t][static_cast<size_t>(slot)];
-  return db.table(col.table_id)
-      .column(static_cast<size_t>(col.column_id))
-      .NumericAt(row);
+  return static_cast<size_t>(slot);
 }
+
+}  // namespace
+
+SlotColumn::SlotColumn(const Database& db, const RowSet& rs, ColumnRef col)
+    : slot(SlotOrDie(rs, col.table_id)),
+      view(ColumnView::Of(
+          db.table(col.table_id).column(static_cast<size_t>(col.column_id)))) {}
+
+namespace {
+
+/// Hash-join directory: open addressing over the distinct build keys, each
+/// slot heading a chain threaded through `next_` (one link per build
+/// tuple). Inserting at the chain head makes a walk visit equal keys newest
+/// first. Keys compare as doubles, so -0.0 meets +0.0 (both hash as +0.0)
+/// and NaN meets nothing (callers never insert it).
+class JoinDirectory {
+ public:
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+  explicit JoinDirectory(size_t n) : next_(n, kNone) {
+    size_t cap = 16;
+    int bits = 4;
+    while (cap < 2 * n) {
+      cap <<= 1;
+      ++bits;
+    }
+    keys_.resize(cap);
+    heads_.assign(cap, kNone);
+    mask_ = cap - 1;
+    shift_ = 64 - bits;
+  }
+
+  void Insert(double key, uint32_t t) {
+    size_t s = Home(key);
+    while (heads_[s] != kNone && keys_[s] != key) s = (s + 1) & mask_;
+    keys_[s] = key;
+    next_[t] = heads_[s];
+    heads_[s] = t;
+  }
+
+  /// Newest build tuple with `key`, or kNone.
+  uint32_t Find(double key) const {
+    for (size_t s = Home(key); heads_[s] != kNone; s = (s + 1) & mask_) {
+      if (keys_[s] == key) return heads_[s];
+    }
+    return kNone;
+  }
+
+  uint32_t Next(uint32_t t) const { return next_[t]; }
+
+ private:
+  size_t Home(double key) const {
+    if (key == 0) key = 0.0;
+    uint64_t bits;
+    std::memcpy(&bits, &key, sizeof(bits));
+    return static_cast<size_t>((bits * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  std::vector<double> keys_;
+  std::vector<uint32_t> heads_;
+  std::vector<uint32_t> next_;
+  size_t mask_ = 0;
+  int shift_ = 0;
+};
+
+std::vector<int> ConcatTables(const RowSet& a, const RowSet& b) {
+  std::vector<int> out = a.tables;
+  out.insert(out.end(), b.tables.begin(), b.tables.end());
+  return out;
+}
+
+}  // namespace
 
 RowSet HashJoinRows(const Database& db, const RowSet& build,
                     ColumnRef build_col, const RowSet& probe,
                     ColumnRef probe_col) {
   RowSet out;
-  out.tables = probe.tables;
-  out.tables.insert(out.tables.end(), build.tables.begin(),
-                    build.tables.end());
+  out.tables = ConcatTables(probe, build);
+  if (build.size() == 0 || probe.size() == 0) return out;
+  const SlotColumn bkey(db, build, build_col);
+  const SlotColumn pkey(db, probe, probe_col);
+  const size_t pw = probe.width();
+  const size_t bw = build.width();
 
-  std::unordered_multimap<double, size_t> table;
-  table.reserve(build.size());
+  JoinDirectory dir(build.size());
   for (size_t t = 0; t < build.size(); ++t) {
-    table.emplace(TupleValue(db, build, build_col, t), t);
+    const double v = bkey.At(build.tuple(t));
+    if (!std::isnan(v)) dir.Insert(v, static_cast<uint32_t>(t));
   }
   for (size_t t = 0; t < probe.size(); ++t) {
-    const double v = TupleValue(db, probe, probe_col, t);
-    auto [lo, hi] = table.equal_range(v);
-    for (auto it = lo; it != hi; ++it) {
-      std::vector<uint32_t> tuple = probe.tuples[t];
-      const auto& bt = build.tuples[it->second];
-      tuple.insert(tuple.end(), bt.begin(), bt.end());
-      out.tuples.push_back(std::move(tuple));
+    const uint32_t* pt = probe.tuple(t);
+    for (uint32_t b = dir.Find(pkey.At(pt)); b != JoinDirectory::kNone;
+         b = dir.Next(b)) {
+      const uint32_t* bt = build.tuple(b);
+      out.ids.insert(out.ids.end(), pt, pt + pw);
+      out.ids.insert(out.ids.end(), bt, bt + bw);
     }
   }
   return out;
@@ -56,15 +130,18 @@ RowSet HashJoinRows(const Database& db, const RowSet& build,
 RowSet MergeJoinRows(const Database& db, const RowSet& left, ColumnRef left_col,
                      const RowSet& right, ColumnRef right_col) {
   RowSet out;
-  out.tables = left.tables;
-  out.tables.insert(out.tables.end(), right.tables.begin(),
-                    right.tables.end());
+  out.tables = ConcatTables(left, right);
+  if (left.size() == 0 || right.size() == 0) return out;
+  const SlotColumn lkey(db, left, left_col);
+  const SlotColumn rkey(db, right, right_col);
+  const size_t lw = left.width();
+  const size_t rw = right.width();
 
   size_t i = 0, j = 0;
   const size_t n = left.size(), m = right.size();
   while (i < n && j < m) {
-    const double lv = TupleValue(db, left, left_col, i);
-    const double rv = TupleValue(db, right, right_col, j);
+    const double lv = lkey.At(left.tuple(i));
+    const double rv = rkey.At(right.tuple(j));
     if (lv < rv) {
       ++i;
     } else if (lv > rv) {
@@ -72,17 +149,13 @@ RowSet MergeJoinRows(const Database& db, const RowSet& left, ColumnRef left_col,
     } else {
       // Equal block: find extents on both sides, emit cross product.
       size_t i_end = i;
-      while (i_end < n && TupleValue(db, left, left_col, i_end) == lv) ++i_end;
+      while (i_end < n && lkey.At(left.tuple(i_end)) == lv) ++i_end;
       size_t j_end = j;
-      while (j_end < m && TupleValue(db, right, right_col, j_end) == rv) {
-        ++j_end;
-      }
+      while (j_end < m && rkey.At(right.tuple(j_end)) == rv) ++j_end;
       for (size_t a = i; a < i_end; ++a) {
         for (size_t b = j; b < j_end; ++b) {
-          std::vector<uint32_t> tuple = left.tuples[a];
-          const auto& rt = right.tuples[b];
-          tuple.insert(tuple.end(), rt.begin(), rt.end());
-          out.tuples.push_back(std::move(tuple));
+          out.ids.insert(out.ids.end(), left.tuple(a), left.tuple(a) + lw);
+          out.ids.insert(out.ids.end(), right.tuple(b), right.tuple(b) + rw);
         }
       }
       i = i_end;
@@ -94,31 +167,37 @@ RowSet MergeJoinRows(const Database& db, const RowSet& left, ColumnRef left_col,
 
 void SortRows(const Database& db, RowSet* rs,
               const std::vector<SortKey>& keys) {
-  // Precompute slots and column pointers for speed.
+  if (rs->size() == 0) return;
   struct KeyAccessor {
-    const Column* col;
-    size_t slot;
+    SlotColumn col;
     bool ascending;
   };
   std::vector<KeyAccessor> acc;
   acc.reserve(keys.size());
   for (const SortKey& k : keys) {
-    const int slot = rs->SlotOf(k.col.table_id);
-    AIMAI_CHECK(slot >= 0);
-    acc.push_back({&db.table(k.col.table_id)
-                        .column(static_cast<size_t>(k.col.column_id)),
-                   static_cast<size_t>(slot), k.ascending});
+    acc.push_back({SlotColumn(db, *rs, k.col), k.ascending});
   }
-  std::sort(rs->tuples.begin(), rs->tuples.end(),
-            [&acc](const std::vector<uint32_t>& a,
-                   const std::vector<uint32_t>& b) {
-              for (const KeyAccessor& k : acc) {
-                const double av = k.col->NumericAt(a[k.slot]);
-                const double bv = k.col->NumericAt(b[k.slot]);
-                if (av != bv) return k.ascending ? av < bv : av > bv;
-              }
-              return false;
-            });
+  // Sorting tuple indices with the tuple comparator reproduces sorting the
+  // tuples themselves exactly, ties included: std::sort's element moves
+  // depend only on comparison outcomes.
+  const size_t n = rs->size();
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&acc, rs](uint32_t a, uint32_t b) {
+    const uint32_t* ta = rs->tuple(a);
+    const uint32_t* tb = rs->tuple(b);
+    for (const KeyAccessor& k : acc) {
+      const double av = k.col.At(ta);
+      const double bv = k.col.At(tb);
+      if (av != bv) return k.ascending ? av < bv : av > bv;
+    }
+    return false;
+  });
+  RowSet sorted;
+  sorted.tables = rs->tables;
+  sorted.ids.reserve(rs->ids.size());
+  for (uint32_t t : order) sorted.Append(rs->tuple(t));
+  *rs = std::move(sorted);
 }
 
 namespace {
@@ -154,19 +233,30 @@ AggResult AggregateRows(const Database& db, const RowSet& input,
   // GroupedAggregator, so the two paths produce bit-identical AggResults
   // (unordered_map iteration order is implementation-defined and would
   // diverge between differently-built hash tables).
+  if (input.size() == 0) return {};
   std::unordered_map<std::vector<double>, size_t, VecHash> index;
   std::vector<std::vector<double>> keys;
   std::vector<AggState> states;
   const size_t na = aggs.size();
-  for (size_t t = 0; t < input.size(); ++t) {
-    std::vector<double> key;
-    key.reserve(group_by.size());
-    for (const ColumnRef& c : group_by) {
-      key.push_back(TupleValue(db, input, c, t));
+  std::vector<SlotColumn> group_cols;
+  group_cols.reserve(group_by.size());
+  for (const ColumnRef& c : group_by) group_cols.emplace_back(db, input, c);
+  std::vector<std::optional<SlotColumn>> agg_cols(na);
+  for (size_t a = 0; a < na; ++a) {
+    if (aggs[a].func != AggFunc::kCount) {
+      agg_cols[a].emplace(db, input, aggs[a].col);
     }
-    auto [it, inserted] = index.emplace(std::move(key), states.size());
-    if (inserted) {
-      keys.push_back(it->first);
+  }
+  std::vector<double> key(group_by.size());  // Reused; copied per new group.
+  for (size_t t = 0; t < input.size(); ++t) {
+    const uint32_t* tuple = input.tuple(t);
+    for (size_t k = 0; k < group_cols.size(); ++k) {
+      key[k] = group_cols[k].At(tuple);
+    }
+    auto it = index.find(key);
+    if (it == index.end()) {
+      it = index.emplace(key, states.size()).first;
+      keys.push_back(key);
       states.emplace_back();
     }
     AggState& st = states[it->second];
@@ -178,7 +268,7 @@ AggResult AggregateRows(const Database& db, const RowSet& input,
     st.count += 1;
     for (size_t a = 0; a < na; ++a) {
       if (aggs[a].func == AggFunc::kCount) continue;
-      const double v = TupleValue(db, input, aggs[a].col, t);
+      const double v = agg_cols[a]->At(tuple);
       st.sum[a] += v;
       st.min[a] = std::min(st.min[a], v);
       st.max[a] = std::max(st.max[a], v);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "catalog/database.h"
+#include "exec/batch.h"
 #include "exec/plan.h"
 
 namespace aimai {
@@ -13,15 +14,27 @@ namespace aimai {
 /// of base-table row ids — values are always fetched from the base columns,
 /// so no intermediate materialization of data happens, only of row
 /// identities. `tables[i]` names the base table whose row id sits in slot i
-/// of each tuple.
+/// of each tuple. Tuples are stored row-major in one flat array: tuple t is
+/// `ids[t * width(), (t + 1) * width())`, so set `tables` before appending.
 struct RowSet {
   std::vector<int> tables;
-  std::vector<std::vector<uint32_t>> tuples;
+  std::vector<uint32_t> ids;
 
   /// Slot of `table_id` in the tuples, or -1.
   int SlotOf(int table_id) const;
 
-  size_t size() const { return tuples.size(); }
+  size_t width() const { return tables.size(); }
+  size_t size() const { return tables.empty() ? 0 : ids.size() / width(); }
+  const uint32_t* tuple(size_t t) const { return ids.data() + t * width(); }
+
+  /// Appends one tuple of width() row ids.
+  void Append(const uint32_t* tuple) {
+    ids.insert(ids.end(), tuple, tuple + width());
+  }
+  /// Keeps the first `n` tuples (no-op when there are fewer).
+  void Truncate(size_t n) {
+    if (n < size()) ids.resize(n * width());
+  }
 };
 
 /// Result of an aggregation: group keys (numeric views) and aggregate
@@ -42,13 +55,24 @@ struct ExecResult {
   size_t size() const { return is_agg ? agg.size() : rows.size(); }
 };
 
-/// Fetches the numeric view of `col` for tuple `t` of `rs`.
-double TupleValue(const Database& db, const RowSet& rs, ColumnRef col,
-                  size_t t);
+/// The numeric view of `col` within the tuples of one RowSet layout,
+/// resolved once (slot and column), so per-tuple reads are a load and a
+/// type switch.
+struct SlotColumn {
+  SlotColumn(const Database& db, const RowSet& rs, ColumnRef col);
+
+  double At(const uint32_t* tuple) const { return view.NumericAt(tuple[slot]); }
+
+  size_t slot;
+  ColumnView view;
+};
 
 /// Hash join: build on `build` side using `build_col`, probe with `probe`
 /// using `probe_col`. Output tuple layout: probe tables followed by build
-/// tables (probe side streams).
+/// tables (probe side streams). Output order: probe tuples in input order,
+/// each one's matches newest build tuple first — the order
+/// `std::unordered_multimap::equal_range` yields when the build side is
+/// inserted in input order.
 RowSet HashJoinRows(const Database& db, const RowSet& build,
                     ColumnRef build_col, const RowSet& probe,
                     ColumnRef probe_col);
@@ -57,7 +81,8 @@ RowSet HashJoinRows(const Database& db, const RowSet& build,
 RowSet MergeJoinRows(const Database& db, const RowSet& left, ColumnRef left_col,
                      const RowSet& right, ColumnRef right_col);
 
-/// In-place sort by key columns (ties keep arbitrary order).
+/// In-place sort by key columns. Ties land where `std::sort` over the
+/// tuples themselves would put them.
 void SortRows(const Database& db, RowSet* rs,
               const std::vector<SortKey>& keys);
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -106,35 +107,24 @@ class GroupedAggregator {
     // Each (group, aggregate) slot still receives its updates for rows in
     // id order, so the FP sequence is exactly the per-row loop's.
     grp_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t r = ids[i];
-      for (size_t j = 0; j < ng_; ++j) {
-        key_scratch_[j] = group_cols_[j].NumericAt(r);
-      }
-      uint32_t g;
-      if (has_prev_ && key_scratch_ == prev_key_) {
-        g = prev_idx_;  // Clustered/sorted input skips the hash probe.
-      } else {
-        auto it = index_.find(key_scratch_);
-        if (it != index_.end()) {
-          g = it->second;
-        } else {
-          g = static_cast<uint32_t>(keys_.size());
-          index_.emplace(key_scratch_, g);
-          keys_.push_back(key_scratch_);
-          AppendGroupSlots();
-        }
-        prev_key_ = key_scratch_;
-        prev_idx_ = g;
-        has_prev_ = true;
-      }
-      grp_[i] = g;
-      counts_[g] += 1;
+    const ColumnView& key = group_cols_[0];
+    if (ng_ == 1 && key.type == DataType::kString) {
+      ResolveDirect(key.codes, ids, n);
+    } else if (ng_ == 1 && key.type == DataType::kInt64) {
+      ResolveDirect(key.i64, ids, n);
+    } else {
+      for (size_t i = 0; i < n; ++i) grp_[i] = ResolveHashed(ids[i]);
     }
+    for (size_t i = 0; i < n; ++i) counts_[grp_[i]] += 1;
+    // Each aggregate sweeps only the accumulator Finalize reads for it.
     for (size_t a = 0; a < na_; ++a) {
-      if (funcs_[a] == AggFunc::kCount) continue;
+      const AggFunc f = funcs_[a];
+      if (f == AggFunc::kCount) continue;
+      const bool sum = f == AggFunc::kSum || f == AggFunc::kAvg;
       AccumulateNumericGrouped(agg_cols_[a], ids, grp_.data(), n, na_, a,
-                               sums_.data(), mins_.data(), maxs_.data());
+                               sum ? sums_.data() : nullptr,
+                               f == AggFunc::kMin ? mins_.data() : nullptr,
+                               f == AggFunc::kMax ? maxs_.data() : nullptr);
     }
   }
 
@@ -172,6 +162,51 @@ class GroupedAggregator {
   }
 
  private:
+  /// Dictionary codes and small non-negative integers index `direct_`
+  /// instead of the hash map. Such keys are exact as doubles and equal only
+  /// when identical, so the table resolves exactly the groups the map
+  /// would; keys outside [0, kDirectKeys) take the map.
+  template <typename T>
+  void ResolveDirect(const T* keys, const uint32_t* ids, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t k = keys[ids[i]];
+      if (k < 0 || k >= kDirectKeys) {
+        grp_[i] = ResolveHashed(ids[i]);
+        continue;
+      }
+      const size_t slot = static_cast<size_t>(k);
+      if (slot >= direct_.size()) direct_.resize(slot + 1, kNoGroup);
+      if (direct_[slot] == kNoGroup) {
+        key_scratch_[0] = static_cast<double>(k);
+        direct_[slot] = Register();
+      }
+      grp_[i] = direct_[slot];
+    }
+  }
+
+  uint32_t ResolveHashed(uint32_t r) {
+    for (size_t j = 0; j < ng_; ++j) {
+      key_scratch_[j] = group_cols_[j].NumericAt(r);
+    }
+    if (has_prev_ && key_scratch_ == prev_key_) {
+      return prev_idx_;  // Clustered/sorted input skips the hash probe.
+    }
+    auto it = index_.find(key_scratch_);
+    if (it == index_.end()) it = index_.emplace(key_scratch_, Register()).first;
+    prev_key_ = key_scratch_;
+    prev_idx_ = it->second;
+    has_prev_ = true;
+    return prev_idx_;
+  }
+
+  /// Registers key_scratch_ as the next group.
+  uint32_t Register() {
+    const uint32_t g = static_cast<uint32_t>(keys_.size());
+    keys_.push_back(key_scratch_);
+    AppendGroupSlots();
+    return g;
+  }
+
   void AppendGroupSlots() {
     counts_.push_back(0);
     sums_.resize(sums_.size() + na_, 0.0);
@@ -209,6 +244,9 @@ class GroupedAggregator {
   std::vector<double> maxs_;
   std::vector<std::vector<double>> keys_;
   std::unordered_map<std::vector<double>, uint32_t, VecHash> index_;
+  static constexpr int64_t kDirectKeys = int64_t{1} << 16;
+  static constexpr uint32_t kNoGroup = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> direct_;  // Group per direct key, or kNoGroup.
 
   std::vector<double> key_scratch_;
   std::vector<uint32_t> grp_;  // Chunk-local group index per row.
@@ -304,7 +342,7 @@ ExecResult VectorizedExecutor::Execute(PlanNode* root) {
       ResolvePreds(*db_, table, leaf->residual_preds);
 
   // Candidate rows, in exactly the row engine's iteration order.
-  std::vector<uint32_t> sparse;  // Index scan / seek hits.
+  std::span<const uint32_t> sparse;  // Index scan / seek hits.
   bool dense = false;
   size_t total = 0;
   switch (leaf->op) {
@@ -316,14 +354,14 @@ ExecResult VectorizedExecutor::Execute(PlanNode* root) {
       break;
     case PhysOp::kIndexScan: {
       const BTreeIndex* idx = indexes_->GetOrBuild(leaf->index);
-      sparse = idx->ScanAll();
+      sparse = idx->Seek(KeyRange{});
       total = sparse.size();
       leaf->stats.actual_access_rows += static_cast<double>(table.num_rows());
       break;
     }
     case PhysOp::kIndexSeek: {
       const BTreeIndex* idx = indexes_->GetOrBuild(leaf->index);
-      sparse = idx->SeekRange(BuildSeekRange(*db_, *leaf));
+      sparse = idx->Seek(BuildSeekRange(*db_, *leaf));
       total = sparse.size();
       leaf->stats.actual_access_rows += static_cast<double>(sparse.size());
       break;
@@ -340,8 +378,12 @@ ExecResult VectorizedExecutor::Execute(PlanNode* root) {
     agg = std::make_unique<GroupedAggregator>(table, fused_agg->group_by,
                                               fused_agg->aggregates);
   }
-  std::vector<uint32_t> survivors;
+  // Unfused output: the survivors append straight into the result rows
+  // (one slot per tuple: the leaf table's row id).
+  ExecResult result;
+  std::vector<uint32_t>& survivors = result.rows.ids;
   if (fused_agg == nullptr) {
+    result.rows.tables = {leaf->table_id};
     const double est = steps.empty() ? leaf->stats.est_rows
                                      : steps.back().node->stats.est_rows;
     survivors.reserve(std::min(
@@ -397,15 +439,10 @@ ExecResult VectorizedExecutor::Execute(PlanNode* root) {
   Record(leaf, leaf_out);
   for (SegmentStep& st : steps) Record(st.node, st.out_rows);
 
-  ExecResult result;
   if (agg != nullptr) {
     result.is_agg = true;
     result.agg = agg->Finalize();
     Record(fused_agg, result.agg.size());
-  } else {
-    result.rows.tables = {leaf->table_id};
-    result.rows.tuples.reserve(survivors.size());
-    for (uint32_t r : survivors) result.rows.tuples.push_back({r});
   }
 
   // Post-segment operators (sort / aggregate-over-sorted / top / residual
@@ -419,17 +456,12 @@ ExecResult VectorizedExecutor::Execute(PlanNode* root) {
         AIMAI_CHECK(!result.is_agg);
         AIMAI_CHECK(!op->residual_preds.empty());
         const auto preds = ResolvePreds(*db_, table, op->residual_preds);
-        RowSet filtered;
-        filtered.tables = result.rows.tables;
-        filtered.tuples.reserve(result.rows.tuples.size());
-        for (auto& t : result.rows.tuples) {
-          bool pass = true;
+        std::erase_if(result.rows.ids, [&preds](uint32_t r) {
           for (const ResolvedPred& p : preds) {
-            pass = pass && p.bounds.Pass(p.view.NumericAt(t[0]));
+            if (!p.bounds.Pass(p.view.NumericAt(r))) return true;
           }
-          if (pass) filtered.tuples.push_back(std::move(t));
-        }
-        result.rows = std::move(filtered);
+          return false;
+        });
         break;
       }
       case PhysOp::kSort: {
@@ -444,13 +476,9 @@ ExecResult VectorizedExecutor::Execute(PlanNode* root) {
       case PhysOp::kStreamAggregate: {
         AIMAI_CHECK(!result.is_agg);
         GroupedAggregator ga(table, op->group_by, op->aggregates);
-        const size_t n_rows = result.rows.tuples.size();
-        for (size_t idx = 0; idx < n_rows; idx += kBatchRows) {
-          const size_t m = std::min(kBatchRows, n_rows - idx);
-          for (size_t j = 0; j < m; ++j) {
-            sel[j] = result.rows.tuples[idx + j][0];
-          }
-          ga.Consume(sel, m);
+        const std::vector<uint32_t>& ids = result.rows.ids;
+        for (size_t idx = 0; idx < ids.size(); idx += kBatchRows) {
+          ga.Consume(ids.data() + idx, std::min(kBatchRows, ids.size() - idx));
         }
         result.rows = RowSet{};
         result.is_agg = true;
@@ -464,8 +492,8 @@ ExecResult VectorizedExecutor::Execute(PlanNode* root) {
             result.agg.group_keys.resize(n_top);
             result.agg.agg_values.resize(n_top);
           }
-        } else if (result.rows.size() > n_top) {
-          result.rows.tuples.resize(n_top);
+        } else {
+          result.rows.Truncate(n_top);
         }
         break;
       }

@@ -2,7 +2,8 @@
 #define AIMAI_INDEX_BTREE_INDEX_H_
 
 #include <cstdint>
-#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -32,9 +33,13 @@ struct KeyRange {
 /// row ids. Built once by bulk loading (the engine's tables are read-only
 /// during experiments), supports point/range seeks and full ordered scans.
 ///
-/// This is a genuine paged tree (internal nodes with separators, linked
-/// leaves) rather than a sorted array, so seek cost in the execution model
-/// can follow the real log-structured access pattern.
+/// A bulk-loaded B+-tree over read-only data is fully determined by its
+/// sorted entry sequence, so the index stores exactly that: one flat
+/// row-major key array (`num_entries × width` doubles) and the matching row
+/// ids, sorted by (key, row id). Leaves are implicit `kLeafCapacity`-entry
+/// pages of that sequence and internal levels implicit `kInternalCapacity`-
+/// way fan-outs over them; seeks binary-search the sequence with the same
+/// prefix-compare semantics a root-to-leaf descent would apply.
 class BTreeIndex {
  public:
   static constexpr int kLeafCapacity = 64;
@@ -47,49 +52,33 @@ class BTreeIndex {
   BTreeIndex& operator=(const BTreeIndex&) = delete;
 
   const IndexDef& def() const { return def_; }
-  size_t num_entries() const { return num_entries_; }
-  int height() const { return height_; }
+  size_t num_entries() const { return rows_.size(); }
+  /// Levels from root to leaves (1 for a single leaf page).
+  int height() const;
 
-  /// Returns the row ids whose key falls within `range`, in key order.
+  /// The row ids whose key falls within `range`, in key order. The span
+  /// views the index's own storage (qualifying entries are contiguous).
+  std::span<const uint32_t> Seek(const KeyRange& range) const;
+
+  /// Copying form of Seek.
   std::vector<uint32_t> SeekRange(const KeyRange& range) const;
 
   /// All row ids in key order (ordered index scan).
-  std::vector<uint32_t> ScanAll() const;
+  std::vector<uint32_t> ScanAll() const { return rows_; }
 
-  /// Number of leaf pages the seek touches (used by execution cost model).
+  /// Number of leaf pages holding at least one entry within `range`.
   size_t CountLeafPages(const KeyRange& range) const;
 
  private:
-  struct LeafNode;
-  struct InternalNode;
-  struct Node {
-    bool is_leaf = false;
-    virtual ~Node() = default;
-  };
-  struct LeafNode : Node {
-    std::vector<IndexKey> keys;
-    std::vector<uint32_t> rows;
-    LeafNode* next = nullptr;
-  };
-  struct InternalNode : Node {
-    // children.size() == separators.size() + 1; separator[i] is the first
-    // key of children[i + 1]'s subtree.
-    std::vector<IndexKey> separators;
-    std::vector<std::unique_ptr<Node>> children;
-  };
+  /// [begin, end) entry positions of the keys within `range`.
+  std::pair<size_t, size_t> Bounds(const KeyRange& range) const;
 
-  /// Finds the first leaf that may contain keys >= the lower bound (or the
-  /// leftmost leaf when unbounded), and the starting slot inside it.
-  const LeafNode* FindStartLeaf(const KeyRange& range, size_t* slot) const;
-
-  static bool BelowUpper(const IndexKey& key, const KeyRange& range);
-  static bool AboveLower(const IndexKey& key, const KeyRange& range);
+  const double* KeyAt(size_t i) const { return keys_.data() + i * width_; }
 
   IndexDef def_;
-  std::unique_ptr<Node> root_;
-  LeafNode* first_leaf_ = nullptr;
-  size_t num_entries_ = 0;
-  int height_ = 1;
+  size_t width_ = 0;
+  std::vector<double> keys_;    // Row-major, sorted by (key, row id).
+  std::vector<uint32_t> rows_;  // rows_[i] owns keys_[i * width_, +width_).
 };
 
 }  // namespace aimai

@@ -1,6 +1,7 @@
 #include "index/index_manager.h"
 
 #include "common/check.h"
+#include "obs/obs.h"
 
 namespace aimai {
 
@@ -9,6 +10,8 @@ const BTreeIndex* IndexManager::GetOrBuild(const IndexDef& def) {
   const std::string key = def.CanonicalName();
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second.get();
+  AIMAI_SPAN("index.build");
+  AIMAI_COUNTER_INC("index.builds");
   auto built = std::make_unique<BTreeIndex>(*db_, def);
   const BTreeIndex* out = built.get();
   cache_.emplace(key, std::move(built));

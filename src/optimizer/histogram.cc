@@ -71,7 +71,6 @@ double Histogram::EstimateSelectivity(const NumericBounds& bounds) const {
   // the tail overestimated, as in real optimizers between histogram steps.
   const bool is_point = bounds.has_lo && bounds.has_hi && !bounds.lo_open &&
                         !bounds.hi_open && bounds.lo == bounds.hi;
-  const double width = BucketWidth();
   if (is_point) {
     const double v = bounds.lo;
     if (v < min_ || v > max_) return 0;

@@ -4,9 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
+#include <set>
+#include <string>
 
 #include "catalog/database.h"
 #include "index/btree_index.h"
+#include "index/index_manager.h"
+#include "obs/metrics.h"
 #include "storage/data_generator.h"
 
 namespace aimai {
@@ -187,6 +193,218 @@ TEST(CompareKeysTest, LexicographicWithPrefix) {
   EXPECT_EQ(CompareKeys({1}, {1, 9}), 0);  // Prefix compares equal.
   EXPECT_EQ(CompareKeys({}, {1}), 0);
 }
+
+// --- Flat-layout oracles: the entry sequence must be exactly the stable
+// (key, row id) order, and the page arithmetic must match walking that
+// sequence in kLeafCapacity-entry pages.
+
+using Columns = std::vector<std::vector<double>>;
+
+std::unique_ptr<Database> MakeDoubleDb(const Columns& cols) {
+  auto db = std::make_unique<Database>("flat_db");
+  auto t = std::make_unique<Table>("t");
+  for (size_t c = 0; c < cols.size(); ++c) {
+    Column* col = t->AddColumn("c" + std::to_string(c), DataType::kDouble);
+    for (double v : cols[c]) col->AppendDouble(v);
+  }
+  t->SealRows();
+  db->AddTable(std::move(t));
+  return db;
+}
+
+IndexDef KeyOn(const std::vector<int>& key) {
+  IndexDef d;
+  d.table_id = 0;
+  d.key_columns = key;
+  return d;
+}
+
+IndexKey KeyOf(const Columns& cols, const std::vector<int>& key, uint32_t r) {
+  IndexKey out;
+  for (int c : key) out.push_back(cols[static_cast<size_t>(c)][r]);
+  return out;
+}
+
+// Row ids stably sorted by key: ties (including -0.0 vs +0.0) keep row-id
+// order.
+std::vector<uint32_t> OracleOrder(const Columns& cols,
+                                  const std::vector<int>& key) {
+  std::vector<uint32_t> order(cols[0].size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return CompareKeys(KeyOf(cols, key, a), KeyOf(cols, key, b)) < 0;
+  });
+  return order;
+}
+
+bool OracleInRange(const IndexKey& k, const KeyRange& range) {
+  if (range.has_lower) {
+    const int c = CompareKeys(k, range.lower);
+    if (range.lower_open ? c <= 0 : c < 0) return false;
+  }
+  if (range.has_upper) {
+    const int c = CompareKeys(k, range.upper);
+    if (range.upper_open ? c >= 0 : c > 0) return false;
+  }
+  return true;
+}
+
+// A random range over the key's leading columns: an equality prefix, then
+// possibly one bounded column, each side possibly open or absent.
+KeyRange RandomRange(const Columns& cols, const std::vector<int>& key,
+                     Rng* rng) {
+  const size_t n = cols[0].size();
+  const IndexKey a = KeyOf(cols, key, static_cast<uint32_t>(rng->Index(n)));
+  const IndexKey b = KeyOf(cols, key, static_cast<uint32_t>(rng->Index(n)));
+  KeyRange range;
+  const size_t eq = rng->Index(key.size());
+  for (size_t i = 0; i < eq; ++i) {
+    range.lower.push_back(a[i]);
+    range.upper.push_back(a[i]);
+    range.has_lower = range.has_upper = true;
+  }
+  const double lo = std::min(a[eq], b[eq]);
+  const double hi = std::max(a[eq], b[eq]);
+  if (rng->Bernoulli(0.8)) {
+    range.lower.push_back(lo);
+    range.has_lower = true;
+    range.lower_open = rng->Bernoulli(0.5);
+  }
+  if (rng->Bernoulli(0.8)) {
+    range.upper.push_back(hi);
+    range.has_upper = true;
+    range.upper_open = rng->Bernoulli(0.5);
+  }
+  return range;
+}
+
+void ExpectMatchesOracle(const Columns& cols, const std::vector<int>& key,
+                         uint64_t seed) {
+  auto db = MakeDoubleDb(cols);
+  BTreeIndex idx(*db, KeyOn(key));
+  const std::vector<uint32_t> order = OracleOrder(cols, key);
+  ASSERT_EQ(idx.ScanAll(), order);
+
+  Rng rng(seed);
+  for (int trial = 0; trial < 60; ++trial) {
+    const KeyRange range = RandomRange(cols, key, &rng);
+    std::vector<uint32_t> expected;
+    std::set<size_t> pages;
+    for (size_t i = 0; i < order.size(); ++i) {
+      if (OracleInRange(KeyOf(cols, key, order[i]), range)) {
+        expected.push_back(order[i]);
+        pages.insert(i / BTreeIndex::kLeafCapacity);
+      }
+    }
+    ASSERT_EQ(idx.SeekRange(range), expected) << "trial " << trial;
+    ASSERT_EQ(idx.CountLeafPages(range), pages.size()) << "trial " << trial;
+  }
+}
+
+TEST(BTreeFlatTest, NegativeDoublesMatchStableSortOracle) {
+  Rng rng(21);
+  Columns cols(1);
+  for (int i = 0; i < 900; ++i) {
+    // Mix of wide-range negatives, small fractions and repeated values.
+    const double v = rng.Bernoulli(0.3)
+                         ? static_cast<double>(rng.UniformInt(-5, 5))
+                         : rng.Uniform(-1e6, 1e3);
+    cols[0].push_back(v);
+  }
+  cols[0].push_back(-std::numeric_limits<double>::infinity());
+  cols[0].push_back(std::numeric_limits<double>::infinity());
+  cols[0].push_back(-std::numeric_limits<double>::denorm_min());
+  ExpectMatchesOracle(cols, {0}, 1);
+}
+
+TEST(BTreeFlatTest, SignedZerosTieInRowIdOrder) {
+  Rng rng(22);
+  Columns cols(1);
+  for (int i = 0; i < 500; ++i) {
+    const double choices[] = {-0.0, 0.0, -1.0, 1.0, -0.5};
+    cols[0].push_back(choices[rng.Index(5)]);
+  }
+  ExpectMatchesOracle(cols, {0}, 2);
+
+  // An equality seek on 0 returns both zeros, interleaved by row id.
+  auto db = MakeDoubleDb(cols);
+  BTreeIndex idx(*db, KeyOn({0}));
+  KeyRange zero;
+  zero.lower = {0.0};
+  zero.upper = {-0.0};
+  zero.has_lower = zero.has_upper = true;
+  std::vector<uint32_t> expected;
+  for (uint32_t r = 0; r < cols[0].size(); ++r) {
+    if (cols[0][r] == 0.0) expected.push_back(r);
+  }
+  EXPECT_EQ(idx.SeekRange(zero), expected);
+}
+
+TEST(BTreeFlatTest, DuplicateRunsCrossPageBoundaries) {
+  // Runs of equal keys up to ~4 pages long, in shuffled value order, so
+  // ties straddle leaf-page boundaries at every offset.
+  Rng rng(23);
+  Columns cols(1);
+  std::vector<double> values = {3, -2, 7, 0, 11, -9, 5, 1};
+  rng.Shuffle(&values);
+  for (double v : values) {
+    const size_t run = 1 + rng.Index(4 * BTreeIndex::kLeafCapacity);
+    for (size_t i = 0; i < run; ++i) cols[0].push_back(v);
+  }
+  // Interleave a second pass so each value's rows are not contiguous.
+  for (size_t i = 0; i < 300; ++i) cols[0].push_back(values[rng.Index(8)]);
+  ExpectMatchesOracle(cols, {0}, 3);
+}
+
+TEST(BTreeFlatTest, CompositeKeysMatchStableSortOracle) {
+  Rng rng(24);
+  Columns cols(3);
+  for (int i = 0; i < 1500; ++i) {
+    cols[0].push_back(static_cast<double>(rng.UniformInt(-3, 3)));
+    cols[1].push_back(rng.Bernoulli(0.5) ? -0.0 : rng.Uniform(-2, 2));
+    cols[2].push_back(static_cast<double>(rng.UniformInt(0, 4)));
+  }
+  ExpectMatchesOracle(cols, {0, 2}, 4);
+  ExpectMatchesOracle(cols, {2, 0, 1}, 5);
+  ExpectMatchesOracle(cols, {1, 2}, 6);
+}
+
+TEST(BTreeFlatTest, HeightFollowsPageArithmetic) {
+  // 64-entry leaves under 64-way internal nodes: 0, 1 and 64 rows fit one
+  // leaf; 65 rows need two leaves under a root; 4097 rows need 65 leaves,
+  // two internal nodes and a root.
+  const std::pair<size_t, int> cases[] = {
+      {0, 1}, {1, 1}, {64, 1}, {65, 2}, {4097, 3}};
+  for (const auto& [rows, height] : cases) {
+    Columns cols(1);
+    for (size_t r = 0; r < rows; ++r) {
+      cols[0].push_back(static_cast<double>(r));
+    }
+    auto db = MakeDoubleDb(cols);
+    BTreeIndex idx(*db, KeyOn({0}));
+    EXPECT_EQ(idx.height(), height) << rows << " rows";
+    const size_t leaves = (rows + BTreeIndex::kLeafCapacity - 1) /
+                          BTreeIndex::kLeafCapacity;
+    EXPECT_EQ(idx.CountLeafPages(KeyRange{}), leaves) << rows << " rows";
+  }
+}
+
+// The build span and counter record cache misses only. Recording is
+// compiled out under -DAIMAI_OBS_DISABLE=ON.
+#if !defined(AIMAI_OBS_DISABLED)
+TEST(IndexManagerTest, BuildSpanCountsOnlyCacheMisses) {
+  auto db = MakeDb(300, 40, 11);
+  IndexManager indexes(db.get());
+  obs::Counter* builds = obs::Registry().GetCounter("index.builds");
+  obs::Histogram* span = obs::Registry().GetHistogram("index.build.ns");
+  const int64_t builds0 = builds->value();
+  const int64_t spans0 = span->count();
+  const BTreeIndex* first = indexes.GetOrBuild(SingleCol());
+  EXPECT_EQ(indexes.GetOrBuild(SingleCol()), first);
+  EXPECT_EQ(builds->value() - builds0, 1);
+  EXPECT_EQ(span->count() - spans0, 1);
+}
+#endif  // !AIMAI_OBS_DISABLED
 
 }  // namespace
 }  // namespace aimai

@@ -59,7 +59,7 @@ void ExpectSameResult(const ExecResult& row, const ExecResult& vec,
     EXPECT_EQ(row.agg.agg_values, vec.agg.agg_values) << context;
   } else {
     EXPECT_EQ(row.rows.tables, vec.rows.tables) << context;
-    EXPECT_EQ(row.rows.tuples, vec.rows.tuples) << context;
+    EXPECT_EQ(row.rows.ids, vec.rows.ids) << context;
   }
 }
 
@@ -285,6 +285,41 @@ TEST(ExecBatchTest, GroupedAggregateOverDictionaryColumn) {
   double total = 0;
   for (const auto& v : r.agg.agg_values) total += v[0];
   EXPECT_EQ(total, 300.0);
+}
+
+// Integer group keys straddling the vectorized aggregator's direct-table
+// range: negatives and keys past it take the hash map, the rest the table,
+// and groups must still register in first-seen order.
+TEST(ExecBatchTest, GroupedAggregateOverIntKeysAcrossDirectRange) {
+  Database db("int_keys");
+  DataGenerator gen(Rng{22});
+  auto t = std::make_unique<Table>("t");
+  Column* k = t->AddColumn("k", DataType::kInt64);
+  gen.FillUniformDouble(t->AddColumn("v", DataType::kDouble), 3000, -5, 5);
+  Rng rng(23);
+  const int64_t keys[] = {-70000, -1, 0, 3, 65535, 65536, 1 << 20};
+  for (int r = 0; r < 3000; ++r) k->AppendInt(keys[rng.Index(7)]);
+  t->SealRows();
+  db.AddTable(std::move(t));
+  IndexManager indexes(&db);
+
+  PhysicalPlan plan;
+  auto scan = std::make_unique<PlanNode>();
+  scan->op = PhysOp::kTableScan;
+  scan->table_id = 0;
+  auto agg = std::make_unique<PlanNode>();
+  agg->op = PhysOp::kHashAggregate;
+  agg->table_id = 0;
+  agg->group_by = {ColumnRef{0, 0}};
+  agg->aggregates = {{AggFunc::kCount, {}},
+                     {AggFunc::kSum, ColumnRef{0, 1}},
+                     {AggFunc::kAvg, ColumnRef{0, 1}},
+                     {AggFunc::kMin, ColumnRef{0, 1}},
+                     {AggFunc::kMax, ColumnRef{0, 1}}};
+  agg->children.push_back(std::move(scan));
+  plan.root = std::move(agg);
+  ASSERT_TRUE(VectorizedExecutor::CanExecute(*plan.root));
+  EXPECT_TRUE(RunBothAndCompare(db, &indexes, plan, "int-group-agg"));
 }
 
 TEST(ExecBatchTest, JoinPlansFallBackToRowEngine) {

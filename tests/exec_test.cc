@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "exec/execution_cost.h"
 #include "exec/executor.h"
@@ -89,9 +92,9 @@ TEST(OperatorsTest, HashJoinMatchesMergeJoin) {
 
   RowSet left, right;
   left.tables = {0};
-  for (uint32_t i = 0; i < 200; ++i) left.tuples.push_back({i});
+  for (uint32_t i = 0; i < 200; ++i) left.ids.push_back(i);
   right.tables = {1};
-  for (uint32_t i = 0; i < 150; ++i) right.tuples.push_back({i});
+  for (uint32_t i = 0; i < 150; ++i) right.ids.push_back(i);
 
   const ColumnRef lk{0, 0};
   const ColumnRef rk{1, 0};
@@ -107,14 +110,123 @@ TEST(OperatorsTest, HashJoinMatchesMergeJoin) {
   // tuple layout is probe-then-build (right, left here since left=build).
   auto canon = [](const RowSet& rs, int lslot, int rslot) {
     std::multiset<std::pair<uint32_t, uint32_t>> out;
-    for (const auto& t : rs.tuples) {
-      out.insert({t[static_cast<size_t>(lslot)],
-                  t[static_cast<size_t>(rslot)]});
+    for (size_t t = 0; t < rs.size(); ++t) {
+      out.insert({rs.tuple(t)[static_cast<size_t>(lslot)],
+                  rs.tuple(t)[static_cast<size_t>(rslot)]});
     }
     return out;
   };
   EXPECT_EQ(canon(hj, hj.SlotOf(0), hj.SlotOf(1)),
             canon(mj, mj.SlotOf(0), mj.SlotOf(1)));
+}
+
+// Three tables of one double column each, drawn from a small domain with
+// both signed zeros (and optionally NaN), so joins and sorts see many ties.
+std::unique_ptr<Database> MakeTieDb(Rng* rng, size_t rows, bool with_nan) {
+  auto db = std::make_unique<Database>("ties");
+  for (int t = 0; t < 3; ++t) {
+    auto table = std::make_unique<Table>("t" + std::to_string(t));
+    Column* c = table->AddColumn("k", DataType::kDouble);
+    for (size_t r = 0; r < rows; ++r) {
+      const double choices[] = {-0.0, 0.0, 1.0, 2.0, -3.0, 4.5};
+      double v = choices[rng->Index(6)];
+      if (with_nan && rng->Bernoulli(0.05)) {
+        v = std::numeric_limits<double>::quiet_NaN();
+      }
+      c->AppendDouble(v);
+    }
+    table->SealRows();
+    db->AddTable(std::move(table));
+  }
+  return db;
+}
+
+// A RowSet over `tables` with `n` random tuples.
+RowSet RandomRows(const Database& db, const std::vector<int>& tables,
+                  size_t n, Rng* rng) {
+  RowSet rs;
+  rs.tables = tables;
+  for (size_t t = 0; t < n; ++t) {
+    for (int table : tables) {
+      rs.ids.push_back(
+          static_cast<uint32_t>(rng->Index(db.table(table).num_rows())));
+    }
+  }
+  return rs;
+}
+
+double ValueOf(const Database& db, ColumnRef col, uint32_t row) {
+  return db.table(col.table_id)
+      .column(static_cast<size_t>(col.column_id))
+      .NumericAt(row);
+}
+
+TEST(OperatorsTest, HashJoinOrderMatchesUnorderedMultimap) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed);
+    const auto owned = MakeTieDb(&rng, 60, /*with_nan=*/seed % 2 == 1);
+    const Database& db = *owned;
+    const RowSet build = RandomRows(db, {0, 2}, rng.Index(120), &rng);
+    const RowSet probe = RandomRows(db, {1}, rng.Index(120), &rng);
+    const ColumnRef bk{0, 0};
+    const ColumnRef pk{1, 0};
+
+    // Reference: the multimap-based join, probe-major, build matches in
+    // equal_range order.
+    std::unordered_multimap<double, size_t> table;
+    table.reserve(build.size());
+    for (size_t t = 0; t < build.size(); ++t) {
+      table.emplace(ValueOf(db, bk, build.tuple(t)[0]), t);
+    }
+    std::vector<uint32_t> expected;
+    for (size_t t = 0; t < probe.size(); ++t) {
+      auto [lo, hi] = table.equal_range(ValueOf(db, pk, probe.tuple(t)[0]));
+      for (auto it = lo; it != hi; ++it) {
+        expected.push_back(probe.tuple(t)[0]);
+        expected.push_back(build.tuple(it->second)[0]);
+        expected.push_back(build.tuple(it->second)[1]);
+      }
+    }
+
+    const RowSet got = HashJoinRows(db, build, bk, probe, pk);
+    EXPECT_EQ(got.tables, (std::vector<int>{1, 0, 2}));
+    ASSERT_EQ(got.ids, expected) << "seed " << seed;
+  }
+}
+
+TEST(OperatorsTest, SortRowsPermutationMatchesSortingTupleVectors) {
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(seed);
+    const auto owned = MakeTieDb(&rng, 50, /*with_nan=*/false);
+    const Database& db = *owned;
+    RowSet rs = RandomRows(db, {0, 1}, 200 + rng.Index(800), &rng);
+    const std::vector<SortKey> keys = {SortKey{ColumnRef{1, 0}, false},
+                                       SortKey{ColumnRef{0, 0}, true}};
+
+    // Reference: std::sort over per-tuple vectors with the same comparator.
+    std::vector<std::vector<uint32_t>> tuples;
+    for (size_t t = 0; t < rs.size(); ++t) {
+      tuples.emplace_back(rs.tuple(t), rs.tuple(t) + rs.width());
+    }
+    std::sort(tuples.begin(), tuples.end(),
+              [&](const std::vector<uint32_t>& a,
+                  const std::vector<uint32_t>& b) {
+                for (const SortKey& k : keys) {
+                  const size_t slot = k.col.table_id == 0 ? 0 : 1;
+                  const double av = ValueOf(db, k.col, a[slot]);
+                  const double bv = ValueOf(db, k.col, b[slot]);
+                  if (av != bv) return k.ascending ? av < bv : av > bv;
+                }
+                return false;
+              });
+    std::vector<uint32_t> expected;
+    for (const auto& t : tuples) {
+      expected.insert(expected.end(), t.begin(), t.end());
+    }
+
+    SortRows(db, &rs, keys);
+    ASSERT_EQ(rs.ids, expected) << "seed " << seed;
+  }
 }
 
 TEST(OperatorsTest, AggregateRowsComputesAllFunctions) {
@@ -133,7 +245,7 @@ TEST(OperatorsTest, AggregateRowsComputesAllFunctions) {
 
   RowSet in;
   in.tables = {0};
-  for (uint32_t i = 0; i < 5; ++i) in.tuples.push_back({i});
+  for (uint32_t i = 0; i < 5; ++i) in.ids.push_back(i);
   const std::vector<AggItem> aggs = {{AggFunc::kCount, {}},
                                      {AggFunc::kSum, ColumnRef{0, 1}},
                                      {AggFunc::kAvg, ColumnRef{0, 1}},
