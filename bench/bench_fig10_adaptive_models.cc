@@ -59,7 +59,7 @@ int main() {
     std::fprintf(stderr, "[fig10] hold out %s\n",
                  data.suite[static_cast<size_t>(held)]->name().c_str());
 
-    std::unique_ptr<Classifier> offline_rf = TrainClassifier(
+    const std::shared_ptr<const Classifier> offline_rf = TrainClassifier(
         ModelKind::kRandomForest, data, base_split.train, featurizer, labeler,
         options.seed + static_cast<uint64_t>(held));
     std::unique_ptr<Classifier> offline_hybrid = TrainClassifier(
@@ -87,11 +87,11 @@ int main() {
       if (local.NumClasses() < 2) continue;
 
       const uint64_t s = options.seed + static_cast<uint64_t>(held * 7 + k);
-      OfflineStrategy off(offline_rf.get());
+      OfflineStrategy off(offline_rf);
       LocalStrategy loc(local, s);
-      UncertaintyStrategy unc(offline_rf.get(), local, s + 1);
-      NearestNeighborStrategy nn(offline_rf.get(), local, s + 2);
-      MetaModelStrategy meta(offline_rf.get(), local, s + 3);
+      UncertaintyStrategy unc(offline_rf, local, s + 1);
+      NearestNeighborStrategy nn(offline_rf, local, s + 2);
+      MetaModelStrategy meta(offline_rf, local, s + 3);
       auto* hybrid = dynamic_cast<HybridDnnClassifier*>(offline_hybrid.get());
       TransferHybridStrategy transfer(hybrid, local);
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "harness.h"
+#include "models/adaptive.h"
 #include "robustness/atomic_file.h"
 #include "service/learning/learning_loop.h"
 #include "service/service.h"
@@ -221,8 +222,8 @@ int main() {
       service->learning()->feedback().HoldoutData("tenant");
   const auto snapshot = service->models().Snapshot("offline");
   const double t0 = NowMs();
-  const auto adapted = std::make_shared<AdaptedPairClassifier>(
-      AdaptiveKind::kUncertainty, snapshot, train, opts.seed + 30);
+  const auto adapted = std::make_shared<UncertaintyStrategy>(
+      snapshot->classifier, train, opts.seed + 30);
   const double retrain_ms = NowMs() - t0;
   service->Shutdown();
 

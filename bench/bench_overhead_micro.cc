@@ -35,7 +35,7 @@ struct MicroState {
   std::vector<PlanPairRef> pairs;
   PairFeaturizer featurizer = DefaultFeaturizer();
   PairLabeler labeler{0.2};
-  std::unique_ptr<Classifier> rf;
+  std::shared_ptr<Classifier> rf;
   std::unique_ptr<Classifier> lgbm;
   Dataset dataset;
 
@@ -330,7 +330,7 @@ void BM_AdaptiveRetrain(benchmark::State& state) {
   }
   Dataset local = s.dataset.Subset(rows);
   for (auto _ : state) {
-    MetaModelStrategy meta(s.rf.get(), local, 99);
+    MetaModelStrategy meta(s.rf, local, 99);
     benchmark::DoNotOptimize(&meta);
   }
 }

@@ -6,7 +6,6 @@
 // ContinuousTuner, with passive data collection and per-iteration
 // retraining of the adaptive (meta) model.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -134,21 +133,14 @@ inline ContinuousTuner::ComparatorFactory MakeComparatorFactory(
         PairDatasetBuilder builder(local_repo, setup->featurizer,
                                    setup->labeler);
 
-        std::shared_ptr<AdaptiveStrategy> strategy;
+        std::shared_ptr<const Classifier> model = setup->offline_model;
         if (local_pairs.size() >= 8) {
           Dataset local = builder.Build(local_pairs);
-          strategy = std::make_shared<MetaModelStrategy>(
-              setup->offline_model.get(), local, seed ^ 0xada);
-        } else {
-          strategy = std::make_shared<OfflineStrategy>(
-              setup->offline_model.get());
+          model = std::make_shared<MetaModelStrategy>(
+              setup->offline_model, local, seed ^ 0xada);
         }
-        ModelComparator::LabelFn fn =
-            [strategy](const std::vector<double>& x) {
-              return strategy->Predict(x.data());
-            };
-        return std::make_unique<ModelComparator>(setup->featurizer,
-                                                 std::move(fn));
+        return std::make_unique<ModelComparator>(std::move(model),
+                                                 setup->featurizer);
       };
     }
   }

@@ -19,53 +19,88 @@ RandomForest::Options LocalForestOptions(uint64_t seed) {
 
 }  // namespace
 
+void AdaptiveStrategy::Fit(const Dataset& train) {
+  (void)train;
+  AIMAI_CHECK_MSG(false, "adaptive strategies are trained at construction");
+}
+
+void AdaptiveStrategy::PaddedProbaInto(const Classifier& model,
+                                       const double* x, double* out) {
+  AIMAI_CHECK(model.num_classes() <= kNumPairLabels);
+  std::fill(out, out + kNumPairLabels, 0.0);
+  model.PredictProbaInto(x, out);
+}
+
+OfflineStrategy::OfflineStrategy(std::shared_ptr<const Classifier> offline)
+    : offline_(std::move(offline)) {
+  AIMAI_CHECK(offline_ != nullptr);
+}
+
+void OfflineStrategy::PredictProbaInto(const double* x, double* out) const {
+  PaddedProbaInto(*offline_, x, out);
+}
+
 LocalStrategy::LocalStrategy(const Dataset& local_train, uint64_t seed) {
   AIMAI_CHECK(local_train.n() > 0);
   local_ = std::make_unique<RandomForest>(LocalForestOptions(seed));
   local_->Fit(local_train);
 }
 
-int LocalStrategy::Predict(const double* x) const {
-  return local_->Predict(x);
+void LocalStrategy::PredictProbaInto(const double* x, double* out) const {
+  PaddedProbaInto(*local_, x, out);
 }
 
-UncertaintyStrategy::UncertaintyStrategy(const Classifier* offline,
-                                         const Dataset& local_train,
-                                         uint64_t seed)
-    : offline_(offline), local_(local_train, seed) {}
-
-int UncertaintyStrategy::Predict(const double* x) const {
-  const double u_off = offline_->Uncertainty(x);
-  const double u_loc = local_.local_model()->Uncertainty(x);
-  return u_loc <= u_off ? local_.Predict(x) : offline_->Predict(x);
+UncertaintyStrategy::UncertaintyStrategy(
+    std::shared_ptr<const Classifier> offline, const Dataset& local_train,
+    uint64_t seed)
+    : offline_(std::move(offline)), local_(local_train, seed) {
+  AIMAI_CHECK(offline_ != nullptr);
 }
 
-NearestNeighborStrategy::NearestNeighborStrategy(const Classifier* offline,
-                                                 const Dataset& local_train,
-                                                 uint64_t seed,
-                                                 double distance_threshold)
-    : offline_(offline), local_(local_train, seed),
+void UncertaintyStrategy::PredictProbaInto(const double* x,
+                                           double* out) const {
+  double off[kNumPairLabels];
+  double loc[kNumPairLabels];
+  PaddedProbaInto(*offline_, x, off);
+  local_.PredictProbaInto(x, loc);
+  // Padding adds zeros, so 1 - max is each model's own Uncertainty(x);
+  // local wins ties.
+  double max_off = 0, max_loc = 0;
+  for (double p : off) max_off = std::max(max_off, p);
+  for (double p : loc) max_loc = std::max(max_loc, p);
+  const double* pick = 1.0 - max_loc <= 1.0 - max_off ? loc : off;
+  std::copy(pick, pick + kNumPairLabels, out);
+}
+
+NearestNeighborStrategy::NearestNeighborStrategy(
+    std::shared_ptr<const Classifier> offline, const Dataset& local_train,
+    uint64_t seed, double distance_threshold)
+    : offline_(std::move(offline)), local_(local_train, seed),
       threshold_(distance_threshold) {
+  AIMAI_CHECK(offline_ != nullptr);
   knn_.Fit(local_train);
 }
 
-int NearestNeighborStrategy::Predict(const double* x) const {
-  if (knn_.NearestDistance(x) <= threshold_) return local_.Predict(x);
-  return offline_->Predict(x);
+void NearestNeighborStrategy::PredictProbaInto(const double* x,
+                                               double* out) const {
+  if (knn_.NearestDistance(x) <= threshold_) {
+    local_.PredictProbaInto(x, out);
+  } else {
+    PaddedProbaInto(*offline_, x, out);
+  }
 }
 
 std::vector<double> MetaModelStrategy::MetaFeatures(
     const double* x, const Classifier& local_model,
     const KnnIndex& knn) const {
-  std::vector<double> f;
-  std::vector<double> po = offline_->PredictProba(x);
-  std::vector<double> pl = local_model.PredictProba(x);
-  // Local folds may miss a class entirely; pad to the full ternary label
-  // space so the meta features have a stable dimensionality.
-  po.resize(kNumPairLabels, 0.0);
-  pl.resize(kNumPairLabels, 0.0);
-  f.insert(f.end(), po.begin(), po.end());
-  f.insert(f.end(), pl.begin(), pl.end());
+  // Local folds may miss a class entirely; padding to the full ternary
+  // label space keeps the meta features' dimensionality stable.
+  double po[kNumPairLabels];
+  double pl[kNumPairLabels];
+  PaddedProbaInto(*offline_, x, po);
+  PaddedProbaInto(local_model, x, pl);
+  std::vector<double> f(po, po + kNumPairLabels);
+  f.insert(f.end(), pl, pl + kNumPairLabels);
   double mo = 0, ml = 0;
   for (double v : po) mo = std::max(mo, v);
   for (double v : pl) ml = std::max(ml, v);
@@ -75,10 +110,11 @@ std::vector<double> MetaModelStrategy::MetaFeatures(
   return f;
 }
 
-MetaModelStrategy::MetaModelStrategy(const Classifier* offline,
-                                     const Dataset& local_train,
-                                     uint64_t seed)
-    : offline_(offline) {
+MetaModelStrategy::MetaModelStrategy(
+    std::shared_ptr<const Classifier> offline, const Dataset& local_train,
+    uint64_t seed)
+    : offline_(std::move(offline)) {
+  AIMAI_CHECK(offline_ != nullptr);
   AIMAI_CHECK(local_train.n() > 0);
   Rng rng(seed);
 
@@ -118,10 +154,13 @@ MetaModelStrategy::MetaModelStrategy(const Classifier* offline,
   // local model directly.
 }
 
-int MetaModelStrategy::Predict(const double* x) const {
-  if (meta_ == nullptr) return final_local_->Predict(x);
+void MetaModelStrategy::PredictProbaInto(const double* x, double* out) const {
+  if (meta_ == nullptr) {
+    PaddedProbaInto(*final_local_, x, out);
+    return;
+  }
   const std::vector<double> f = MetaFeatures(x, *final_local_, knn_);
-  return meta_->Predict(f.data());
+  PaddedProbaInto(*meta_, f.data(), out);
 }
 
 TransferHybridStrategy::TransferHybridStrategy(HybridDnnClassifier* hybrid,
@@ -130,8 +169,9 @@ TransferHybridStrategy::TransferHybridStrategy(HybridDnnClassifier* hybrid,
   hybrid_->RetrainForest(local_train);
 }
 
-int TransferHybridStrategy::Predict(const double* x) const {
-  return hybrid_->Predict(x);
+void TransferHybridStrategy::PredictProbaInto(const double* x,
+                                              double* out) const {
+  PaddedProbaInto(*hybrid_, x, out);
 }
 
 }  // namespace aimai

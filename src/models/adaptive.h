@@ -13,23 +13,38 @@ namespace aimai {
 
 /// An adaptation strategy (§4.3): combines a cross-database *offline*
 /// model with freshly collected *local* execution data from the database
-/// being tuned, and predicts labels for new feature vectors.
-class AdaptiveStrategy {
+/// being tuned. Every strategy is a plan-pair Classifier over the
+/// kNumPairLabels label space, so it drops in wherever the offline model
+/// does (the tuner's ModelComparator, the service's model registry).
+///
+/// Inner models that saw fewer classes (a local split missing a label)
+/// answer through zero-padded probability rows, so a strategy's argmax is
+/// exactly the inner model's own Predict. Strategies are trained at
+/// construction; Fit aborts. Prediction is a pure, thread-safe function.
+class AdaptiveStrategy : public Classifier {
  public:
-  virtual ~AdaptiveStrategy() = default;
-  virtual int Predict(const double* x) const = 0;
+  AdaptiveStrategy() { num_classes_ = kNumPairLabels; }
+
+  void Fit(const Dataset& train) final;
+
   virtual const char* name() const = 0;
+
+ protected:
+  /// Writes `model`'s probabilities for `x` into out[0..kNumPairLabels),
+  /// zero-padding classes the model never saw.
+  static void PaddedProbaInto(const Classifier& model, const double* x,
+                              double* out);
 };
 
 /// No adaptation: use the offline model as-is (the baseline in Fig. 10).
 class OfflineStrategy : public AdaptiveStrategy {
  public:
-  explicit OfflineStrategy(const Classifier* offline) : offline_(offline) {}
-  int Predict(const double* x) const override { return offline_->Predict(x); }
+  explicit OfflineStrategy(std::shared_ptr<const Classifier> offline);
+  void PredictProbaInto(const double* x, double* out) const override;
   const char* name() const override { return "Offline"; }
 
  private:
-  const Classifier* offline_;
+  std::shared_ptr<const Classifier> offline_;
 };
 
 /// Local model only: a lightweight forest trained on the local data,
@@ -37,7 +52,7 @@ class OfflineStrategy : public AdaptiveStrategy {
 class LocalStrategy : public AdaptiveStrategy {
  public:
   LocalStrategy(const Dataset& local_train, uint64_t seed);
-  int Predict(const double* x) const override;
+  void PredictProbaInto(const double* x, double* out) const override;
   const char* name() const override { return "Local"; }
 
   const Classifier* local_model() const { return local_.get(); }
@@ -47,16 +62,17 @@ class LocalStrategy : public AdaptiveStrategy {
 };
 
 /// Uncertainty-based combination: query both models, trust the one with
-/// the lower uncertainty score (1 - max class probability).
+/// the lower uncertainty score (1 - max class probability), local winning
+/// ties.
 class UncertaintyStrategy : public AdaptiveStrategy {
  public:
-  UncertaintyStrategy(const Classifier* offline, const Dataset& local_train,
-                      uint64_t seed);
-  int Predict(const double* x) const override;
+  UncertaintyStrategy(std::shared_ptr<const Classifier> offline,
+                      const Dataset& local_train, uint64_t seed);
+  void PredictProbaInto(const double* x, double* out) const override;
   const char* name() const override { return "Uncertainty"; }
 
  private:
-  const Classifier* offline_;
+  std::shared_ptr<const Classifier> offline_;
   LocalStrategy local_;
 };
 
@@ -65,14 +81,14 @@ class UncertaintyStrategy : public AdaptiveStrategy {
 /// model; otherwise the offline one.
 class NearestNeighborStrategy : public AdaptiveStrategy {
  public:
-  NearestNeighborStrategy(const Classifier* offline,
+  NearestNeighborStrategy(std::shared_ptr<const Classifier> offline,
                           const Dataset& local_train, uint64_t seed,
                           double distance_threshold = 0.05);
-  int Predict(const double* x) const override;
+  void PredictProbaInto(const double* x, double* out) const override;
   const char* name() const override { return "NearestNeighbor"; }
 
  private:
-  const Classifier* offline_;
+  std::shared_ptr<const Classifier> offline_;
   LocalStrategy local_;
   KnnIndex knn_;
   double threshold_;
@@ -84,17 +100,27 @@ class NearestNeighborStrategy : public AdaptiveStrategy {
 /// the meta learner never sees its base local model's training residue.
 class MetaModelStrategy : public AdaptiveStrategy {
  public:
-  MetaModelStrategy(const Classifier* offline, const Dataset& local_train,
-                    uint64_t seed);
-  int Predict(const double* x) const override;
+  MetaModelStrategy(std::shared_ptr<const Classifier> offline,
+                    const Dataset& local_train, uint64_t seed);
+  void PredictProbaInto(const double* x, double* out) const override;
   const char* name() const override { return "Meta"; }
+
+  /// The stacked forest; null when the local data was too small for
+  /// stacking (prediction then falls back to local_model()).
+  const Classifier* meta_model() const { return meta_.get(); }
+  /// Base forest over all local data.
+  const Classifier* local_model() const { return final_local_.get(); }
+  /// The meta_model() input row for `x`.
+  std::vector<double> MetaFeatures(const double* x) const {
+    return MetaFeatures(x, *final_local_, knn_);
+  }
 
  private:
   std::vector<double> MetaFeatures(const double* x,
                                    const Classifier& local_model,
                                    const KnnIndex& knn) const;
 
-  const Classifier* offline_;
+  std::shared_ptr<const Classifier> offline_;
   std::unique_ptr<RandomForest> final_local_;
   KnnIndex knn_;
   std::unique_ptr<RandomForest> meta_;
@@ -108,7 +134,7 @@ class TransferHybridStrategy : public AdaptiveStrategy {
   /// `local_train` at construction.
   TransferHybridStrategy(HybridDnnClassifier* hybrid,
                          const Dataset& local_train);
-  int Predict(const double* x) const override;
+  void PredictProbaInto(const double* x, double* out) const override;
   const char* name() const override { return "HybridDNN"; }
 
  private:

@@ -146,10 +146,4 @@ std::unique_ptr<Classifier> MakeClassifier(ModelKind kind,
   return nullptr;
 }
 
-int PlanPairClassifierModel::PredictLabel(const PhysicalPlan& p1,
-                                          const PhysicalPlan& p2) const {
-  const auto x = features_.GetOrCompute(featurizer_, p1, p2);
-  return classifier_->Predict(x->data());
-}
-
 }  // namespace aimai

@@ -20,7 +20,9 @@ enum class FaultPoint : int {
   kWhatIfTimeout,         // What-if optimization exceeds its deadline.
   kTelemetryCorruption,   // A telemetry record is corrupted on write.
   kRepositoryIo,          // Repository save/load stream I/O error.
-  kModelInference,        // The ML comparator fails to produce a label.
+  kModelInference,        // Unused: no hook consults it. The slot stays
+                          // because Reset seeds each point's stream by
+                          // index.
   // Service-layer points (PR 6 chaos harness).
   kJobCrash,              // A tuning job's attempt dies mid-round.
   kJobStall,              // A tuning job stops making progress (hangs).

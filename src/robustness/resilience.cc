@@ -20,9 +20,6 @@ void ResilienceStats::Merge(const ResilienceStats& other) {
   quarantined_recommendations += other.quarantined_recommendations;
   quarantine_skips += other.quarantine_skips;
   records_skipped_corrupt += other.records_skipped_corrupt;
-  breaker_trips += other.breaker_trips;
-  breaker_recoveries += other.breaker_recoveries;
-  comparator_fallbacks += other.comparator_fallbacks;
 }
 
 std::string ResilienceStats::ToString() const {
@@ -32,8 +29,7 @@ std::string ResilienceStats::ToString() const {
       "what-if timeouts=%lld samples dropped=%lld degraded=%lld "
       "backoff=%.1fms | iterations failed=%lld reverts=%lld "
       "verified=%lld verify-failures=%lld quarantined=%lld skips=%lld | "
-      "telemetry skipped=%lld | breaker trips=%lld recoveries=%lld "
-      "fallbacks=%lld",
+      "telemetry skipped=%lld",
       static_cast<long long>(execution_attempts),
       static_cast<long long>(execution_retries),
       static_cast<long long>(execution_faults),
@@ -47,10 +43,7 @@ std::string ResilienceStats::ToString() const {
       static_cast<long long>(revert_verification_failures),
       static_cast<long long>(quarantined_recommendations),
       static_cast<long long>(quarantine_skips),
-      static_cast<long long>(records_skipped_corrupt),
-      static_cast<long long>(breaker_trips),
-      static_cast<long long>(breaker_recoveries),
-      static_cast<long long>(comparator_fallbacks));
+      static_cast<long long>(records_skipped_corrupt));
 }
 
 void ResilienceStats::PublishDeltaTo(obs::MetricsRegistry* registry) {
@@ -80,10 +73,6 @@ void ResilienceStats::PublishDeltaTo(obs::MetricsRegistry* registry) {
       {"resilience.quarantine_skips", &ResilienceStats::quarantine_skips},
       {"resilience.records_skipped_corrupt",
        &ResilienceStats::records_skipped_corrupt},
-      {"resilience.breaker_trips", &ResilienceStats::breaker_trips},
-      {"resilience.breaker_recoveries", &ResilienceStats::breaker_recoveries},
-      {"resilience.comparator_fallbacks",
-       &ResilienceStats::comparator_fallbacks},
   };
   static_assert(sizeof(kFields) / sizeof(kFields[0]) ==
                 sizeof(Published::counters) / sizeof(int64_t));

@@ -42,11 +42,6 @@ struct ResilienceStats {
   // Telemetry I/O (repository load).
   int64_t records_skipped_corrupt = 0;
 
-  // Comparator circuit breaker (FallbackComparator).
-  int64_t breaker_trips = 0;
-  int64_t breaker_recoveries = 0;
-  int64_t comparator_fallbacks = 0;  // Decisions answered by the fallback.
-
   void Merge(const ResilienceStats& other);
 
   /// Multi-line human-readable dump for tuner logs.
@@ -62,7 +57,7 @@ struct ResilienceStats {
   /// Field values as of the last PublishDeltaTo. Not merged by Merge():
   /// merged-in counts are unpublished growth by definition.
   struct Published {
-    int64_t counters[17] = {};
+    int64_t counters[14] = {};
     double backoff_ms = 0;
   };
   Published published_;

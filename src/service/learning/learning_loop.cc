@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "ml/metrics.h"
+#include "models/adaptive.h"
 #include "models/labeler.h"
 #include "models/repository.h"
 #include "obs/obs.h"
@@ -292,11 +293,11 @@ void LearningLoop::RunRetrainJob(Session* session, TuningJob* job,
   const uint64_t seed =
       options_.seed ^ Fnv1a(tenant) ^
       (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(ordinal + 1));
-  std::shared_ptr<AdaptedPairClassifier> adapted;
+  std::shared_ptr<UncertaintyStrategy> adapted;
   {
     AIMAI_SPAN("service.learning.retrain_fit");
-    adapted = std::make_shared<AdaptedPairClassifier>(options_.strategy,
-                                                      offline, train, seed);
+    adapted = std::make_shared<UncertaintyStrategy>(offline->classifier,
+                                                    train, seed);
   }
   if (job->token()->cancelled()) {
     *phase = JobPhase::kCancelled;

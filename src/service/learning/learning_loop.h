@@ -50,11 +50,12 @@ std::string AdaptedModelName(const std::string& base,
 ///             JobType::kRetrain job on the tenant's retrain lane at
 ///             priority 0 — background work that never starves tuning
 ///             jobs, is cancellable, and dies cleanly under drain.
-///   publish   The retrain trains an AdaptedPairClassifier over the
-///             harvested train split, gates it against the shared offline
-///             model on the tenant holdout (F1 of the regression class),
-///             and publishes through ModelRegistry::PublishValidated
-///             under the tenant-adapted name.
+///   publish   The retrain trains an UncertaintyStrategy (§4.3: the
+///             offline model plus a local forest over the harvested
+///             train split), gates it against the shared offline model
+///             on the tenant holdout (F1 of the regression class), and
+///             publishes through ModelRegistry::PublishValidated under
+///             the tenant-adapted name.
 ///   pickup    Session::MakeComparator calls BarrierFor first: an
 ///             in-flight retrain finishes (stolen inline if still
 ///             queued) before the comparator snapshots, so the iteration

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "common/status.h"
-#include "service/learning/adapted_model.h"
 #include "service/learning/drift_detector.h"
 #include "service/learning/feedback_store.h"
 #include "service/model_registry.h"
@@ -22,8 +21,6 @@ struct LearningOptions {
   bool enabled = false;
   FeedbackStore::Options feedback;
   DriftDetector::Options drift;
-  /// §4.3 strategy the retrain builds over offline + harvested data.
-  AdaptiveKind strategy = AdaptiveKind::kUncertainty;
   /// Also retrain every N harvested rows (0 = drift-triggered only).
   int retrain_after = 0;
   /// Harvested train rows required before a retrain is attempted.
@@ -53,10 +50,6 @@ struct LearningOptions {
   }
   LearningOptions& WithDrift(const DriftDetector::Options& d) {
     drift = d;
-    return *this;
-  }
-  LearningOptions& WithStrategy(AdaptiveKind k) {
-    strategy = k;
     return *this;
   }
   LearningOptions& WithRetrainAfter(int n) {

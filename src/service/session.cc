@@ -7,7 +7,6 @@
 #include "obs/obs.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
-#include "tuner/batched_comparator.h"
 
 namespace aimai {
 
@@ -119,7 +118,7 @@ std::unique_ptr<CostComparator> Session::MakeComparator(
                   "model disappeared from the registry");
   if (model_version != nullptr) *model_version = snapshot->version;
   if (model_name != nullptr) *model_name = snapshot->name;
-  auto comparator = std::make_unique<ClassifierComparator>(
+  auto comparator = std::make_unique<ModelComparator>(
       snapshot->classifier, snapshot->featurizer);
   if (learning != nullptr) {
     comparator->set_decision_sink(learning->SinkFor(options_.name));

@@ -167,6 +167,12 @@ StatusOr<TrafficReport> TrafficEngine::Run() {
   // An SLO-timed-out traffic job is dead load: retrying it would spend
   // scarce overload capacity on work whose deadline already passed.
   sopts.job_retry.max_attempts = 1;
+  // For the same reason the per-tenant breaker stays effectively off (as
+  // in the chaos harness): three SLO timeouts in a row would quarantine
+  // the tenant, and its next job would be fast-rejected as kFailed — an
+  // overloaded service is not a misbehaving tenant, and a deadline miss
+  // must be reported as kTimedOut.
+  sopts.session_breaker.failure_threshold = 1 << 20;
   AIMAI_ASSIGN_OR_RETURN(auto service, TuningService::Create(sopts));
 
   std::vector<Session*> sessions;

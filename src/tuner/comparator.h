@@ -1,11 +1,17 @@
 #ifndef AIMAI_TUNER_COMPARATOR_H_
 #define AIMAI_TUNER_COMPARATOR_H_
 
-#include <functional>
+#include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "featurize/feature_cache.h"
 #include "featurize/pair_featurizer.h"
+#include "ml/model.h"
 #include "models/labeler.h"
 
 namespace aimai {
@@ -20,9 +26,7 @@ struct PlanPairView {
   const PhysicalPlan* p2 = nullptr;
 };
 
-/// Observer of ML-comparator label decisions. Previously only the
-/// fallback comparator recorded its outcomes (into its circuit breaker);
-/// threading this sink through ClassifierComparator lets the service's
+/// Observer of ModelComparator label decisions: lets the service's
 /// learning loop see every decision — scalar and batched — and join the
 /// predicted labels against the ground truth measured executions reveal.
 /// Fired once per distinct ordered pair (label-memo hits do not repeat);
@@ -106,37 +110,73 @@ class OptimizerComparator : public CostComparator {
   double regression_threshold_;
 };
 
-/// The ML-augmented comparator (§5): a label predictor (offline classifier
-/// or adaptive strategy) gates regressions; on `unsure` the tuner falls
-/// back to the optimizer's estimates, keeping the search making progress
-/// on insignificant differences.
+/// The ML-augmented comparator (§5): a trained plan-pair Classifier (the
+/// offline model or a §4.3 AdaptiveStrategy) gates regressions
+/// (IsRegression: label == kRegression); on kUnsure the tuner falls back
+/// to the optimizer's estimates, keeping the search making progress on
+/// insignificant differences.
+///
+/// Labels are memoized per ordered pair of plan ContentHash()es, and the
+/// comparator honors Prime: when the tuner announces a round's candidate
+/// fan-out, it featurizes every fresh pair in parallel, runs ONE
+/// PredictBatch over the flattened feature matrix, and memoizes the
+/// labels. The serial decision replay then reduces to hash lookups.
+///
+/// Bit-identity: PredictBatch is bit-identical to the scalar path by the
+/// Classifier contract, and labels are pure functions of the pair, so a
+/// primed run answers exactly like an unprimed (scalar) run.
+///
+/// Thread-safe; both memos are bounded FIFO of
+/// PairFeatureCache::kDefaultCapacity entries (the feature cache mirrors
+/// the what-if cache design and feeds `featurize.cache_{hits,evictions}`).
 class ModelComparator : public CostComparator {
  public:
-  /// `label_fn` maps a pair feature vector to a PairLabel.
-  using LabelFn = std::function<int(const std::vector<double>&)>;
-
-  ModelComparator(PairFeaturizer featurizer, LabelFn label_fn)
-      : featurizer_(std::move(featurizer)), label_fn_(std::move(label_fn)) {}
+  ModelComparator(std::shared_ptr<const Classifier> classifier,
+                  PairFeaturizer featurizer);
 
   bool IsRegression(const PhysicalPlan& p1,
-                    const PhysicalPlan& p2) const override {
-    return Label(p1, p2) == kRegression;
-  }
+                    const PhysicalPlan& p2) const override;
   bool IsImprovement(const PhysicalPlan& p1,
-                     const PhysicalPlan& p2) const override {
-    const int label = Label(p1, p2);
-    if (label == kImprovement) return true;
-    // Unsure: insignificant difference — defer to the optimizer.
-    return label == kUnsure && p2.est_total_cost < p1.est_total_cost;
-  }
+                     const PhysicalPlan& p2) const override;
+  void Prime(const std::vector<PlanPairView>& pairs,
+             ThreadPool* pool) const override;
 
-  int Label(const PhysicalPlan& p1, const PhysicalPlan& p2) const {
-    return label_fn_(featurizer_.Featurize(p1, p2));
-  }
+  /// Predicted PairLabel for the ordered pair (memoized).
+  int Label(const PhysicalPlan& p1, const PhysicalPlan& p2) const;
+
+  /// Pairs labeled through the batched path (diagnostics / tests).
+  int64_t num_batched_labels() const;
+  /// Label-memo hits (decisions answered without touching the model).
+  int64_t num_label_hits() const;
+
+  /// Observer of every fresh label this comparator produces (scalar and
+  /// batched paths alike). Must outlive the comparator; nullptr (the
+  /// default) disables. Set before the comparator is shared.
+  void set_decision_sink(ComparatorDecisionSink* sink) { sink_ = sink; }
 
  private:
+  using Key = std::pair<uint64_t, uint64_t>;
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      return static_cast<size_t>(k.first * 1099511628211ULL ^ k.second);
+    }
+  };
+
+  /// Memoized scalar label for a key whose pair is at hand.
+  int LabelForKey(const Key& key, const PhysicalPlan& p1,
+                  const PhysicalPlan& p2) const;
+  /// Caller must hold labels_mu_.
+  void StoreLabelLocked(const Key& key, int label) const;
+
+  std::shared_ptr<const Classifier> classifier_;
   PairFeaturizer featurizer_;
-  LabelFn label_fn_;
+  ComparatorDecisionSink* sink_ = nullptr;
+  mutable PairFeatureCache features_;
+  mutable std::mutex labels_mu_;
+  mutable std::unordered_map<Key, int, KeyHash> labels_;
+  mutable std::deque<Key> label_fifo_;
+  mutable int64_t num_batched_labels_ = 0;
+  mutable int64_t num_label_hits_ = 0;
 };
 
 }  // namespace aimai

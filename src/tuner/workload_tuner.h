@@ -36,8 +36,8 @@ class WorkloadLevelTuner {
     /// whole per-query tuners concurrently and phase (b) fans out the
     /// per-candidate what-if evaluations; the greedy reduce itself stays
     /// serial with ties broken by canonical index name, so the
-    /// recommendation is identical at any thread count (given a
-    /// deterministic comparator — see FallbackComparator's caveat).
+    /// recommendation is identical at any thread count (every comparator
+    /// answers as a pure function of the plan pair).
     ThreadPool* pool = nullptr;
     /// Cooperative cancellation, polled before phase (a) and at every
     /// phase-(b) round boundary (and inside the per-query tuners, which

@@ -8,7 +8,6 @@
 #include "common/thread_pool.h"
 #include "tuner/query_tuner.h"
 #include "workloads/customer.h"
-#include "workloads/query_stream.h"
 #include "workloads/tpcds_like.h"
 #include "workloads/tpch_like.h"
 
@@ -55,18 +54,6 @@ std::vector<std::unique_ptr<BenchmarkDatabase>> BuildSmallSuite(
   prof.num_queries = 8;
   suite.push_back(BuildCustomer("customer_small", prof, seed + 3));
   return suite;
-}
-
-std::unique_ptr<BenchmarkDatabase> BuildWorkloadByName(
-    const std::string& kind, int scale, double sf, uint64_t seed) {
-  QueryStreamSpec spec;
-  spec.kind = kind;
-  spec.scale = scale;
-  spec.sf = sf;
-  spec.seed = seed;
-  auto gen = QueryStreamRegistry::Global().Create(spec);
-  if (!gen.ok()) return nullptr;
-  return (*gen)->TakeDatabase();
 }
 
 void CollectExecutionData(BenchmarkDatabase* bdb, int database_id,

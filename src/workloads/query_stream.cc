@@ -292,7 +292,7 @@ void RegisterBuiltins(QueryStreamRegistry* reg) {
         }));
   }));
   // "customerN" — N selects the profile; the database keeps the kind as
-  // its name (matching the pre-registry BuildWorkloadByName behavior).
+  // its name unless the spec sets db_name.
   check(reg->RegisterPrefix(
       "customer", [](const QueryStreamSpec& spec)
                       -> StatusOr<std::unique_ptr<IQueryStreamGenerator>> {

@@ -39,10 +39,13 @@ TEST(RngTest, Deterministic) {
 TEST(RngTest, SplitDecorrelates) {
   Rng a(42);
   Rng child = a.Split();
-  // Child stream differs from what the parent would produce next.
   Rng b(42);
   b.Split();
-  EXPECT_EQ(b.UniformInt(0, 1 << 30), a.UniformInt(0, 1 << 30));
+  const auto parent_next = a.UniformInt(0, 1 << 30);
+  // Splitting is deterministic: the same parent seed takes the same path.
+  EXPECT_EQ(b.UniformInt(0, 1 << 30), parent_next);
+  // Child stream differs from what the parent would produce next.
+  EXPECT_NE(child.UniformInt(0, 1 << 30), parent_next);
 }
 
 TEST(RngTest, ZipfIsSkewedAndBounded) {

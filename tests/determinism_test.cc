@@ -8,11 +8,11 @@
 #include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "models/classifier_model.h"
-#include "tuner/batched_comparator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/learning/learning_loop.h"
 #include "service/service.h"
+#include "tuner/comparator.h"
 #include "tuner/continuous_tuner.h"
 #include "workloads/collection.h"
 #include "workloads/customer.h"
@@ -274,6 +274,14 @@ TEST(DeterminismTest, ParallelTuningMatchesSerial) {
   EXPECT_EQ(run(1), run(8));
 }
 
+/// ModelComparator with Prime disabled: every label goes through the
+/// scalar model path.
+class UnprimedComparator : public ModelComparator {
+ public:
+  using ModelComparator::ModelComparator;
+  void Prime(const std::vector<PlanPairView>&, ThreadPool*) const override {}
+};
+
 // The batched-inference comparator's contract: a tuner run whose
 // decisions are answered through Prime + one PredictBatch per round is
 // bit-identical to the same run answered pair-at-a-time through the
@@ -310,12 +318,9 @@ TEST(DeterminismTest, BatchedComparatorTuningMatchesScalar) {
 
     std::unique_ptr<CostComparator> cmp;
     if (batched) {
-      cmp = std::make_unique<ClassifierComparator>(model, fz);
+      cmp = std::make_unique<ModelComparator>(model, fz);
     } else {
-      cmp = std::make_unique<ModelComparator>(
-          fz, [&](const std::vector<double>& x) {
-            return model->Predict(x.data());
-          });
+      cmp = std::make_unique<UnprimedComparator>(model, fz);
     }
     const WorkloadTuningResult r = tuner.Tune(wl, bdb->initial_config(), *cmp);
     std::string out = r.recommended.Fingerprint();

@@ -14,14 +14,14 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
+#include "models/adaptive.h"
 #include "models/classifier_model.h"
 #include "models/repository.h"
-#include "service/learning/adapted_model.h"
 #include "service/learning/drift_detector.h"
 #include "service/learning/feedback_store.h"
 #include "service/learning/learning_loop.h"
 #include "service/service.h"
-#include "tuner/batched_comparator.h"
+#include "tuner/comparator.h"
 #include "workloads/collection.h"
 #include "workloads/tpch_like.h"
 
@@ -203,7 +203,7 @@ TEST(DecisionSinkTest, ComparatorReportsEveryFreshLabelOnce) {
   }
 
   RecordingSink sink;
-  ClassifierComparator comparator(model, fz);
+  ModelComparator comparator(model, fz);
   comparator.set_decision_sink(&sink);
 
   comparator.IsRegression(*plans[0], *plans[1]);
@@ -265,15 +265,6 @@ TEST(RegistryDriftWindowTest, TenantWindowsAccumulateAndResetOnPublish) {
 // ---------------------------------------------------------------------------
 // Adapted model semantics.
 
-TEST(AdaptedModelTest, KindNamesRoundTrip) {
-  EXPECT_EQ(ParseAdaptiveKind("offline").value(), AdaptiveKind::kOffline);
-  EXPECT_EQ(ParseAdaptiveKind("local").value(), AdaptiveKind::kLocal);
-  EXPECT_EQ(ParseAdaptiveKind("uncertainty").value(),
-            AdaptiveKind::kUncertainty);
-  EXPECT_FALSE(ParseAdaptiveKind("nope").ok());
-  EXPECT_STREQ(AdaptiveKindName(AdaptiveKind::kUncertainty), "uncertainty");
-}
-
 TEST(AdaptedModelTest, UncertaintyArgmaxMatchesAdaptiveStrategy) {
   auto bdb = BuildTpchLike("adapt", 1, 0.9, 71);
   ExecutionDataRepository repo;
@@ -297,23 +288,22 @@ TEST(AdaptedModelTest, UncertaintyArgmaxMatchesAdaptiveStrategy) {
   auto trained = MakeClassifier(ModelKind::kRandomForest, fz, 74);
   trained->Fit(offline_train);
   std::shared_ptr<const Classifier> offline_model = std::move(trained);
-  auto snapshot =
-      std::make_shared<ModelSnapshot>("m", 1, offline_model, fz);
 
-  const AdaptedPairClassifier adapted(AdaptiveKind::kUncertainty, snapshot,
-                                      local_train, 75);
-  const UncertaintyStrategy reference(offline_model.get(), local_train, 75);
-  const OfflineStrategy offline_ref(offline_model.get());
-  const AdaptedPairClassifier as_offline(AdaptiveKind::kOffline, snapshot,
-                                         local_train, 75);
+  // The service's retrain publishes exactly this strategy.
+  const UncertaintyStrategy adapted(offline_model, local_train, 75);
+  // The old rule, inline: the less uncertain model answers, local winning
+  // ties. Same seed, so `local` is the strategy's own local forest.
+  const LocalStrategy local(local_train, 75);
+  const Classifier& local_model = *local.local_model();
   int disagreements = 0;
   for (size_t i = 0; i < data.n(); ++i) {
-    EXPECT_EQ(adapted.Predict(data.Row(i)), reference.Predict(data.Row(i)));
-    EXPECT_EQ(as_offline.Predict(data.Row(i)),
-              offline_ref.Predict(data.Row(i)));
-    if (adapted.Predict(data.Row(i)) != offline_ref.Predict(data.Row(i))) {
-      ++disagreements;
-    }
+    const double* x = data.Row(i);
+    const bool local_wins =
+        local_model.Uncertainty(x) <= offline_model->Uncertainty(x);
+    const int want =
+        local_wins ? local_model.Predict(x) : offline_model->Predict(x);
+    EXPECT_EQ(adapted.Predict(x), want);
+    if (adapted.Predict(x) != offline_model->Predict(x)) ++disagreements;
   }
   // The local forest must actually participate (not collapse to offline).
   EXPECT_GT(disagreements, 0);

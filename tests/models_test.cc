@@ -184,7 +184,7 @@ class AdaptiveTest : public ::testing::Test {
       const double x = rng.Uniform(-4, 4);
       offline.Add({x, rng.Uniform(-1, 1)}, x > 0 ? 1 : 0);
     }
-    offline_model_ = std::make_unique<RandomForest>();
+    offline_model_ = std::make_shared<RandomForest>();
     offline_model_->Fit(offline);
 
     // Local distribution: boundary at x=2 (shifted).
@@ -206,33 +206,76 @@ class AdaptiveTest : public ::testing::Test {
     return static_cast<double>(correct) / static_cast<double>(test_.n());
   }
 
-  std::unique_ptr<RandomForest> offline_model_;
+  std::shared_ptr<RandomForest> offline_model_;
   Dataset local_{2};
   Dataset test_{2};
 };
 
 TEST_F(AdaptiveTest, LocalBeatsOfflineUnderDrift) {
-  OfflineStrategy off(offline_model_.get());
+  OfflineStrategy off(offline_model_);
   LocalStrategy local(local_, 1);
   EXPECT_GT(Score(local), Score(off) + 0.05);
 }
 
 TEST_F(AdaptiveTest, CombinersAtLeastMatchOffline) {
-  OfflineStrategy off(offline_model_.get());
-  UncertaintyStrategy unc(offline_model_.get(), local_, 2);
-  NearestNeighborStrategy nn(offline_model_.get(), local_, 3,
+  OfflineStrategy off(offline_model_);
+  UncertaintyStrategy unc(offline_model_, local_, 2);
+  NearestNeighborStrategy nn(offline_model_, local_, 3,
                              /*distance_threshold=*/0.2);
-  MetaModelStrategy meta(offline_model_.get(), local_, 4);
+  MetaModelStrategy meta(offline_model_, local_, 4);
   const double off_score = Score(off);
   EXPECT_GE(Score(unc), off_score - 0.02);
   EXPECT_GE(Score(nn), off_score - 0.02);
   EXPECT_GT(Score(meta), off_score);
 }
 
+// Each strategy's argmax equals its old Predict rule, written inline over
+// the inner models. local_ has no kUnsure rows, so every inner model
+// answers through a zero-padded probability row.
+TEST_F(AdaptiveTest, PredictMatchesOldRuleArgmax) {
+  constexpr double kThreshold = 0.2;
+  const LocalStrategy local(local_, 7);
+  const UncertaintyStrategy unc(offline_model_, local_, 7);
+  const NearestNeighborStrategy nn(offline_model_, local_, 7, kThreshold);
+  const MetaModelStrategy meta(offline_model_, local_, 8);
+  // Three rows are too few for stacking: Meta falls back to its forest.
+  const MetaModelStrategy small_meta(offline_model_, local_.Subset({0, 1, 2}),
+                                     9);
+  const Classifier& forest = *local.local_model();
+  ASSERT_EQ(forest.num_classes(), 2);
+  ASSERT_EQ(local.num_classes(), kNumPairLabels);
+  ASSERT_NE(meta.meta_model(), nullptr);
+  ASSERT_LT(meta.meta_model()->num_classes(), kNumPairLabels);
+  ASSERT_EQ(small_meta.meta_model(), nullptr);
+  KnnIndex knn;
+  knn.Fit(local_);
+
+  int near = 0;
+  for (size_t i = 0; i < test_.n(); ++i) {
+    const double* x = test_.Row(i);
+    EXPECT_EQ(local.PredictProba(x)[kUnsure], 0.0);
+    EXPECT_EQ(local.Predict(x), forest.Predict(x));
+    const bool local_wins =
+        forest.Uncertainty(x) <= offline_model_->Uncertainty(x);
+    EXPECT_EQ(unc.Predict(x), local_wins ? forest.Predict(x)
+                                         : offline_model_->Predict(x));
+    const bool is_near = knn.NearestDistance(x) <= kThreshold;
+    near += is_near ? 1 : 0;
+    EXPECT_EQ(nn.Predict(x), is_near ? forest.Predict(x)
+                                     : offline_model_->Predict(x));
+    EXPECT_EQ(meta.Predict(x),
+              meta.meta_model()->Predict(meta.MetaFeatures(x).data()));
+    EXPECT_EQ(small_meta.Predict(x), small_meta.local_model()->Predict(x));
+  }
+  // Both NearestNeighbor branches were exercised.
+  EXPECT_GT(near, 0);
+  EXPECT_LT(near, static_cast<int>(test_.n()));
+}
+
 TEST_F(AdaptiveTest, StrategiesExposeNames) {
-  OfflineStrategy off(offline_model_.get());
+  OfflineStrategy off(offline_model_);
   LocalStrategy local(local_, 5);
-  MetaModelStrategy meta(offline_model_.get(), local_, 6);
+  MetaModelStrategy meta(offline_model_, local_, 6);
   EXPECT_STREQ(off.name(), "Offline");
   EXPECT_STREQ(local.name(), "Local");
   EXPECT_STREQ(meta.name(), "Meta");

@@ -1,8 +1,7 @@
 // Fault-injection and resilience tests: deterministic fault schedules,
 // retry/backoff bounds, circuit-breaker transitions, corrupt-repository
-// round trips (skip-and-count, never crash), the FallbackComparator
-// tripping to the optimizer and recovering, and a ContinuousTuner run that
-// completes under injected execution failures, what-if timeouts, and
+// round trips (skip-and-count, never crash), and a ContinuousTuner run
+// that completes under injected execution failures, what-if timeouts, and
 // corrupted telemetry with verified reverts and accurate stats.
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include "robustness/fault_injector.h"
 #include "robustness/retry_policy.h"
 #include "tuner/continuous_tuner.h"
-#include "tuner/fallback_comparator.h"
 #include "workloads/collection.h"
 #include "workloads/tpch_like.h"
 
@@ -359,78 +357,6 @@ TEST(RepositoryIoErrorTest, InjectedIoFailureIsRetryable) {
   EXPECT_TRUE(st.retryable());
 }
 
-// ------------------------------------------------- FallbackComparator
-
-PairFeaturizer TinyFeaturizer() {
-  return PairFeaturizer({Channel::kEstNodeCost},
-                        PairCombine::kPairDiffNormalized);
-}
-
-TEST(FallbackComparatorTest, TripsToOptimizerAndRecovers) {
-  PhysicalPlan p1, p2;
-  p1.root = std::make_unique<PlanNode>();
-  p2.root = std::make_unique<PlanNode>();
-  p1.est_total_cost = 100;
-  p2.est_total_cost = 90;  // Optimizer: no regression. Model: regression.
-
-  bool model_available = false;
-  FallbackComparator::Options o;
-  o.breaker.failure_threshold = 3;
-  o.breaker.cooldown_calls = 4;
-  o.breaker.half_open_successes = 2;
-  ResilienceStats stats;
-  FallbackComparator cmp(
-      TinyFeaturizer(),
-      [&](const std::vector<double>&) -> StatusOr<int> {
-        if (!model_available) return Status::Unavailable("model missing");
-        return kRegression;
-      },
-      OptimizerComparator(0.0, 0.2), o, &stats);
-
-  // Model down: every decision falls back to the optimizer's answer
-  // (false); the third consecutive failure trips the breaker.
-  for (int i = 0; i < 3; ++i) EXPECT_FALSE(cmp.IsRegression(p1, p2));
-  EXPECT_EQ(cmp.breaker().state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(stats.breaker_trips, 1);
-  // While open the model is not even consulted; cooldown advances.
-  for (int i = 0; i < 4; ++i) EXPECT_FALSE(cmp.IsRegression(p1, p2));
-  EXPECT_EQ(cmp.breaker().state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_EQ(stats.comparator_fallbacks, 7);
-
-  // Model comes back: probes succeed, the breaker closes, and the model's
-  // answer (regression) shows through again.
-  model_available = true;
-  EXPECT_TRUE(cmp.IsRegression(p1, p2));
-  EXPECT_EQ(cmp.breaker().state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_TRUE(cmp.IsRegression(p1, p2));
-  EXPECT_EQ(cmp.breaker().state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(stats.breaker_recoveries, 1);
-}
-
-TEST(FallbackComparatorTest, UnsureStreakCountsAsFailure) {
-  PhysicalPlan p1, p2;
-  p1.root = std::make_unique<PlanNode>();
-  p2.root = std::make_unique<PlanNode>();
-  p1.est_total_cost = 100;
-  p2.est_total_cost = 90;
-
-  FallbackComparator::Options o;
-  o.breaker.failure_threshold = 1;
-  o.unsure_streak_threshold = 3;
-  FallbackComparator cmp(
-      TinyFeaturizer(),
-      [](const std::vector<double>&) -> StatusOr<int> { return kUnsure; },
-      OptimizerComparator(0.0, 0.2), o);
-
-  // Unsure defers to the optimizer (cheaper estimate => improvement), and
-  // a streak of them eventually counts as a breaker failure.
-  EXPECT_TRUE(cmp.IsImprovement(p1, p2));
-  EXPECT_EQ(cmp.breaker().state(), CircuitBreaker::State::kClosed);
-  cmp.IsImprovement(p1, p2);
-  cmp.IsImprovement(p1, p2);
-  EXPECT_EQ(cmp.breaker().state(), CircuitBreaker::State::kOpen);
-}
-
 // ----------------------------------------------- Resilient ContinuousTuner
 
 class RobustTunerTest : public ::testing::Test {
@@ -466,7 +392,9 @@ TEST_F(RobustTunerTest, SurvivesInjectedFaultsWithAccurateStats) {
     EXPECT_GT(trace.initial_cost, 0);
     EXPECT_GT(trace.final_cost, 0);
     for (const auto& ir : trace.iterations) {
-      if (!ir.failed && !ir.quarantined) EXPECT_GT(ir.measured_cost, 0);
+      if (!ir.failed && !ir.quarantined) {
+        EXPECT_GT(ir.measured_cost, 0);
+      }
     }
   }
   // Permanent baseline failure needs 3 consecutive injected faults
@@ -508,50 +436,13 @@ TEST_F(RobustTunerTest, FaultFreeRunsAreUnchangedByTheHooks) {
 
 TEST_F(RobustTunerTest, EndToEndChaosPipeline) {
   // The full acceptance scenario: continuous tuning under execution
-  // failures and what-if timeouts, with a circuit-broken ML comparator
-  // whose model flakes, then telemetry shipped through a 5%-corrupting
-  // channel — everything completes, reverts, recovers, and reports.
+  // failures and what-if timeouts, then telemetry shipped through a
+  // 5%-corrupting channel — everything completes, reverts, and reports.
   TuningEnv env = bdb_->MakeEnv(0);
   FaultInjector faults(99);
   faults.set_probability(FaultPoint::kQueryExecution, 0.10);
   faults.set_probability(FaultPoint::kWhatIfTimeout, 0.05);
   env.faults = &faults;
-
-  // A shared FallbackComparator: its model errors on an injected
-  // schedule; the factory hands out non-owning views so breaker state
-  // persists across tuner iterations.
-  ResilienceStats cmp_stats;
-  FallbackComparator::Options fo;
-  fo.breaker.failure_threshold = 2;
-  fo.breaker.cooldown_calls = 3;
-  fo.breaker.half_open_successes = 1;
-  // The stand-in model answers kUnsure when healthy; keep the streak rule
-  // out of the way so only the two injected errors count as failures.
-  fo.unsure_streak_threshold = 1 << 20;
-  FaultInjector model_faults(7);
-  model_faults.FailNext(FaultPoint::kModelInference, 2);
-  FallbackComparator shared(
-      TinyFeaturizer(),
-      [&](const std::vector<double>&) -> StatusOr<int> {
-        if (model_faults.ShouldFail(FaultPoint::kModelInference)) {
-          return Status::Unavailable("inference backend down");
-        }
-        return kUnsure;  // Defer to estimates; keeps the search moving.
-      },
-      OptimizerComparator(0.0, 0.2), fo, &cmp_stats);
-
-  struct View : CostComparator {
-    const CostComparator* inner;
-    explicit View(const CostComparator* c) : inner(c) {}
-    bool IsRegression(const PhysicalPlan& a,
-                      const PhysicalPlan& b) const override {
-      return inner->IsRegression(a, b);
-    }
-    bool IsImprovement(const PhysicalPlan& a,
-                       const PhysicalPlan& b) const override {
-      return inner->IsImprovement(a, b);
-    }
-  };
 
   CandidateGenerator gen(bdb_->db(), bdb_->stats());
   ContinuousTuner::Options o;
@@ -561,17 +452,11 @@ TEST_F(RobustTunerTest, EndToEndChaosPipeline) {
   ExecutionDataRepository repo;
   for (size_t qi = 0; qi < 4; ++qi) {
     tuner.TuneQuery(bdb_->queries()[qi], {},
-                    [&]() -> std::unique_ptr<CostComparator> {
-                      return std::make_unique<View>(&shared);
+                    []() -> std::unique_ptr<CostComparator> {
+                      return std::make_unique<OptimizerComparator>(0.0, 0.2);
                     },
                     &repo, nullptr);
   }
-  // The two injected model failures tripped the breaker; the tuner kept
-  // running on the optimizer fallback and the breaker later recovered.
-  EXPECT_EQ(cmp_stats.breaker_trips, 1);
-  EXPECT_GE(cmp_stats.breaker_recoveries, 1);
-  EXPECT_GT(cmp_stats.comparator_fallbacks, 0);
-  EXPECT_EQ(shared.breaker().state(), CircuitBreaker::State::kClosed);
   EXPECT_EQ(env.resilience.reverts_verified +
                 env.resilience.revert_verification_failures,
             env.resilience.reverts);

@@ -100,6 +100,21 @@ TEST(ComparatorTest, OptimizerComparatorThresholds) {
   EXPECT_FALSE(plain.IsRegression(p1, p2));  // Within the 20% band.
 }
 
+/// Stand-in model that answers one PairLabel for every pair.
+class ConstantLabelClassifier : public Classifier {
+ public:
+  explicit ConstantLabelClassifier(int label) : label_(label) {
+    num_classes_ = kNumPairLabels;
+  }
+  void Fit(const Dataset&) override {}
+  void PredictProbaInto(const double*, double* out) const override {
+    for (int c = 0; c < kNumPairLabels; ++c) out[c] = c == label_ ? 1.0 : 0.0;
+  }
+
+ private:
+  int label_;
+};
+
 TEST(ComparatorTest, ModelComparatorUnsureFallsBackToOptimizer) {
   PhysicalPlan p1, p2;
   p1.root = std::make_unique<PlanNode>();
@@ -109,9 +124,9 @@ TEST(ComparatorTest, ModelComparatorUnsureFallsBackToOptimizer) {
 
   auto make = [](int label) {
     return ModelComparator(
+        std::make_shared<ConstantLabelClassifier>(label),
         PairFeaturizer({Channel::kEstNodeCost},
-                       PairCombine::kPairDiffNormalized),
-        [label](const std::vector<double>&) { return label; });
+                       PairCombine::kPairDiffNormalized));
   };
   const ModelComparator says_regress = make(kRegression);
   EXPECT_TRUE(says_regress.IsRegression(p1, p2));
