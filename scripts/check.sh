@@ -11,7 +11,9 @@
 #                               # inference, service, resilience, learning)
 #                               # under ThreadSanitizer with an 8-thread pool
 #   ASAN=1 scripts/check.sh     # additionally run the full suite under
-#                               # ASan+UBSan (-DAIMAI_SANITIZE=ON)
+#                               # ASan+UBSan (-DAIMAI_SANITIZE=ON), then
+#                               # the exec, traffic, ml and inference
+#                               # label suites explicitly
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,6 +26,9 @@ ctest --test-dir build -L obs --output-on-failure -j
 ctest --test-dir build -L parallel --output-on-failure -j
 # And the inference fast-path suite (bit-identity of batched predict).
 ctest --test-dir build -L inference --output-on-failure -j
+# And the tree-learner suite (golden Save() hashes of every tree ensemble,
+# the column-major bin matrix every tree of a fit reads).
+ctest --test-dir build -L ml --output-on-failure -j
 # And the execution-engine suite (vectorized-vs-row bit-identity of
 # results, actual cardinalities, and derived costs).
 ctest --test-dir build -L exec --output-on-failure -j
@@ -89,6 +94,9 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   # The traffic engine suite runs its overload/accounting paths under
   # ASan+UBSan too (per-tenant maps mutated from the dispatch thread).
   ctest --test-dir build-san -L traffic --output-on-failure -j
+  # The tree learners index one shared bin matrix by global row id
+  # (out-of-range bootstrap ids would read past a column).
+  ctest --test-dir build-san -L 'ml|inference' --output-on-failure -j
 fi
 
 if [[ "${TSAN:-0}" == "1" ]]; then

@@ -12,6 +12,8 @@ void FeatureBinner::Fit(const Dataset& data, const std::vector<size_t>& rows,
                         Rng* rng) {
   const size_t d = data.d();
   edges_.assign(d, {});
+  num_rows_ = data.n();
+  bins_.assign(d * num_rows_, 0);
   if (rows.empty()) return;
 
   // Sample rows for edge estimation.
@@ -39,8 +41,8 @@ void FeatureBinner::Fit(const Dataset& data, const std::vector<size_t>& rows,
       const double v = vals[std::min(pos, vals.size() - 1)];
       if (e.empty() || v > e.back()) e.push_back(v);
     }
-    // Drop the top edge if it equals the max (right bin would be empty —
-    // harmless, so keep it simple and leave as-is).
+    uint8_t* col = &bins_[j * num_rows_];
+    for (size_t i = 0; i < num_rows_; ++i) col[i] = BinOf(j, data.At(i, j));
   }
 }
 
@@ -60,14 +62,16 @@ double FeatureBinner::EdgeValue(size_t j, int b) const {
   return e[static_cast<size_t>(b)];
 }
 
+// Fit-time state. Nodes partition global dataset row ids; the binner's
+// matrix, labels and targets are all indexed by them.
 struct DecisionTree::BuildContext {
-  std::vector<uint8_t> binned;  // m x d, local row-major.
-  std::vector<int> labels;      // Classification.
-  std::vector<double> targets;  // Regression.
+  const FeatureBinner* binner = nullptr;
+  const int* labels = nullptr;      // Classification.
+  const double* targets = nullptr;  // Regression.
   size_t d = 0;
   size_t features_per_split = 0;
   Rng rng{1};
-  const FeatureBinner* binner = nullptr;
+  FeatureBinner own_binner;  // Standalone fits only.
 };
 
 namespace {
@@ -145,12 +149,13 @@ int DecisionTree::BuildNode(BuildContext* ctx, std::vector<uint32_t>* rows,
   for (size_t f : features) {
     const int nbins = ctx->binner->NumBins(f);
     if (nbins < 2) continue;
+    const uint8_t* col = ctx->binner->Column(f);
     std::fill(h_count.begin(), h_count.begin() + nbins, 0.0);
     if (is_regression_) {
       std::fill(h_sum.begin(), h_sum.begin() + nbins, 0.0);
       for (size_t i = begin; i < end; ++i) {
         const uint32_t r = (*rows)[i];
-        const uint8_t b = ctx->binned[r * ctx->d + f];
+        const uint8_t b = col[r];
         h_count[b] += 1;
         h_sum[b] += ctx->targets[r];
       }
@@ -181,7 +186,7 @@ int DecisionTree::BuildNode(BuildContext* ctx, std::vector<uint32_t>* rows,
                 h_cls.begin() + static_cast<size_t>(nbins) * k, 0.0);
       for (size_t i = begin; i < end; ++i) {
         const uint32_t r = (*rows)[i];
-        const uint8_t b = ctx->binned[r * ctx->d + f];
+        const uint8_t b = col[r];
         h_cls[static_cast<size_t>(b) * k +
               static_cast<size_t>(ctx->labels[r])] += 1;
         h_count[b] += 1;
@@ -223,12 +228,11 @@ int DecisionTree::BuildNode(BuildContext* ctx, std::vector<uint32_t>* rows,
 
   // Partition rows by bin <= best_bin.
   const size_t fidx = static_cast<size_t>(best_feature);
+  const uint8_t* col = ctx->binner->Column(fidx);
   auto mid_it = std::partition(
       rows->begin() + static_cast<long>(begin),
-      rows->begin() + static_cast<long>(end), [&](uint32_t r) {
-        return ctx->binned[r * ctx->d + fidx] <=
-               static_cast<uint8_t>(best_bin);
-      });
+      rows->begin() + static_cast<long>(end),
+      [&](uint32_t r) { return col[r] <= static_cast<uint8_t>(best_bin); });
   const size_t mid =
       static_cast<size_t>(mid_it - rows->begin());
   AIMAI_CHECK(mid > begin && mid < end);
@@ -257,77 +261,49 @@ size_t FeaturesPerSplit(double fraction, size_t d) {
 
 }  // namespace
 
+void DecisionTree::Build(BuildContext* ctx, const Dataset& data,
+                         const std::vector<size_t>& rows,
+                         const FeatureBinner* shared_binner) {
+  AIMAI_CHECK(!rows.empty());
+  AIMAI_CHECK(data.n() <= std::numeric_limits<uint32_t>::max());
+  nodes_.clear();
+  ctx->d = data.d();
+  ctx->rng = Rng(options_.seed);
+  ctx->features_per_split =
+      FeaturesPerSplit(options_.feature_fraction, ctx->d);
+  if (shared_binner == nullptr) {
+    ctx->own_binner.Fit(data, rows, &ctx->rng);
+    shared_binner = &ctx->own_binner;
+  }
+  AIMAI_CHECK(shared_binner->num_rows() == data.n());
+  ctx->binner = shared_binner;
+  // Global row ids in the sample's order, duplicates included: nodes read
+  // the shared bin matrix directly, with no per-tree copy.
+  std::vector<uint32_t> order(rows.begin(), rows.end());
+  BuildNode(ctx, &order, 0, order.size(), 0);
+}
+
 void DecisionTree::FitClassification(const Dataset& data,
                                      const std::vector<size_t>& rows,
                                      int num_classes,
                                      const FeatureBinner* shared_binner) {
-  AIMAI_CHECK(!rows.empty());
   is_regression_ = false;
   num_classes_ = num_classes;
-  nodes_.clear();
-
   BuildContext ctx;
-  ctx.d = data.d();
-  ctx.rng = Rng(options_.seed);
-  ctx.features_per_split = FeaturesPerSplit(options_.feature_fraction, ctx.d);
-  if (shared_binner != nullptr) {
-    binner_ = shared_binner;
-  } else {
-    own_binner_.Fit(data, rows, &ctx.rng);
-    binner_ = &own_binner_;
-  }
-  ctx.binner = binner_;
-
-  const size_t m = rows.size();
-  ctx.binned.resize(m * ctx.d);
-  ctx.labels.resize(m);
-  for (size_t i = 0; i < m; ++i) {
-    const size_t r = rows[i];
-    ctx.labels[i] = data.Label(r);
-    for (size_t j = 0; j < ctx.d; ++j) {
-      ctx.binned[i * ctx.d + j] = binner_->BinOf(j, data.At(r, j));
-    }
-  }
-  std::vector<uint32_t> order(m);
-  for (size_t i = 0; i < m; ++i) order[i] = static_cast<uint32_t>(i);
-  BuildNode(&ctx, &order, 0, m, 0);
+  ctx.labels = data.labels().data();
+  Build(&ctx, data, rows, shared_binner);
 }
 
 void DecisionTree::FitRegression(const Dataset& data,
                                  const std::vector<size_t>& rows,
                                  const std::vector<double>& targets,
                                  const FeatureBinner* shared_binner) {
-  AIMAI_CHECK(!rows.empty());
   AIMAI_CHECK(targets.size() == data.n());
   is_regression_ = true;
   num_classes_ = 0;
-  nodes_.clear();
-
   BuildContext ctx;
-  ctx.d = data.d();
-  ctx.rng = Rng(options_.seed);
-  ctx.features_per_split = FeaturesPerSplit(options_.feature_fraction, ctx.d);
-  if (shared_binner != nullptr) {
-    binner_ = shared_binner;
-  } else {
-    own_binner_.Fit(data, rows, &ctx.rng);
-    binner_ = &own_binner_;
-  }
-  ctx.binner = binner_;
-
-  const size_t m = rows.size();
-  ctx.binned.resize(m * ctx.d);
-  ctx.targets.resize(m);
-  for (size_t i = 0; i < m; ++i) {
-    const size_t r = rows[i];
-    ctx.targets[i] = targets[r];
-    for (size_t j = 0; j < ctx.d; ++j) {
-      ctx.binned[i * ctx.d + j] = binner_->BinOf(j, data.At(r, j));
-    }
-  }
-  std::vector<uint32_t> order(m);
-  for (size_t i = 0; i < m; ++i) order[i] = static_cast<uint32_t>(i);
-  BuildNode(&ctx, &order, 0, m, 0);
+  ctx.targets = targets.data();
+  Build(&ctx, data, rows, shared_binner);
 }
 
 int DecisionTree::FindLeaf(const double* x) const {
@@ -394,7 +370,6 @@ void DecisionTree::Load(TokenReader* r) {
     node.value = r->ReadDouble();
     node.dist = r->ReadDoubleVector();
   }
-  binner_ = nullptr;  // Fit-time state; not needed for inference.
 }
 
 }  // namespace aimai

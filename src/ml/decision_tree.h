@@ -16,11 +16,14 @@ namespace aimai {
 /// to at most `kMaxBins` ordinal bins. Split search then scans bin
 /// histograms instead of sorting, which keeps Random Forests over
 /// 100+-dimensional plan-pair features fast.
+///
+/// `Fit` also bins every dataset row once into a column-major d x n
+/// matrix, which every tree of an ensemble fit reads by global row id.
 class FeatureBinner {
  public:
   static constexpr int kMaxBins = 64;
 
-  /// Learns bin edges from (a sample of) the dataset.
+  /// Learns bin edges from (a sample of) `rows`, then bins all of `data`.
   void Fit(const Dataset& data, const std::vector<size_t>& rows, Rng* rng);
 
   /// Bin index of value `v` for feature `j`.
@@ -34,10 +37,19 @@ class FeatureBinner {
     return static_cast<int>(edges_[j].size()) + 1;
   }
   size_t num_features() const { return edges_.size(); }
+  size_t num_rows() const { return num_rows_; }
+
+  /// Bins of feature `j` for every row the binner was fit on:
+  /// `Column(j)[i] == BinOf(j, data.At(i, j))`.
+  const uint8_t* Column(size_t j) const {
+    return bins_.data() + j * num_rows_;
+  }
 
  private:
   // edges_[j] is sorted; bin b covers (edges[b-1], edges[b]].
   std::vector<std::vector<double>> edges_;
+  size_t num_rows_ = 0;
+  std::vector<uint8_t> bins_;  // Column-major: bins_[j * num_rows_ + i].
 };
 
 /// CART decision tree over binned features. Supports Gini-impurity
@@ -60,9 +72,10 @@ class DecisionTree {
   DecisionTree() : DecisionTree(Options()) {}
   explicit DecisionTree(Options options) : options_(options) {}
 
-  /// Classification fit over `rows` of `data` (labels from data.Label).
-  /// An external binner may be shared across trees; pass nullptr to fit
-  /// one internally.
+  /// Classification fit over `rows` of `data` (labels from data.Label);
+  /// `rows` may repeat ids, as a bootstrap sample does. An ensemble passes
+  /// the binner it fit on `data` once for all its trees; nullptr fits one
+  /// over `rows` for this tree alone.
   void FitClassification(const Dataset& data, const std::vector<size_t>& rows,
                          int num_classes, const FeatureBinner* shared_binner);
 
@@ -103,6 +116,9 @@ class DecisionTree {
   };
 
   struct BuildContext;
+  void Build(BuildContext* ctx, const Dataset& data,
+             const std::vector<size_t>& rows,
+             const FeatureBinner* shared_binner);
   int BuildNode(BuildContext* ctx, std::vector<uint32_t>* rows, size_t begin,
                 size_t end, int depth);
   int FindLeaf(const double* x) const;
@@ -110,8 +126,6 @@ class DecisionTree {
   Options options_;
   int num_classes_ = 0;
   bool is_regression_ = false;
-  FeatureBinner own_binner_;
-  const FeatureBinner* binner_ = nullptr;
   std::vector<Node> nodes_;
 };
 

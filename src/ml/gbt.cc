@@ -45,7 +45,8 @@ void GradientBoostedTrees::Fit(const Dataset& train) {
 
   std::vector<size_t> all(n);
   for (size_t i = 0; i < n; ++i) all[i] = i;
-  binner_.Fit(train, all, &rng);
+  FeatureBinner binner;
+  binner.Fit(train, all, &rng);
 
   // Raw scores per example per class.
   std::vector<double> scores(n * k, 0.0);
@@ -68,7 +69,7 @@ void GradientBoostedTrees::Fit(const Dataset& train) {
       }
       auto tree = std::make_unique<DecisionTree>(
           TreeOptions(options_, rng.engine()()));
-      tree->FitRegression(train, rows, residual, &binner_);
+      tree->FitRegression(train, rows, residual, &binner);
       for (size_t i = 0; i < n; ++i) {
         scores[i * k + c] +=
             options_.learning_rate * tree->PredictValue(train.Row(i));
@@ -140,6 +141,7 @@ void GradientBoostedTrees::Load(TokenReader* r) {
 }
 
 void GradientBoostedTreesRegressor::Fit(const Dataset& train) {
+  AIMAI_SPAN("ml.gbtreg.fit");
   AIMAI_CHECK(train.n() > 0);
   const size_t n = train.n();
   trees_.clear();
@@ -147,7 +149,8 @@ void GradientBoostedTreesRegressor::Fit(const Dataset& train) {
 
   std::vector<size_t> all(n);
   for (size_t i = 0; i < n; ++i) all[i] = i;
-  binner_.Fit(train, all, &rng);
+  FeatureBinner binner;
+  binner.Fit(train, all, &rng);
 
   base_ = 0;
   for (size_t i = 0; i < n; ++i) base_ += train.Target(i);
@@ -161,7 +164,7 @@ void GradientBoostedTreesRegressor::Fit(const Dataset& train) {
         SubsampleRows(n, options_.subsample, &rng);
     auto tree = std::make_unique<DecisionTree>(
         TreeOptions(options_, rng.engine()()));
-    tree->FitRegression(train, rows, residual, &binner_);
+    tree->FitRegression(train, rows, residual, &binner);
     for (size_t i = 0; i < n; ++i) {
       pred[i] += options_.learning_rate * tree->PredictValue(train.Row(i));
     }

@@ -42,7 +42,6 @@ class GradientBoostedTrees : public Classifier {
   void Compile();
 
   Options options_;
-  FeatureBinner binner_;
   // trees_[round * num_classes + class].
   std::vector<std::unique_ptr<DecisionTree>> trees_;
   CompiledForest compiled_;
@@ -73,7 +72,6 @@ class GradientBoostedTreesRegressor : public Regressor {
   void Compile();
 
   Options options_;
-  FeatureBinner binner_;
   double base_ = 0;
   std::vector<std::unique_ptr<DecisionTree>> trees_;
   CompiledForest compiled_;

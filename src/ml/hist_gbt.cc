@@ -38,16 +38,12 @@ struct LeafCandidate {
 }  // namespace
 
 HistGradientBoosting::Tree HistGradientBoosting::GrowTree(
-    const Dataset& train, const std::vector<uint8_t>& binned,
-    const std::vector<size_t>& rows, const std::vector<double>& grad,
-    const std::vector<double>& hess) const {
-  const size_t d = train.d();
+    const FeatureBinner& binner, const std::vector<size_t>& rows,
+    const std::vector<double>& grad, const std::vector<double>& hess) const {
+  const size_t d = binner.num_features();
   Tree tree;
 
-  std::vector<uint32_t> order(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    order[i] = static_cast<uint32_t>(rows[i]);
-  }
+  std::vector<uint32_t> order(rows.begin(), rows.end());
 
   auto leaf_value = [this](double g, double h) {
     return -g / (h + options_.lambda);
@@ -64,13 +60,14 @@ HistGradientBoosting::Tree HistGradientBoosting::GrowTree(
     std::vector<double> hh(FeatureBinner::kMaxBins);
     const double parent = score(leaf->sum_g, leaf->sum_h);
     for (size_t f = 0; f < d; ++f) {
-      const int nbins = binner_.NumBins(f);
+      const int nbins = binner.NumBins(f);
       if (nbins < 2) continue;
+      const uint8_t* col = binner.Column(f);
       std::fill(hg.begin(), hg.begin() + nbins, 0.0);
       std::fill(hh.begin(), hh.begin() + nbins, 0.0);
       for (size_t i = leaf->begin; i < leaf->end; ++i) {
         const uint32_t r = order[i];
-        const uint8_t b = binned[r * d + f];
+        const uint8_t b = col[r];
         hg[b] += grad[r];
         hh[b] += hess[r];
       }
@@ -117,12 +114,12 @@ HistGradientBoosting::Tree HistGradientBoosting::GrowTree(
     if (leaf.feature < 0 || leaf.gain <= 1e-12) continue;
 
     const size_t f = static_cast<size_t>(leaf.feature);
+    const uint8_t* col = binner.Column(f);
     auto mid_it =
         std::partition(order.begin() + static_cast<long>(leaf.begin),
                        order.begin() + static_cast<long>(leaf.end),
                        [&](uint32_t r) {
-                         return binned[r * d + f] <=
-                                static_cast<uint8_t>(leaf.bin);
+                         return col[r] <= static_cast<uint8_t>(leaf.bin);
                        });
     const size_t mid = static_cast<size_t>(mid_it - order.begin());
     if (mid == leaf.begin || mid == leaf.end) continue;
@@ -148,7 +145,7 @@ HistGradientBoosting::Tree HistGradientBoosting::GrowTree(
 
     TreeNode& parent = tree.nodes[static_cast<size_t>(leaf.node_id)];
     parent.feature = leaf.feature;
-    parent.threshold = binner_.EdgeValue(f, leaf.bin);
+    parent.threshold = binner.EdgeValue(f, leaf.bin);
     parent.left = left.node_id;
     parent.right = right.node_id;
     ++num_leaves;
@@ -167,21 +164,13 @@ void HistGradientBoosting::Fit(const Dataset& train) {
   num_classes_ = std::max(2, train.NumClasses());
   const size_t n = train.n();
   const size_t k = static_cast<size_t>(num_classes_);
-  const size_t d = train.d();
   trees_.clear();
   Rng rng(options_.seed);
 
   std::vector<size_t> all(n);
   for (size_t i = 0; i < n; ++i) all[i] = i;
-  binner_.Fit(train, all, &rng);
-
-  // Pre-bin the whole training set once.
-  std::vector<uint8_t> binned(n * d);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < d; ++j) {
-      binned[i * d + j] = binner_.BinOf(j, train.At(i, j));
-    }
-  }
+  FeatureBinner binner;
+  binner.Fit(train, all, &rng);
 
   std::vector<double> scores(n * k, 0.0);
   std::vector<double> grad(n), hess(n), probs(k);
@@ -208,7 +197,7 @@ void HistGradientBoosting::Fit(const Dataset& train) {
         grad[i] = p - y;
         hess[i] = std::max(1e-9, p * (1.0 - p));
       }
-      Tree tree = GrowTree(train, binned, rows, grad, hess);
+      Tree tree = GrowTree(binner, rows, grad, hess);
       for (size_t i = 0; i < n; ++i) {
         scores[i * k + c] +=
             options_.learning_rate * tree.Predict(train.Row(i));

@@ -54,15 +54,13 @@ class HistGradientBoosting : public Classifier {
   };
 
   /// Grows one leaf-wise tree on (grad, hess) for the sampled rows.
-  Tree GrowTree(const Dataset& train, const std::vector<uint8_t>& binned,
-                const std::vector<size_t>& rows,
+  Tree GrowTree(const FeatureBinner& binner, const std::vector<size_t>& rows,
                 const std::vector<double>& grad,
                 const std::vector<double>& hess) const;
 
   void Compile();
 
   Options options_;
-  FeatureBinner binner_;
   std::vector<Tree> trees_;  // round-major, num_classes per round.
   CompiledForest compiled_;
 };

@@ -41,14 +41,15 @@ void RandomForest::Fit(const Dataset& train) {
 
   std::vector<size_t> all(train.n());
   for (size_t i = 0; i < train.n(); ++i) all[i] = i;
-  binner_.Fit(train, all, &rng);
+  FeatureBinner binner;
+  binner.Fit(train, all, &rng);
 
   for (int t = 0; t < options_.num_trees; ++t) {
     const std::vector<size_t> rows =
         Bootstrap(train.n(), options_.bootstrap_fraction, &rng);
     auto tree =
         std::make_unique<DecisionTree>(TreeOptions(options_, rng.engine()()));
-    tree->FitClassification(train, rows, num_classes_, &binner_);
+    tree->FitClassification(train, rows, num_classes_, &binner);
     trees_.push_back(std::move(tree));
   }
   Compile();
@@ -94,20 +95,22 @@ std::vector<double> RandomForest::PredictProbaScalar(const double* x) const {
 }
 
 void RandomForestRegressor::Fit(const Dataset& train) {
+  AIMAI_SPAN("ml.rfreg.fit");
   AIMAI_CHECK(train.n() > 0);
   trees_.clear();
   Rng rng(options_.seed);
 
   std::vector<size_t> all(train.n());
   for (size_t i = 0; i < train.n(); ++i) all[i] = i;
-  binner_.Fit(train, all, &rng);
+  FeatureBinner binner;
+  binner.Fit(train, all, &rng);
 
   for (int t = 0; t < options_.num_trees; ++t) {
     const std::vector<size_t> rows =
         Bootstrap(train.n(), options_.bootstrap_fraction, &rng);
     auto tree =
         std::make_unique<DecisionTree>(TreeOptions(options_, rng.engine()()));
-    tree->FitRegression(train, rows, train.targets(), &binner_);
+    tree->FitRegression(train, rows, train.targets(), &binner);
     trees_.push_back(std::move(tree));
   }
   Compile();

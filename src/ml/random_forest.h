@@ -49,7 +49,6 @@ class RandomForest : public Classifier {
   void Compile();
 
   Options options_;
-  FeatureBinner binner_;
   std::vector<std::unique_ptr<DecisionTree>> trees_;
   CompiledForest compiled_;
 };
@@ -78,7 +77,6 @@ class RandomForestRegressor : public Regressor {
   void Compile();
 
   Options options_;
-  FeatureBinner binner_;
   std::vector<std::unique_ptr<DecisionTree>> trees_;
   CompiledForest compiled_;
 };

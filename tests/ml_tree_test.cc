@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <sstream>
 
+#include "common/serialize.h"
 #include "ml/decision_tree.h"
 #include "ml/gbt.h"
 #include "ml/hist_gbt.h"
@@ -68,6 +71,49 @@ TEST(FeatureBinnerTest, ConstantFeatureSingleBin) {
   FeatureBinner binner;
   binner.Fit(d, rows, &rng);
   EXPECT_LE(binner.NumBins(0), 2);
+}
+
+TEST(FeatureBinnerTest, ColumnMajorMatrixMatchesBinOf) {
+  // Columns: continuous, ties on a few integers (values equal to edges),
+  // constant, and one whose largest values sit above the last edge.
+  Rng rng(3);
+  Dataset d(4);
+  for (int i = 0; i < 700; ++i) {
+    d.Add({rng.Uniform(0, 1), static_cast<double>(rng.Index(4)), 7.0,
+           i % 50 == 1 ? 1e6 + i : rng.Gaussian(0, 1)},
+          0);
+  }
+  std::vector<size_t> sample;
+  for (size_t i = 0; i < d.n(); i += 2) sample.push_back(i);
+  FeatureBinner binner;
+  binner.Fit(d, sample, &rng);
+  ASSERT_EQ(binner.num_rows(), d.n());
+  ASSERT_EQ(binner.num_features(), d.d());
+  EXPECT_EQ(binner.NumBins(2), 2);
+  for (size_t j = 0; j < d.d(); ++j) {
+    const uint8_t* col = binner.Column(j);
+    for (size_t i = 0; i < d.n(); ++i) {
+      ASSERT_EQ(col[i], binner.BinOf(j, d.At(i, j))) << "row " << i
+                                                     << " feature " << j;
+    }
+  }
+  // A value equal to an edge takes that edge's bin; the outliers (odd
+  // rows, outside the sample) lie past the last edge and take the top bin.
+  const double edge = binner.EdgeValue(1, 0);
+  bool saw_edge = false, saw_top = false;
+  for (size_t i = 0; i < d.n(); ++i) {
+    if (d.At(i, 1) == edge) {
+      EXPECT_EQ(binner.Column(1)[i], 0);
+      saw_edge = true;
+    }
+    if (d.At(i, 3) > 1e5) {
+      EXPECT_GT(d.At(i, 3), binner.EdgeValue(3, binner.NumBins(3) - 2));
+      EXPECT_EQ(binner.Column(3)[i], binner.NumBins(3) - 1);
+      saw_top = true;
+    }
+  }
+  EXPECT_TRUE(saw_edge);
+  EXPECT_TRUE(saw_top);
 }
 
 TEST(DecisionTreeTest, FitsAxisAlignedRule) {
@@ -237,6 +283,100 @@ TEST(HistGbtTest, LeafCapBoundsTreeSize) {
   }
   EXPECT_GT(preds[0], 0);
   EXPECT_GT(preds[1], 0);
+}
+
+// Golden models: every tree learner's Save() bytes, hashed, must equal
+// hashes recorded from learners that re-binned each tree's sample, so the
+// shared bin matrix cannot move one bit of a model. The datasets mix
+// continuous, tied (values landing exactly on bin edges), constant and
+// heavy-tailed columns; the 5000-row one exceeds the binner's 4096-row
+// sample, so its sampling draw counts.
+Dataset GoldenData(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Dataset d(10);
+  std::vector<double> x(10);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < 6; ++j) x[j] = rng.Uniform(-1, 1);
+    x[6] = static_cast<double>(rng.Index(5));
+    x[7] = 3.0;
+    x[8] = rng.Gaussian(0, 2);
+    x[9] = std::exp(rng.Uniform(0, 6));
+    int label = x[0] + x[1] > 0.2 ? 1 : (x[6] >= 3 ? 2 : 0);
+    if (rng.Uniform(0, 1) < 0.1) label = static_cast<int>(rng.Index(3));
+    const double target =
+        2 * x[0] - x[2] * x[3] + 0.5 * x[6] + std::log(x[9]) +
+        rng.Gaussian(0, 0.1);
+    d.Add(x, label, target);
+  }
+  return d;
+}
+
+template <typename Model>
+uint64_t SavedHash(const Model& model) {
+  std::ostringstream out;
+  TokenWriter w(&out);
+  model.Save(&w);
+  return Fnv1a64(out.str());
+}
+
+void ExpectHash(uint64_t got, uint64_t want) {
+  EXPECT_EQ(got, want) << "got 0x" << std::hex << got;
+}
+
+TEST(GoldenModelTest, RandomForestSampledBinner) {
+  RandomForest::Options o;
+  o.num_trees = 12;
+  RandomForest rf(o);
+  rf.Fit(GoldenData(5000, 31));
+  ExpectHash(SavedHash(rf), 0x419afa97b2de393bull);
+}
+
+TEST(GoldenModelTest, RandomForestRegressor) {
+  RandomForestRegressor::Options o;
+  o.num_trees = 12;
+  o.bootstrap_fraction = 0.7;
+  RandomForestRegressor rf(o);
+  rf.Fit(GoldenData(700, 32));
+  ExpectHash(SavedHash(rf), 0x20768f5fe45c75a2ull);
+}
+
+TEST(GoldenModelTest, GradientBoostedTreesSampledBinner) {
+  GradientBoostedTrees::Options o;
+  o.num_rounds = 6;
+  GradientBoostedTrees gbt(o);
+  gbt.Fit(GoldenData(5000, 33));
+  ExpectHash(SavedHash(gbt), 0x236958722ba40e13ull);
+}
+
+TEST(GoldenModelTest, GradientBoostedTreesRegressor) {
+  GradientBoostedTreesRegressor::Options o;
+  o.num_rounds = 20;
+  GradientBoostedTreesRegressor gbt(o);
+  gbt.Fit(GoldenData(900, 34));
+  ExpectHash(SavedHash(gbt), 0x7ce63415ecbc6e9dull);
+}
+
+TEST(GoldenModelTest, HistGradientBoostingSampledBinner) {
+  HistGradientBoosting::Options o;
+  o.num_rounds = 5;
+  HistGradientBoosting lgbm(o);
+  lgbm.Fit(GoldenData(5000, 35));
+  ExpectHash(SavedHash(lgbm), 0x60b7de69aed95d29ull);
+}
+
+TEST(GoldenModelTest, StandaloneTreesOnRowSubset) {
+  const Dataset d = GoldenData(600, 36);
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < d.n(); i += 3) rows.push_back(i);
+  rows.push_back(0);  // A duplicate, as a bootstrap sample would have.
+  DecisionTree::Options o;
+  o.feature_fraction = 0.5;
+  DecisionTree cls(o);
+  cls.FitClassification(d, rows, 3, nullptr);
+  ExpectHash(SavedHash(cls), 0x67e18b9c289bec50ull);
+  DecisionTree reg(o);
+  reg.FitRegression(d, rows, d.targets(), nullptr);
+  ExpectHash(SavedHash(reg), 0xe0c2f43a57eb579full);
 }
 
 // Property sweep: all tree ensembles beat the majority-class baseline on
