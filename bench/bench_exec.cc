@@ -1,16 +1,22 @@
 // Vectorized execution engine: wall-time speedup of the columnar batch
 // pipeline over the row-at-a-time interpreter on TPC-H-shaped plans, with
-// bit-identity enforcement. Three plan shapes over lineitem at SF 0.1:
+// bit-identity enforcement. Five plan shapes at SF 0.1:
 //
 //   filter    — Q6's selective conjunctive range predicates, output
 //               materialized (scan + branchless filter kernels);
 //   q6_agg    — the same predicates fused into an ungrouped SUM/COUNT
 //               (Q6 proper: no intermediate row-set);
 //   q1_group  — Q1's shape: a ~95%-pass date predicate under a grouped
-//               aggregate over l_returnflag with the full function set.
+//               aggregate over l_returnflag with the full function set;
+//   q3_join   — Q3's shape: customer ⋈ orders ⋈ lineitem through two hash
+//               joins, grouped on a two-table key, sorted, top 10;
+//   nlj       — Q14's shape: part rows rebinding an index seek on
+//               lineitem(l_partkey) with a shipdate residual, under a
+//               scalar aggregate.
 //
 // Acceptance bars (nonzero exit on failure):
-//   - every shape's vectorized path >= 3x over the row path;
+//   - the single-table shapes' vectorized path >= 3x over the row path
+//     (the join shapes report their timings ungated);
 //   - results, per-node actual cardinalities, and ExecutionCostModel
 //     costs bit-identical between engines on every shape;
 //   - a continuous-tuning run recommends identical configurations under
@@ -68,6 +74,7 @@ Predicate RangePred(int table, int col, CmpOp op, Value lo,
 
 struct ShapeResult {
   std::string name;
+  bool gated = true;  // Held to the 3x speedup bar.
   double row_ms = 0;
   double vec_ms = 0;
   bool identical = true;
@@ -126,9 +133,10 @@ double TimeEngine(const Database& db, IndexManager* indexes,
 
 ShapeResult RunShape(const std::string& name, const Database& db,
                      IndexManager* indexes, const PhysicalPlan& plan,
-                     int repeats) {
+                     int repeats, bool gated = true) {
   ShapeResult out;
   out.name = name;
+  out.gated = gated;
   if (!VectorizedExecutor::CanExecute(*plan.root)) {
     std::fprintf(stderr, "FATAL: %s plan not vectorizable\n", name.c_str());
     std::exit(2);
@@ -248,19 +256,106 @@ int main() {
     q1_plan.root = std::move(agg);
   }
 
+  // Q3's shape over three tables.
+  const int cu = db.FindTable("customer");
+  const int od = db.FindTable("orders");
+  const Table& customer = db.table(cu);
+  const Table& orders = db.table(od);
+  const int c_seg = ColId(customer, "c_mktsegment");
+  const int o_date = ColId(orders, "o_orderdate");
+  const int l_orderkey = ColId(lineitem, "l_orderkey");
+  PhysicalPlan q3_plan;
+  {
+    auto scan = [](int table, std::vector<Predicate> preds) {
+      auto n = std::make_unique<PlanNode>();
+      n->op = PhysOp::kTableScan;
+      n->table_id = table;
+      n->residual_preds = std::move(preds);
+      return n;
+    };
+    auto join = [](ColumnRef build, ColumnRef probe,
+                   std::unique_ptr<PlanNode> b, std::unique_ptr<PlanNode> p) {
+      auto n = std::make_unique<PlanNode>();
+      n->op = PhysOp::kHashJoin;
+      n->join = {build, probe};
+      n->children.push_back(std::move(b));
+      n->children.push_back(std::move(p));
+      return n;
+    };
+    const std::string& segment = customer.column(c_seg).dictionary()[1];
+    auto co = join(ColumnRef{cu, ColId(customer, "c_custkey")},
+                   ColumnRef{od, ColId(orders, "o_custkey")},
+                   scan(cu, {RangePred(cu, c_seg, CmpOp::kEq,
+                                       Value::Str(segment))}),
+                   scan(od, {RangePred(od, o_date, CmpOp::kLt,
+                                       Value::Int(1200))}));
+    auto col = join(ColumnRef{od, ColId(orders, "o_orderkey")},
+                    ColumnRef{li, l_orderkey}, std::move(co),
+                    scan(li, {RangePred(li, c_ship, CmpOp::kGt,
+                                        Value::Int(1200))}));
+    auto agg = std::make_unique<PlanNode>();
+    agg->op = PhysOp::kHashAggregate;
+    agg->group_by = {ColumnRef{li, l_orderkey}, ColumnRef{od, o_date}};
+    agg->aggregates = {{AggFunc::kSum, ColumnRef{li, c_price}}};
+    agg->children.push_back(std::move(col));
+    auto sort = std::make_unique<PlanNode>();
+    sort->op = PhysOp::kSort;
+    sort->sort_keys = {SortKey{ColumnRef{od, o_date}, false}};
+    sort->children.push_back(std::move(agg));
+    q3_plan.root = std::make_unique<PlanNode>();
+    q3_plan.root->op = PhysOp::kTop;
+    q3_plan.root->top_n = 10;
+    q3_plan.root->children.push_back(std::move(sort));
+  }
+
+  // Q14's shape as a nested loop: every part row rebinds a seek on
+  // lineitem's l_partkey index (built before timing).
+  const int pa = db.FindTable("part");
+  PhysicalPlan nlj_plan;
+  {
+    IndexDef by_part;
+    by_part.table_id = li;
+    by_part.key_columns = {ColId(lineitem, "l_partkey")};
+    bdb->indexes()->GetOrBuild(by_part);
+    auto outer = std::make_unique<PlanNode>();
+    outer->op = PhysOp::kTableScan;
+    outer->table_id = pa;
+    auto inner = std::make_unique<PlanNode>();
+    inner->op = PhysOp::kIndexSeek;
+    inner->table_id = li;
+    inner->index = by_part;
+    inner->residual_preds = {RangePred(li, c_ship, CmpOp::kBetween,
+                                       Value::Int(900), Value::Int(1000))};
+    auto nlj = std::make_unique<PlanNode>();
+    nlj->op = PhysOp::kNestedLoopJoin;
+    nlj->join = {ColumnRef{pa, ColId(db.table(pa), "p_partkey")},
+                 ColumnRef{li, by_part.key_columns[0]}};
+    nlj->children.push_back(std::move(outer));
+    nlj->children.push_back(std::move(inner));
+    nlj_plan.root = std::make_unique<PlanNode>();
+    nlj_plan.root->op = PhysOp::kStreamAggregate;
+    nlj_plan.root->aggregates = {{AggFunc::kSum, ColumnRef{li, c_price}},
+                                 {AggFunc::kCount, {}}};
+    nlj_plan.root->children.push_back(std::move(nlj));
+  }
+
   std::vector<ShapeResult> shapes;
   shapes.push_back(
       RunShape("filter", db, bdb->indexes(), filter_plan, repeats));
   shapes.push_back(RunShape("q6_agg", db, bdb->indexes(), q6_plan, repeats));
   shapes.push_back(
       RunShape("q1_group", db, bdb->indexes(), q1_plan, repeats));
+  shapes.push_back(RunShape("q3_join", db, bdb->indexes(), q3_plan, repeats,
+                            /*gated=*/false));
+  shapes.push_back(RunShape("nlj", db, bdb->indexes(), nlj_plan, repeats,
+                            /*gated=*/false));
 
   std::vector<std::vector<std::string>> t1;
-  t1.push_back({"shape", "row ms", "vectorized ms", "speedup", "identical"});
+  t1.push_back({"shape", "row ms", "vectorized ms", "speedup", "result"});
   for (const ShapeResult& s : shapes) {
     t1.push_back({s.name, F3(s.row_ms), F3(s.vec_ms),
-                  StrFormat("%.2fx", s.speedup()),
-                  s.identical ? "yes" : "NO"});
+                  StrFormat("%.2fx%s", s.speedup(), s.gated ? "" : " (ungated)"),
+                  s.identical ? "same result" : "DIFFERENT"});
   }
   PrintTable(StrFormat("Row vs vectorized execution (lineitem %zu rows, "
                        "best of %d)",
@@ -287,9 +382,10 @@ int main() {
     const ShapeResult& s = shapes[i];
     json += StrFormat(
         "    \"%s\": {\"row_ms\": %.3f, \"vectorized_ms\": %.3f, "
-        "\"speedup\": %.2f, \"identical\": %s}%s\n",
+        "\"speedup\": %.2f, \"gated\": %s, \"identical\": %s}%s\n",
         s.name.c_str(), s.row_ms, s.vec_ms, s.speedup(),
-        s.identical ? "true" : "false", i + 1 < shapes.size() ? "," : "");
+        s.gated ? "true" : "false", s.identical ? "true" : "false",
+        i + 1 < shapes.size() ? "," : "");
   }
   json += StrFormat("  },\n  \"tuning_identical\": %s\n}\n",
                     tune_match ? "true" : "false");
@@ -307,7 +403,7 @@ int main() {
                    s.name.c_str());
       ok = false;
     }
-    if (s.speedup() < 3.0) {
+    if (s.gated && s.speedup() < 3.0) {
       std::fprintf(stderr, "FAIL: %s vectorized speedup was %.2fx "
                    "(need >= 3x)\n",
                    s.name.c_str(), s.speedup());

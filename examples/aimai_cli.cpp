@@ -570,8 +570,9 @@ void Usage() {
       "execution engine (any command that executes plans):\n"
       "  --exec row|vector          query execution engine (overrides\n"
       "                             AIMAI_EXEC; default vector = columnar\n"
-      "                             batch pipeline with row fallback;\n"
-      "                             results are bit-identical either way)\n\n"
+      "                             batch engine, row = row-at-a-time\n"
+      "                             oracle; results are bit-identical\n"
+      "                             either way)\n\n"
       "observability (any command):\n"
       "  --metrics text|json|PATH   dump a metrics snapshot on exit\n"
       "                             (text/json -> stdout, else write JSON\n"

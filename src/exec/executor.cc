@@ -60,13 +60,10 @@ ExecResult Executor::Execute(PhysicalPlan* plan) {
   AIMAI_SPAN("exec.execute");
   AIMAI_COUNTER_INC("exec.plans_executed");
   ResetStats(plan->root.get());
-  if (mode_ == ExecMode::kBatch &&
-      VectorizedExecutor::CanExecute(*plan->root)) {
-    AIMAI_COUNTER_INC("exec.vectorized_plans");
-    VectorizedExecutor vec(db_, indexes_);
-    return vec.Execute(plan->root.get());
-  }
-  return ExecuteNode(plan->root.get());
+  if (mode_ == ExecMode::kRow) return ExecuteNode(plan->root.get());
+  AIMAI_COUNTER_INC("exec.vectorized_plans");
+  VectorizedExecutor vec(db_, indexes_);
+  return vec.Execute(plan->root.get());
 }
 
 KeyRange BuildSeekRange(const Database& db, const PlanNode& node) {
@@ -168,7 +165,6 @@ struct InnerPlan {
   PlanNode* leaf = nullptr;
   std::vector<BoundPredicate> leaf_residual;
   const BTreeIndex* index = nullptr;  // IndexSeek leaf.
-  KeyRange range;                     // Its seek; the bound is the outer value.
   ColumnView join_col;                // TableScan leaf.
   size_t table_rows = 0;
   std::vector<Step> steps;  // Operators above the leaf, bottom-up.
@@ -189,9 +185,6 @@ InnerPlan PrepareInner(const Database& db, IndexManager* indexes,
                           node->index.key_columns[0] == join_col,
                       "inner seek index must lead with the join column");
       plan.index = indexes->GetOrBuild(node->index);
-      plan.range.lower = {0.0};
-      plan.range.upper = {0.0};
-      plan.range.has_lower = plan.range.has_upper = true;
       break;
     case PhysOp::kTableScan:
       break;
@@ -215,14 +208,13 @@ InnerPlan PrepareInner(const Database& db, IndexManager* indexes,
 }
 
 /// One rebind: the inner rows matching `outer_value`, into `out`
-/// (cleared first). Accumulates stats into the inner nodes.
+/// (cleared first). Accumulates stats into the inner nodes. A NaN outer
+/// value matches nothing, as in hash join.
 void RunInner(InnerPlan* plan, double outer_value, std::vector<uint32_t>* out) {
   out->clear();
   PlanNode* leaf = plan->leaf;
   if (plan->index != nullptr) {
-    plan->range.lower[0] = outer_value;
-    plan->range.upper[0] = outer_value;
-    const std::span<const uint32_t> hits = plan->index->Seek(plan->range);
+    const std::span<const uint32_t> hits = plan->index->SeekEqual(outer_value);
     leaf->stats.actual_access_rows += static_cast<double>(hits.size());
     for (uint32_t r : hits) {
       if (RowMatchesBound(plan->leaf_residual, r)) out->push_back(r);

@@ -9,9 +9,9 @@
 namespace aimai {
 
 /// Process-wide default engine for newly constructed Executors:
-/// `ExecMode::kBatch` selects the vectorized pipeline (with automatic row
-/// fallback for unsupported plan shapes), `ExecMode::kRow` forces the
-/// row-at-a-time engine everywhere (for bisection). Initialized from the
+/// `ExecMode::kBatch` selects the vectorized engine for every plan,
+/// `ExecMode::kRow` the row-at-a-time oracle (for bisection and parity
+/// tests). Initialized from the
 /// `AIMAI_EXEC` environment variable ("row" or "vector"; default vector)
 /// and overridable at runtime (`aimai_cli --exec=...`).
 ExecMode DefaultExecMode();
@@ -29,11 +29,12 @@ KeyRange BuildSeekRange(const Database& db, const PlanNode& node);
 /// learns from; the simulated CPU time is derived afterwards by
 /// `ExecutionCostModel` from the actual cardinalities.
 ///
-/// Two engines sit behind `Execute`: the row-at-a-time interpreter below,
-/// and the columnar VectorizedExecutor for supported single-table
-/// pipelines. Both produce bit-identical results and actual statistics;
-/// `mode()` selects which one runs (default: the process-wide
-/// `DefaultExecMode()`).
+/// Two engines sit behind `Execute`, one per mode: the columnar
+/// VectorizedExecutor (kBatch) and the row-at-a-time interpreter below
+/// (kRow), which stays as the bit-identity oracle. Both produce
+/// bit-identical results and actual statistics on every plan
+/// `VectorizedExecutor::CanExecute` accepts; `mode()` selects which one
+/// runs (default: the process-wide `DefaultExecMode()`).
 class Executor {
  public:
   Executor(const Database* db, IndexManager* indexes)

@@ -100,6 +100,28 @@ void GatherNumericT(const T* data, const uint32_t* ids, size_t n,
   for (size_t i = 0; i < n; ++i) out[i] = static_cast<double>(data[ids[i]]);
 }
 
+template <typename T>
+void GatherSlotNumericT(const T* data, const uint32_t* tuples, size_t width,
+                        size_t slot, size_t n, double* out) {
+  const uint32_t* ids = tuples + slot;
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<double>(data[ids[i * width]]);
+  }
+}
+
+template <typename T>
+size_t FilterPositionsT(const T* data, const uint32_t* ids,
+                        const uint32_t* pos, size_t n, const BoundsSpec& b,
+                        uint32_t* out) {
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t p = pos[i];
+    out[k] = p;
+    k += static_cast<size_t>(b.Pass(static_cast<double>(data[ids[p]])));
+  }
+  return k;
+}
+
 }  // namespace
 
 void AccumulateNumeric(const ColumnView& col, const uint32_t* ids, size_t n,
@@ -149,6 +171,63 @@ void GatherNumeric(const ColumnView& col, const uint32_t* ids, size_t n,
     case DataType::kString:
       GatherNumericT(col.codes, ids, n, out);
       return;
+  }
+}
+
+void GatherSlot(const uint32_t* tuples, size_t width, size_t slot, size_t n,
+                uint32_t* out) {
+  const uint32_t* ids = tuples + slot;
+  for (size_t i = 0; i < n; ++i) out[i] = ids[i * width];
+}
+
+void GatherSlotNumeric(const ColumnView& col, const uint32_t* tuples,
+                       size_t width, size_t slot, size_t n, double* out) {
+  switch (col.type) {
+    case DataType::kInt64:
+      GatherSlotNumericT(col.i64, tuples, width, slot, n, out);
+      return;
+    case DataType::kDouble:
+      GatherSlotNumericT(col.f64, tuples, width, slot, n, out);
+      return;
+    case DataType::kString:
+      GatherSlotNumericT(col.codes, tuples, width, slot, n, out);
+      return;
+  }
+}
+
+size_t FilterPositions(const ColumnView& col, const uint32_t* ids,
+                       const uint32_t* pos, size_t n, const BoundsSpec& b,
+                       uint32_t* out) {
+  switch (col.type) {
+    case DataType::kInt64:
+      return FilterPositionsT(col.i64, ids, pos, n, b, out);
+    case DataType::kDouble:
+      return FilterPositionsT(col.f64, ids, pos, n, b, out);
+    case DataType::kString:
+      return FilterPositionsT(col.codes, ids, pos, n, b, out);
+  }
+  return 0;
+}
+
+void AppendPairs(const uint32_t* a, size_t aw, const uint32_t* ai,
+                 const uint32_t* b, size_t bw, const uint32_t* bi, size_t n,
+                 std::vector<uint32_t>* out) {
+  const size_t w = aw + bw;
+  const size_t old = out->size();
+  out->resize(old + n * w);
+  uint32_t* dst = out->data() + old;
+  if (aw == 1 && bw == 1) {
+    for (size_t k = 0; k < n; ++k) {
+      dst[2 * k] = a[ai[k]];
+      dst[2 * k + 1] = b[bi[k]];
+    }
+    return;
+  }
+  for (size_t k = 0; k < n; ++k, dst += w) {
+    std::memcpy(dst, a + static_cast<size_t>(ai[k]) * aw,
+                aw * sizeof(uint32_t));
+    std::memcpy(dst + aw, b + static_cast<size_t>(bi[k]) * bw,
+                bw * sizeof(uint32_t));
   }
 }
 

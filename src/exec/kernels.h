@@ -3,6 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "exec/batch.h"
 #include "exec/expression.h"
@@ -96,6 +99,120 @@ void AccumulateNumericGrouped(const ColumnView& col, const uint32_t* ids,
 /// Gathers the numeric view of selected cells into a dense output array.
 void GatherNumeric(const ColumnView& col, const uint32_t* ids, size_t n,
                    double* out);
+
+// ---------------------------------------------------------------------------
+// Multi-table kernels. Intermediate relations are row-major flat tuples of
+// `width` base-table row ids (RowSet); a column of one table is read
+// through the row ids in that table's slot.
+
+/// `out[i] = tuples[i * width + slot]` for i in [0, n): one slot's row ids.
+void GatherSlot(const uint32_t* tuples, size_t width, size_t slot, size_t n,
+                uint32_t* out);
+
+/// Slot-aware typed gather: the numeric view of `col` at the row id in
+/// `slot` of each of the n tuples.
+void GatherSlotNumeric(const ColumnView& col, const uint32_t* tuples,
+                       size_t width, size_t slot, size_t n, double* out);
+
+/// Position filter: keeps the positions `pos[i]` whose row `ids[pos[i]]`
+/// passes `b`, in order. Safe in place (out == pos). Multi-table filters
+/// compact tuple positions, not row ids.
+size_t FilterPositions(const ColumnView& col, const uint32_t* ids,
+                       const uint32_t* pos, size_t n, const BoundsSpec& b,
+                       uint32_t* out);
+
+/// Appends, for each k in [0, n), the tuple `a + ai[k] * aw` followed by
+/// the tuple `b + bi[k] * bw` to `out`: join output materialized from
+/// match pairs.
+void AppendPairs(const uint32_t* a, size_t aw, const uint32_t* ai,
+                 const uint32_t* b, size_t bw, const uint32_t* bi, size_t n,
+                 std::vector<uint32_t>* out);
+
+/// Hash-join directory: open addressing over the distinct build keys, each
+/// slot heading a chain threaded through `next` (one link per build
+/// tuple). Inserting at the chain head makes a walk visit equal keys newest
+/// first — the order `std::unordered_multimap::equal_range` yields after
+/// in-order inserts. Keys compare as doubles, so -0.0 meets +0.0 (both hash
+/// as +0.0) and NaN meets nothing (callers never insert it). Both engines
+/// build their hash joins on it; the batch engine also screens each probe
+/// chunk through a one-hash bit filter (32 bits per directory slot) before
+/// walking the directory, so most probes that meet nothing stop there.
+class JoinDirectory {
+ public:
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+  explicit JoinDirectory(size_t n) : next_(n, kNone) {
+    size_t cap = 16;
+    int bits = 4;
+    while (cap < 2 * n) {
+      cap <<= 1;
+      ++bits;
+    }
+    keys_.resize(cap);
+    heads_.assign(cap, kNone);
+    mask_ = cap - 1;
+    shift_ = 64 - bits;
+    filter_.assign(cap / 2, 0);  // 32 filter bits per slot.
+    filter_shift_ = 64 - (bits + 5);
+  }
+
+  void Insert(double key, uint32_t t) {
+    const uint64_t bits = Bits(key);
+    size_t s = Home(bits);
+    while (heads_[s] != kNone && keys_[s] != key) s = (s + 1) & mask_;
+    keys_[s] = key;
+    next_[t] = heads_[s];
+    heads_[s] = t;
+    const size_t f = FilterBit(bits);
+    filter_[f >> 6] |= uint64_t{1} << (f & 63);
+  }
+
+  /// Newest tuple inserted with `key`, or kNone.
+  uint32_t Find(double key) const {
+    for (size_t s = Home(Bits(key)); heads_[s] != kNone; s = (s + 1) & mask_) {
+      if (keys_[s] == key) return heads_[s];
+    }
+    return kNone;
+  }
+
+  uint32_t Next(uint32_t t) const { return next_[t]; }
+
+  /// Writes to `out` the positions i in [0, n), in order, whose key may
+  /// have been inserted: every one that was, plus a few that were not.
+  /// Branch-free compaction, like the filter kernels.
+  size_t MayContain(const double* keys, size_t n, uint32_t* out) const {
+    size_t k = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t f = FilterBit(Bits(keys[i]));
+      out[k] = static_cast<uint32_t>(i);
+      k += static_cast<size_t>((filter_[f >> 6] >> (f & 63)) & 1);
+    }
+    return k;
+  }
+
+ private:
+  static uint64_t Bits(double key) {
+    if (key == 0) key = 0.0;
+    uint64_t bits;
+    std::memcpy(&bits, &key, sizeof(bits));
+    return bits;
+  }
+  size_t Home(uint64_t bits) const {
+    return static_cast<size_t>((bits * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  size_t FilterBit(uint64_t bits) const {
+    return static_cast<size_t>((bits * 0xC2B2AE3D27D4EB4FULL) >>
+                               filter_shift_);
+  }
+
+  std::vector<double> keys_;
+  std::vector<uint32_t> heads_;
+  std::vector<uint32_t> next_;
+  std::vector<uint64_t> filter_;
+  size_t mask_ = 0;
+  int shift_ = 0;
+  int filter_shift_ = 0;
+};
 
 }  // namespace aimai
 

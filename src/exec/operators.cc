@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "exec/kernels.h"
 
 namespace aimai {
 
@@ -35,61 +36,6 @@ SlotColumn::SlotColumn(const Database& db, const RowSet& rs, ColumnRef col)
           db.table(col.table_id).column(static_cast<size_t>(col.column_id)))) {}
 
 namespace {
-
-/// Hash-join directory: open addressing over the distinct build keys, each
-/// slot heading a chain threaded through `next_` (one link per build
-/// tuple). Inserting at the chain head makes a walk visit equal keys newest
-/// first. Keys compare as doubles, so -0.0 meets +0.0 (both hash as +0.0)
-/// and NaN meets nothing (callers never insert it).
-class JoinDirectory {
- public:
-  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
-
-  explicit JoinDirectory(size_t n) : next_(n, kNone) {
-    size_t cap = 16;
-    int bits = 4;
-    while (cap < 2 * n) {
-      cap <<= 1;
-      ++bits;
-    }
-    keys_.resize(cap);
-    heads_.assign(cap, kNone);
-    mask_ = cap - 1;
-    shift_ = 64 - bits;
-  }
-
-  void Insert(double key, uint32_t t) {
-    size_t s = Home(key);
-    while (heads_[s] != kNone && keys_[s] != key) s = (s + 1) & mask_;
-    keys_[s] = key;
-    next_[t] = heads_[s];
-    heads_[s] = t;
-  }
-
-  /// Newest build tuple with `key`, or kNone.
-  uint32_t Find(double key) const {
-    for (size_t s = Home(key); heads_[s] != kNone; s = (s + 1) & mask_) {
-      if (keys_[s] == key) return heads_[s];
-    }
-    return kNone;
-  }
-
-  uint32_t Next(uint32_t t) const { return next_[t]; }
-
- private:
-  size_t Home(double key) const {
-    if (key == 0) key = 0.0;
-    uint64_t bits;
-    std::memcpy(&bits, &key, sizeof(bits));
-    return static_cast<size_t>((bits * 0x9E3779B97F4A7C15ULL) >> shift_);
-  }
-
-  std::vector<double> keys_;
-  std::vector<uint32_t> heads_;
-  std::vector<uint32_t> next_;
-  size_t mask_ = 0;
-  int shift_ = 0;
-};
 
 std::vector<int> ConcatTables(const RowSet& a, const RowSet& b) {
   std::vector<int> out = a.tables;
@@ -142,7 +88,13 @@ RowSet MergeJoinRows(const Database& db, const RowSet& left, ColumnRef left_col,
   while (i < n && j < m) {
     const double lv = lkey.At(left.tuple(i));
     const double rv = rkey.At(right.tuple(j));
-    if (lv < rv) {
+    // NaN meets nothing, as in hash join: skip it rather than stall on a
+    // pair that is neither less, greater nor equal.
+    if (std::isnan(lv)) {
+      ++i;
+    } else if (std::isnan(rv)) {
+      ++j;
+    } else if (lv < rv) {
       ++i;
     } else if (lv > rv) {
       ++j;
@@ -202,10 +154,14 @@ void SortRows(const Database& db, RowSet* rs,
 
 namespace {
 
+// Group keys compare as doubles (std::vector's ==), so -0.0 and +0.0
+// must hash alike to meet; NaN meets nothing, each NaN row opening its own
+// group.
 struct VecHash {
   size_t operator()(const std::vector<double>& v) const {
     size_t h = 1469598103934665603ULL;
     for (double d : v) {
+      if (d == 0) d = 0.0;
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(d));
       std::memcpy(&bits, &d, sizeof(d));

@@ -77,7 +77,9 @@ RowSet HashJoinRows(const Database& db, const RowSet& build,
                     ColumnRef build_col, const RowSet& probe,
                     ColumnRef probe_col);
 
-/// Merge join of two inputs sorted on their join columns.
+/// Merge join of two inputs sorted on their join columns. Output: left
+/// tables followed by right tables; each run of equal keys emits its block
+/// cross product, left-major. NaN keys meet nothing on either side.
 RowSet MergeJoinRows(const Database& db, const RowSet& left, ColumnRef left_col,
                      const RowSet& right, ColumnRef right_col);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 
@@ -176,6 +177,48 @@ std::pair<size_t, size_t> BTreeIndex::Bounds(const KeyRange& range) const {
 
 std::span<const uint32_t> BTreeIndex::Seek(const KeyRange& range) const {
   const auto [begin, end] = Bounds(range);
+  return {rows_.data() + begin, end - begin};
+}
+
+std::span<const uint32_t> BTreeIndex::SeekEqual(double key) const {
+  size_t cursor = 0;
+  return SeekEqual(key, &cursor);
+}
+
+std::span<const uint32_t> BTreeIndex::SeekEqual(double key,
+                                                size_t* cursor) const {
+  if (std::isnan(key)) return {};
+  // Search on the leading column's order-preserving bits: the entry order
+  // single-column keys were radix-sorted by, and the double order for
+  // composite keys. NaN entries map outside every non-NaN image.
+  const uint64_t target = OrderedBits(key);
+  auto lead = [this](size_t i) { return OrderedBits(keys_[i * width_]); };
+  const size_t n = rows_.size();
+  // Narrows [lo, hi) to hold the first entry where `pred` turns false,
+  // given it holds at lo - 1: up to kGallopSteps doubling steps.
+  constexpr int kGallopSteps = 6;
+  auto gallop = [n](size_t* lo, size_t* hi, auto pred) {
+    size_t step = 1;
+    for (int g = 0; g < kGallopSteps && *lo < n; ++g, step <<= 1) {
+      const size_t probe = std::min(*lo + step - 1, n - 1);
+      if (!pred(probe)) {
+        *hi = probe + 1;
+        return;
+      }
+      *lo = probe + 1;
+    }
+  };
+  auto below = [&](size_t i) { return lead(i) < target; };
+  auto equal = [&](size_t i) { return lead(i) == target; };
+  size_t lo = std::min(*cursor, n);
+  size_t hi = n;
+  if (lo > 0) gallop(&lo, &hi, below);
+  const size_t begin = FirstFalse(lo, hi, below);
+  lo = begin;
+  hi = n;
+  gallop(&lo, &hi, equal);
+  const size_t end = FirstFalse(lo, hi, equal);
+  *cursor = end;
   return {rows_.data() + begin, end - begin};
 }
 

@@ -60,6 +60,22 @@ class BTreeIndex {
   /// views the index's own storage (qualifying entries are contiguous).
   std::span<const uint32_t> Seek(const KeyRange& range) const;
 
+  /// The row ids whose leading key column equals `key` (as doubles, so
+  /// -0.0 meets +0.0), in key order: one equal-range search over the
+  /// entry sequence. A NaN `key` matches nothing, and neither does a NaN
+  /// entry. On NaN-free keys this is `Seek` with the one-column bound
+  /// `[key, key]`; nested-loop joins rebind their inner seeks with it.
+  std::span<const uint32_t> SeekEqual(double key) const;
+
+  /// SeekEqual for a run of probe keys. Every entry before `*cursor` must
+  /// lead with a key below `key` (0 always qualifies; after a seek, a
+  /// greater key may keep the cursor). The search gallops a few steps
+  /// forward from the cursor before it bisects, so ascending probes cost
+  /// about the log of their distance. Returns SeekEqual(key) on every
+  /// entry sequence the leading key orders (all but composite keys holding
+  /// NaN) and leaves `*cursor` at the end of the returned run.
+  std::span<const uint32_t> SeekEqual(double key, size_t* cursor) const;
+
   /// Copying form of Seek.
   std::vector<uint32_t> SeekRange(const KeyRange& range) const;
 

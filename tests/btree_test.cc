@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -386,6 +387,74 @@ TEST(BTreeFlatTest, HeightFollowsPageArithmetic) {
     const size_t leaves = (rows + BTreeIndex::kLeafCapacity - 1) /
                           BTreeIndex::kLeafCapacity;
     EXPECT_EQ(idx.CountLeafPages(KeyRange{}), leaves) << rows << " rows";
+  }
+}
+
+// SeekEqual is the nested-loop join's equality rebind: exactly the entries
+// whose leading key equals the probe, in index order, NaN meeting nothing
+// on either side; on NaN-free keys it is the one-column seek [v, v].
+TEST(BTreeFlatTest, SeekEqualMatchesEqualityScan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(25);
+  Columns cols(2);
+  for (int i = 0; i < 700; ++i) {
+    const double choices[] = {-0.0, 0.0, 1.0, 2.0, -3.0, 4.5,
+                              std::numeric_limits<double>::infinity()};
+    cols[0].push_back(rng.Bernoulli(0.05) ? (rng.Bernoulli(0.5) ? nan : -nan)
+                                          : choices[rng.Index(7)]);
+    cols[1].push_back(static_cast<double>(rng.UniformInt(0, 3)));
+  }
+  const std::vector<double> probes = {-0.0, 0.0, 1.0, 2.0, -3.0, 4.5, 7.0,
+                                      std::numeric_limits<double>::infinity(),
+                                      -std::numeric_limits<double>::infinity()};
+  auto db = MakeDoubleDb(cols);
+  BTreeIndex idx(*db, KeyOn({0}));
+  for (double v : probes) {
+    std::vector<uint32_t> expected;
+    for (uint32_t r : idx.ScanAll()) {
+      if (cols[0][r] == v) expected.push_back(r);
+    }
+    const std::span<const uint32_t> got = idx.SeekEqual(v);
+    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), expected) << v;
+  }
+  EXPECT_TRUE(idx.SeekEqual(nan).empty());
+
+  // The cursor form returns the same runs over any probe order: ascending
+  // runs keep the cursor, anything else restarts it.
+  std::vector<double> order = probes;
+  for (int i = 0; i < 200; ++i) order.push_back(probes[rng.Index(probes.size())]);
+  std::sort(order.begin(), order.begin() + 40);
+  size_t cursor = 0;
+  double prev = 0;
+  for (double v : order) {
+    if (!(v > prev)) cursor = 0;
+    prev = v;
+    const std::span<const uint32_t> plain = idx.SeekEqual(v);
+    const std::span<const uint32_t> hinted = idx.SeekEqual(v, &cursor);
+    EXPECT_EQ(std::vector<uint32_t>(hinted.begin(), hinted.end()),
+              std::vector<uint32_t>(plain.begin(), plain.end()))
+        << v;
+  }
+
+  // NaN-free, composite: the leading-column seek's span.
+  for (double& v : cols[0]) {
+    if (std::isnan(v)) v = 1.0;
+  }
+  auto clean = MakeDoubleDb(cols);
+  for (const std::vector<int>& key : {std::vector<int>{0}, {0, 1}}) {
+    BTreeIndex cidx(*clean, KeyOn(key));
+    for (double v : probes) {
+      KeyRange eq;
+      eq.lower = {v};
+      eq.upper = {v};
+      eq.has_lower = eq.has_upper = true;
+      const std::span<const uint32_t> got = cidx.SeekEqual(v);
+      EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()),
+                cidx.SeekRange(eq))
+          << v;
+      size_t from_start = 0;
+      EXPECT_EQ(cidx.SeekEqual(v, &from_start).size(), got.size()) << v;
+    }
   }
 }
 

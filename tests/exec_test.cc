@@ -8,9 +8,11 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <unordered_map>
 
+#include "common/string_util.h"
 #include "exec/execution_cost.h"
 #include "exec/executor.h"
 #include "optimizer/plan_enumerator.h"
@@ -194,6 +196,96 @@ TEST(OperatorsTest, HashJoinOrderMatchesUnorderedMultimap) {
   }
 }
 
+// NaN keys meet nothing in a merge join, as in hash join. Cursors that
+// both sit on NaN must still advance (NaN == NaN is false, so a merge that
+// only steps on <, > or a matched run never would).
+TEST(OperatorsTest, MergeJoinNanKeysMeetNothing) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> lefts = {{nan, 1, 2}, {1, nan, 2}};
+  const std::vector<std::vector<double>> rights = {{nan, 1, 3}, {1, nan, 2}};
+  const std::vector<std::vector<uint32_t>> expected = {{1, 1}, {0, 0, 2, 2}};
+  for (size_t c = 0; c < lefts.size(); ++c) {
+    Database db("nan_merge");
+    for (const auto* keys : {&lefts[c], &rights[c]}) {
+      auto t = std::make_unique<Table>("t" + std::to_string(db.num_tables()));
+      Column* k = t->AddColumn("k", DataType::kDouble);
+      for (double v : *keys) k->AppendDouble(v);
+      t->SealRows();
+      db.AddTable(std::move(t));
+    }
+    RowSet left, right;
+    left.tables = {0};
+    left.ids = {0, 1, 2};
+    right.tables = {1};
+    right.ids = {0, 1, 2};
+    const RowSet out = MergeJoinRows(db, left, {0, 0}, right, {1, 0});
+    EXPECT_EQ(out.ids, expected[c]) << "case " << c;
+  }
+}
+
+// A NaN outer key rebinds a nested-loop inner to nothing, whether the
+// inner seeks an index on the join column or scans its table; every other
+// key meets its equal inner rows (-0.0 meeting +0.0) in index or table
+// order. Both engines.
+TEST(ExecutorTest, NestedLoopNanOuterKeyMatchesNothing) {
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    Rng rng(seed);
+    const auto owned = MakeTieDb(&rng, 80, /*with_nan=*/true);
+    const Database& db = *owned;
+    IndexDef def;
+    def.table_id = 1;
+    def.key_columns = {0};
+    for (const bool seek : {true, false}) {
+      for (const ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
+        PhysicalPlan plan;
+        plan.root = std::make_unique<PlanNode>();
+        PlanNode* nlj = plan.root.get();
+        nlj->op = PhysOp::kNestedLoopJoin;
+        nlj->join = {ColumnRef{0, 0}, ColumnRef{1, 0}};
+        auto outer = std::make_unique<PlanNode>();
+        outer->op = PhysOp::kTableScan;
+        outer->table_id = 0;
+        auto inner = std::make_unique<PlanNode>();
+        inner->op = seek ? PhysOp::kIndexSeek : PhysOp::kTableScan;
+        inner->table_id = 1;
+        if (seek) inner->index = def;
+        nlj->children.push_back(std::move(outer));
+        nlj->children.push_back(std::move(inner));
+
+        IndexManager indexes(&db);
+        Executor exec(&db, &indexes);
+        exec.set_mode(mode);
+        const ExecResult got = exec.Execute(&plan);
+
+        std::vector<uint32_t> inner_order(db.table(1).num_rows());
+        std::iota(inner_order.begin(), inner_order.end(), 0u);
+        if (seek) inner_order = indexes.GetOrBuild(def)->ScanAll();
+        std::vector<uint32_t> expected;
+        double access = 0;
+        for (uint32_t o = 0; o < db.table(0).num_rows(); ++o) {
+          const double v = ValueOf(db, {0, 0}, o);
+          for (uint32_t r : inner_order) {
+            if (ValueOf(db, {1, 0}, r) != v) continue;
+            expected.push_back(o);
+            expected.push_back(r);
+            access += seek ? 1 : 0;
+          }
+          access += seek ? 0 : static_cast<double>(inner_order.size());
+        }
+        const std::string ctx = StrFormat("seed %d seek %d mode %d",
+                                          static_cast<int>(seed), seek,
+                                          static_cast<int>(mode));
+        EXPECT_EQ(got.rows.ids, expected) << ctx;
+        const NodeStats& leaf = plan.root->child(1)->stats;
+        EXPECT_EQ(leaf.actual_executions, 80.0) << ctx;
+        EXPECT_EQ(leaf.actual_rows, static_cast<double>(expected.size() / 2))
+            << ctx;
+        EXPECT_EQ(leaf.actual_access_rows, access) << ctx;
+      }
+    }
+  }
+}
+
 TEST(OperatorsTest, SortRowsPermutationMatchesSortingTupleVectors) {
   for (uint64_t seed = 0; seed < 20; ++seed) {
     Rng rng(seed);
@@ -258,6 +350,40 @@ TEST(OperatorsTest, AggregateRowsComputesAllFunctions) {
   EXPECT_EQ(res.agg_values[0], (std::vector<double>{2, 30, 15, 10, 20}));
   EXPECT_EQ(res.group_keys[1][0], 2.0);
   EXPECT_EQ(res.agg_values[1], (std::vector<double>{3, 45, 15, 5, 25}));
+}
+
+// Group keys compare as doubles: -0.0 joins +0.0's group (keyed by the
+// first-seen zero), and each NaN row opens a group of its own.
+TEST(OperatorsTest, AggregateRowsGroupsKeysAsDoubles) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Database db("d");
+  auto t = std::make_unique<Table>("t");
+  Column* g = t->AddColumn("g", DataType::kDouble);
+  Column* v = t->AddColumn("v", DataType::kInt64);
+  const double gs[] = {0.0, -0.0, nan, 1.0, -0.0, nan, 0.0};
+  for (int i = 0; i < 7; ++i) {
+    g->AppendDouble(gs[i]);
+    v->AppendInt(i + 1);
+  }
+  t->SealRows();
+  db.AddTable(std::move(t));
+
+  RowSet in;
+  in.tables = {0};
+  for (uint32_t i = 0; i < 7; ++i) in.ids.push_back(i);
+  const AggResult res =
+      AggregateRows(db, in, {ColumnRef{0, 0}},
+                    {{AggFunc::kCount, {}}, {AggFunc::kSum, ColumnRef{0, 1}}});
+  ASSERT_EQ(res.size(), 4u);
+  EXPECT_EQ(res.group_keys[0][0], 0.0);
+  EXPECT_FALSE(std::signbit(res.group_keys[0][0]));
+  EXPECT_EQ(res.agg_values[0], (std::vector<double>{4, 15}));
+  EXPECT_TRUE(std::isnan(res.group_keys[1][0]));
+  EXPECT_EQ(res.agg_values[1], (std::vector<double>{1, 3}));
+  EXPECT_EQ(res.group_keys[2][0], 1.0);
+  EXPECT_EQ(res.agg_values[2], (std::vector<double>{1, 4}));
+  EXPECT_TRUE(std::isnan(res.group_keys[3][0]));
+  EXPECT_EQ(res.agg_values[3], (std::vector<double>{1, 6}));
 }
 
 // Naive reference evaluator for SPJA queries: filters each table, forms
