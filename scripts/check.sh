@@ -12,8 +12,8 @@
 #                               # under ThreadSanitizer with an 8-thread pool
 #   ASAN=1 scripts/check.sh     # additionally run the full suite under
 #                               # ASan+UBSan (-DAIMAI_SANITIZE=ON), then
-#                               # the exec, traffic, ml and inference
-#                               # label suites explicitly
+#                               # the exec, stats, traffic, ml and
+#                               # inference label suites explicitly
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +32,9 @@ ctest --test-dir build -L ml --output-on-failure -j
 # And the execution-engine suite (vectorized-vs-row bit-identity of
 # results, actual cardinalities, and derived costs).
 ctest --test-dir build -L exec --output-on-failure -j
+# And the column-statistics suite (the O(n) histogram build equals the
+# sort-based oracle bit for bit on every generated workload column).
+ctest --test-dir build -L stats --output-on-failure -j
 # And the service runtime suite (multi-session determinism, hot swap,
 # drain/checkpoint/resume).
 ctest --test-dir build -L service --output-on-failure -j
@@ -91,6 +94,9 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   # The batch kernels and arena allocator run the full exec parity suite
   # under ASan+UBSan (raw-pointer sweeps over column backing arrays).
   ctest --test-dir build-san -L exec --output-on-failure -j
+  # The histogram build sweeps raw column arrays and probes its hash
+  # set's raw slot array.
+  ctest --test-dir build-san -L stats --output-on-failure -j
   # The traffic engine suite runs its overload/accounting paths under
   # ASan+UBSan too (per-tenant maps mutated from the dispatch thread).
   ctest --test-dir build-san -L traffic --output-on-failure -j

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
-#include <numeric>
+#include <optional>
+#include <type_traits>
+#include <utility>
 
 #include "catalog/database.h"
 #include "common/check.h"
+#include "common/ordered_bits.h"
 
 namespace aimai {
 
@@ -51,49 +53,125 @@ size_t FirstFalse(size_t lo, size_t hi, Pred pred) {
 
 size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
 
-/// Unsigned integer whose order is the numeric order of `v`. -0.0 maps to
-/// +0.0's image, so the two tie exactly as they do under a double compare.
-uint64_t OrderedBits(double v) {
-  if (v == 0) v = 0.0;
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  constexpr uint64_t kSign = 1ULL << 63;
-  return (bits & kSign) != 0 ? ~bits : bits | kSign;
-}
-
-struct RadixEntry {
-  uint64_t key;
-  uint32_t row;
-};
-
-/// Stable LSD radix sort on `key`, one byte per pass; passes whose byte is
-/// the same for every entry are skipped (small integer domains touch only
-/// a few of the eight).
-void RadixSort(std::vector<RadixEntry>* entries) {
-  const size_t n = entries->size();
+/// Stable LSD radix sort of the parallel arrays `keys` and `rows` by key,
+/// one byte per pass; passes whose byte is the same for every key are
+/// skipped (small integer domains touch only a few of the eight).
+void RadixSort(std::vector<uint64_t>* keys, std::vector<uint32_t>* rows) {
+  const size_t n = keys->size();
+  AIMAI_CHECK(rows->size() == n);
   if (n < 2) return;
-  std::array<std::array<size_t, 256>, 8> counts{};
-  for (const RadixEntry& e : *entries) {
-    for (size_t d = 0; d < 8; ++d) ++counts[d][(e.key >> (8 * d)) & 0xff];
+  std::array<std::array<uint32_t, 256>, 8> counts{};
+  for (const uint64_t key : *keys) {
+    for (size_t d = 0; d < 8; ++d) ++counts[d][(key >> (8 * d)) & 0xff];
   }
-  std::vector<RadixEntry> scratch(n);
-  RadixEntry* src = entries->data();
-  RadixEntry* dst = scratch.data();
+  std::vector<uint64_t> key_scratch(n);
+  std::vector<uint32_t> row_scratch(n);
+  uint64_t* src_keys = keys->data();
+  uint32_t* src_rows = rows->data();
+  uint64_t* dst_keys = key_scratch.data();
+  uint32_t* dst_rows = row_scratch.data();
   for (size_t d = 0; d < 8; ++d) {
-    std::array<size_t, 256>& offset = counts[d];
-    if (offset[(src[0].key >> (8 * d)) & 0xff] == n) continue;
-    size_t sum = 0;
-    for (size_t& c : offset) {
-      const size_t here = c;
+    std::array<uint32_t, 256>& offset = counts[d];
+    const int shift = static_cast<int>(8 * d);
+    if (offset[(src_keys[0] >> shift) & 0xff] == n) continue;
+    uint32_t sum = 0;
+    for (uint32_t& c : offset) {
+      const uint32_t here = c;
       c = sum;
       sum += here;
     }
     for (size_t i = 0; i < n; ++i) {
-      dst[offset[(src[i].key >> (8 * d)) & 0xff]++] = src[i];
+      const uint64_t key = src_keys[i];
+      const uint32_t to = offset[(key >> shift) & 0xff]++;
+      dst_keys[to] = key;
+      dst_rows[to] = src_rows[i];
     }
-    std::swap(src, dst);
+    std::swap(src_keys, dst_keys);
+    std::swap(src_rows, dst_rows);
   }
-  if (src != entries->data()) std::copy(src, src + n, entries->data());
+  if (src_keys != keys->data()) {
+    keys->swap(key_scratch);
+    rows->swap(row_scratch);
+  }
+}
+
+/// The values [lo, lo + span] a count array over an integer column covers.
+struct DenseDomain {
+  int64_t lo = 0;
+  size_t span = 0;
+};
+
+/// The dense domain of integer values `v[0, n)` (int64 or dictionary
+/// codes): set when n > 0, every value lies within ±2^53 (where integer
+/// order is double order and distinct integers stay distinct doubles) and
+/// max - min is at most `BTreeIndex::kDenseSpanPerRow * n`.
+template <typename T>
+std::optional<DenseDomain> DenseDomainOf(const T* v, size_t n) {
+  if (n == 0) return std::nullopt;
+  const auto [mn, mx] = std::minmax_element(v, v + n);
+  const int64_t lo = *mn;
+  const int64_t hi = *mx;
+  constexpr int64_t kExact = int64_t{1} << 53;
+  if (lo < -kExact || hi > kExact) return std::nullopt;
+  const auto span = static_cast<size_t>(hi - lo);
+  if (span > BTreeIndex::kDenseSpanPerRow * n) return std::nullopt;
+  return DenseDomain{lo, span};
+}
+
+/// Calls `fn(row)` for each row id of `order`, or for 0..n-1 when `order`
+/// is empty (row-id order).
+template <typename Fn>
+void ForEachRow(const std::vector<uint32_t>& order, size_t n, Fn fn) {
+  if (order.empty()) {
+    for (size_t r = 0; r < n; ++r) fn(static_cast<uint32_t>(r));
+  } else {
+    for (uint32_t r : order) fn(r);
+  }
+}
+
+/// One stable counting-sort pass: the rows of `order` ordered by `v[row]`.
+/// When `keys` is set, the sorted keys go to `keys[i * stride]`, filled
+/// sequentially from the value counts.
+template <typename T>
+std::vector<uint32_t> CountingPass(const T* v, DenseDomain d,
+                                   const std::vector<uint32_t>& order,
+                                   size_t n, double* keys, size_t stride) {
+  std::vector<uint32_t> next(d.span + 1, 0);
+  auto slot = [&](uint32_t r) { return static_cast<size_t>(v[r] - d.lo); };
+  ForEachRow(order, n, [&](uint32_t r) { ++next[slot(r)]; });
+  uint32_t sum = 0;
+  for (uint32_t& c : next) {
+    const uint32_t here = c;
+    c = sum;
+    sum += here;
+  }
+  std::vector<uint32_t> out(n);
+  ForEachRow(order, n, [&](uint32_t r) { out[next[slot(r)]++] = r; });
+  if (keys != nullptr) {
+    // next[k] is now the end of value lo + k's run.
+    size_t i = 0;
+    for (size_t k = 0; k <= d.span; ++k) {
+      const auto key = static_cast<double>(d.lo + static_cast<int64_t>(k));
+      for (; i < next[k]; ++i) keys[i * stride] = key;
+    }
+  }
+  return out;
+}
+
+/// One stable radix pass: the rows of `order` ordered by the
+/// order-preserving bits of `v[row]`.
+template <typename T>
+std::vector<uint32_t> RadixPass(const T* v, const std::vector<uint32_t>& order,
+                                size_t n) {
+  std::vector<uint64_t> keys(n);
+  std::vector<uint32_t> rows(n);
+  size_t i = 0;
+  ForEachRow(order, n, [&](uint32_t r) {
+    keys[i] = OrderedBits(static_cast<double>(v[r]));
+    rows[i++] = r;
+  });
+  RadixSort(&keys, &rows);
+  return rows;
 }
 
 }  // namespace
@@ -104,44 +182,37 @@ BTreeIndex::BTreeIndex(const Database& db, IndexDef def)
   AIMAI_CHECK(width_ > 0);
   const Table& table = db.table(def_.table_id);
   const size_t n = table.num_rows();
+  auto key_column = [&](size_t c) -> const Column& {
+    return table.column(static_cast<size_t>(def_.key_columns[c]));
+  };
 
-  // Column-major copy of the key columns: columns[c * n + r].
-  std::vector<double> columns(width_ * n);
-  for (size_t c = 0; c < width_; ++c) {
-    const Column& col = table.column(static_cast<size_t>(def_.key_columns[c]));
-    double* dst = columns.data() + c * n;
-    for (size_t r = 0; r < n; ++r) dst[r] = col.NumericAt(r);
-  }
-
-  // Entry order: (key, row id) ascending — a total order, so any correct
-  // sort yields the one sequence.
-  rows_.resize(n);
-  if (width_ == 1) {
-    std::vector<RadixEntry> entries(n);
-    for (size_t r = 0; r < n; ++r) {
-      entries[r] = {OrderedBits(columns[r]), static_cast<uint32_t>(r)};
-    }
-    RadixSort(&entries);  // Stable: equal keys keep row-id order.
-    for (size_t i = 0; i < n; ++i) rows_[i] = entries[i].row;
-  } else {
-    std::iota(rows_.begin(), rows_.end(), 0u);
-    std::sort(rows_.begin(), rows_.end(),
-              [&columns, n, w = width_](uint32_t a, uint32_t b) {
-                for (size_t c = 0; c < w; ++c) {
-                  const double av = columns[c * n + a];
-                  const double bv = columns[c * n + b];
-                  if (av < bv) return true;
-                  if (av > bv) return false;
-                }
-                return a < b;
-              });
-  }
-
+  // Entry order: (key, row id) ascending, every key column compared by its
+  // order-preserving bits — a total order, so any correct sort yields the
+  // one sequence. LSD: one stable pass per key column, last column first,
+  // starting from row-id order (an empty `rows_`). On NaN-free keys this
+  // is the double order.
   keys_.resize(width_ * n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t c = 0; c < width_; ++c) {
-      keys_[i * width_ + c] = columns[c * n + rows_[i]];
-    }
+  bool lead_keys_filled = false;
+  for (size_t c = width_; c-- > 0;) {
+    VisitNumericData(key_column(c), [&](const auto* v) {
+      if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(*v)>>) {
+        if (const std::optional<DenseDomain> d = DenseDomainOf(v, n)) {
+          double* keys = c == 0 ? keys_.data() : nullptr;
+          rows_ = CountingPass(v, *d, rows_, n, keys, width_);
+          lead_keys_filled = keys != nullptr;
+          return;
+        }
+      }
+      rows_ = RadixPass(v, rows_, n);
+    });
+  }
+
+  for (size_t c = lead_keys_filled ? 1 : 0; c < width_; ++c) {
+    VisitNumericData(key_column(c), [&](const auto* v) {
+      for (size_t i = 0; i < n; ++i) {
+        keys_[i * width_ + c] = static_cast<double>(v[rows_[i]]);
+      }
+    });
   }
 }
 
@@ -188,9 +259,9 @@ std::span<const uint32_t> BTreeIndex::SeekEqual(double key) const {
 std::span<const uint32_t> BTreeIndex::SeekEqual(double key,
                                                 size_t* cursor) const {
   if (std::isnan(key)) return {};
-  // Search on the leading column's order-preserving bits: the entry order
-  // single-column keys were radix-sorted by, and the double order for
-  // composite keys. NaN entries map outside every non-NaN image.
+  // Search on the leading column's order-preserving bits, the order every
+  // entry sequence was sorted by. NaN entries map outside every non-NaN
+  // image.
   const uint64_t target = OrderedBits(key);
   auto lead = [this](size_t i) { return OrderedBits(keys_[i * width_]); };
   const size_t n = rows_.size();

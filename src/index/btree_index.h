@@ -36,7 +36,11 @@ struct KeyRange {
 /// A bulk-loaded B+-tree over read-only data is fully determined by its
 /// sorted entry sequence, so the index stores exactly that: one flat
 /// row-major key array (`num_entries × width` doubles) and the matching row
-/// ids, sorted by (key, row id). Leaves are implicit `kLeafCapacity`-entry
+/// ids, sorted by (key, row id) with every key column compared by its
+/// `OrderedBits` image (the double order on NaN-free keys). The bulk load
+/// is one stable pass per key column, last column first: a counting sort
+/// for integer columns with a dense domain (`kDenseSpanPerRow`), an LSD
+/// radix sort otherwise. Leaves are implicit `kLeafCapacity`-entry
 /// pages of that sequence and internal levels implicit `kInternalCapacity`-
 /// way fan-outs over them; seeks binary-search the sequence with the same
 /// prefix-compare semantics a root-to-leaf descent would apply.
@@ -44,6 +48,10 @@ class BTreeIndex {
  public:
   static constexpr int kLeafCapacity = 64;
   static constexpr int kInternalCapacity = 64;
+  /// An int64 or dictionary-code key column whose values lie within ±2^53
+  /// and span at most this many values per row sorts by counting (16 B/row
+  /// of uint32_t counts at most); any other column by radix.
+  static constexpr size_t kDenseSpanPerRow = 4;
 
   /// Builds the index over `db.table(def.table_id)`.
   BTreeIndex(const Database& db, IndexDef def);
@@ -71,9 +79,8 @@ class BTreeIndex {
   /// lead with a key below `key` (0 always qualifies; after a seek, a
   /// greater key may keep the cursor). The search gallops a few steps
   /// forward from the cursor before it bisects, so ascending probes cost
-  /// about the log of their distance. Returns SeekEqual(key) on every
-  /// entry sequence the leading key orders (all but composite keys holding
-  /// NaN) and leaves `*cursor` at the end of the returned run.
+  /// about the log of their distance. Returns SeekEqual(key) and leaves
+  /// `*cursor` at the end of the returned run.
   std::span<const uint32_t> SeekEqual(double key, size_t* cursor) const;
 
   /// Copying form of Seek.
@@ -81,6 +88,10 @@ class BTreeIndex {
 
   /// All row ids in key order (ordered index scan).
   std::vector<uint32_t> ScanAll() const { return rows_; }
+
+  /// The row-major key array in entry order: entry i's key columns are
+  /// `keys()[i * width, (i + 1) * width)`.
+  std::span<const double> keys() const { return keys_; }
 
   /// Number of leaf pages holding at least one entry within `range`.
   size_t CountLeafPages(const KeyRange& range) const;

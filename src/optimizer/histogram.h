@@ -21,7 +21,11 @@ namespace aimai {
 /// unreliable for comparing plans.
 class Histogram {
  public:
-  /// Builds over all rows of `col` with `num_buckets` equal-width buckets.
+  /// Builds over all rows of `col` with `num_buckets` equal-width buckets,
+  /// in O(n) with no sort: one pass for min/max, one that buckets every
+  /// row and counts each value as distinct the first time a hash set sees
+  /// it (-0.0 and +0.0 are one value). NaN rows count toward `row_count()`
+  /// only: they are in no bucket, no distinct count and neither bound.
   static Histogram Build(const Column& col, int num_buckets);
 
   /// Fraction of rows satisfying `bounds` (in [0, 1]).
@@ -33,6 +37,9 @@ class Histogram {
   double min() const { return min_; }
   double max() const { return max_; }
   int num_buckets() const { return static_cast<int>(counts_.size()); }
+  /// Rows and distinct values per bucket.
+  const std::vector<double>& bucket_counts() const { return counts_; }
+  const std::vector<double>& bucket_distincts() const { return distincts_; }
 
  private:
   double BucketWidth() const;

@@ -2,6 +2,8 @@
 
 #include <mutex>
 
+#include "obs/obs.h"
+
 namespace aimai {
 
 const Histogram& StatisticsCatalog::ColumnHistogram(int table_id,
@@ -15,6 +17,8 @@ const Histogram& StatisticsCatalog::ColumnHistogram(int table_id,
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = cache_.find(key);  // Re-check: another thread may have built.
   if (it != cache_.end()) return *it->second;
+  AIMAI_SPAN("stats.histogram_build");
+  AIMAI_COUNTER_INC("stats.histogram_builds");
   const Column& col =
       db_->table(table_id).column(static_cast<size_t>(column_id));
   auto hist =

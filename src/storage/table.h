@@ -80,6 +80,25 @@ class Column {
   std::vector<std::string> dict_;
 };
 
+/// Calls `fn(data)` with the column's typed backing array — `const
+/// int64_t*`, `const double*` or `const int32_t*` (dictionary codes) — so a
+/// sweep over the numeric view (`static_cast<double>(data[row])` equals
+/// `NumericAt(row)`) pays no per-row type switch.
+template <typename Fn>
+void VisitNumericData(const Column& col, Fn&& fn) {
+  switch (col.type()) {
+    case DataType::kInt64:
+      fn(col.ints_data());
+      return;
+    case DataType::kDouble:
+      fn(col.doubles_data());
+      return;
+    case DataType::kString:
+      fn(col.codes_data());
+      return;
+  }
+}
+
 /// An in-memory table: a set of equal-length columns. Tables are built once
 /// by the data generators and then read-only during experiments.
 class Table {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -11,6 +12,7 @@
 #include <string>
 
 #include "catalog/database.h"
+#include "common/ordered_bits.h"
 #include "index/btree_index.h"
 #include "index/index_manager.h"
 #include "obs/metrics.h"
@@ -279,12 +281,21 @@ KeyRange RandomRange(const Columns& cols, const std::vector<int>& key,
   return range;
 }
 
-void ExpectMatchesOracle(const Columns& cols, const std::vector<int>& key,
-                         uint64_t seed) {
-  auto db = MakeDoubleDb(cols);
-  BTreeIndex idx(*db, KeyOn(key));
+// `cols` is the numeric view of `db`'s table 0.
+void ExpectIndexMatchesOracle(const Database& db, const Columns& cols,
+                              const std::vector<int>& key, uint64_t seed) {
+  BTreeIndex idx(db, KeyOn(key));
   const std::vector<uint32_t> order = OracleOrder(cols, key);
   ASSERT_EQ(idx.ScanAll(), order);
+  std::vector<uint64_t> want_keys;
+  for (uint32_t r : order) {
+    for (double v : KeyOf(cols, key, r)) {
+      want_keys.push_back(std::bit_cast<uint64_t>(v));
+    }
+  }
+  std::vector<uint64_t> got_keys;
+  for (double v : idx.keys()) got_keys.push_back(std::bit_cast<uint64_t>(v));
+  ASSERT_EQ(got_keys, want_keys);
 
   Rng rng(seed);
   for (int trial = 0; trial < 60; ++trial) {
@@ -300,6 +311,11 @@ void ExpectMatchesOracle(const Columns& cols, const std::vector<int>& key,
     ASSERT_EQ(idx.SeekRange(range), expected) << "trial " << trial;
     ASSERT_EQ(idx.CountLeafPages(range), pages.size()) << "trial " << trial;
   }
+}
+
+void ExpectMatchesOracle(const Columns& cols, const std::vector<int>& key,
+                         uint64_t seed) {
+  ExpectIndexMatchesOracle(*MakeDoubleDb(cols), cols, key, seed);
 }
 
 TEST(BTreeFlatTest, NegativeDoublesMatchStableSortOracle) {
@@ -368,6 +384,157 @@ TEST(BTreeFlatTest, CompositeKeysMatchStableSortOracle) {
   ExpectMatchesOracle(cols, {0, 2}, 4);
   ExpectMatchesOracle(cols, {2, 0, 1}, 5);
   ExpectMatchesOracle(cols, {1, 2}, 6);
+}
+
+// Integer key columns (int64 or dictionary codes) with a dense domain take
+// the counting-sort bulk load; every other column the radix sort. Both
+// must yield the stable-sort oracle's entry sequence.
+
+// One table of int64 (`kInt64`) or dictionary-code (`kString`) columns;
+// returns their numeric view in `view`.
+std::unique_ptr<Database> MakeIntDb(const std::vector<std::vector<int64_t>>& cols,
+                                    DataType type, Columns* view) {
+  auto db = std::make_unique<Database>("int_db");
+  auto t = std::make_unique<Table>("t");
+  view->assign(cols.size(), {});
+  for (size_t c = 0; c < cols.size(); ++c) {
+    Column* col = t->AddColumn("c" + std::to_string(c), type);
+    if (type == DataType::kString) {
+      const int64_t top = *std::max_element(cols[c].begin(), cols[c].end());
+      std::vector<std::string> dict;
+      for (int64_t k = 0; k <= top; ++k) {
+        dict.push_back(std::string(12 - std::to_string(k).size(), '0') +
+                       std::to_string(k));
+      }
+      col->SetDictionary(std::move(dict));
+    }
+    for (int64_t v : cols[c]) {
+      if (type == DataType::kString) {
+        col->AppendCode(static_cast<int32_t>(v));
+      } else {
+        col->AppendInt(v);
+      }
+    }
+    for (size_t r = 0; r < cols[c].size(); ++r) {
+      (*view)[c].push_back(col->NumericAt(r));
+    }
+  }
+  t->SealRows();
+  db->AddTable(std::move(t));
+  return db;
+}
+
+void ExpectIntKeysMatchOracle(const std::vector<std::vector<int64_t>>& cols,
+                              DataType type, const std::vector<int>& key,
+                              uint64_t seed) {
+  Columns view;
+  auto db = MakeIntDb(cols, type, &view);
+  ExpectIndexMatchesOracle(*db, view, key, seed);
+}
+
+// `n` values in [lo, lo + span], both ends present, shuffled.
+std::vector<int64_t> SpanValues(size_t n, int64_t lo, int64_t span, Rng* rng) {
+  std::vector<int64_t> v = {lo, lo + span};
+  while (v.size() < n) v.push_back(lo + rng->UniformInt(0, span));
+  rng->Shuffle(&v);
+  return v;
+}
+
+TEST(BTreeDenseTest, SpansAroundTheDensityCutoffMatchOracle) {
+  Rng rng(31);
+  const size_t n = 700;
+  const auto cutoff = static_cast<int64_t>(BTreeIndex::kDenseSpanPerRow * n);
+  for (int64_t span : {cutoff - 1, cutoff, cutoff + 1, int64_t{0}, int64_t{1}}) {
+    ExpectIntKeysMatchOracle({SpanValues(n, 17, span, &rng)},
+                             DataType::kInt64, {0}, 40);
+    ExpectIntKeysMatchOracle({SpanValues(n, 0, span, &rng)},
+                             DataType::kString, {0}, 41);
+  }
+}
+
+TEST(BTreeDenseTest, NegativeIntKeysMatchOracle) {
+  Rng rng(32);
+  ExpectIntKeysMatchOracle({SpanValues(900, -2500, 1800, &rng)},
+                           DataType::kInt64, {0}, 42);
+  ExpectIntKeysMatchOracle({SpanValues(900, -40, 80, &rng)}, DataType::kInt64,
+                           {0}, 43);
+}
+
+TEST(BTreeDenseTest, KeysStraddlingTwoToThe53MatchOracle) {
+  // Past ±2^53 neighbouring integers share a double, so a tiny span must
+  // still take the radix path over the numeric view: ties there fall back
+  // to row-id order.
+  constexpr int64_t k53 = int64_t{1} << 53;
+  Rng rng(33);
+  for (int64_t lo : {k53 - 6, -k53 - 6, k53 - 300, -k53, k53 - 40}) {
+    ExpectIntKeysMatchOracle({SpanValues(600, lo, 12, &rng)},
+                             DataType::kInt64, {0}, 44);
+  }
+  // Exactly ±2^53 at the ends still qualifies for the counting sort.
+  std::vector<int64_t> edges = SpanValues(600, k53 - 20, 20, &rng);
+  edges.push_back(k53);
+  ExpectIntKeysMatchOracle({edges}, DataType::kInt64, {0}, 45);
+}
+
+TEST(BTreeDenseTest, HeavyDuplicateRunsAcrossPagesMatchOracle) {
+  Rng rng(34);
+  std::vector<int64_t> values;
+  for (int64_t v : {5, -3, 9, 0, 2}) {
+    const size_t run = 1 + rng.Index(5 * BTreeIndex::kLeafCapacity);
+    for (size_t i = 0; i < run; ++i) values.push_back(v);
+  }
+  for (size_t i = 0; i < 400; ++i) values.push_back(rng.UniformInt(-3, 9));
+  ExpectIntKeysMatchOracle({values}, DataType::kInt64, {0}, 46);
+  for (int64_t& v : values) v += 3;
+  ExpectIntKeysMatchOracle({values}, DataType::kString, {0}, 47);
+}
+
+TEST(BTreeDenseTest, CompositeIntKeysMixCountingAndRadixPasses) {
+  // Column 0 dense, column 1 too wide for a counting sort, column 2 dense
+  // with heavy ties: every pass order over them matches the oracle.
+  Rng rng(35);
+  const size_t n = 1200;
+  std::vector<std::vector<int64_t>> cols(3);
+  for (size_t r = 0; r < n; ++r) {
+    cols[0].push_back(rng.UniformInt(-6, 6));
+    cols[1].push_back(rng.UniformInt(0, 3) * 1000000);
+    cols[2].push_back(rng.UniformInt(0, 2));
+  }
+  ExpectIntKeysMatchOracle(cols, DataType::kInt64, {0, 1}, 48);
+  ExpectIntKeysMatchOracle(cols, DataType::kInt64, {1, 2, 0}, 49);
+  ExpectIntKeysMatchOracle(cols, DataType::kInt64, {2, 0}, 50);
+}
+
+TEST(BTreeDenseTest, CompositeNanKeysOrderLikeSingleColumnKeys) {
+  // Every key column sorts by its OrderedBits image: a negative NaN first,
+  // a positive NaN last, ties in row-id order — for composite keys too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(36);
+  Columns cols(2);
+  for (int i = 0; i < 600; ++i) {
+    const double lead[] = {nan, -nan, -1.0, 0.0, -0.0, 3.0};
+    cols[0].push_back(lead[rng.Index(6)]);
+    cols[1].push_back(rng.Bernoulli(0.1) ? nan
+                                         : static_cast<double>(rng.UniformInt(0, 4)));
+  }
+  auto image = [&](uint32_t r) {
+    return std::make_pair(OrderedBits(cols[0][r]), OrderedBits(cols[1][r]));
+  };
+  std::vector<uint32_t> want(cols[0].size());
+  std::iota(want.begin(), want.end(), 0u);
+  std::stable_sort(want.begin(), want.end(), [&](uint32_t a, uint32_t b) {
+    return image(a) < image(b);
+  });
+  auto db = MakeDoubleDb(cols);
+  EXPECT_EQ(BTreeIndex(*db, KeyOn({0, 1})).ScanAll(), want);
+
+  std::vector<uint32_t> lead_only(cols[0].size());
+  std::iota(lead_only.begin(), lead_only.end(), 0u);
+  std::stable_sort(lead_only.begin(), lead_only.end(),
+                   [&](uint32_t a, uint32_t b) {
+                     return OrderedBits(cols[0][a]) < OrderedBits(cols[0][b]);
+                   });
+  EXPECT_EQ(BTreeIndex(*db, KeyOn({0})).ScanAll(), lead_only);
 }
 
 TEST(BTreeFlatTest, HeightFollowsPageArithmetic) {

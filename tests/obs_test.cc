@@ -12,10 +12,12 @@
 #include <thread>
 #include <vector>
 
+#include "catalog/database.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "optimizer/statistics.h"
 #include "robustness/resilience.h"
 
 namespace aimai {
@@ -216,6 +218,35 @@ TEST(SpanTest, MacroRegistersLatencyHistogram) {
     AIMAI_SPAN("obstest.macro_span");
   }
   EXPECT_EQ(h->count(), before + 1);
+}
+
+// Column statistics are built lazily inside what-if optimization; their
+// span and counter record the catalog's cache misses only, like
+// `index.build`.
+TEST(StatisticsObsTest, HistogramBuildSpanCountsOnlyCacheMisses) {
+  Database db("stats_db");
+  auto table = std::make_unique<Table>("t");
+  Column* a = table->AddColumn("a", DataType::kInt64);
+  Column* b = table->AddColumn("b", DataType::kDouble);
+  for (int i = 0; i < 100; ++i) {
+    a->AppendInt(i % 7);
+    b->AppendDouble(i * 0.5);
+  }
+  table->SealRows();
+  db.AddTable(std::move(table));
+  StatisticsCatalog stats(&db);
+  obs::Counter* builds = Registry().GetCounter("stats.histogram_builds");
+  Histogram* span = Registry().GetHistogram("stats.histogram_build.ns");
+  const int64_t builds0 = builds->value();
+  const int64_t spans0 = span->count();
+  const auto& first = stats.ColumnHistogram(0, 0);
+  EXPECT_EQ(&stats.ColumnHistogram(0, 0), &first);
+  EXPECT_EQ(stats.DistinctCount(0, 0), 7);
+  EXPECT_EQ(builds->value() - builds0, 1);
+  EXPECT_EQ(span->count() - spans0, 1);
+  EXPECT_EQ(stats.DistinctCount(0, 1), 100);
+  EXPECT_EQ(builds->value() - builds0, 2);
+  EXPECT_EQ(span->count() - spans0, 2);
 }
 
 #endif  // !AIMAI_OBS_DISABLED
