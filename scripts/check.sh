@@ -24,7 +24,8 @@ ctest --test-dir build --output-on-failure -j
 ctest --test-dir build -L obs --output-on-failure -j
 # So must the concurrency suite (the TSan stage below depends on it).
 ctest --test-dir build -L parallel --output-on-failure -j
-# And the inference fast-path suite (bit-identity of batched predict).
+# And the inference fast-path suite (compiled forests equal node-chasing
+# trees bit for bit, zero-allocation wrappers, the feature memo).
 ctest --test-dir build -L inference --output-on-failure -j
 # And the tree-learner suite (golden Save() hashes of every tree ensemble,
 # the column-major bin matrix every tree of a fit reads).

@@ -14,36 +14,6 @@ void CompiledForest::Reset(size_t payload_stride) {
   right_.clear();
   payload_.clear();
   leaf_values_.clear();
-  down_.clear();
-  leaf_scalar_.clear();
-}
-
-void CompiledForest::Finalize() {
-  down_.resize(feature_.size());
-  for (size_t u = 0; u < feature_.size(); ++u) {
-    int32_t dl;
-    int32_t dr;
-    if (feature_[u] < 0) {
-      // Leaf: never descended through, but keep the encoding consistent.
-      dl = ~static_cast<int32_t>(u);
-      dr = dl;
-    } else {
-      const int32_t l = left_[u];
-      const int32_t r = right_[u];
-      dl = feature_[static_cast<size_t>(l)] < 0 ? ~l : l;
-      dr = feature_[static_cast<size_t>(r)] < 0 ? ~r : r;
-    }
-    down_[u] = (static_cast<int64_t>(dl) << 32) |
-               static_cast<int64_t>(static_cast<uint32_t>(dr));
-  }
-  if (payload_stride_ == 1) {
-    leaf_scalar_.assign(feature_.size(), 0.0);
-    for (size_t u = 0; u < feature_.size(); ++u) {
-      if (feature_[u] < 0) {
-        leaf_scalar_[u] = leaf_values_[static_cast<size_t>(payload_[u])];
-      }
-    }
-  }
 }
 
 void CompiledForest::BeginTree() {

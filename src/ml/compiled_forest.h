@@ -1,7 +1,6 @@
 #ifndef AIMAI_ML_COMPILED_FOREST_H_
 #define AIMAI_ML_COMPILED_FOREST_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -18,12 +17,7 @@ namespace aimai {
 ///
 /// The accumulate helpers visit trees in insertion order and add payloads
 /// in that order, so every compiled result is bit-identical to the
-/// node-chasing scalar path it replaces. The batch variants run tree-outer
-/// over a row block and descend the whole block through each tree one
-/// level per pass (DescendBlock): the rows' node lookups are independent,
-/// so their cache misses overlap instead of serialising on one row's
-/// root-to-leaf pointer chain. Per row, contributions still arrive in
-/// tree order, so batching never changes the floating-point result.
+/// node-chasing scalar path it replaces.
 class CompiledForest {
  public:
   bool empty() const { return roots_.empty(); }
@@ -42,13 +36,6 @@ class CompiledForest {
   void AddSplit(int feature, double threshold, int left, int right);
   /// Appends a leaf, copying `payload_stride` doubles from `payload`.
   void AddLeaf(const double* payload);
-
-  /// Builds the leaf-encoded child tables the batch accumulators descend
-  /// through (a child that is a leaf is stored as `~child`, so reaching a
-  /// leaf is visible in the sign bit of the id itself — no extra node
-  /// load). Must be called after the last tree is compiled in and before
-  /// any Accumulate*Batch call; idempotent.
-  void Finalize();
 
   /// Leaf payload for example `x` in tree `t` (iterative descent).
   const double* Leaf(size_t t, const double* x) const {
@@ -79,204 +66,7 @@ class CompiledForest {
     }
   }
 
-  /// Rows per interleaved descent block for bagging ensembles. Deep
-  /// (depth ~24) trees want a wide block: late levels leave few rows
-  /// active, and a wide block keeps enough independent lookups in flight
-  /// to hide cache latency.
-  static constexpr size_t kBagBlock = 128;
-  /// Rows per block for boosting ensembles. Shallow (depth ~6) trees
-  /// rarely starve the pipeline, so the win is keeping the block's row
-  /// values L1-resident across the handful of level passes.
-  static constexpr size_t kBoostBlock = 32;
-
-  /// Batched AccumulateAll over `n` rows of `stride` doubles each,
-  /// accumulating into out[r * payload_stride + c]. Blocks rows
-  /// internally and runs tree-outer within each block; after the first
-  /// tree, each level-0 sweep also folds in the previous tree's payloads
-  /// (same rows, same pass), halving the block sweeps per tree. Per row
-  /// the payload still lands before the next tree's, in tree order, so
-  /// the sums are bit-identical to the unfused schedule.
-  void AccumulateAllBatch(const double* rows, size_t n, size_t stride,
-                          double* out) const {
-    int32_t ids[kBagBlock];
-    int64_t act[kBagBlock];
-    const size_t num_trees = roots_.size();
-    for (size_t start = 0; start < n; start += kBagBlock) {
-      const size_t bn = std::min(kBagBlock, n - start);
-      const double* block = rows + start * stride;
-      double* bout = out + start * payload_stride_;
-      DescendBlock(roots_[0], block, bn, stride, ids, act);
-      for (size_t t = 1; t < num_trees; ++t) {
-        const size_t ru = static_cast<size_t>(roots_[t]);
-        if (feature_[ru] < 0) {
-          const int32_t enc = ~roots_[t];
-          for (size_t r = 0; r < bn; ++r) {
-            AddPayload(ids[r], bout + r * payload_stride_);
-            ids[r] = enc;
-          }
-          continue;
-        }
-        const size_t f0 = static_cast<size_t>(feature_[ru]);
-        const double t0 = threshold_[ru];
-        const int64_t d0 = down_[ru];
-        const int32_t dl0 = static_cast<int32_t>(d0 >> 32);
-        const int32_t dr0 = static_cast<int32_t>(d0);
-        size_t na = 0;
-        for (size_t r = 0; r < bn; ++r) {
-          AddPayload(ids[r], bout + r * payload_stride_);
-          const int32_t next = block[r * stride + f0] <= t0 ? dl0 : dr0;
-          ids[r] = next;
-          act[na] =
-              (static_cast<int64_t>(next) << 32) | static_cast<int64_t>(r);
-          na += static_cast<size_t>(next >= 0);
-        }
-        DescendTail(block, stride, ids, act, na);
-      }
-      for (size_t r = 0; r < bn; ++r) {
-        AddPayload(ids[r], bout + r * payload_stride_);
-      }
-    }
-  }
-
-  /// Batched AccumulateRoundRobin: out[r * k + t % k] accumulates.
-  /// Boosting trees are shallow, so the per-tree block sweeps dominate;
-  /// after the first tree, each level-0 sweep also folds in the previous
-  /// tree's payloads (same rows, same pass), halving the sweeps per tree.
-  /// Per row the payload still lands before the next tree's, in tree
-  /// order, so the sums are bit-identical to the unfused schedule.
-  void AccumulateRoundRobinBatch(const double* rows, size_t n, size_t stride,
-                                 size_t k, double scale, double* out) const {
-    int32_t ids[kBoostBlock];
-    int64_t act[kBoostBlock];
-    const size_t num_trees = roots_.size();
-    for (size_t start = 0; start < n; start += kBoostBlock) {
-      const size_t bn = std::min(kBoostBlock, n - start);
-      const double* block = rows + start * stride;
-      double* bout = out + start * k;
-      DescendBlock(roots_[0], block, bn, stride, ids, act);
-      for (size_t t = 1; t < num_trees; ++t) {
-        const size_t pc = (t - 1) % k;
-        const size_t ru = static_cast<size_t>(roots_[t]);
-        if (feature_[ru] < 0) {
-          const int32_t enc = ~roots_[t];
-          for (size_t r = 0; r < bn; ++r) {
-            bout[r * k + pc] += scale * LeafValue(ids[r]);
-            ids[r] = enc;
-          }
-          continue;
-        }
-        const size_t f0 = static_cast<size_t>(feature_[ru]);
-        const double t0 = threshold_[ru];
-        const int64_t d0 = down_[ru];
-        const int32_t dl0 = static_cast<int32_t>(d0 >> 32);
-        const int32_t dr0 = static_cast<int32_t>(d0);
-        size_t na = 0;
-        for (size_t r = 0; r < bn; ++r) {
-          bout[r * k + pc] += scale * LeafValue(ids[r]);
-          const int32_t next = block[r * stride + f0] <= t0 ? dl0 : dr0;
-          ids[r] = next;
-          act[na] =
-              (static_cast<int64_t>(next) << 32) | static_cast<int64_t>(r);
-          na += static_cast<size_t>(next >= 0);
-        }
-        DescendTail(block, stride, ids, act, na);
-      }
-      const size_t pc = (num_trees - 1) % k;
-      for (size_t r = 0; r < bn; ++r) {
-        bout[r * k + pc] += scale * LeafValue(ids[r]);
-      }
-    }
-  }
-
  private:
-  /// Descends a block of rows through one tree, leaving `~leaf_id` (the
-  /// Finalize() leaf encoding) in ids[r] for each row. Every pass advances
-  /// all still-active rows one level; rows whose new id is negative (a
-  /// leaf) are compacted out of the active list branchlessly
-  /// (store-then-conditionally-advance), and the child select compiles to
-  /// a conditional move. Each active entry packs (node id << 32 | row), so
-  /// a pass touches five cache loads per row-level: the entry, the node's
-  /// feature/threshold/packed-children, and the row's feature value.
-  /// Different rows' loads are independent, so they pipeline — this, not
-  /// the flat layout alone, is where the batch speedup over row-at-a-time
-  /// descent comes from. Each row follows exactly the comparisons Leaf()
-  /// would make, so the chosen leaf (and hence the accumulated result) is
-  /// bit-identical.
-  void DescendBlock(int32_t root, const double* block, size_t bn,
-                    size_t stride, int32_t* ids, int64_t* act) const {
-    const size_t ru = static_cast<size_t>(root);
-    if (feature_[ru] < 0) {
-      const int32_t enc = ~root;
-      for (size_t r = 0; r < bn; ++r) ids[r] = enc;
-      return;
-    }
-    // Level 0 fused with the active-list setup: the root's fields are the
-    // same for every row, so they are hoisted out of the loop.
-    const size_t f0 = static_cast<size_t>(feature_[ru]);
-    const double t0 = threshold_[ru];
-    const int64_t d0 = down_[ru];
-    const int32_t dl0 = static_cast<int32_t>(d0 >> 32);
-    const int32_t dr0 = static_cast<int32_t>(d0);
-    size_t na = 0;
-    for (size_t r = 0; r < bn; ++r) {
-      const int32_t next = block[r * stride + f0] <= t0 ? dl0 : dr0;
-      ids[r] = next;
-      act[na] = (static_cast<int64_t>(next) << 32) | static_cast<int64_t>(r);
-      na += static_cast<size_t>(next >= 0);
-    }
-    DescendTail(block, stride, ids, act, na);
-  }
-
-  /// Levels 1+ of DescendBlock: drains the active list built by a level-0
-  /// sweep.
-  void DescendTail(const double* block, size_t stride, int32_t* ids,
-                   int64_t* act, size_t na) const {
-    while (na > 0) {
-      size_t m = 0;
-      for (size_t i = 0; i < na; ++i) {
-        const int64_t e = act[i];
-        const size_t u = static_cast<size_t>(e >> 32);
-        const size_t r = static_cast<uint32_t>(e);
-        const int64_t d = down_[u];
-        const int32_t go_left = static_cast<int32_t>(d >> 32);
-        const int32_t go_right = static_cast<int32_t>(d);
-        const int32_t next =
-            block[r * stride + static_cast<size_t>(feature_[u])] <=
-                    threshold_[u]
-                ? go_left
-                : go_right;
-        ids[r] = next;
-        act[m] =
-            (static_cast<int64_t>(next) << 32) | static_cast<int64_t>(r);
-        m += static_cast<size_t>(next >= 0);
-      }
-      na = m;
-    }
-  }
-
-  /// Payload value behind a `~leaf_id`-encoded descent result (stride-1
-  /// forests). leaf_scalar_ flattens the payload_ indirection into one
-  /// gather.
-  double LeafValue(int32_t enc_id) const {
-    return leaf_scalar_[static_cast<size_t>(~enc_id)];
-  }
-
-  /// Adds the full payload behind a `~leaf_id`-encoded descent result
-  /// into out[0..payload_stride). The three-class case (the comparator's
-  /// label space) is unrolled — the stride test predicts perfectly, a
-  /// data-dependent per-leaf branch would not.
-  void AddPayload(int32_t enc_id, double* out) const {
-    const double* p = &leaf_values_[static_cast<size_t>(
-        payload_[static_cast<size_t>(~enc_id)])];
-    if (payload_stride_ == 3) {
-      out[0] += p[0];
-      out[1] += p[1];
-      out[2] += p[2];
-      return;
-    }
-    for (size_t c = 0; c < payload_stride_; ++c) out[c] += p[c];
-  }
-
   size_t payload_stride_ = 1;
   std::vector<int32_t> roots_;      // First node id of each tree.
   std::vector<int32_t> feature_;    // -1 marks a leaf.
@@ -285,12 +75,6 @@ class CompiledForest {
   std::vector<int32_t> right_;
   std::vector<int32_t> payload_;    // Leaf offset into leaf_values_.
   std::vector<double> leaf_values_;
-  // Finalize() products for the batch path: (left << 32 | right) per
-  // split, where a child that is a leaf is stored as ~child, so descent
-  // ends when the selected id goes negative; and, for stride-1 forests,
-  // each leaf's payload value indexed by node id.
-  std::vector<int64_t> down_;
-  std::vector<double> leaf_scalar_;
 };
 
 }  // namespace aimai

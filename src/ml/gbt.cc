@@ -83,7 +83,6 @@ void GradientBoostedTrees::Fit(const Dataset& train) {
 void GradientBoostedTrees::Compile() {
   compiled_.Reset(1);
   for (const auto& tree : trees_) tree->CompileInto(&compiled_);
-  compiled_.Finalize();
 }
 
 void GradientBoostedTrees::PredictProbaInto(const double* x,
@@ -94,17 +93,6 @@ void GradientBoostedTrees::PredictProbaInto(const double* x,
   std::fill(out, out + k, 0.0);
   compiled_.AccumulateRoundRobin(x, k, options_.learning_rate, out);
   SoftmaxInPlace(out, k);
-}
-
-void GradientBoostedTrees::PredictBatch(const double* rows, size_t n,
-                                        size_t stride, double* out) const {
-  AIMAI_SPAN("ml.gbt.predict_batch");
-  AIMAI_CHECK(!compiled_.empty());
-  const size_t k = static_cast<size_t>(num_classes_);
-  std::fill(out, out + n * k, 0.0);
-  compiled_.AccumulateRoundRobinBatch(rows, n, stride, k,
-                                      options_.learning_rate, out);
-  for (size_t i = 0; i < n; ++i) SoftmaxInPlace(out + i * k, k);
 }
 
 std::vector<double> GradientBoostedTrees::PredictProbaScalar(
@@ -176,7 +164,6 @@ void GradientBoostedTreesRegressor::Fit(const Dataset& train) {
 void GradientBoostedTreesRegressor::Compile() {
   compiled_.Reset(1);
   for (const auto& tree : trees_) tree->CompileInto(&compiled_);
-  compiled_.Finalize();
 }
 
 void GradientBoostedTreesRegressor::Save(TokenWriter* w) const {
@@ -206,15 +193,6 @@ double GradientBoostedTreesRegressor::Predict(const double* x) const {
   double out = base_;
   compiled_.AccumulateRoundRobin(x, 1, options_.learning_rate, &out);
   return out;
-}
-
-void GradientBoostedTreesRegressor::PredictBatch(const double* rows, size_t n,
-                                                 size_t stride,
-                                                 double* out) const {
-  AIMAI_CHECK(!compiled_.empty());
-  std::fill(out, out + n, base_);
-  compiled_.AccumulateRoundRobinBatch(rows, n, stride, 1,
-                                      options_.learning_rate, out);
 }
 
 double GradientBoostedTreesRegressor::PredictScalar(const double* x) const {

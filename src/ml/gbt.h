@@ -29,10 +29,8 @@ class GradientBoostedTrees : public Classifier {
 
   void Fit(const Dataset& train) override;
   void PredictProbaInto(const double* x, double* out) const override;
-  void PredictBatch(const double* rows, size_t n, size_t stride,
-                    double* out) const override;
 
-  /// Reference node-chasing path (bit-identity tests / benchmarks).
+  /// Reference node-chasing path (bit-identity tests).
   std::vector<double> PredictProbaScalar(const double* x) const;
 
   void Save(TokenWriter* w) const;
@@ -59,10 +57,8 @@ class GradientBoostedTreesRegressor : public Regressor {
 
   void Fit(const Dataset& train) override;
   double Predict(const double* x) const override;
-  void PredictBatch(const double* rows, size_t n, size_t stride,
-                    double* out) const override;
 
-  /// Reference node-chasing path (bit-identity tests / benchmarks).
+  /// Reference node-chasing path (bit-identity tests).
   double PredictScalar(const double* x) const;
 
   void Save(TokenWriter* w) const;

@@ -220,7 +220,6 @@ void HistGradientBoosting::Compile() {
       }
     }
   }
-  compiled_.Finalize();
 }
 
 void HistGradientBoosting::Save(TokenWriter* w) const {
@@ -269,17 +268,6 @@ void HistGradientBoosting::PredictProbaInto(const double* x,
   std::fill(out, out + k, 0.0);
   compiled_.AccumulateRoundRobin(x, k, options_.learning_rate, out);
   SoftmaxInPlace(out, k);
-}
-
-void HistGradientBoosting::PredictBatch(const double* rows, size_t n,
-                                        size_t stride, double* out) const {
-  AIMAI_SPAN("ml.lgbm.predict_batch");
-  AIMAI_CHECK(!compiled_.empty());
-  const size_t k = static_cast<size_t>(num_classes_);
-  std::fill(out, out + n * k, 0.0);
-  compiled_.AccumulateRoundRobinBatch(rows, n, stride, k,
-                                      options_.learning_rate, out);
-  for (size_t i = 0; i < n; ++i) SoftmaxInPlace(out + i * k, k);
 }
 
 std::vector<double> HistGradientBoosting::PredictProbaScalar(

@@ -11,7 +11,7 @@ namespace aimai {
 
 /// In-place softmax over s[0..k). Every classifier in this library uses
 /// this exact operation order (max over all entries starting from s[0],
-/// one exp/accumulate pass, one divide pass), so scalar, batched, and
+/// one exp/accumulate pass, one divide pass), so node-chasing and
 /// compiled paths produce bit-identical probabilities.
 inline void SoftmaxInPlace(double* s, size_t k) {
   double mx = s[0];
@@ -31,11 +31,9 @@ inline void SoftmaxInPlace(double* s, size_t k) {
 ///
 /// `PredictProbaInto` is the primitive every model implements: it writes
 /// num_classes() probabilities into a caller-provided buffer with no heap
-/// allocation. `PredictBatch` is the batched entry point the tuner's
-/// comparator uses at candidate-enumeration scale; the default loops the
-/// scalar primitive, and the compiled tree ensembles override it with
-/// blocked structure-of-arrays traversals. Both are bit-identical to the
-/// scalar path by contract (same floating-point operation order).
+/// allocation; the tree ensembles answer it from compiled
+/// structure-of-arrays forests, bit-identical to their node-chasing
+/// reference paths (same floating-point operation order).
 class Classifier {
  public:
   virtual ~Classifier() = default;
@@ -44,17 +42,6 @@ class Classifier {
 
   /// Writes class probabilities for one example into out[0..num_classes).
   virtual void PredictProbaInto(const double* x, double* out) const = 0;
-
-  /// Class probabilities for `n` examples laid out as rows of `stride`
-  /// doubles (stride >= feature dim); writes n * num_classes values
-  /// row-major into `out`.
-  virtual void PredictBatch(const double* rows, size_t n, size_t stride,
-                            double* out) const {
-    const size_t k = static_cast<size_t>(num_classes_);
-    for (size_t i = 0; i < n; ++i) {
-      PredictProbaInto(rows + i * stride, out + i * k);
-    }
-  }
 
   /// Allocating convenience wrapper around the primitive.
   std::vector<double> PredictProba(const double* x) const {
@@ -125,14 +112,6 @@ class Regressor {
   /// Trains on `train.targets()`.
   virtual void Fit(const Dataset& train) = 0;
   virtual double Predict(const double* x) const = 0;
-
-  /// Predictions for `n` examples laid out as rows of `stride` doubles;
-  /// writes n values into `out`. Default loops the scalar path; compiled
-  /// ensembles override with blocked traversals (bit-identical results).
-  virtual void PredictBatch(const double* rows, size_t n, size_t stride,
-                            double* out) const {
-    for (size_t i = 0; i < n; ++i) out[i] = Predict(rows + i * stride);
-  }
 };
 
 }  // namespace aimai

@@ -60,19 +60,12 @@ class NeuralNetClassifier : public Classifier {
 
   void Fit(const Dataset& train) override;
   void PredictProbaInto(const double* x, double* out) const override;
-  /// Blocked batch-first forward pass over per-thread scratch matrices:
-  /// one MatMul per layer per block instead of per sample. Each row's
-  /// result is bit-identical to the scalar path (MatMul computes every
-  /// output element independently of the batch size).
-  void PredictBatch(const double* rows, size_t n, size_t stride,
-                    double* out) const override;
-
   /// Activations of the last hidden layer for one example.
   std::vector<double> LastHiddenFeatures(const double* x) const;
-  /// Batched LastHiddenFeatures: writes n * LastHiddenDim() activations
-  /// row-major into `out` (the Hybrid DNN stacks a forest on these).
-  void LastHiddenBatch(const double* rows, size_t n, size_t stride,
-                       double* out) const;
+  /// LastHiddenFeatures into a caller buffer of LastHiddenDim() doubles,
+  /// with no heap allocation once the thread's scratch is warm (the
+  /// Hybrid DNN stacks a forest on these).
+  void LastHiddenInto(const double* x, double* out) const;
   size_t LastHiddenDim() const;
 
   /// Transfer learning: keeps all hidden layers frozen and retrains the
@@ -99,12 +92,12 @@ class NeuralNetClassifier : public Classifier {
                  std::vector<Matrix>* tanhs, std::vector<Matrix>* dropmasks,
                  Rng* rng) const;
 
-  /// Inference-only forward over `n` standardized-on-the-fly rows using
-  /// thread-local scratch matrices (no per-call allocation once warm).
-  /// Writes n * num_classes probabilities to `probs_out` and/or the
-  /// output layer's n * LastHiddenDim inputs to `hidden_out`.
-  void InferenceForward(const double* rows, size_t n, size_t stride,
-                        double* probs_out, double* hidden_out) const;
+  /// Inference-only forward over one standardized-on-the-fly row using
+  /// thread-local scratch rows (no per-call allocation once warm).
+  /// Writes num_classes probabilities to `probs_out` and/or the output
+  /// layer's LastHiddenDim inputs to `hidden_out`.
+  void InferenceForward(const double* x, double* probs_out,
+                        double* hidden_out) const;
 
   void BuildNetwork(size_t input_dim, Rng* rng);
   void TrainEpochs(const Dataset& data, const std::vector<size_t>& rows,

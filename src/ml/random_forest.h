@@ -32,11 +32,9 @@ class RandomForest : public Classifier {
 
   void Fit(const Dataset& train) override;
   void PredictProbaInto(const double* x, double* out) const override;
-  void PredictBatch(const double* rows, size_t n, size_t stride,
-                    double* out) const override;
 
   /// Reference node-chasing path (pre-compilation); kept for the
-  /// bit-identity tests and the scalar-vs-compiled benchmarks.
+  /// bit-identity tests.
   std::vector<double> PredictProbaScalar(const double* x) const;
 
   size_t num_trees() const { return trees_.size(); }
@@ -64,10 +62,8 @@ class RandomForestRegressor : public Regressor {
 
   void Fit(const Dataset& train) override;
   double Predict(const double* x) const override;
-  void PredictBatch(const double* rows, size_t n, size_t stride,
-                    double* out) const override;
 
-  /// Reference node-chasing path (bit-identity tests / benchmarks).
+  /// Reference node-chasing path (bit-identity tests).
   double PredictScalar(const double* x) const;
 
   void Save(TokenWriter* w) const;

@@ -66,8 +66,8 @@ Dataset HybridDnnClassifier::HiddenDataset(const Dataset& data) const {
 
 namespace {
 
-/// Per-thread hidden-activation scratch shared by the Hybrid DNN's
-/// inference paths (grows to the largest batch seen, then stays warm).
+/// Per-thread hidden-activation scratch for the Hybrid DNN's inference
+/// path (sized on first use, then stays warm).
 std::vector<double>& HybridHiddenScratch() {
   static thread_local std::vector<double> scratch;
   return scratch;
@@ -80,18 +80,8 @@ void HybridDnnClassifier::PredictProbaInto(const double* x,
   AIMAI_CHECK(rf_ != nullptr);
   std::vector<double>& hidden = HybridHiddenScratch();
   hidden.resize(dnn_.LastHiddenDim());
-  dnn_.LastHiddenBatch(x, 1, 0, hidden.data());
+  dnn_.LastHiddenInto(x, hidden.data());
   rf_->PredictProbaInto(hidden.data(), out);
-}
-
-void HybridDnnClassifier::PredictBatch(const double* rows, size_t n,
-                                       size_t stride, double* out) const {
-  AIMAI_CHECK(rf_ != nullptr);
-  const size_t hd = dnn_.LastHiddenDim();
-  std::vector<double>& hidden = HybridHiddenScratch();
-  hidden.resize(n * hd);
-  dnn_.LastHiddenBatch(rows, n, stride, hidden.data());
-  rf_->PredictBatch(hidden.data(), n, hd, out);
 }
 
 void HybridDnnClassifier::RetrainForest(const Dataset& data) {

@@ -42,10 +42,6 @@ class HybridDnnClassifier : public Classifier {
 
   void Fit(const Dataset& train) override;
   void PredictProbaInto(const double* x, double* out) const override;
-  /// Batched: one DNN hidden-layer pass for the whole batch, then one
-  /// forest PredictBatch over the hidden activations.
-  void PredictBatch(const double* rows, size_t n, size_t stride,
-                    double* out) const override;
 
   /// Transfer learning: refit only the stacked forest on `data`.
   void RetrainForest(const Dataset& data);

@@ -63,7 +63,6 @@ class DataGenerator {
   /// key that skewed foreign keys concentrate on, filters on this
   /// attribute select exactly the join-heavy rows, breaking the
   /// independence assumption between dimension filters and join skew.
-  /// `src_domain` is unused when s > 0 kept for call compatibility.
   void FillBucketCorrelatedDict(Column* col, const Column& src, size_t n,
                                 int64_t vocab, double zipf_s,
                                 double flip_probability,

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "featurize/feature_cache.h"
 #include "featurize/pair_featurizer.h"
@@ -16,22 +15,12 @@
 
 namespace aimai {
 
-class ThreadPool;
-
-/// A (current, candidate) plan pair the tuner is about to ask a
-/// comparator about. Non-owning: the tuner keeps the plans alive for the
-/// duration of the round.
-struct PlanPairView {
-  const PhysicalPlan* p1 = nullptr;
-  const PhysicalPlan* p2 = nullptr;
-};
-
 /// Observer of ModelComparator label decisions: lets the service's
-/// learning loop see every decision — scalar and batched — and join the
+/// learning loop see every decision the tuner asked for and join the
 /// predicted labels against the ground truth measured executions reveal.
 /// Fired once per distinct ordered pair (label-memo hits do not repeat);
-/// implementations must be thread-safe (batched rounds fire from runner
-/// threads while pool workers may resolve scalar labels).
+/// implementations must be thread-safe (tuners on several threads may
+/// share one comparator).
 class ComparatorDecisionSink {
  public:
   virtual ~ComparatorDecisionSink() = default;
@@ -56,19 +45,6 @@ class CostComparator {
   /// Whether adopting p2 is predicted to significantly improve the query.
   virtual bool IsImprovement(const PhysicalPlan& p1,
                              const PhysicalPlan& p2) const = 0;
-
-  /// Hint that the tuner is about to ask about `pairs` (candidate
-  /// fan-out). Batched comparators featurize in parallel on `pool` and
-  /// answer every pair with one model PredictBatch; the default is a
-  /// no-op. Priming must never change an answer: subsequent
-  /// IsRegression / IsImprovement calls return exactly what they would
-  /// have returned without the hint (labels are pure functions of the
-  /// pair). `pool` may be null (serial featurization).
-  virtual void Prime(const std::vector<PlanPairView>& pairs,
-                     ThreadPool* pool) const {
-    (void)pairs;
-    (void)pool;
-  }
 };
 
 /// Decision thresholds shared by the estimate-driven comparators. Kept as
@@ -116,15 +92,11 @@ class OptimizerComparator : public CostComparator {
 /// to the optimizer's estimates, keeping the search making progress on
 /// insignificant differences.
 ///
-/// Labels are memoized per ordered pair of plan ContentHash()es, and the
-/// comparator honors Prime: when the tuner announces a round's candidate
-/// fan-out, it featurizes every fresh pair in parallel, runs ONE
-/// PredictBatch over the flattened feature matrix, and memoizes the
-/// labels. The serial decision replay then reduces to hash lookups.
-///
-/// Bit-identity: PredictBatch is bit-identical to the scalar path by the
-/// Classifier contract, and labels are pure functions of the pair, so a
-/// primed run answers exactly like an unprimed (scalar) run.
+/// Labels are memoized per ordered pair of plan ContentHash()es: each
+/// fresh pair is featurized (through the PairFeatureCache) and labeled
+/// by one scalar Predict; repeats are hash lookups. Labels are pure
+/// functions of the pair, so answers never depend on call order or on
+/// which thread asks first.
 ///
 /// Thread-safe; both memos are bounded FIFO of
 /// PairFeatureCache::kDefaultCapacity entries (the feature cache mirrors
@@ -138,20 +110,13 @@ class ModelComparator : public CostComparator {
                     const PhysicalPlan& p2) const override;
   bool IsImprovement(const PhysicalPlan& p1,
                      const PhysicalPlan& p2) const override;
-  void Prime(const std::vector<PlanPairView>& pairs,
-             ThreadPool* pool) const override;
 
   /// Predicted PairLabel for the ordered pair (memoized).
   int Label(const PhysicalPlan& p1, const PhysicalPlan& p2) const;
 
-  /// Pairs labeled through the batched path (diagnostics / tests).
-  int64_t num_batched_labels() const;
-  /// Label-memo hits (decisions answered without touching the model).
-  int64_t num_label_hits() const;
-
-  /// Observer of every fresh label this comparator produces (scalar and
-  /// batched paths alike). Must outlive the comparator; nullptr (the
-  /// default) disables. Set before the comparator is shared.
+  /// Observer of every fresh label this comparator produces. Must
+  /// outlive the comparator; nullptr (the default) disables. Set before
+  /// the comparator is shared.
   void set_decision_sink(ComparatorDecisionSink* sink) { sink_ = sink; }
 
  private:
@@ -162,12 +127,6 @@ class ModelComparator : public CostComparator {
     }
   };
 
-  /// Memoized scalar label for a key whose pair is at hand.
-  int LabelForKey(const Key& key, const PhysicalPlan& p1,
-                  const PhysicalPlan& p2) const;
-  /// Caller must hold labels_mu_.
-  void StoreLabelLocked(const Key& key, int label) const;
-
   std::shared_ptr<const Classifier> classifier_;
   PairFeaturizer featurizer_;
   ComparatorDecisionSink* sink_ = nullptr;
@@ -175,8 +134,6 @@ class ModelComparator : public CostComparator {
   mutable std::mutex labels_mu_;
   mutable std::unordered_map<Key, int, KeyHash> labels_;
   mutable std::deque<Key> label_fifo_;
-  mutable int64_t num_batched_labels_ = 0;
-  mutable int64_t num_label_hits_ = 0;
 };
 
 }  // namespace aimai

@@ -9,45 +9,13 @@ namespace aimai {
 namespace {
 
 using workload_internal::AddInstances;
-
-/// Column lookup that aborts on typos.
-int Col(const Database& db, int t, const char* name) {
-  const int c = db.table(t).ColumnIndex(name);
-  AIMAI_CHECK_MSG(c >= 0, name);
-  return c;
-}
-
-Predicate PredEq(int t, int c, Value v) {
-  Predicate p;
-  p.table_id = t;
-  p.column_id = c;
-  p.op = CmpOp::kEq;
-  p.lo = std::move(v);
-  return p;
-}
-
-Predicate PredCmp(int t, int c, CmpOp op, Value v) {
-  Predicate p;
-  p.table_id = t;
-  p.column_id = c;
-  p.op = op;
-  p.lo = std::move(v);
-  return p;
-}
-
-Predicate PredBetween(int t, int c, Value lo, Value hi) {
-  Predicate p;
-  p.table_id = t;
-  p.column_id = c;
-  p.op = CmpOp::kBetween;
-  p.lo = std::move(lo);
-  p.hi = std::move(hi);
-  return p;
-}
-
-JoinCond Join(int lt, int lc, int rt, int rc) {
-  return JoinCond{ColumnRef{lt, lc}, ColumnRef{rt, rc}};
-}
+using workload_internal::Col;
+using workload_internal::DictValue;
+using workload_internal::Join;
+using workload_internal::PredBetween;
+using workload_internal::PredCmp;
+using workload_internal::PredEq;
+using workload_internal::RowValue;
 
 }  // namespace
 
@@ -205,9 +173,9 @@ std::unique_ptr<BenchmarkDatabase> BuildTpchLike(const std::string& name,
   // mirroring how applications parameterize queries from their own data.
   auto param_value = [&](int t, const char* col, Rng* r) {
     if (r->Bernoulli(0.65)) {
-      return workload_internal::RowValue(d, t, Col(d, t, col), r);
+      return RowValue(d, t, Col(d, t, col), r);
     }
-    return workload_internal::DictValue(d, t, Col(d, t, col), r);
+    return DictValue(d, t, Col(d, t, col), r);
   };
   auto seg_value = [&](Rng* r) {
     return param_value(t_customer, "c_mktsegment", r);

@@ -274,19 +274,12 @@ TEST(DeterminismTest, ParallelTuningMatchesSerial) {
   EXPECT_EQ(run(1), run(8));
 }
 
-/// ModelComparator with Prime disabled: every label goes through the
-/// scalar model path.
-class UnprimedComparator : public ModelComparator {
- public:
-  using ModelComparator::ModelComparator;
-  void Prime(const std::vector<PlanPairView>&, ThreadPool*) const override {}
-};
-
-// The batched-inference comparator's contract: a tuner run whose
-// decisions are answered through Prime + one PredictBatch per round is
-// bit-identical to the same run answered pair-at-a-time through the
-// scalar model path — at any thread count.
-TEST(DeterminismTest, BatchedComparatorTuningMatchesScalar) {
+// The model-gated tuner's contract: a workload tune whose decisions go
+// through a ModelComparator (label memo, feature cache, scalar model
+// inference) is bit-identical at 1 and 8 threads. Comparators may be
+// shared across threads, so labels must never depend on which thread
+// asked first.
+TEST(DeterminismTest, ModelGatedWorkloadTuningMatchesAcrossThreads) {
   // Train one classifier on collected execution data.
   auto train_db = BuildTpchLike("dbt", 1, 0.9, 88);
   ExecutionDataRepository repo;
@@ -304,7 +297,7 @@ TEST(DeterminismTest, BatchedComparatorTuningMatchesScalar) {
   trained->Fit(data);
   const std::shared_ptr<const Classifier> model = std::move(trained);
 
-  auto run = [&](bool batched, int threads) {
+  auto run = [&](int threads) {
     ThreadPool pool(threads);
     auto bdb = BuildTpchLike("dbt2", 1, 0.9, 92);
     std::vector<WorkloadQuery> wl;
@@ -316,13 +309,8 @@ TEST(DeterminismTest, BatchedComparatorTuningMatchesScalar) {
     o.pool = &pool;
     WorkloadLevelTuner tuner(bdb->db(), bdb->what_if(), &gen, o);
 
-    std::unique_ptr<CostComparator> cmp;
-    if (batched) {
-      cmp = std::make_unique<ModelComparator>(model, fz);
-    } else {
-      cmp = std::make_unique<UnprimedComparator>(model, fz);
-    }
-    const WorkloadTuningResult r = tuner.Tune(wl, bdb->initial_config(), *cmp);
+    const ModelComparator cmp(model, fz);
+    const WorkloadTuningResult r = tuner.Tune(wl, bdb->initial_config(), cmp);
     std::string out = r.recommended.Fingerprint();
     out += StrFormat("|base:%.17g|final:%.17g", r.base_est_cost,
                      r.final_est_cost);
@@ -330,9 +318,7 @@ TEST(DeterminismTest, BatchedComparatorTuningMatchesScalar) {
     for (const auto& p : r.final_plans) out += "|" + p->ToString(*bdb->db());
     return out;
   };
-  const std::string scalar = run(/*batched=*/false, /*threads=*/1);
-  EXPECT_EQ(run(/*batched=*/true, /*threads=*/1), scalar);
-  EXPECT_EQ(run(/*batched=*/true, /*threads=*/8), scalar);
+  EXPECT_EQ(run(1), run(8));
 }
 
 // The service runtime's determinism contract: a session's results do not

@@ -1,6 +1,6 @@
-// Inference fast path: the compiled SoA forests, batched predict entry
-// points, zero-allocation wrappers, and the plan-pair featurization memo
-// must all be bit-identical to the reference scalar paths they replace.
+// Inference fast path: the compiled SoA forests, the zero-allocation
+// wrappers and hidden-layer pass, and the plan-pair featurization memo
+// must all be bit-identical to the reference paths they replace.
 
 #include <gtest/gtest.h>
 
@@ -14,19 +14,14 @@
 
 #include "common/random.h"
 #include "common/serialize.h"
-#include "common/thread_pool.h"
 #include "featurize/feature_cache.h"
 #include "ml/decision_tree.h"
 #include "ml/gbt.h"
 #include "ml/hist_gbt.h"
 #include "ml/knn.h"
-#include "ml/logistic_regression.h"
 #include "ml/neural_net.h"
 #include "ml/random_forest.h"
 #include "models/classifier_model.h"
-#include "models/labeler.h"
-#include "tuner/comparator.h"
-#include "workloads/collection.h"
 #include "workloads/tpch_like.h"
 
 namespace aimai {
@@ -56,29 +51,15 @@ Dataset MakeRegData(size_t n, uint64_t seed) {
   return data;
 }
 
-/// Flattens the dataset rows into a contiguous row-major matrix.
-std::vector<double> Flatten(const Dataset& data) {
-  std::vector<double> rows(data.n() * data.d());
+/// Compiled (PredictProbaInto) vs node-chasing (PredictProbaScalar)
+/// probabilities on every row. EXPECT_EQ on doubles is exact — that is the
+/// point: the compiled path promises bit-identity, not closeness.
+template <typename Model>
+void ExpectCompiledMatchesNodes(const Model& model, const Dataset& data) {
+  std::vector<double> fast(static_cast<size_t>(model.num_classes()));
   for (size_t i = 0; i < data.n(); ++i) {
-    const double* r = data.Row(i);
-    std::copy(r, r + data.d(), rows.begin() + static_cast<long>(i * data.d()));
-  }
-  return rows;
-}
-
-/// EXPECT_EQ on doubles is exact — that is the point: the batched and
-/// compiled paths promise bit-identity, not closeness.
-void ExpectBatchMatchesScalar(const Classifier& model, const Dataset& data) {
-  const size_t k = static_cast<size_t>(model.num_classes());
-  const std::vector<double> rows = Flatten(data);
-  std::vector<double> batch(data.n() * k);
-  model.PredictBatch(rows.data(), data.n(), data.d(), batch.data());
-  std::vector<double> one(k);
-  for (size_t i = 0; i < data.n(); ++i) {
-    model.PredictProbaInto(data.Row(i), one.data());
-    for (size_t c = 0; c < k; ++c) {
-      ASSERT_EQ(one[c], batch[i * k + c]) << "row " << i << " class " << c;
-    }
+    model.PredictProbaInto(data.Row(i), fast.data());
+    ASSERT_EQ(model.PredictProbaScalar(data.Row(i)), fast) << "row " << i;
   }
 }
 
@@ -125,13 +106,7 @@ TEST(InferenceTest, RandomForestCompiledAndBatchedBitIdentical) {
   o.seed = 5;
   RandomForest rf(o);
   rf.Fit(data);
-  std::vector<double> fast(3);
-  for (size_t i = 0; i < data.n(); ++i) {
-    rf.PredictProbaInto(data.Row(i), fast.data());
-    EXPECT_EQ(rf.PredictProbaScalar(data.Row(i)),
-              std::vector<double>(fast.begin(), fast.end()));
-  }
-  ExpectBatchMatchesScalar(rf, data);
+  ExpectCompiledMatchesNodes(rf, data);
 }
 
 TEST(InferenceTest, GbtCompiledAndBatchedBitIdentical) {
@@ -140,13 +115,7 @@ TEST(InferenceTest, GbtCompiledAndBatchedBitIdentical) {
   o.seed = 6;
   GradientBoostedTrees gbt(o);
   gbt.Fit(data);
-  std::vector<double> fast(static_cast<size_t>(gbt.num_classes()));
-  for (size_t i = 0; i < data.n(); ++i) {
-    gbt.PredictProbaInto(data.Row(i), fast.data());
-    EXPECT_EQ(gbt.PredictProbaScalar(data.Row(i)),
-              std::vector<double>(fast.begin(), fast.end()));
-  }
-  ExpectBatchMatchesScalar(gbt, data);
+  ExpectCompiledMatchesNodes(gbt, data);
 }
 
 TEST(InferenceTest, HistGbtCompiledAndBatchedBitIdentical) {
@@ -155,50 +124,48 @@ TEST(InferenceTest, HistGbtCompiledAndBatchedBitIdentical) {
   o.seed = 7;
   HistGradientBoosting lgbm(o);
   lgbm.Fit(data);
-  std::vector<double> fast(static_cast<size_t>(lgbm.num_classes()));
-  for (size_t i = 0; i < data.n(); ++i) {
-    lgbm.PredictProbaInto(data.Row(i), fast.data());
-    EXPECT_EQ(lgbm.PredictProbaScalar(data.Row(i)),
-              std::vector<double>(fast.begin(), fast.end()));
-  }
-  ExpectBatchMatchesScalar(lgbm, data);
+  ExpectCompiledMatchesNodes(lgbm, data);
 }
 
-TEST(InferenceTest, LogisticRegressionBatchedBitIdentical) {
-  const Dataset data = MakeClassData(400, 24);
-  LogisticRegression::Options o;
-  o.seed = 8;
-  LogisticRegression lr(o);
-  lr.Fit(data);
-  ExpectBatchMatchesScalar(lr, data);
-}
-
-TEST(InferenceTest, NeuralNetBatchedBitIdentical) {
+TEST(InferenceTest, HybridDnnHiddenPassMatchesLastHiddenFeatures) {
   const Dataset data = MakeClassData(300, 25);
-  NeuralNetClassifier::Options o;
-  o.architecture = NeuralNetClassifier::Architecture::kFullyConnected;
-  o.fc_layers = 3;
-  o.fc_units = 16;
-  o.epochs = 5;
-  o.seed = 9;
-  NeuralNetClassifier nn(o);
-  nn.Fit(data);
-  ExpectBatchMatchesScalar(nn, data);
+  NeuralNetClassifier::Options dnn;
+  dnn.architecture = NeuralNetClassifier::Architecture::kFullyConnected;
+  dnn.fc_layers = 3;
+  dnn.fc_units = 16;
+  dnn.epochs = 5;
+  dnn.seed = 9;
+  RandomForest::Options rfo;
+  rfo.num_trees = 10;
+  rfo.seed = 13;
+  HybridDnnClassifier hybrid(dnn, rfo);
+  hybrid.Fit(data);
+  const NeuralNetClassifier& nn = hybrid.dnn();
 
-  // The batched hidden-layer pass (the Hybrid model's input) too.
-  const std::vector<double> rows = Flatten(data);
-  const size_t hd = nn.LastHiddenDim();
-  std::vector<double> hidden(data.n() * hd);
-  nn.LastHiddenBatch(rows.data(), data.n(), data.d(), hidden.data());
-  for (size_t i = 0; i < data.n(); i += 13) {
+  // Reference stack: the same forest fit on allocating hidden features.
+  Dataset hidden_data(nn.LastHiddenDim());
+  for (size_t i = 0; i < data.n(); ++i) {
+    hidden_data.Add(nn.LastHiddenFeatures(data.Row(i)), data.Label(i));
+  }
+  RandomForest reference(rfo);
+  reference.Fit(hidden_data);
+
+  std::vector<double> hidden(nn.LastHiddenDim());
+  std::vector<double> got(3), want(3);
+  for (size_t i = 0; i < data.n(); ++i) {
+    // Interleaves probability and hidden passes on the thread's shared
+    // scratch, so a pass that read stale scratch would show here.
+    hybrid.PredictProbaInto(data.Row(i), got.data());
+    nn.LastHiddenInto(data.Row(i), hidden.data());
     const std::vector<double> ref = nn.LastHiddenFeatures(data.Row(i));
-    for (size_t j = 0; j < hd; ++j) ASSERT_EQ(ref[j], hidden[i * hd + j]);
+    ASSERT_EQ(ref, hidden) << "row " << i;
+    reference.PredictProbaInto(ref.data(), want.data());
+    ASSERT_EQ(want, got) << "row " << i;
   }
 }
 
 TEST(InferenceTest, RegressorsBatchedBitIdentical) {
   const Dataset data = MakeRegData(400, 26);
-  const std::vector<double> rows = Flatten(data);
 
   RandomForestRegressor::Options ro;
   ro.num_trees = 20;
@@ -208,16 +175,9 @@ TEST(InferenceTest, RegressorsBatchedBitIdentical) {
   GradientBoostedTreesRegressor gbt;
   gbt.Fit(data);
 
-  std::vector<double> out(data.n());
-  rf.PredictBatch(rows.data(), data.n(), data.d(), out.data());
   for (size_t i = 0; i < data.n(); ++i) {
-    ASSERT_EQ(rf.Predict(data.Row(i)), out[i]);
-    ASSERT_EQ(rf.PredictScalar(data.Row(i)), out[i]);
-  }
-  gbt.PredictBatch(rows.data(), data.n(), data.d(), out.data());
-  for (size_t i = 0; i < data.n(); ++i) {
-    ASSERT_EQ(gbt.Predict(data.Row(i)), out[i]);
-    ASSERT_EQ(gbt.PredictScalar(data.Row(i)), out[i]);
+    ASSERT_EQ(rf.PredictScalar(data.Row(i)), rf.Predict(data.Row(i)));
+    ASSERT_EQ(gbt.PredictScalar(data.Row(i)), gbt.Predict(data.Row(i)));
   }
 }
 
@@ -236,8 +196,8 @@ TEST(InferenceTest, SaveLoadKeepsCompiledPathsIdentical) {
   TokenReader r(&ss);
   loaded.Load(&r);
 
-  // The loaded model must recompile: batch path, not just scalar.
-  ExpectBatchMatchesScalar(loaded, data);
+  // The loaded model must recompile: compiled path, not just the nodes.
+  ExpectCompiledMatchesNodes(loaded, data);
   std::vector<double> a(3), b(3);
   for (size_t i = 0; i < data.n(); i += 7) {
     rf.PredictProbaInto(data.Row(i), a.data());
@@ -375,64 +335,6 @@ TEST(FeatureCacheTest, EvictionIsBoundedFifoAndHandlesAreStable) {
   EXPECT_EQ(*oldest, fz.Featurize(*plans[0], *plans[1]));
   // Recompute after eviction reproduces the same features.
   EXPECT_EQ(*cache.GetOrCompute(fz, *plans[0], *plans[1]), *oldest);
-}
-
-// ---------------------------------------------------------------------------
-// Batched comparator: primed and unprimed answers are identical.
-
-TEST(BatchedComparatorTest, PrimedLabelsMatchScalarLabels) {
-  auto bdb = BuildTpchLike("bc", 1, 0.9, 51);
-  ExecutionDataRepository repo;
-  CollectionOptions copts;
-  copts.configs_per_query = 4;
-  copts.seed = 52;
-  CollectExecutionData(bdb.get(), 0, copts, &repo);
-  Rng rng(53);
-  const auto train_pairs = repo.MakePairs(40, &rng);
-  PairFeaturizer fz({Channel::kEstNodeCost, Channel::kLeafBytesWeighted},
-                    PairCombine::kPairDiffNormalized);
-  PairDatasetBuilder builder(&repo, fz, PairLabeler(0.2));
-  const Dataset data = builder.Build(train_pairs);
-  auto trained = MakeClassifier(ModelKind::kRandomForest, fz, 54);
-  trained->Fit(data);
-  std::shared_ptr<const Classifier> model = std::move(trained);
-
-  // Plan pairs from the optimizer under a few configurations.
-  std::vector<std::shared_ptr<const PhysicalPlan>> plans;
-  for (size_t i = 0; i < 6; ++i) {
-    plans.push_back(bdb->what_if()->Optimize(bdb->queries()[i], {}));
-  }
-  std::vector<PlanPairView> pairs;
-  for (size_t i = 0; i < plans.size(); ++i) {
-    for (size_t j = 0; j < plans.size(); ++j) {
-      if (i != j) pairs.push_back({plans[i].get(), plans[j].get()});
-    }
-  }
-
-  ModelComparator primed(model, fz);
-  ModelComparator unprimed(model, fz);
-
-  ThreadPool pool(4);
-  primed.Prime(pairs, &pool);
-  EXPECT_GT(primed.num_batched_labels(), 0);
-
-  for (const PlanPairView& pv : pairs) {
-    // Scalar reference: featurize the pair and ask the model directly.
-    const int want = model->Predict(fz.Featurize(*pv.p1, *pv.p2).data());
-    EXPECT_EQ(primed.Label(*pv.p1, *pv.p2), want);
-    EXPECT_EQ(unprimed.Label(*pv.p1, *pv.p2), want);
-    EXPECT_EQ(primed.IsRegression(*pv.p1, *pv.p2), want == kRegression);
-    EXPECT_EQ(primed.IsImprovement(*pv.p1, *pv.p2),
-              want == kImprovement ||
-                  (want == kUnsure &&
-                   pv.p2->est_total_cost < pv.p1->est_total_cost));
-  }
-  // Every primed decision above was a memo hit.
-  EXPECT_GT(primed.num_label_hits(), 0);
-  // Re-priming the same pairs is a no-op (everything already labeled).
-  const int64_t batched_before = primed.num_batched_labels();
-  primed.Prime(pairs, &pool);
-  EXPECT_EQ(primed.num_batched_labels(), batched_before);
 }
 
 }  // namespace

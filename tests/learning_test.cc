@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "service/learning/learning_loop.h"
 #include "service/service.h"
 #include "tuner/comparator.h"
+#include "tuner/query_tuner.h"
 #include "workloads/collection.h"
 #include "workloads/tpch_like.h"
 
@@ -181,21 +183,29 @@ struct RecordingSink : ComparatorDecisionSink {
   }
 };
 
-TEST(DecisionSinkTest, ComparatorReportsEveryFreshLabelOnce) {
-  auto bdb = BuildTpchLike("sink", 1, 0.9, 61);
+/// Random forest over plan pairs collected from `bdb` (seeded).
+std::shared_ptr<const Classifier> TrainPairModel(BenchmarkDatabase* bdb,
+                                                 const PairFeaturizer& fz,
+                                                 uint64_t seed) {
   ExecutionDataRepository repo;
   CollectionOptions copts;
   copts.configs_per_query = 3;
-  copts.seed = 62;
-  CollectExecutionData(bdb.get(), 0, copts, &repo);
-  Rng rng(63);
-  PairFeaturizer fz({Channel::kEstNodeCost, Channel::kLeafBytesWeighted},
-                    PairCombine::kPairDiffNormalized);
+  copts.seed = seed + 1;
+  CollectExecutionData(bdb, 0, copts, &repo);
+  Rng rng(seed + 2);
   PairDatasetBuilder builder(&repo, fz, PairLabeler(0.2));
   const Dataset data = builder.Build(repo.MakePairs(40, &rng));
-  auto trained = MakeClassifier(ModelKind::kRandomForest, fz, 64);
+  auto trained = MakeClassifier(ModelKind::kRandomForest, fz, seed + 3);
   trained->Fit(data);
-  std::shared_ptr<const Classifier> model = std::move(trained);
+  return trained;
+}
+
+TEST(DecisionSinkTest, ComparatorReportsEveryFreshLabelOnce) {
+  auto bdb = BuildTpchLike("sink", 1, 0.9, 61);
+  PairFeaturizer fz({Channel::kEstNodeCost, Channel::kLeafBytesWeighted},
+                    PairCombine::kPairDiffNormalized);
+  const std::shared_ptr<const Classifier> model =
+      TrainPairModel(bdb.get(), fz, 61);
 
   std::vector<std::shared_ptr<const PhysicalPlan>> plans;
   for (size_t i = 0; i < 4; ++i) {
@@ -216,17 +226,101 @@ TEST(DecisionSinkTest, ComparatorReportsEveryFreshLabelOnce) {
   comparator.IsImprovement(*plans[0], *plans[1]);
   EXPECT_EQ(sink.decisions.size(), 1u);
 
-  // The batched Prime path reports each fresh pair exactly once too.
-  std::vector<PlanPairView> pairs;
+  // Every other ordered pair: the label is the model's own answer on the
+  // pair's features, reported once however often it is asked.
   for (size_t i = 0; i < plans.size(); ++i) {
     for (size_t j = 0; j < plans.size(); ++j) {
-      if (i != j) pairs.push_back({plans[i].get(), plans[j].get()});
+      if (i == j || (i == 0 && j == 1)) continue;
+      const size_t before = sink.decisions.size();
+      const int want =
+          model->Predict(fz.Featurize(*plans[i], *plans[j]).data());
+      EXPECT_EQ(comparator.Label(*plans[i], *plans[j]), want);
+      EXPECT_EQ(comparator.Label(*plans[i], *plans[j]), want);
+      ASSERT_EQ(sink.decisions.size(), before + 1);
+      EXPECT_EQ(sink.decisions.back().label, want);
     }
   }
-  comparator.Prime(pairs, nullptr);
-  EXPECT_EQ(sink.decisions.size(), pairs.size());
-  comparator.Prime(pairs, nullptr);
-  EXPECT_EQ(sink.decisions.size(), pairs.size());
+}
+
+/// A ModelComparator that records every pair the tuner asks it about and
+/// every regression veto it answers. Subclassing (not wrapping) means the
+/// tuner talks to the model comparator itself, whatever it calls on it.
+class ConsultRecorder : public ModelComparator {
+ public:
+  using ModelComparator::ModelComparator;
+  bool IsRegression(const PhysicalPlan& p1,
+                    const PhysicalPlan& p2) const override {
+    Record(p1, p2);
+    const bool regressed = ModelComparator::IsRegression(p1, p2);
+    vetoes_ += regressed ? 1 : 0;
+    return regressed;
+  }
+  bool IsImprovement(const PhysicalPlan& p1,
+                     const PhysicalPlan& p2) const override {
+    Record(p1, p2);
+    return ModelComparator::IsImprovement(p1, p2);
+  }
+  const std::set<std::pair<uint64_t, uint64_t>>& consulted() const {
+    return consulted_;
+  }
+  int vetoes() const { return vetoes_; }
+
+ private:
+  void Record(const PhysicalPlan& p1, const PhysicalPlan& p2) const {
+    consulted_.emplace(p1.ContentHash(), p2.ContentHash());
+  }
+  mutable std::set<std::pair<uint64_t, uint64_t>> consulted_;
+  mutable int vetoes_ = 0;
+};
+
+// The learning loop joins decisions with measured outcomes, so the sink
+// must see exactly the pairs the tuner consulted: no labels for pairs a
+// veto or an improvement switch left unasked.
+TEST(DecisionSinkTest, SinkSeesOnlyConsultedPairs) {
+  auto bdb = BuildTpchLike("consult", 1, 0.9, 63);
+  PairFeaturizer fz({Channel::kEstNodeCost, Channel::kLeafBytesWeighted},
+                    PairCombine::kPairDiffNormalized);
+  const std::shared_ptr<const Classifier> model =
+      TrainPairModel(bdb.get(), fz, 63);
+  CandidateGenerator gen(bdb->db(), bdb->stats());
+  // With this model, query 4 adopts indexes over several rounds, and
+  // rounds after the first veto candidates.
+  const QuerySpec& query = bdb->queries()[4];
+
+  struct Run {
+    std::set<std::pair<uint64_t, uint64_t>> consulted;
+    std::set<std::pair<uint64_t, uint64_t>> reported;
+    size_t num_reports = 0;
+    int vetoes = 0;
+    size_t adopted = 0;
+  };
+  auto tune = [&](int max_new_indexes) {
+    RecordingSink sink;
+    ConsultRecorder recorder(model, fz);
+    recorder.set_decision_sink(&sink);
+    QueryLevelTuner::Options o;
+    o.max_new_indexes = max_new_indexes;
+    QueryLevelTuner tuner(bdb->db(), bdb->what_if(), &gen, o);
+    Run run;
+    run.adopted =
+        tuner.Tune(query, bdb->initial_config(), recorder).new_indexes.size();
+    run.consulted = recorder.consulted();
+    run.vetoes = recorder.vetoes();
+    run.num_reports = sink.decisions.size();
+    for (const RecordingSink::Decision& d : sink.decisions) {
+      run.reported.emplace(d.h1, d.h2);
+    }
+    return run;
+  };
+
+  const Run first_round = tune(1);
+  const Run full = tune(5);
+  ASSERT_GE(full.adopted, 2u);
+  // Round 1 is the same in both runs, so the extra vetoes come from later
+  // rounds, where the current plan is no longer the base plan.
+  EXPECT_GT(full.vetoes, first_round.vetoes);
+  EXPECT_EQ(full.reported, full.consulted);
+  EXPECT_EQ(full.num_reports, full.consulted.size());  // Each pair once.
 }
 
 // ---------------------------------------------------------------------------
