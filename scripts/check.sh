@@ -12,8 +12,9 @@
 #                               # under ThreadSanitizer with an 8-thread pool
 #   ASAN=1 scripts/check.sh     # additionally run the full suite under
 #                               # ASan+UBSan (-DAIMAI_SANITIZE=ON), then
-#                               # the exec, stats, traffic, ml and
-#                               # inference label suites explicitly
+#                               # the exec, stats, traffic, ml,
+#                               # inference and optimizer label suites
+#                               # explicitly
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +28,10 @@ ctest --test-dir build -L parallel --output-on-failure -j
 # And the inference fast-path suite (compiled forests equal node-chasing
 # trees bit for bit, zero-allocation wrappers, the feature memo).
 ctest --test-dir build -L inference --output-on-failure -j
+# And the optimizer suite (golden plan hashes over a query x configuration
+# sweep of every workload family, so no enumerator change moves one bit of
+# a plan).
+ctest --test-dir build -L optimizer --output-on-failure -j
 # And the tree-learner suite (golden Save() hashes of every tree ensemble,
 # the column-major bin matrix every tree of a fit reads).
 ctest --test-dir build -L ml --output-on-failure -j
@@ -104,6 +109,8 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   # The tree learners index one shared bin matrix by global row id
   # (out-of-range bootstrap ids would read past a column).
   ctest --test-dir build-san -L 'ml|inference' --output-on-failure -j
+  # The join search indexes its flat DP table by subset mask.
+  ctest --test-dir build-san -L optimizer --output-on-failure -j
 fi
 
 if [[ "${TSAN:-0}" == "1" ]]; then

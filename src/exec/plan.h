@@ -145,8 +145,9 @@ struct PhysicalPlan {
   /// every est_* statistic (bit patterns, so it is exact). Actual-execution
   /// fields are excluded — they arrive after featurization and must not
   /// change a plan's identity. Everything the featurizer reads is covered,
-  /// so equal hashes mean equal feature vectors; the pair-featurization
-  /// memo (PairFeatureCache) keys on a pair of these.
+  /// so equal hashes mean equal feature vectors; the plan-feature memo
+  /// (PlanFeatureCache) keys on one of these, the model comparator's
+  /// label memo on an ordered pair.
   uint64_t ContentHash() const;
 };
 

@@ -4,47 +4,14 @@
 
 namespace aimai {
 
-std::shared_ptr<const std::vector<double>> PairFeatureCache::GetOrCompute(
-    const PairFeaturizer& featurizer, const PhysicalPlan& p1,
-    const PhysicalPlan& p2) {
-  const Key key{p1.ContentHash(), p2.ContentHash()};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      num_hits_.fetch_add(1, std::memory_order_relaxed);
-      AIMAI_COUNTER_INC("featurize.cache_hits");
-      return it->second;
-    }
-  }
-  // Combine outside the lock: the plan memo bounds tree walks to one per
-  // distinct plan, and concurrent misses on the same pair produce
-  // identical vectors anyway (featurization is a pure function of the
-  // plans).
-  const auto f1 = GetPlanFeatures(featurizer, p1);
-  const auto f2 = GetPlanFeatures(featurizer, p2);
-  auto features = std::make_shared<const std::vector<double>>(
-      featurizer.Combine(*f1, *f2));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    num_hits_.fetch_add(1, std::memory_order_relaxed);
-    AIMAI_COUNTER_INC("featurize.cache_hits");
-    return it->second;
-  }
-  num_misses_.fetch_add(1, std::memory_order_relaxed);
-  InsertLocked(key, features);
-  return features;
-}
-
-std::shared_ptr<const PlanFeatures> PairFeatureCache::GetPlanFeatures(
+std::shared_ptr<const PlanFeatures> PlanFeatureCache::GetOrCompute(
     const PairFeaturizer& featurizer, const PhysicalPlan& plan) {
   const uint64_t h = plan.ContentHash();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = plan_map_.find(h);
-    if (it != plan_map_.end()) {
-      num_plan_hits_.fetch_add(1, std::memory_order_relaxed);
+    auto it = map_.find(h);
+    if (it != map_.end()) {
+      num_hits_.fetch_add(1, std::memory_order_relaxed);
       AIMAI_COUNTER_INC("featurize.plan_cache_hits");
       return it->second;
     }
@@ -54,62 +21,23 @@ std::shared_ptr<const PlanFeatures> PairFeatureCache::GetPlanFeatures(
   auto features = std::make_shared<const PlanFeatures>(
       featurizer.plan_featurizer().Featurize(plan));
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = plan_map_.find(h);
-  if (it != plan_map_.end()) {
-    num_plan_hits_.fetch_add(1, std::memory_order_relaxed);
+  auto it = map_.find(h);
+  if (it != map_.end()) {
+    num_hits_.fetch_add(1, std::memory_order_relaxed);
     AIMAI_COUNTER_INC("featurize.plan_cache_hits");
     return it->second;
   }
-  num_plan_misses_.fetch_add(1, std::memory_order_relaxed);
-  plan_map_.emplace(h, features);
-  plan_fifo_.push_back(h);
-  while (plan_map_.size() > capacity_) {
-    plan_map_.erase(plan_fifo_.front());
-    plan_fifo_.pop_front();
+  num_misses_.fetch_add(1, std::memory_order_relaxed);
+  map_.emplace(h, features);
+  fifo_.push_back(h);
+  while (map_.size() > capacity_) {
+    map_.erase(fifo_.front());
+    fifo_.pop_front();
   }
   return features;
 }
 
-std::shared_ptr<const std::vector<double>> PairFeatureCache::Lookup(
-    uint64_t h1, uint64_t h2) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(Key{h1, h2});
-  return it == map_.end() ? nullptr : it->second;
-}
-
-void PairFeatureCache::Insert(
-    uint64_t h1, uint64_t h2,
-    std::shared_ptr<const std::vector<double>> features) {
-  std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(Key{h1, h2}, std::move(features));
-}
-
-void PairFeatureCache::InsertLocked(
-    const Key& key, std::shared_ptr<const std::vector<double>> features) {
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second = std::move(features);
-    return;
-  }
-  map_.emplace(key, std::move(features));
-  fifo_.push_back(key);
-  while (map_.size() > capacity_) {
-    map_.erase(fifo_.front());
-    fifo_.pop_front();
-    num_evictions_.fetch_add(1, std::memory_order_relaxed);
-    AIMAI_COUNTER_INC("featurize.cache_evictions");
-  }
-}
-
-void PairFeatureCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
-  fifo_.clear();
-  plan_map_.clear();
-  plan_fifo_.clear();
-}
-
-size_t PairFeatureCache::size() const {
+size_t PlanFeatureCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return map_.size();
 }

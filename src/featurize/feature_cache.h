@@ -7,67 +7,35 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "featurize/pair_featurizer.h"
 
 namespace aimai {
 
-/// Memo for pair featurization, keyed by the two plans' content
-/// fingerprints (PhysicalPlan::ContentHash). The tuner compares the same
-/// current plan against many candidates and revisits pairs across rounds;
-/// featurization walks both plan trees per call, so the memo turns the
-/// comparator's dominant cost into a hash probe. Mirrors the what-if plan
-/// cache design: bounded FIFO eviction, `featurize.cache_hits` /
-/// `featurize.cache_evictions` obs counters, and shared_ptr values so a
-/// feature vector handed to a caller outlives eviction and Clear().
+/// Memo for plan featurization, keyed by the plan's content fingerprint
+/// (PhysicalPlan::ContentHash). The tuner compares the same current plan
+/// against many candidates and revisits plans across rounds; a pair's
+/// features combine two plans' channel features, so the memo bounds tree
+/// walks to one per distinct plan. Bounded FIFO eviction, a
+/// `featurize.plan_cache_hits` obs counter, and shared_ptr values so
+/// features handed to a caller outlive eviction.
 ///
 /// Thread-safe. A single mutex guards the map (feature vectors are small;
 /// contention is far below the what-if optimizer's, which shards).
-class PairFeatureCache {
+class PlanFeatureCache {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 12;
 
-  explicit PairFeatureCache(size_t capacity = kDefaultCapacity)
+  explicit PlanFeatureCache(size_t capacity = kDefaultCapacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  PairFeatureCache(const PairFeatureCache&) = delete;
-  PairFeatureCache& operator=(const PairFeatureCache&) = delete;
+  PlanFeatureCache(const PlanFeatureCache&) = delete;
+  PlanFeatureCache& operator=(const PlanFeatureCache&) = delete;
 
-  /// Returns the cached feature vector for (p1, p2), featurizing on miss.
-  /// The handle stays valid after eviction or Clear().
-  ///
-  /// Pair misses go through the plan-feature memo below, so each distinct
-  /// plan's tree is walked at most once per round even when it appears in
-  /// many pairs (the tuner compares one current plan against N candidates:
-  /// N pair misses used to mean 2N tree walks; now it is N+1).
-  std::shared_ptr<const std::vector<double>> GetOrCompute(
-      const PairFeaturizer& featurizer, const PhysicalPlan& p1,
-      const PhysicalPlan& p2);
-
-  /// Plan-level memo: channel features for one plan, keyed by
-  /// `PhysicalPlan::ContentHash`. Featurizes on miss; bounded FIFO like
-  /// the pair map.
-  std::shared_ptr<const PlanFeatures> GetPlanFeatures(
+  /// Returns the cached channel features of `plan`, featurizing on miss.
+  /// The handle stays valid after eviction.
+  std::shared_ptr<const PlanFeatures> GetOrCompute(
       const PairFeaturizer& featurizer, const PhysicalPlan& plan);
-
-  int64_t num_plan_hits() const {
-    return num_plan_hits_.load(std::memory_order_relaxed);
-  }
-  int64_t num_plan_misses() const {
-    return num_plan_misses_.load(std::memory_order_relaxed);
-  }
-
-  /// Probe without computing (tests / diagnostics). Null on miss.
-  std::shared_ptr<const std::vector<double>> Lookup(uint64_t h1,
-                                                    uint64_t h2) const;
-
-  /// Inserts (replaces) an entry, evicting FIFO beyond capacity.
-  void Insert(uint64_t h1, uint64_t h2,
-              std::shared_ptr<const std::vector<double>> features);
-
-  void Clear();
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
@@ -77,38 +45,14 @@ class PairFeatureCache {
   int64_t num_misses() const {
     return num_misses_.load(std::memory_order_relaxed);
   }
-  int64_t num_evictions() const {
-    return num_evictions_.load(std::memory_order_relaxed);
-  }
 
  private:
-  using Key = std::pair<uint64_t, uint64_t>;
-
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      // The parts are already FNV mixed; fold them asymmetrically so
-      // (a, b) and (b, a) land in different buckets.
-      return static_cast<size_t>(k.first * 1099511628211ULL ^ k.second);
-    }
-  };
-
-  /// Caller must hold mu_.
-  void InsertLocked(const Key& key,
-                    std::shared_ptr<const std::vector<double>> features);
-
   const size_t capacity_;
   mutable std::mutex mu_;
-  std::unordered_map<Key, std::shared_ptr<const std::vector<double>>, KeyHash>
-      map_;
-  std::deque<Key> fifo_;  // insertion order, for bounded eviction.
-  // Plan-feature memo (guarded by mu_ as well; values are tiny).
-  std::unordered_map<uint64_t, std::shared_ptr<const PlanFeatures>> plan_map_;
-  std::deque<uint64_t> plan_fifo_;
+  std::unordered_map<uint64_t, std::shared_ptr<const PlanFeatures>> map_;
+  std::deque<uint64_t> fifo_;  // insertion order, for bounded eviction.
   std::atomic<int64_t> num_hits_{0};
   std::atomic<int64_t> num_misses_{0};
-  std::atomic<int64_t> num_evictions_{0};
-  std::atomic<int64_t> num_plan_hits_{0};
-  std::atomic<int64_t> num_plan_misses_{0};
 };
 
 }  // namespace aimai

@@ -1,14 +1,33 @@
 #include "optimizer/plan_enumerator.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "common/check.h"
+#include "common/string_util.h"
 
 namespace aimai {
 
 namespace {
+
+/// Serial plans with an estimated cost above this threshold are also
+/// costed parallel at kDop workers.
+constexpr double kParallelCostThreshold = 50.0;
+constexpr int kDop = 4;
+/// The join search is a DP over connected subsets of at most this many
+/// tables; CheckJoinGraph refuses larger queries.
+constexpr int kMaxDpTables = 10;
+/// A nested-loop inner without an index is considered only if the inner
+/// table is at most this many rows (guards executor runtime).
+constexpr double kNljScanInnerMaxRows = 2000.0;
+
+/// Position of `table_id` in `q.tables` (its bit in a subset mask), or -1.
+int TablePos(const QuerySpec& q, int table_id) {
+  for (size_t i = 0; i < q.tables.size(); ++i) {
+    if (q.tables[i] == table_id) return static_cast<int>(i);
+  }
+  return -1;
+}
 
 /// Columns of `table_id` referenced by the query, as ColumnRefs.
 std::vector<ColumnRef> RefColumns(const QuerySpec& q, int table_id) {
@@ -84,15 +103,151 @@ SeekAnalysis AnalyzeSeek(const Database& db,
   return out;
 }
 
+/// A plain scan of `table_id`: heap (`index` unused), columnstore (batch
+/// mode) or covering index.
+std::unique_ptr<PlanNode> MakeScan(PhysOp op, int table_id,
+                                   const IndexDef& index,
+                                   const std::vector<Predicate>& preds,
+                                   const std::vector<ColumnRef>& cols,
+                                   double rows, double access_rows) {
+  auto scan = std::make_unique<PlanNode>();
+  scan->op = op;
+  if (op == PhysOp::kColumnstoreScan) scan->mode = ExecMode::kBatch;
+  scan->table_id = table_id;
+  scan->index = index;
+  scan->residual_preds = preds;
+  scan->output_columns = cols;
+  scan->stats.est_rows = rows;
+  scan->stats.est_access_rows = access_rows;
+  return scan;
+}
+
+/// Estimates of one seek chain, totals across `executions` rebinds.
+struct SeekEstimates {
+  double access_rows = 0;  // Seek-qualified rows.
+  double rows = 0;         // Seek (and key lookup) output.
+  double filter_rows = 0;  // Residual filter output.
+  double executions = 1;
+};
+
+/// Index seek [+ key lookup [+ filter]]. A non-covering `idx` needs the
+/// key lookup for the other referenced columns, then a filter for the
+/// `uncovered` predicates if there are any.
+std::unique_ptr<PlanNode> MakeSeekChain(int table_id, const IndexDef& idx,
+                                        bool covers,
+                                        std::vector<Predicate> seek_preds,
+                                        std::vector<Predicate> residual,
+                                        std::vector<Predicate> uncovered,
+                                        const std::vector<ColumnRef>& cols,
+                                        const SeekEstimates& est) {
+  auto seek = std::make_unique<PlanNode>();
+  seek->op = PhysOp::kIndexSeek;
+  seek->table_id = table_id;
+  seek->index = idx;
+  seek->seek_preds = std::move(seek_preds);
+  seek->residual_preds = std::move(residual);
+  seek->stats.est_executions = est.executions;
+  seek->stats.est_access_rows = est.access_rows;
+  seek->stats.est_rows = est.rows;
+  // The seek outputs the covered subset of the referenced columns.
+  for (const ColumnRef& c : cols) {
+    if (idx.Covers(c.column_id)) seek->output_columns.push_back(c);
+  }
+  if (covers) return seek;
+
+  auto lookup = std::make_unique<PlanNode>();
+  lookup->op = PhysOp::kKeyLookup;
+  lookup->table_id = table_id;
+  lookup->output_columns = cols;
+  lookup->stats.est_executions = est.executions;
+  lookup->stats.est_rows = est.rows;
+  lookup->children.push_back(std::move(seek));
+  if (uncovered.empty()) return lookup;
+
+  auto filter = std::make_unique<PlanNode>();
+  filter->op = PhysOp::kFilter;
+  filter->residual_preds = std::move(uncovered);
+  filter->output_columns = cols;
+  filter->stats.est_executions = est.executions;
+  filter->stats.est_rows = est.filter_rows;
+  filter->children.push_back(std::move(lookup));
+  return filter;
+}
+
+/// Sort of `input`, whose estimated output is `rows`, on `keys`.
+std::unique_ptr<PlanNode> MakeSort(std::unique_ptr<PlanNode> input,
+                                   std::vector<SortKey> keys, double rows) {
+  auto sort = std::make_unique<PlanNode>();
+  sort->op = PhysOp::kSort;
+  sort->sort_keys = std::move(keys);
+  sort->output_columns = input->output_columns;
+  sort->output_width_bytes = input->output_width_bytes;
+  sort->stats.est_rows = rows;
+  sort->children.push_back(std::move(input));
+  return sort;
+}
+
 }  // namespace
 
-PlanEnumerator::PlanEnumerator(const Database* db, StatisticsCatalog* stats,
-                               Options options)
-    : db_(db),
-      stats_(stats),
-      card_(stats),
-      cost_model_(db),
-      options_(options) {}
+PlanEnumerator::PlanEnumerator(const Database* db, StatisticsCatalog* stats)
+    : db_(db), stats_(stats), card_(stats), cost_model_(db) {}
+
+Status PlanEnumerator::CheckJoinGraph(const QuerySpec& q) {
+  const size_t n = q.tables.size();
+  if (n > static_cast<size_t>(kMaxDpTables)) {
+    return Status::InvalidArgument(
+        StrFormat("query '%s' joins %zu tables; at most %d are supported",
+                  q.name.c_str(), n, kMaxDpTables));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (TablePos(q, q.tables[i]) != static_cast<int>(i)) {
+      return Status::InvalidArgument(
+          StrFormat("query '%s' lists table %d twice", q.name.c_str(),
+                    q.tables[i]));
+    }
+  }
+  for (const JoinCond& j : q.joins) {
+    if (TablePos(q, j.left.table_id) < 0 ||
+        TablePos(q, j.right.table_id) < 0) {
+      return Status::InvalidArgument(
+          StrFormat("query '%s' joins a table it does not list",
+                    q.name.c_str()));
+    }
+  }
+  // Grow the set reachable from the first table until a pass adds none.
+  uint64_t reached = n == 0 ? 0 : 1;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const JoinCond& j : q.joins) {
+      const uint64_t ml = 1ULL << TablePos(q, j.left.table_id);
+      const uint64_t mr = 1ULL << TablePos(q, j.right.table_id);
+      if (((reached & ml) != 0) != ((reached & mr) != 0)) {
+        reached |= ml | mr;
+        grew = true;
+      }
+    }
+  }
+  if (reached != (1ULL << n) - 1) {
+    return Status::InvalidArgument(
+        StrFormat("query '%s' has a disconnected join graph",
+                  q.name.c_str()));
+  }
+  return Status::Ok();
+}
+
+std::unique_ptr<PlanNode> PlanEnumerator::Cheapest(
+    std::vector<std::unique_ptr<PlanNode>> candidates) {
+  std::unique_ptr<PlanNode> best;
+  double best_cost = 0;
+  for (auto& cand : candidates) {
+    const double cost = Annotate(cand.get());
+    if (best == nullptr || cost < best_cost) {
+      best_cost = cost;
+      best = std::move(cand);
+    }
+  }
+  return best;
+}
 
 PlanEnumerator::AccessPath PlanEnumerator::BestAccessPath(
     const QuerySpec& q, int table_id, const Configuration& config) {
@@ -103,32 +258,13 @@ PlanEnumerator::AccessPath PlanEnumerator::BestAccessPath(
   const double est_out = card_.EstimateFilteredRows(table_id, preds);
 
   std::vector<std::unique_ptr<PlanNode>> candidates;
-
-  // 1. Heap scan.
-  {
-    auto scan = std::make_unique<PlanNode>();
-    scan->op = PhysOp::kTableScan;
-    scan->table_id = table_id;
-    scan->residual_preds = preds;
-    scan->output_columns = ref_refs;
-    scan->stats.est_rows = est_out;
-    scan->stats.est_access_rows = table_rows;
-    candidates.push_back(std::move(scan));
-  }
+  candidates.push_back(MakeScan(PhysOp::kTableScan, table_id, IndexDef(),
+                                preds, ref_refs, est_out, table_rows));
 
   for (const IndexDef& idx : config.IndexesOn(table_id)) {
-    // 2. Columnstore scan (batch mode).
     if (idx.is_columnstore) {
-      auto scan = std::make_unique<PlanNode>();
-      scan->op = PhysOp::kColumnstoreScan;
-      scan->mode = ExecMode::kBatch;
-      scan->table_id = table_id;
-      scan->index = idx;
-      scan->residual_preds = preds;
-      scan->output_columns = ref_refs;
-      scan->stats.est_rows = est_out;
-      scan->stats.est_access_rows = table_rows;
-      candidates.push_back(std::move(scan));
+      candidates.push_back(MakeScan(PhysOp::kColumnstoreScan, table_id, idx,
+                                    preds, ref_refs, est_out, table_rows));
       continue;
     }
 
@@ -136,22 +272,14 @@ PlanEnumerator::AccessPath PlanEnumerator::BestAccessPath(
     const bool covers = CoversAll(idx, refcols);
 
     if (!seek.usable) {
-      // 3. Covering index scan: narrower rows than the heap.
+      // Covering index scan: narrower rows than the heap.
       if (covers) {
-        auto scan = std::make_unique<PlanNode>();
-        scan->op = PhysOp::kIndexScan;
-        scan->table_id = table_id;
-        scan->index = idx;
-        scan->residual_preds = preds;
-        scan->output_columns = ref_refs;
-        scan->stats.est_rows = est_out;
-        scan->stats.est_access_rows = table_rows;
-        candidates.push_back(std::move(scan));
+        candidates.push_back(MakeScan(PhysOp::kIndexScan, table_id, idx,
+                                      preds, ref_refs, est_out, table_rows));
       }
       continue;
     }
 
-    // 4. Index seek [+ key lookup [+ filter]].
     std::vector<Predicate> covered;
     std::vector<Predicate> uncovered;
     SplitByCoverage(preds, idx, &covered, &uncovered);
@@ -171,52 +299,18 @@ PlanEnumerator::AccessPath PlanEnumerator::BestAccessPath(
     const double seek_sel =
         card_.ConjunctionSelectivity(table_id, seek.seek_preds);
     const double covered_sel = card_.ConjunctionSelectivity(table_id, covered);
-
-    auto seek_node = std::make_unique<PlanNode>();
-    seek_node->op = PhysOp::kIndexSeek;
-    seek_node->table_id = table_id;
-    seek_node->index = idx;
-    seek_node->seek_preds = seek.seek_preds;
-    seek_node->residual_preds = seek_residual;
-    seek_node->stats.est_access_rows = table_rows * seek_sel;
-    seek_node->stats.est_rows = table_rows * covered_sel;
-    // The seek outputs the covered subset of the referenced columns.
-    for (const ColumnRef& c : ref_refs) {
-      if (idx.Covers(c.column_id)) seek_node->output_columns.push_back(c);
-    }
-
-    std::unique_ptr<PlanNode> top = std::move(seek_node);
-    if (!covers) {
-      auto lookup = std::make_unique<PlanNode>();
-      lookup->op = PhysOp::kKeyLookup;
-      lookup->table_id = table_id;
-      lookup->output_columns = ref_refs;
-      lookup->stats.est_rows = top->stats.est_rows;
-      lookup->children.push_back(std::move(top));
-      top = std::move(lookup);
-      if (!uncovered.empty()) {
-        auto filter = std::make_unique<PlanNode>();
-        filter->op = PhysOp::kFilter;
-        filter->residual_preds = uncovered;
-        filter->output_columns = ref_refs;
-        filter->stats.est_rows = est_out;
-        filter->children.push_back(std::move(top));
-        top = std::move(filter);
-      }
-    }
-    candidates.push_back(std::move(top));
+    SeekEstimates est;
+    est.access_rows = table_rows * seek_sel;
+    est.rows = table_rows * covered_sel;
+    est.filter_rows = est_out;
+    candidates.push_back(MakeSeekChain(table_id, idx, covers, seek.seek_preds,
+                                       std::move(seek_residual),
+                                       std::move(uncovered), ref_refs, est));
   }
 
   AccessPath best;
   best.rows = est_out;
-  double best_cost = 0;
-  for (auto& cand : candidates) {
-    const double cost = Annotate(cand.get());
-    if (best.plan == nullptr || cost < best_cost) {
-      best_cost = cost;
-      best.plan = std::move(cand);
-    }
-  }
+  best.plan = Cheapest(std::move(candidates));
   return best;
 }
 
@@ -233,119 +327,61 @@ std::unique_ptr<PlanNode> PlanEnumerator::BuildNljInner(
 
   std::vector<std::unique_ptr<PlanNode>> candidates;
 
+  // Seek on an index led by the join column, once per outer row.
   for (const IndexDef& idx : config.IndexesOn(table_id)) {
     if (idx.is_columnstore || idx.key_columns.empty()) continue;
     if (idx.key_columns[0] != join_col) continue;
-    const bool covers = CoversAll(idx, refcols);
     std::vector<Predicate> covered;
     std::vector<Predicate> uncovered;
     SplitByCoverage(preds, idx, &covered, &uncovered);
     const double covered_sel = card_.ConjunctionSelectivity(table_id, covered);
     const double uncovered_sel =
         card_.ConjunctionSelectivity(table_id, uncovered);
-
-    auto seek = std::make_unique<PlanNode>();
-    seek->op = PhysOp::kIndexSeek;
-    seek->table_id = table_id;
-    seek->index = idx;
-    seek->residual_preds = covered;
-    seek->stats.est_executions = execs;
-    seek->stats.est_access_rows = execs * table_rows / ndv;
-    seek->stats.est_rows = seek->stats.est_access_rows * covered_sel;
-    for (const ColumnRef& c : ref_refs) {
-      if (idx.Covers(c.column_id)) seek->output_columns.push_back(c);
-    }
-
-    std::unique_ptr<PlanNode> top = std::move(seek);
-    if (!covers) {
-      auto lookup = std::make_unique<PlanNode>();
-      lookup->op = PhysOp::kKeyLookup;
-      lookup->table_id = table_id;
-      lookup->output_columns = ref_refs;
-      lookup->stats.est_executions = execs;
-      lookup->stats.est_rows = top->stats.est_rows;
-      lookup->children.push_back(std::move(top));
-      top = std::move(lookup);
-      if (!uncovered.empty()) {
-        auto filter = std::make_unique<PlanNode>();
-        filter->op = PhysOp::kFilter;
-        filter->residual_preds = uncovered;
-        filter->output_columns = ref_refs;
-        filter->stats.est_executions = execs;
-        filter->stats.est_rows =
-            top->stats.est_rows * uncovered_sel;
-        filter->children.push_back(std::move(top));
-        top = std::move(filter);
-      }
-    }
-    candidates.push_back(std::move(top));
+    SeekEstimates est;
+    est.executions = execs;
+    est.access_rows = execs * table_rows / ndv;
+    est.rows = est.access_rows * covered_sel;
+    est.filter_rows = est.rows * uncovered_sel;
+    candidates.push_back(MakeSeekChain(
+        table_id, idx, CoversAll(idx, refcols), {}, std::move(covered),
+        std::move(uncovered), ref_refs, est));
   }
 
   // Last resort: per-row scan of a tiny inner table.
-  if (table_rows <= options_.nlj_scan_inner_max_rows) {
-    auto scan = std::make_unique<PlanNode>();
-    scan->op = PhysOp::kTableScan;
-    scan->table_id = table_id;
-    scan->residual_preds = preds;
-    scan->output_columns = ref_refs;
+  if (table_rows <= kNljScanInnerMaxRows) {
+    auto scan = MakeScan(
+        PhysOp::kTableScan, table_id, IndexDef(), preds, ref_refs,
+        execs * card_.EstimateFilteredRows(table_id, preds) / ndv,
+        execs * table_rows);
     scan->stats.est_executions = execs;
-    scan->stats.est_access_rows = execs * table_rows;
-    scan->stats.est_rows =
-        execs * card_.EstimateFilteredRows(table_id, preds) / ndv;
     candidates.push_back(std::move(scan));
   }
-
-  std::unique_ptr<PlanNode> best;
-  double best_cost = 0;
-  for (auto& cand : candidates) {
-    const double cost = Annotate(cand.get());
-    if (best == nullptr || cost < best_cost) {
-      best_cost = cost;
-      best = std::move(cand);
-    }
-  }
-  return best;
+  return Cheapest(std::move(candidates));
 }
 
-std::unique_ptr<PlanNode> PlanEnumerator::MakeJoin(PhysOp op,
-                                                   const PlanNode& left,
-                                                   const PlanNode& right,
-                                                   ColumnRef left_col,
-                                                   ColumnRef right_col,
-                                                   double out_rows) {
+std::unique_ptr<PlanNode> PlanEnumerator::MakeJoin(
+    PhysOp op, std::unique_ptr<PlanNode> left,
+    std::unique_ptr<PlanNode> right, ColumnRef left_col, ColumnRef right_col,
+    double out_rows) {
   auto node = std::make_unique<PlanNode>();
   node->op = op;
   node->join.left = left_col;
   node->join.right = right_col;
   node->stats.est_rows = out_rows;
-
   if (op == PhysOp::kMergeJoin) {
     // Sort both inputs on the join columns.
-    auto sort_l = std::make_unique<PlanNode>();
-    sort_l->op = PhysOp::kSort;
-    sort_l->sort_keys = {SortKey{left_col, true}};
-    sort_l->output_columns = left.output_columns;
-    sort_l->output_width_bytes = left.output_width_bytes;
-    sort_l->stats.est_rows = left.stats.est_rows;
-    sort_l->children.push_back(left.Clone());
-    auto sort_r = std::make_unique<PlanNode>();
-    sort_r->op = PhysOp::kSort;
-    sort_r->sort_keys = {SortKey{right_col, true}};
-    sort_r->output_columns = right.output_columns;
-    sort_r->output_width_bytes = right.output_width_bytes;
-    sort_r->stats.est_rows = right.stats.est_rows;
-    sort_r->children.push_back(right.Clone());
-    node->children.push_back(std::move(sort_l));
-    node->children.push_back(std::move(sort_r));
-  } else {
-    node->children.push_back(left.Clone());
-    node->children.push_back(right.Clone());
+    const double left_rows = left->stats.est_rows;
+    const double right_rows = right->stats.est_rows;
+    left = MakeSort(std::move(left), {SortKey{left_col, true}}, left_rows);
+    right = MakeSort(std::move(right), {SortKey{right_col, true}}, right_rows);
   }
-  node->mode = JoinMode(op, *node->child(0), *node->child(1));
-  node->output_columns = node->child(0)->output_columns;
+  node->mode = JoinMode(op, *left, *right);
+  node->output_columns = left->output_columns;
   node->output_columns.insert(node->output_columns.end(),
-                              node->child(1)->output_columns.begin(),
-                              node->child(1)->output_columns.end());
+                              right->output_columns.begin(),
+                              right->output_columns.end());
+  node->children.push_back(std::move(left));
+  node->children.push_back(std::move(right));
   Annotate(node.get());
   return node;
 }
@@ -355,17 +391,7 @@ std::unique_ptr<PlanNode> PlanEnumerator::EnumerateJoins(
     std::vector<AccessPath> base_paths, double* out_rows) {
   const size_t n = q.tables.size();
   AIMAI_CHECK(base_paths.size() == n);
-  if (n == 1) {
-    *out_rows = base_paths[0].rows;
-    return std::move(base_paths[0].plan);
-  }
-
-  auto table_pos = [&q](int table_id) -> int {
-    for (size_t i = 0; i < q.tables.size(); ++i) {
-      if (q.tables[i] == table_id) return static_cast<int>(i);
-    }
-    return -1;
-  };
+  AIMAI_CHECK(n <= static_cast<size_t>(kMaxDpTables));
 
   struct Rel {
     std::unique_ptr<PlanNode> plan;
@@ -373,51 +399,36 @@ std::unique_ptr<PlanNode> PlanEnumerator::EnumerateJoins(
     double cost = 0;
   };
 
-  // Candidate generation shared by DP and greedy: all join implementations
-  // for combining `a` and `b` via `cond` (cond.left on a's side).
+  // All join implementations for combining `a` and `b` via `cond`
+  // (cond.left on a's side); the cheapest wins, ties to the first.
   auto best_join = [&](const Rel& a, const Rel& b, ColumnRef a_col,
                        ColumnRef b_col, uint64_t b_mask) -> Rel {
     Rel best;
     const double join_rows = card_.EstimateJoinRows(a.rows, b.rows,
                                                     JoinCond{a_col, b_col});
-    auto consider = [&best](std::unique_ptr<PlanNode> cand, double rows) {
-      if (cand == nullptr) return;
+    auto consider = [&best, join_rows](std::unique_ptr<PlanNode> cand) {
       const double cost = cand->stats.est_subtree_cost;
       if (best.plan == nullptr || cost < best.cost) {
         best.plan = std::move(cand);
-        best.rows = rows;
+        best.rows = join_rows;
         best.cost = cost;
       }
     };
     // Hash join, both build orientations.
-    consider(MakeJoin(PhysOp::kHashJoin, *a.plan, *b.plan, a_col, b_col,
-                      join_rows),
-             join_rows);
-    consider(MakeJoin(PhysOp::kHashJoin, *b.plan, *a.plan, b_col, a_col,
-                      join_rows),
-             join_rows);
+    consider(MakeJoin(PhysOp::kHashJoin, a.plan->Clone(), b.plan->Clone(),
+                      a_col, b_col, join_rows));
+    consider(MakeJoin(PhysOp::kHashJoin, b.plan->Clone(), a.plan->Clone(),
+                      b_col, a_col, join_rows));
     // Merge join.
-    consider(MakeJoin(PhysOp::kMergeJoin, *a.plan, *b.plan, a_col, b_col,
-                      join_rows),
-             join_rows);
+    consider(MakeJoin(PhysOp::kMergeJoin, a.plan->Clone(), b.plan->Clone(),
+                      a_col, b_col, join_rows));
     // Nested loops with b as a single-table parameterized inner.
     if (__builtin_popcountll(b_mask) == 1) {
       std::unique_ptr<PlanNode> inner = BuildNljInner(
           q, b_col.table_id, b_col.column_id, config, a.rows);
       if (inner != nullptr) {
-        auto nlj = std::make_unique<PlanNode>();
-        nlj->op = PhysOp::kNestedLoopJoin;
-        nlj->join.left = a_col;
-        nlj->join.right = b_col;
-        nlj->stats.est_rows = join_rows;
-        nlj->output_columns = a.plan->output_columns;
-        nlj->output_columns.insert(nlj->output_columns.end(),
-                                   inner->output_columns.begin(),
-                                   inner->output_columns.end());
-        nlj->children.push_back(a.plan->Clone());
-        nlj->children.push_back(std::move(inner));
-        Annotate(nlj.get());
-        consider(std::move(nlj), join_rows);
+        consider(MakeJoin(PhysOp::kNestedLoopJoin, a.plan->Clone(),
+                          std::move(inner), a_col, b_col, join_rows));
       }
     }
     return best;
@@ -427,8 +438,8 @@ std::unique_ptr<PlanNode> PlanEnumerator::EnumerateJoins(
   auto connecting_cond = [&](uint64_t mask_a, uint64_t mask_b, ColumnRef* a_col,
                              ColumnRef* b_col) -> bool {
     for (const JoinCond& j : q.joins) {
-      const int pl = table_pos(j.left.table_id);
-      const int pr = table_pos(j.right.table_id);
+      const int pl = TablePos(q, j.left.table_id);
+      const int pr = TablePos(q, j.right.table_id);
       if (pl < 0 || pr < 0) continue;
       const uint64_t ml = 1ULL << pl;
       const uint64_t mr = 1ULL << pr;
@@ -446,80 +457,34 @@ std::unique_ptr<PlanNode> PlanEnumerator::EnumerateJoins(
     return false;
   };
 
-  if (static_cast<int>(n) <= options_.max_dp_tables) {
-    // Dynamic programming over connected subsets.
-    std::map<uint64_t, Rel> dp;
-    for (size_t i = 0; i < n; ++i) {
-      Rel r;
-      r.rows = base_paths[i].rows;
-      r.plan = std::move(base_paths[i].plan);
-      r.cost = r.plan->stats.est_subtree_cost;
-      dp.emplace(1ULL << i, std::move(r));
-    }
-    const uint64_t full = (1ULL << n) - 1;
-    for (uint64_t s = 3; s <= full; ++s) {
-      if (__builtin_popcountll(s) < 2) continue;
-      Rel best;
-      for (uint64_t a = (s - 1) & s; a != 0; a = (a - 1) & s) {
-        const uint64_t b = s & ~a;
-        if (b == 0) continue;
-        auto ia = dp.find(a);
-        auto ib = dp.find(b);
-        if (ia == dp.end() || ib == dp.end()) continue;
-        ColumnRef a_col, b_col;
-        if (!connecting_cond(a, b, &a_col, &b_col)) continue;
-        Rel cand = best_join(ia->second, ib->second, a_col, b_col, b);
-        if (cand.plan != nullptr &&
-            (best.plan == nullptr || cand.cost < best.cost)) {
-          best = std::move(cand);
-        }
-      }
-      if (best.plan != nullptr) dp.emplace(s, std::move(best));
-    }
-    auto it = dp.find(full);
-    AIMAI_CHECK_MSG(it != dp.end(), "join graph must be connected");
-    *out_rows = it->second.rows;
-    return std::move(it->second.plan);
-  }
-
-  // Greedy: repeatedly merge the pair with the cheapest combined plan.
-  std::vector<std::pair<uint64_t, Rel>> rels;
+  // Dynamic programming over connected subsets: dp[mask] is the cheapest
+  // plan joining the tables in `mask`, or empty when they are not
+  // connected.
+  const uint64_t full = (1ULL << n) - 1;
+  std::vector<Rel> dp(full + 1);
   for (size_t i = 0; i < n; ++i) {
-    Rel r;
+    Rel& r = dp[1ULL << i];
     r.rows = base_paths[i].rows;
     r.plan = std::move(base_paths[i].plan);
     r.cost = r.plan->stats.est_subtree_cost;
-    rels.emplace_back(1ULL << i, std::move(r));
   }
-  while (rels.size() > 1) {
-    int best_i = -1, best_j = -1;
-    Rel best;
-    for (size_t i = 0; i < rels.size(); ++i) {
-      for (size_t j = 0; j < rels.size(); ++j) {
-        if (i == j) continue;
-        ColumnRef a_col, b_col;
-        if (!connecting_cond(rels[i].first, rels[j].first, &a_col, &b_col)) {
-          continue;
-        }
-        Rel cand = best_join(rels[i].second, rels[j].second, a_col, b_col,
-                             rels[j].first);
-        if (cand.plan != nullptr &&
-            (best.plan == nullptr || cand.cost < best.cost)) {
-          best = std::move(cand);
-          best_i = static_cast<int>(i);
-          best_j = static_cast<int>(j);
-        }
+  for (uint64_t s = 3; s <= full; ++s) {
+    if (__builtin_popcountll(s) < 2) continue;
+    Rel& best = dp[s];
+    for (uint64_t a = (s - 1) & s; a != 0; a = (a - 1) & s) {
+      const uint64_t b = s & ~a;
+      if (dp[a].plan == nullptr || dp[b].plan == nullptr) continue;
+      ColumnRef a_col, b_col;
+      if (!connecting_cond(a, b, &a_col, &b_col)) continue;
+      Rel cand = best_join(dp[a], dp[b], a_col, b_col, b);
+      if (best.plan == nullptr || cand.cost < best.cost) {
+        best = std::move(cand);
       }
     }
-    AIMAI_CHECK_MSG(best.plan != nullptr, "join graph must be connected");
-    const uint64_t merged = rels[best_i].first | rels[best_j].first;
-    if (best_i > best_j) std::swap(best_i, best_j);
-    rels.erase(rels.begin() + best_j);
-    rels.erase(rels.begin() + best_i);
-    rels.emplace_back(merged, std::move(best));
   }
-  *out_rows = rels[0].second.rows;
-  return std::move(rels[0].second.plan);
+  AIMAI_CHECK_MSG(dp[full].plan != nullptr, "join graph must be connected");
+  *out_rows = dp[full].rows;
+  return std::move(dp[full].plan);
 }
 
 std::unique_ptr<PlanNode> PlanEnumerator::FinishPlan(
@@ -556,15 +521,9 @@ std::unique_ptr<PlanNode> PlanEnumerator::FinishPlan(
       hash_agg->children.push_back(top->Clone());
       Annotate(hash_agg.get());
 
-      auto sort = std::make_unique<PlanNode>();
-      sort->op = PhysOp::kSort;
-      for (const ColumnRef& c : q.group_by) {
-        sort->sort_keys.push_back(SortKey{c, true});
-      }
-      sort->output_columns = top->output_columns;
-      sort->output_width_bytes = top->output_width_bytes;
-      sort->stats.est_rows = rows;
-      sort->children.push_back(std::move(top));
+      std::vector<SortKey> keys;
+      for (const ColumnRef& c : q.group_by) keys.push_back(SortKey{c, true});
+      auto sort = MakeSort(std::move(top), std::move(keys), rows);
       auto stream_agg = std::make_unique<PlanNode>();
       stream_agg->op = PhysOp::kStreamAggregate;
       stream_agg->group_by = q.group_by;
@@ -584,16 +543,7 @@ std::unique_ptr<PlanNode> PlanEnumerator::FinishPlan(
     }
   }
 
-  if (!q.order_by.empty()) {
-    auto sort = std::make_unique<PlanNode>();
-    sort->op = PhysOp::kSort;
-    sort->sort_keys = q.order_by;
-    sort->output_columns = top->output_columns;
-    sort->output_width_bytes = top->output_width_bytes;
-    sort->stats.est_rows = rows;
-    sort->children.push_back(std::move(top));
-    top = std::move(sort);
-  }
+  if (!q.order_by.empty()) top = MakeSort(std::move(top), q.order_by, rows);
 
   if (q.top_n > 0) {
     auto topn = std::make_unique<PlanNode>();
@@ -628,10 +578,9 @@ std::unique_ptr<PhysicalPlan> PlanEnumerator::Optimize(
 
   // Parallelism decision: big serial plans go parallel if the (believed)
   // speedup beats the startup cost.
-  if (plan->est_total_cost > options_.parallel_cost_threshold &&
-      options_.dop > 1) {
+  if (plan->est_total_cost > kParallelCostThreshold) {
     auto par = plan->Clone();
-    par->degree_of_parallelism = options_.dop;
+    par->degree_of_parallelism = kDop;
     par->root->VisitMutable([](PlanNode* n) { n->parallel = true; });
     cost_model_.Annotate(par.get());
     if (par->est_total_cost < plan->est_total_cost) plan = std::move(par);

@@ -6,6 +6,7 @@
 
 #include "catalog/configuration.h"
 #include "catalog/database.h"
+#include "common/status.h"
 #include "exec/plan.h"
 #include "optimizer/cardinality_estimator.h"
 #include "optimizer/cost_model.h"
@@ -20,27 +21,18 @@ namespace aimai {
 /// modern executor: per-table access-path selection (heap scan, covering
 /// index scan, index seek with optional key lookup and residual filter,
 /// columnstore scan), dynamic-programming join ordering over connected
-/// subsets (greedy beyond `max_dp_tables`), three join implementations,
+/// subsets of at most 10 tables, three join implementations,
 /// hash vs. sort+stream aggregation, and a plan-level parallelism choice.
 /// Estimates come from `CardinalityEstimator`; costs from
 /// `OptimizerCostModel` (the optimizer's *belief*, not ground truth).
 class PlanEnumerator {
  public:
-  struct Options {
-    /// Serial plans with estimated cost above this threshold go parallel.
-    double parallel_cost_threshold = 50.0;
-    int dop = 4;
-    /// Beyond this many tables, greedy join ordering replaces DP.
-    int max_dp_tables = 10;
-    /// A nested-loop inner without an index is considered only if the
-    /// inner table is at most this many rows (guards executor runtime).
-    double nlj_scan_inner_max_rows = 2000.0;
-  };
+  PlanEnumerator(const Database* db, StatisticsCatalog* stats);
 
-  PlanEnumerator(const Database* db, StatisticsCatalog* stats)
-      : PlanEnumerator(db, stats, Options()) {}
-  PlanEnumerator(const Database* db, StatisticsCatalog* stats,
-                 Options options);
+  /// InvalidArgument unless `query` lists each table once, joins only
+  /// tables it lists, joins at most 10 tables, and its join graph is
+  /// connected. Optimize requires all four.
+  static Status CheckJoinGraph(const QuerySpec& query);
 
   /// Returns the cheapest (by estimated cost) physical plan for `query`
   /// under `config`. Every node carries est_rows / est_access_rows /
@@ -65,15 +57,22 @@ class PlanEnumerator {
                                           const Configuration& config,
                                           double outer_rows);
 
-  /// Join-order search over the access paths.
+  /// Annotates every candidate and keeps the cheapest (the first on ties);
+  /// nullptr when there are none.
+  std::unique_ptr<PlanNode> Cheapest(
+      std::vector<std::unique_ptr<PlanNode>> candidates);
+
+  /// Join-order search over the access paths: DP over connected subsets.
   std::unique_ptr<PlanNode> EnumerateJoins(
       const QuerySpec& query, const Configuration& config,
       std::vector<AccessPath> base_paths, double* out_rows);
 
-  /// Builds one join node candidate (cloning children) and annotates it.
-  std::unique_ptr<PlanNode> MakeJoin(PhysOp op, const PlanNode& left,
-                                     const PlanNode& right, ColumnRef left_col,
-                                     ColumnRef right_col, double out_rows);
+  /// Builds one annotated join node over `left` and `right` (a merge join
+  /// sorts both first).
+  std::unique_ptr<PlanNode> MakeJoin(PhysOp op, std::unique_ptr<PlanNode> left,
+                                     std::unique_ptr<PlanNode> right,
+                                     ColumnRef left_col, ColumnRef right_col,
+                                     double out_rows);
 
   /// Adds aggregation / ordering / top on top of the join tree.
   std::unique_ptr<PlanNode> FinishPlan(const QuerySpec& query,
@@ -88,7 +87,6 @@ class PlanEnumerator {
   StatisticsCatalog* stats_;
   CardinalityEstimator card_;
   OptimizerCostModel cost_model_;
-  Options options_;
 };
 
 }  // namespace aimai

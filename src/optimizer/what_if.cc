@@ -66,20 +66,12 @@ std::shared_ptr<const PhysicalPlan> PlanCacheDomain::GetOrCompute(
   return plan;
 }
 
-void PlanCacheDomain::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->map.clear();
-    shard->fifo.clear();
-  }
-}
-
-void PlanCacheDomain::ClearPrefix(const std::string& prefix) {
+void PlanCacheDomain::Clear(const std::string& key_prefix) {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     std::deque<std::string> kept;
     for (std::string& key : shard->fifo) {
-      if (key.compare(0, prefix.size(), prefix) == 0) {
+      if (key.compare(0, key_prefix.size(), key_prefix) == 0) {
         shard->map.erase(key);
       } else {
         kept.push_back(std::move(key));
@@ -98,22 +90,18 @@ size_t PlanCacheDomain::size() const {
   return total;
 }
 
-WhatIfOptimizer::WhatIfOptimizer(const Database* db, StatisticsCatalog* stats,
-                                 PlanEnumerator::Options options,
-                                 CacheOptions cache_options)
+WhatIfOptimizer::WhatIfOptimizer(const Database* db, StatisticsCatalog* stats)
     : db_(db),
-      enumerator_(db, stats, options),
-      domain_(std::make_shared<PlanCacheDomain>(cache_options)) {}
+      enumerator_(db, stats),
+      domain_(std::make_shared<PlanCacheDomain>()) {}
 
 WhatIfOptimizer::WhatIfOptimizer(const Database* db, StatisticsCatalog* stats,
-                                 PlanEnumerator::Options options,
                                  std::shared_ptr<PlanCacheDomain> domain,
                                  std::string cache_namespace)
     : db_(db),
-      enumerator_(db, stats, options),
+      enumerator_(db, stats),
       domain_(std::move(domain)),
-      namespace_(std::move(cache_namespace) + kNamespaceSep),
-      shared_domain_(true) {
+      namespace_(std::move(cache_namespace) + kNamespaceSep) {
   AIMAI_CHECK(domain_ != nullptr);
 }
 
@@ -174,21 +162,7 @@ Status WhatIfOptimizer::ValidateQuery(const QuerySpec& query) const {
     return Status::InvalidArgument(
         StrFormat("query '%s' references no tables", query.name.c_str()));
   }
-  return Status::Ok();
-}
-
-StatusOr<std::shared_ptr<const PhysicalPlan>> WhatIfOptimizer::TryOptimize(
-    const QuerySpec& query, const Configuration& config) {
-  AIMAI_RETURN_IF_ERROR(ValidateQuery(query));
-  return Optimize(query, config);
-}
-
-void WhatIfOptimizer::ClearCache() {
-  if (shared_domain_) {
-    domain_->ClearPrefix(namespace_);
-  } else {
-    domain_->Clear();
-  }
+  return PlanEnumerator::CheckJoinGraph(query);
 }
 
 }  // namespace aimai

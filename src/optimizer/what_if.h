@@ -51,11 +51,10 @@ class PlanCacheDomain {
       const std::function<std::shared_ptr<const PhysicalPlan>()>& compute,
       bool* hit);
 
-  /// Drops every cached plan. Outstanding handles stay valid.
-  void Clear();
-
-  /// Drops only keys beginning with `prefix` (one tenant's namespace).
-  void ClearPrefix(const std::string& prefix);
+  /// Drops the cached plans whose keys begin with `key_prefix` (one
+  /// tenant's namespace; every plan when empty). Outstanding handles stay
+  /// valid.
+  void Clear(const std::string& key_prefix);
 
   /// Total cached plans across all shards (approximate under concurrency).
   size_t size() const;
@@ -103,23 +102,14 @@ class PlanCacheDomain {
 /// callers keeping plans inside tuning results never dangle.
 class WhatIfOptimizer {
  public:
-  /// Back-compat alias: sizing for the private cache domain.
-  using CacheOptions = PlanCacheDomain::Options;
-
-  WhatIfOptimizer(const Database* db, StatisticsCatalog* stats)
-      : WhatIfOptimizer(db, stats, PlanEnumerator::Options(), CacheOptions()) {}
-  WhatIfOptimizer(const Database* db, StatisticsCatalog* stats,
-                  PlanEnumerator::Options options)
-      : WhatIfOptimizer(db, stats, options, CacheOptions()) {}
-  WhatIfOptimizer(const Database* db, StatisticsCatalog* stats,
-                  PlanEnumerator::Options options, CacheOptions cache_options);
+  /// Private-domain constructor: a default-sized domain of its own.
+  WhatIfOptimizer(const Database* db, StatisticsCatalog* stats);
 
   /// Shared-domain constructor: cache entries live in `domain` under
   /// `cache_namespace`. Distinct namespaces never alias — two tenants may
   /// issue byte-identical queries over byte-identical configurations and
   /// still get plans enumerated against their own statistics.
   WhatIfOptimizer(const Database* db, StatisticsCatalog* stats,
-                  PlanEnumerator::Options options,
                   std::shared_ptr<PlanCacheDomain> domain,
                   std::string cache_namespace);
 
@@ -133,14 +123,11 @@ class WhatIfOptimizer {
   std::shared_ptr<const PhysicalPlan> Optimize(const QuerySpec& query,
                                                const Configuration& config);
 
-  /// Status-returning variant for user-supplied input: a query referencing
-  /// unknown tables or columns comes back as InvalidArgument instead of
-  /// aborting somewhere inside plan enumeration.
-  StatusOr<std::shared_ptr<const PhysicalPlan>> TryOptimize(
-      const QuerySpec& query, const Configuration& config);
-
-  /// Validates that `query` only references tables and columns that exist
-  /// in this optimizer's database.
+  /// InvalidArgument unless `query` only references tables and columns
+  /// that exist in this optimizer's database and has a join graph
+  /// Optimize accepts (PlanEnumerator::CheckJoinGraph). The tuners' Status
+  /// entry points validate user-supplied queries here, so bad input never
+  /// aborts inside plan enumeration.
   Status ValidateQuery(const QuerySpec& query) const;
 
   int64_t num_calls() const {
@@ -152,21 +139,18 @@ class WhatIfOptimizer {
   /// Evictions in the underlying domain (domain-wide when shared).
   int64_t num_evictions() const { return domain_->num_evictions(); }
 
-  /// Drops this optimizer's cached plans: the whole domain when private,
-  /// only this optimizer's namespace when the domain is shared.
-  void ClearCache();
+  /// Drops the cached plans in this optimizer's namespace: the whole
+  /// domain when private.
+  void ClearCache() { domain_->Clear(namespace_); }
 
   /// Cached plans in the underlying domain (domain-wide when shared).
   size_t cache_size() const { return domain_->size(); }
-
-  const PlanCacheDomain* domain() const { return domain_.get(); }
 
  private:
   const Database* db_;
   PlanEnumerator enumerator_;
   std::shared_ptr<PlanCacheDomain> domain_;
-  std::string namespace_;
-  bool shared_domain_ = false;
+  std::string namespace_;  // Key prefix; empty for a private domain.
   std::atomic<int64_t> num_calls_{0};
   std::atomic<int64_t> num_cache_hits_{0};
 };

@@ -20,8 +20,7 @@ Session::Session(TuningService* service, SessionOptions options,
   // this session's namespace; the caller-provided env keeps everything
   // else (executor, index manager, noise RNG) private to the tenant.
   what_if_ = std::make_unique<WhatIfOptimizer>(
-      env_.db, env_.stats, PlanEnumerator::Options(), std::move(domain),
-      options_.name);
+      env_.db, env_.stats, std::move(domain), options_.name);
   env_.what_if = what_if_.get();
   candidates_ = std::make_unique<CandidateGenerator>(env_.db, env_.stats);
 }

@@ -32,11 +32,13 @@ int ModelComparator::Label(const PhysicalPlan& p1,
     auto it = labels_.find(key);
     if (it != labels_.end()) return it->second;
   }
-  const auto x = features_.GetOrCompute(featurizer_, p1, p2);
+  const auto f1 = plan_features_.GetOrCompute(featurizer_, p1);
+  const auto f2 = plan_features_.GetOrCompute(featurizer_, p2);
+  const std::vector<double> x = featurizer_.Combine(*f1, *f2);
   int label = kUnsure;
   {
     AIMAI_SPAN("comparator.model_label");
-    label = classifier_->Predict(x->data());
+    label = classifier_->Predict(x.data());
   }
   {
     std::lock_guard<std::mutex> lock(labels_mu_);
@@ -44,7 +46,7 @@ int ModelComparator::Label(const PhysicalPlan& p1,
     if (it != labels_.end()) return it->second;  // A racer labeled it first.
     labels_.emplace(key, label);
     label_fifo_.push_back(key);
-    while (labels_.size() > PairFeatureCache::kDefaultCapacity) {
+    while (labels_.size() > kLabelMemoCapacity) {
       labels_.erase(label_fifo_.front());
       label_fifo_.pop_front();
     }

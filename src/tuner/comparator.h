@@ -93,14 +93,15 @@ class OptimizerComparator : public CostComparator {
 /// insignificant differences.
 ///
 /// Labels are memoized per ordered pair of plan ContentHash()es: each
-/// fresh pair is featurized (through the PairFeatureCache) and labeled
-/// by one scalar Predict; repeats are hash lookups. Labels are pure
-/// functions of the pair, so answers never depend on call order or on
-/// which thread asks first.
+/// fresh pair combines its two plans' features (each featurized at most
+/// once, through the PlanFeatureCache) and is labeled by one scalar
+/// Predict; repeats are hash lookups. Labels are pure functions of the
+/// pair, so answers never depend on call order or on which thread asks
+/// first.
 ///
-/// Thread-safe; both memos are bounded FIFO of
-/// PairFeatureCache::kDefaultCapacity entries (the feature cache mirrors
-/// the what-if cache design and feeds `featurize.cache_{hits,evictions}`).
+/// Thread-safe; the label memo is a bounded FIFO of kLabelMemoCapacity
+/// pairs, the plan-feature memo one of PlanFeatureCache::kDefaultCapacity
+/// plans.
 class ModelComparator : public CostComparator {
  public:
   ModelComparator(std::shared_ptr<const Classifier> classifier,
@@ -127,10 +128,12 @@ class ModelComparator : public CostComparator {
     }
   };
 
+  static constexpr size_t kLabelMemoCapacity = 1 << 12;
+
   std::shared_ptr<const Classifier> classifier_;
   PairFeaturizer featurizer_;
   ComparatorDecisionSink* sink_ = nullptr;
-  mutable PairFeatureCache features_;
+  mutable PlanFeatureCache plan_features_;
   mutable std::mutex labels_mu_;
   mutable std::unordered_map<Key, int, KeyHash> labels_;
   mutable std::deque<Key> label_fifo_;

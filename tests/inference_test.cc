@@ -302,39 +302,49 @@ TEST(FeatureCacheTest, MemoReturnsIdenticalVectorsAndCountsHits) {
   PairFeaturizer fz({Channel::kEstNodeCost, Channel::kLeafBytesWeighted},
                     PairCombine::kPairDiffNormalized);
 
-  PairFeatureCache cache;
-  const auto a = cache.GetOrCompute(fz, *p1, *p2);
-  EXPECT_EQ(*a, fz.Featurize(*p1, *p2));
+  PlanFeatureCache cache;
+  const auto a = cache.GetOrCompute(fz, *p1);
+  EXPECT_EQ(a->values, fz.plan_featurizer().Featurize(*p1).values);
   EXPECT_EQ(cache.num_misses(), 1);
-  const auto b = cache.GetOrCompute(fz, *p1, *p2);
-  EXPECT_EQ(a.get(), b.get());  // Same shared vector, not a recompute.
+  const auto b = cache.GetOrCompute(fz, *p1);
+  EXPECT_EQ(a.get(), b.get());  // Same shared features, not a recompute.
   EXPECT_EQ(cache.num_hits(), 1);
-  // Ordered pairs: (p2, p1) is a different key.
-  const auto c = cache.GetOrCompute(fz, *p2, *p1);
+  // The key is the plan's content: an equal clone hits as well.
+  EXPECT_EQ(cache.GetOrCompute(fz, *p1->Clone()).get(), a.get());
+  EXPECT_EQ(cache.num_hits(), 2);
+  const auto c = cache.GetOrCompute(fz, *p2);
   EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(*c, fz.Featurize(*p2, *p1));
+  EXPECT_EQ(cache.num_misses(), 2);
   EXPECT_EQ(cache.size(), 2u);
+  // Memoized plan features combine into the pair features bit for bit.
+  EXPECT_EQ(fz.Combine(*a, *c), fz.Featurize(*p1, *p2));
+  EXPECT_EQ(fz.Combine(*c, *a), fz.Featurize(*p2, *p1));
 }
 
 TEST(FeatureCacheTest, EvictionIsBoundedFifoAndHandlesAreStable) {
   auto bdb = BuildTpchLike("fe", 1, 0.9, 43);
   PairFeaturizer fz({Channel::kEstNodeCost}, PairCombine::kPairDiffNormalized);
-  PairFeatureCache cache(/*capacity=*/2);
+  PlanFeatureCache cache(/*capacity=*/2);
   std::vector<std::shared_ptr<const PhysicalPlan>> plans;
-  for (size_t i = 0; i < 4; ++i) {
+  for (size_t i = 0; i < 3; ++i) {
     plans.push_back(bdb->what_if()->Optimize(bdb->queries()[i], {}));
   }
-  const auto oldest = cache.GetOrCompute(fz, *plans[0], *plans[1]);
-  cache.GetOrCompute(fz, *plans[1], *plans[2]);
-  cache.GetOrCompute(fz, *plans[2], *plans[3]);  // Evicts the oldest entry.
+  const auto oldest = cache.GetOrCompute(fz, *plans[0]);
+  cache.GetOrCompute(fz, *plans[1]);
+  cache.GetOrCompute(fz, *plans[2]);  // Evicts the oldest entry.
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.num_evictions(), 1);
-  EXPECT_EQ(cache.Lookup(plans[0]->ContentHash(), plans[1]->ContentHash()),
-            nullptr);
-  // The evicted vector stays alive for holders of the handle.
-  EXPECT_EQ(*oldest, fz.Featurize(*plans[0], *plans[1]));
-  // Recompute after eviction reproduces the same features.
-  EXPECT_EQ(*cache.GetOrCompute(fz, *plans[0], *plans[1]), *oldest);
+  EXPECT_EQ(cache.num_misses(), 3);
+  // The newer entries are still cached.
+  cache.GetOrCompute(fz, *plans[2]);
+  EXPECT_EQ(cache.num_hits(), 1);
+  // The evicted features stay alive for holders of the handle.
+  EXPECT_EQ(oldest->values, fz.plan_featurizer().Featurize(*plans[0]).values);
+  // Asking again misses and reproduces the same features.
+  const auto again = cache.GetOrCompute(fz, *plans[0]);
+  EXPECT_EQ(cache.num_misses(), 4);
+  EXPECT_NE(again.get(), oldest.get());
+  EXPECT_EQ(again->values, oldest->values);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 }  // namespace

@@ -4,13 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <sstream>
+#include <string>
 
+#include "common/serialize.h"
+#include "models/repository_io.h"
 #include "optimizer/cardinality_estimator.h"
 #include "optimizer/histogram.h"
 #include "optimizer/plan_enumerator.h"
 #include "optimizer/what_if.h"
 #include "storage/data_generator.h"
+#include "tuner/candidates.h"
 #include "workloads/query_helpers.h"
+#include "workloads/query_stream.h"
+#include "workloads/tpcds_like.h"
 #include "workloads/tpch_like.h"
 
 namespace aimai {
@@ -255,6 +263,150 @@ TEST(WhatIfTest, CacheKeyedByQueryAndConfig) {
   Configuration c2;
   c2.Add(idx);
   EXPECT_NE(bdb->what_if()->Optimize(q0, c2), a);
+}
+
+// Golden plans: every plan of a (query x configuration) sweep, serialized
+// with SavePhysicalPlan and hashed, must equal hashes recorded before the
+// join search was reduced to one DP over a flat table, so no refactor of
+// the enumerator can move one bit of a plan. Configurations per query are
+// the base configuration, each single candidate on top of it, and the
+// cumulative prefixes of the candidate list.
+struct PlanSweep {
+  uint64_t hash = 14695981039346656037ull;
+  std::set<PhysOp> ops;
+  std::set<PhysOp> nlj_inners;
+  bool parallel = false;
+  int plans = 0;
+
+  void Add(const PhysicalPlan& plan) {
+    std::ostringstream out;
+    TokenWriter w(&out);
+    SavePhysicalPlan(&w, plan);
+    hash = (hash ^ Fnv1a64(out.str())) * 1099511628211ull;
+    plan.root->Visit([this](const PlanNode& n) {
+      ops.insert(n.op);
+      if (n.op == PhysOp::kNestedLoopJoin) nlj_inners.insert(n.child(1)->op);
+    });
+    parallel = parallel || plan.degree_of_parallelism > 1;
+    ++plans;
+  }
+};
+
+void SweepQueries(BenchmarkDatabase* bdb, const std::vector<QuerySpec>& qs,
+                  PlanSweep* sweep) {
+  PlanEnumerator enumerator(bdb->db(), bdb->stats());
+  CandidateGenerator candidates(bdb->db(), bdb->stats());
+  const Configuration& base = bdb->initial_config();
+  for (const QuerySpec& q : qs) {
+    sweep->Add(*enumerator.Optimize(q, base));
+    const std::vector<IndexDef> cands = candidates.Generate(q, base);
+    Configuration prefix = base;
+    for (size_t i = 0; i < cands.size(); ++i) {
+      Configuration single = base;
+      single.Add(cands[i]);
+      sweep->Add(*enumerator.Optimize(q, single));
+      prefix.Add(cands[i]);
+      if (i > 0) sweep->Add(*enumerator.Optimize(q, prefix));
+    }
+  }
+}
+
+PlanSweep SweepKind(const QueryStreamSpec& spec, int extra_batch) {
+  auto gen = MakePreparedQueryStream(spec);
+  EXPECT_TRUE(gen.ok()) << spec.kind;
+  PlanSweep sweep;
+  if (!gen.ok()) return sweep;
+  BenchmarkDatabase* bdb = (*gen)->database();
+  std::vector<QuerySpec> qs = bdb->queries();
+  if (extra_batch > 0) {
+    auto batch = (*gen)->NextQueryBatch(extra_batch);
+    EXPECT_TRUE(batch.ok());
+    if (batch.ok()) qs.insert(qs.end(), batch->begin(), batch->end());
+  }
+  SweepQueries(bdb, qs, &sweep);
+  return sweep;
+}
+
+/// orders ⋈ lineitem with each side estimated at about one row, on a
+/// database where both tables exceed the nested loop's scan-inner bound:
+/// there a merge join's sorts cost less than a hash build, so the base
+/// plans reach the merge-join builder that no workload query does.
+std::vector<QuerySpec> MergeJoinQueries(const Database& d) {
+  const int ord = d.FindTable("orders");
+  const int li = d.FindTable("lineitem");
+  std::vector<QuerySpec> qs;
+  for (int max_qty = 3; max_qty <= 5; ++max_qty) {
+    QuerySpec q;
+    q.name = "merge_join#" + std::to_string(max_qty);
+    q.tables = {ord, li};
+    q.predicates = {
+        PredEq(ord, Col(d, ord, "o_orderkey"), Value::Int(5)),
+        PredEq(li, Col(d, li, "l_partkey"), Value::Int(7)),
+        PredBetween(li, Col(d, li, "l_quantity"), Value::Int(1),
+                    Value::Int(max_qty))};
+    q.joins = {Join(ord, Col(d, ord, "o_orderkey"), li,
+                    Col(d, li, "l_orderkey"))};
+    q.select_columns = {ColumnRef{li, Col(d, li, "l_extendedprice")}};
+    qs.push_back(q);
+  }
+  return qs;
+}
+
+TEST(GoldenPlanTest, SweepHashesAndOperatorCoverage) {
+  struct Family {
+    std::string name;
+    PlanSweep sweep;
+    uint64_t want;
+  };
+  std::vector<Family> families = {
+      {"tpch", SweepKind(QueryStreamSpec().WithKind("tpch"), 0),
+       0x8bd917c05a4d8ae4ull},
+      {"tpcds", SweepKind(QueryStreamSpec().WithKind("tpcds"), 0),
+       0xd632326ec0be96e9ull},
+      {"customer6", SweepKind(QueryStreamSpec().WithKind("customer6"), 0),
+       0xdb294e962ebe8134ull},
+      {"customer11", SweepKind(QueryStreamSpec().WithKind("customer11"), 0),
+       0xa30f88468e8da00cull},
+      {"tpch_sf",
+       SweepKind(QueryStreamSpec().WithKind("tpch_sf").WithSf(0.01), 0),
+       0xf6f655589d0f4535ull},
+      {"synthetic", SweepKind(QueryStreamSpec().WithKind("synthetic"), 16),
+       0x66662391851f8b23ull},
+  };
+  // tpcds with a columnstore C0 on its three fact tables.
+  auto cs = BuildTpcdsLike("tpcds_cs", 1, 0.8, /*with_columnstore=*/true, 42);
+  families.push_back({"tpcds_columnstore", PlanSweep(), 0x29327466be38c5ull});
+  SweepQueries(cs.get(), cs->queries(), &families.back().sweep);
+  // Hand-built merge-join queries on tpch at scale 3.
+  auto tpch3 = BuildTpchLike("tpch3", 3, 0.9, 42);
+  families.push_back(
+      {"tpch_merge_join", PlanSweep(), 0x63142f75ec3d5e79ull});
+  SweepQueries(tpch3.get(), MergeJoinQueries(*tpch3->db()),
+               &families.back().sweep);
+
+  std::set<PhysOp> ops;
+  std::set<PhysOp> nlj_inners;
+  bool parallel = false;
+  for (const Family& f : families) {
+    EXPECT_EQ(f.sweep.hash, f.want)
+        << f.name << ": got 0x" << std::hex << f.sweep.hash << std::dec
+        << " over " << f.sweep.plans << " plans";
+    ops.insert(f.sweep.ops.begin(), f.sweep.ops.end());
+    nlj_inners.insert(f.sweep.nlj_inners.begin(), f.sweep.nlj_inners.end());
+    parallel = parallel || f.sweep.parallel;
+  }
+  // The pin covers every builder: each operator appears somewhere in the
+  // sweep, so does every nested-loop inner shape (seek, seek + key lookup,
+  // seek + key lookup + filter, tiny-table scan), and so does a parallel
+  // plan.
+  for (int i = 0; i < kNumPhysOps; ++i) {
+    EXPECT_EQ(ops.count(static_cast<PhysOp>(i)), 1u)
+        << PhysOpName(static_cast<PhysOp>(i));
+  }
+  EXPECT_EQ(nlj_inners,
+            (std::set<PhysOp>{PhysOp::kTableScan, PhysOp::kIndexSeek,
+                              PhysOp::kKeyLookup, PhysOp::kFilter}));
+  EXPECT_TRUE(parallel);
 }
 
 TEST(QuerySpecTest, TemplateHashIgnoresConstants) {

@@ -155,11 +155,11 @@ TEST(WhatIfConcurrencyTest, DistinctKeysEnumerateOncePerKey) {
 
 TEST(WhatIfConcurrencyTest, ShardCapacityBoundsCacheAndCountsEvictions) {
   auto bdb = BuildTpchLike("par_evict", 1, 0.5, 43);
-  WhatIfOptimizer::CacheOptions copts;
+  PlanCacheDomain::Options copts;
   copts.shards = 1;  // One shard makes the bound exact.
   copts.shard_capacity = 4;
-  WhatIfOptimizer what_if(bdb->db(), bdb->stats(), PlanEnumerator::Options(),
-                          copts);
+  WhatIfOptimizer what_if(bdb->db(), bdb->stats(),
+                          std::make_shared<PlanCacheDomain>(copts), "evict");
 
   // 10 distinct queries -> 10 distinct keys through one shard.
   ASSERT_GE(bdb->queries().size(), 10u);

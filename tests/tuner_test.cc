@@ -11,6 +11,7 @@
 #include "tuner/query_tuner.h"
 #include "tuner/workload_tuner.h"
 #include "workloads/query_helpers.h"
+#include "workloads/query_stream.h"
 #include "workloads/tpch_like.h"
 
 namespace aimai {
@@ -246,6 +247,112 @@ TEST_F(TunerTest, ContinuousWorkloadTuningProducesTrace) {
   EXPECT_GT(trace.initial_cost, 0);
   EXPECT_GT(trace.final_cost, 0);
   EXPECT_LE(trace.final_cost, trace.initial_cost * 1.5);
+}
+
+
+// Join graphs the enumerator cannot plan come back from every tuner's
+// Status entry point as InvalidArgument instead of aborting inside the
+// join search.
+class BadJoinGraphTest : public TunerTest {
+ protected:
+  /// orders x lineitem, joined on the order key.
+  QuerySpec Valid() const {
+    const Database& d = *bdb_->db();
+    const int ord = d.FindTable("orders");
+    const int li = d.FindTable("lineitem");
+    QuerySpec q;
+    q.name = "bad_join";
+    q.tables = {ord, li};
+    q.joins = {Join(ord, Col(d, ord, "o_orderkey"), li,
+                    Col(d, li, "l_orderkey"))};
+    q.predicates = {PredEq(ord, Col(d, ord, "o_custkey"), Value::Int(3))};
+    return q;
+  }
+
+  /// Each bad shape, with the phrase its error names.
+  std::vector<std::pair<QuerySpec, std::string>> BadQueries() const {
+    const Database& d = *bdb_->db();
+    std::vector<std::pair<QuerySpec, std::string>> out;
+    QuerySpec disconnected = Valid();
+    disconnected.joins.clear();
+    out.emplace_back(disconnected, "disconnected join graph");
+    QuerySpec duplicate = Valid();
+    duplicate.tables.push_back(duplicate.tables[0]);
+    out.emplace_back(duplicate, "twice");
+    QuerySpec unlisted = Valid();
+    const int part = d.FindTable("part");
+    unlisted.joins.push_back(Join(unlisted.tables[1],
+                                  Col(d, unlisted.tables[1], "l_partkey"),
+                                  part, Col(d, part, "p_partkey")));
+    out.emplace_back(unlisted, "does not list");
+    QuerySpec wide = Valid();
+    while (wide.tables.size() <= 10) wide.tables.push_back(wide.tables[0]);
+    out.emplace_back(wide, "at most 10");
+    return out;
+  }
+
+  static void ExpectInvalid(const Status& st, const std::string& phrase) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.message();
+    EXPECT_NE(st.message().find(phrase), std::string::npos) << st.message();
+  }
+};
+
+TEST_F(BadJoinGraphTest, QueryTunerTryTuneReturnsInvalidArgument) {
+  CandidateGenerator gen(bdb_->db(), bdb_->stats());
+  QueryLevelTuner tuner(bdb_->db(), bdb_->what_if(), &gen);
+  OptimizerComparator cmp(0.0, 0.2);
+  ASSERT_TRUE(tuner.TryTune(Valid(), {}, cmp).ok());
+  for (const auto& [q, phrase] : BadQueries()) {
+    ExpectInvalid(tuner.TryTune(q, {}, cmp).status(), phrase);
+  }
+}
+
+TEST_F(BadJoinGraphTest, WorkloadTunerTryTuneReturnsInvalidArgument) {
+  CandidateGenerator gen(bdb_->db(), bdb_->stats());
+  WorkloadLevelTuner tuner(bdb_->db(), bdb_->what_if(), &gen);
+  OptimizerComparator cmp(0.0, 0.2);
+  for (const auto& [q, phrase] : BadQueries()) {
+    const std::vector<WorkloadQuery> wl = {{Valid(), 1.0}, {q, 1.0}};
+    ExpectInvalid(tuner.TryTune(wl, {}, cmp).status(), phrase);
+  }
+}
+
+TEST_F(BadJoinGraphTest, ContinuousTunerTryTuneQueryReturnsInvalidArgument) {
+  TuningEnv env = bdb_->MakeEnv(0);
+  CandidateGenerator gen(bdb_->db(), bdb_->stats());
+  ContinuousTuner::Options o;
+  o.iterations = 1;
+  ContinuousTuner tuner(&env, &gen, o);
+  auto factory = []() -> std::unique_ptr<CostComparator> {
+    return std::make_unique<OptimizerComparator>(0.0, 0.2);
+  };
+  for (const auto& [q, phrase] : BadQueries()) {
+    ExpectInvalid(
+        tuner.TryTuneQuery(q, {}, factory, nullptr, nullptr).status(),
+        phrase);
+  }
+}
+
+// Every query of every registered workload kind is one ValidateQuery
+// accepts, so the join-graph checks refuse only malformed input.
+TEST(ValidateQueryTest, EveryRegistryQueryPasses) {
+  for (const char* kind :
+       {"tpch", "tpcds", "tpch_sf", "synthetic", "customer1", "customer2",
+        "customer3", "customer4", "customer5", "customer6", "customer7",
+        "customer8", "customer9", "customer10", "customer11"}) {
+    auto gen = MakePreparedQueryStream(
+        QueryStreamSpec().WithKind(kind).WithSf(0.01));
+    ASSERT_TRUE(gen.ok()) << kind;
+    BenchmarkDatabase* bdb = (*gen)->database();
+    std::vector<QuerySpec> qs = bdb->queries();
+    auto batch = (*gen)->NextQueryBatch(32);
+    ASSERT_TRUE(batch.ok()) << kind;
+    qs.insert(qs.end(), batch->begin(), batch->end());
+    for (const QuerySpec& q : qs) {
+      const Status st = bdb->what_if()->ValidateQuery(q);
+      EXPECT_TRUE(st.ok()) << kind << ": " << st.message();
+    }
+  }
 }
 
 }  // namespace
