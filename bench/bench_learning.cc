@@ -109,9 +109,9 @@ RunResult RunStream(const LearningOptions* learning, int sessions,
     dbs.push_back(BuildTpchLike("lbench_" + std::to_string(s), 1, 0.9,
                                 seed + 10 + static_cast<uint64_t>(s)));
   }
-  ServiceOptions sopts;
-  sopts.WithJobRunners(4).WithMaxInflightJobs(4).WithMaxQueuedJobs(256);
-  if (learning != nullptr) sopts.WithLearning(*learning);
+  ServiceOptions sopts{
+      .job_runners = 4, .max_inflight_jobs = 4, .max_queued_jobs = 256};
+  if (learning != nullptr) sopts.learning = *learning;
   auto service = std::move(TuningService::Create(sopts).value());
   service->models().Publish("offline", offline, fz);
 
@@ -191,9 +191,9 @@ int main() {
   // --- Phase two: the full loop on one drifted tenant. The retrain runs
   // in the background; its wall time is measured standalone below on the
   // exact data the loop harvested.
-  ServiceOptions sopts;
-  sopts.WithJobRunners(2).WithLearning(FullLoop());
-  auto service = std::move(TuningService::Create(sopts).value());
+  auto service = std::move(
+      TuningService::Create({.job_runners = 2, .learning = FullLoop()})
+          .value());
   service->models().Publish("offline", offline, fz);
   auto tenant_db = BuildTpchLike("lbench_adapt", 1, 0.9, opts.seed + 20);
   SessionOptions so;

@@ -69,13 +69,14 @@ RunResult RunOnce(bool resilient,
                   int jobs_per_session, const std::string& journal_dir) {
   const int sessions = static_cast<int>(dbs.size());
   ServiceOptions sopts;
-  sopts.WithJobRunners(4).WithMaxInflightJobs(4).WithMaxQueuedJobs(
-      sessions * jobs_per_session + sessions);
+  sopts.job_runners = 4;
+  sopts.max_inflight_jobs = 4;
+  sopts.max_queued_jobs = sessions * jobs_per_session + sessions;
   if (resilient) {
-    sopts.WithJobTimeoutMs(120000)
-        .WithJobStallTimeoutMs(30000)
-        .WithWatchdogPollMs(5)
-        .WithJournalDir(journal_dir);
+    sopts.job_timeout_ms = 120000;
+    sopts.watchdog_poll_ms = 5;
+    sopts.job_stall_timeout_ms = 30000;
+    sopts.journal_dir = journal_dir;
   }
   auto service = std::move(TuningService::Create(sopts).value());
   std::vector<Session*> handles;

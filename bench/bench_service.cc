@@ -83,11 +83,10 @@ RunStats RunAtScale(int sessions, int jobs_per_session,
                     const CustomerProfile& prof, uint64_t seed,
                     const std::vector<std::string>& serial_keys) {
   auto service = std::move(
-      TuningService::Create(ServiceOptions()
-                                .WithJobRunners(std::min(sessions, 8))
-                                .WithMaxInflightJobs(std::min(sessions, 8))
-                                .WithMaxQueuedJobs(sessions * jobs_per_session +
-                                                   sessions))
+      TuningService::Create(
+          {.job_runners = std::min(sessions, 8),
+           .max_inflight_jobs = std::min(sessions, 8),
+           .max_queued_jobs = sessions * jobs_per_session + sessions})
           .value());
   std::vector<std::unique_ptr<BenchmarkDatabase>> dbs;
   std::vector<Session*> handles;

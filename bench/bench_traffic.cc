@@ -36,17 +36,15 @@ constexpr int kSessions = 1024;
 // small closed burst with an effectively unbounded queue, so nothing is
 // shed and the runner fleet is the only limit.
 double MeasureCapacity(uint64_t seed, bool quick) {
-  TrafficOptions copts =
-      TrafficOptions()
-          .WithSessions(64)
-          .WithDurationS(1.0)
-          .WithDatabases(4)
-          .WithRunners(8)
-          .WithMaxQueued(1000000)
-          .WithSloMs(0)
-          .WithEnforceSloDeadline(false)
-          .WithSeed(seed)
-          .WithArrival(ArrivalSpec().WithRatePerSec(quick ? 8.0 : 16.0));
+  const TrafficOptions copts{.sessions = 64,
+                             .duration_s = 1.0,
+                             .arrival = {.rate_per_sec = quick ? 8.0 : 16.0},
+                             .slo_ms = 0,
+                             .enforce_slo_deadline = false,
+                             .seed = seed,
+                             .databases = 4,
+                             .runners = 8,
+                             .max_queued = 1000000};
   auto report_or = TrafficEngine(copts).Run();
   if (!report_or.ok()) {
     std::fprintf(stderr, "calibration: %s\n",
@@ -89,23 +87,23 @@ int main() {
                "SLO %lld ms\n",
                capacity, steady_rate, static_cast<long long>(slo_ms));
 
-  TrafficOptions topts =
-      TrafficOptions()
-          .WithSessions(kSessions)
-          .WithDurationS(duration_s)
-          .WithDatabases(4)
-          .WithRunners(8)
-          .WithMaxQueued(512)
-          .WithSloMs(slo_ms)
-          // Misses are accounted from completion latency; killing overdue
-          // jobs mid-run would understate the overload the flash causes.
-          .WithEnforceSloDeadline(false)
-          .WithSeed(opts.seed)
-          .WithTimeCompression(1.0)  // Real-time replay: phases are real.
-          .WithArrival(ArrivalSpec()
-                           .WithKind(ArrivalKind::kFlashCrowd)
-                           .WithRatePerSec(steady_rate)
-                           .WithFlash(0.7, 0.3, 24.0));
+  const TrafficOptions topts{
+      .sessions = kSessions,
+      .duration_s = duration_s,
+      .arrival = {.kind = ArrivalKind::kFlashCrowd,
+                  .rate_per_sec = steady_rate,
+                  .flash_start_frac = 0.7,
+                  .flash_duration_frac = 0.3,
+                  .flash_multiplier = 24.0},
+      .slo_ms = slo_ms,
+      // Misses are accounted from completion latency; killing overdue
+      // jobs mid-run would understate the overload the flash causes.
+      .enforce_slo_deadline = false,
+      .seed = opts.seed,
+      .databases = 4,
+      .time_compression = 1.0,  // Real-time replay: phases are real.
+      .runners = 8,
+      .max_queued = 512};
   std::fprintf(stderr, "replaying %d open-loop sessions for %.0fs...\n",
                kSessions, duration_s);
   auto report_or = TrafficEngine(topts).Run();

@@ -256,11 +256,10 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
   // kTimedOut if the budget runs out. 0 (default) disables deadlines.
   const int64_t job_timeout_ms = std::strtoll(
       FlagOr(flags, "job-timeout-ms", "0").c_str(), nullptr, 10);
-  auto service_or = TuningService::Create(
-      ServiceOptions()
-          .WithJobRunners(std::max(4, num_sessions))
-          .WithJobTimeoutMs(job_timeout_ms)
-          .WithLearning(learning));
+  auto service_or =
+      TuningService::Create({.job_runners = std::max(4, num_sessions),
+                             .job_timeout_ms = job_timeout_ms,
+                             .learning = learning});
   if (!service_or.ok()) {
     std::fprintf(stderr, "service: %s\n",
                  service_or.status().ToString().c_str());

@@ -44,11 +44,10 @@ int main() {
   // Offline model: trained on execution data from ANOTHER database, then
   // published to the service registry as version 1.
   std::printf("Collecting cross-database training data...\n");
-  auto offline_db = MakePreparedQueryStream(QueryStreamSpec()
-                                                .WithKind("tpch")
-                                                .WithScale(3)
-                                                .WithSeed(11)
-                                                .WithDbName("offline_db"))
+  auto offline_db = MakePreparedQueryStream({.kind = "tpch",
+                                             .scale = 3,
+                                             .seed = 11,
+                                             .db_name = "offline_db"})
                         .value()
                         ->TakeDatabase();
   ExecutionDataRepository offline_repo;

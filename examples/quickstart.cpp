@@ -19,11 +19,8 @@ using namespace aimai;
 int main() {
   // 1. Build a TPC-H-like database through the query-stream registry (the
   //    same path every workload family — and the traffic engine — uses).
-  auto stream_or = MakePreparedQueryStream(QueryStreamSpec()
-                                               .WithKind("tpch")
-                                               .WithScale(1)
-                                               .WithSeed(42)
-                                               .WithDbName("quickstart_db"));
+  auto stream_or = MakePreparedQueryStream(
+      {.kind = "tpch", .scale = 1, .seed = 42, .db_name = "quickstart_db"});
   if (!stream_or.ok()) {
     std::fprintf(stderr, "workload: %s\n",
                  stream_or.status().ToString().c_str());

@@ -2,9 +2,10 @@
 # Tier-1 verification flow, plus optional sanitizer stages.
 #
 #   scripts/check.sh            # configure, build, run the full test suite
-#                               # (including `ctest -L obs` explicitly, so a
-#                               # label regression is caught even if the full
-#                               # run is filtered down later)
+#                               # (then each label suite — obs, optimizer,
+#                               # workloads, ... — explicitly, so a label
+#                               # regression is caught even if the full run
+#                               # is filtered down later)
 #   TSAN=1 scripts/check.sh     # additionally build with -DAIMAI_SANITIZE=thread
 #                               # and run the concurrency-sensitive suites
 #                               # (obs, robustness, parallel, tuner,
@@ -13,8 +14,8 @@
 #   ASAN=1 scripts/check.sh     # additionally run the full suite under
 #                               # ASan+UBSan (-DAIMAI_SANITIZE=ON), then
 #                               # the exec, stats, traffic, ml,
-#                               # inference and optimizer label suites
-#                               # explicitly
+#                               # inference, optimizer and workloads label
+#                               # suites explicitly
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +33,9 @@ ctest --test-dir build -L inference --output-on-failure -j
 # sweep of every workload family, so no enumerator change moves one bit of
 # a plan).
 ctest --test-dir build -L optimizer --output-on-failure -j
+# And the workload-generator suite (golden table fingerprints and template
+# query names of every family, spec validation in the registry).
+ctest --test-dir build -L workloads --output-on-failure -j
 # And the tree-learner suite (golden Save() hashes of every tree ensemble,
 # the column-major bin matrix every tree of a fit reads).
 ctest --test-dir build -L ml --output-on-failure -j
@@ -111,6 +115,8 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   ctest --test-dir build-san -L 'ml|inference' --output-on-failure -j
   # The join search indexes its flat DP table by subset mask.
   ctest --test-dir build-san -L optimizer --output-on-failure -j
+  # The generators fill raw column arrays through per-column Rng streams.
+  ctest --test-dir build-san -L workloads --output-on-failure -j
 fi
 
 if [[ "${TSAN:-0}" == "1" ]]; then

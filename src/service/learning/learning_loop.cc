@@ -16,6 +16,10 @@ namespace aimai {
 
 namespace {
 
+/// Each newly measured plan is paired (both directions) with up to this
+/// many of the most recent earlier plans of the same query instance.
+constexpr int kMaxPairPartners = 3;
+
 uint64_t Fnv1a(const std::string& s) {
   uint64_t h = 1469598103934665603ULL;
   for (char c : s) {
@@ -67,10 +71,6 @@ Status LearningOptions::Validate() const {
   if (min_train_rows < 1 || min_holdout_rows < 1) {
     return Status::InvalidArgument(
         "learning.min_train_rows/min_holdout_rows must be >= 1");
-  }
-  if (max_pair_partners < 1) {
-    return Status::InvalidArgument(
-        "learning.max_pair_partners must be >= 1");
   }
   return Status::Ok();
 }
@@ -203,7 +203,7 @@ void LearningLoop::Harvest(Session* session) {
     // offline, grown incrementally.
     int partners = 0;
     for (auto it = members.rbegin();
-         it != members.rend() && partners < options_.max_pair_partners;
+         it != members.rend() && partners < kMaxPairPartners;
          ++it) {
       if (*it >= pid) continue;
       add_pair(*it, pid);
@@ -321,7 +321,7 @@ void LearningLoop::RunRetrainJob(Session* session, TuningJob* job,
         ->Set(adapted_f1);
   }
 
-  if (options_.require_f1_improvement && adapted_f1 < offline_f1) {
+  if (adapted_f1 < offline_f1) {
     std::lock_guard<std::mutex> lock(mu_);
     ++ts->stats.publish_skipped;
     AIMAI_COUNTER_INC("service.learning.publish_skipped");

@@ -16,12 +16,6 @@ Status ServiceOptions::Validate() const {
   if (max_sessions < 1) {
     return Status::InvalidArgument("max_sessions must be >= 1");
   }
-  if (priority_aging_claims < 0) {
-    return Status::InvalidArgument("priority_aging_claims must be >= 0");
-  }
-  if (cache_shards < 1) {
-    return Status::InvalidArgument("cache_shards must be >= 1");
-  }
   if (cache_shard_capacity < 1) {
     return Status::InvalidArgument("cache_shard_capacity must be >= 1");
   }
@@ -41,9 +35,6 @@ Status ServiceOptions::Validate() const {
       session_breaker.cooldown_calls < 1 ||
       session_breaker.half_open_successes < 1) {
     return Status::InvalidArgument("session_breaker options must be >= 1");
-  }
-  if (journal_max_entries < 1) {
-    return Status::InvalidArgument("journal_max_entries must be >= 1");
   }
   AIMAI_RETURN_IF_ERROR(learning.Validate());
   return Status::Ok();

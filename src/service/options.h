@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "common/status.h"
 #include "robustness/circuit_breaker.h"
@@ -17,9 +16,11 @@ namespace aimai {
 
 /// Configuration of the process-wide tuning service: the shared substrates
 /// (fan-out pool, plan-cache domain, model registry) and the admission
-/// limits. Build with the fluent setters and check with Validate() —
-/// TuningService::Create validates for you and refuses bad options with
-/// InvalidArgument instead of constructing a half-broken runtime.
+/// limits. Set the fields (or name them in a designated initializer: every
+/// member has a default, `{}` for class types, so -Wextra stays quiet) and
+/// check with Validate() — TuningService::Create validates for you and
+/// refuses bad options with InvalidArgument instead of constructing a
+/// half-broken runtime.
 struct ServiceOptions {
   /// Worker threads of the shared fan-out pool. 0 resolves through
   /// ConfiguredThreads() (--threads flag > AIMAI_THREADS env > CMake
@@ -34,14 +35,8 @@ struct ServiceOptions {
   int max_queued_jobs = 64;
   /// Sessions beyond this are refused at CreateSession.
   int max_sessions = 64;
-  /// Queue-claim aging: a runnable queued job that loses this many claims
-  /// gains one effective priority level, so low-priority work still
-  /// drains under a sustained high-priority open-loop flood. 0 disables
-  /// aging (strict priority).
-  int priority_aging_claims = 32;
-  /// Sharding of the process-wide what-if plan cache shared (namespaced)
-  /// by every session.
-  int cache_shards = 16;
+  /// Per-shard capacity of the process-wide what-if plan cache shared
+  /// (namespaced) by every session.
   int64_t cache_shard_capacity = 1 << 12;
 
   /// --- Fault tolerance (PR 6). ---
@@ -60,17 +55,15 @@ struct ServiceOptions {
   /// Retry budget for watchdog/crash-killed attempts: max_attempts bounds
   /// the requeues and the backoff schedule is *accounted* (virtual, never
   /// slept) through the existing RetryPolicy.
-  RetryOptions job_retry;
+  RetryOptions job_retry{};
   /// Per-session circuit breaker: a tenant whose jobs keep failing trips
   /// its own breaker (healthy -> quarantined) without touching any other
   /// tenant's results.
-  CircuitBreaker::Options session_breaker;
+  CircuitBreaker::Options session_breaker{};
   /// Directory for the crash-safe checkpoint journal (atomic writes +
   /// recovery-on-start with quarantine of corrupt entries). Empty = no
   /// journal; Drain() then skips journaling checkpointed jobs.
-  std::string journal_dir;
-  /// Journal entries kept before the oldest is pruned.
-  int journal_max_entries = 8;
+  std::string journal_dir{};
   /// Service-layer chaos injection (kJobCrash / kJobStall /
   /// kTornCheckpointWrite / kModelPublishFailure). nullptr = fault-free;
   /// must outlive the service.
@@ -81,76 +74,8 @@ struct ServiceOptions {
   /// Execution-feedback harvesting, drift-triggered background retraining,
   /// and per-tenant adapted publish. Off by default; when enabled, every
   /// session that names a registry model participates.
-  LearningOptions learning;
+  LearningOptions learning{};
 
-  ServiceOptions& WithThreads(int n) {
-    threads = n;
-    return *this;
-  }
-  ServiceOptions& WithJobRunners(int n) {
-    job_runners = n;
-    return *this;
-  }
-  ServiceOptions& WithMaxInflightJobs(int n) {
-    max_inflight_jobs = n;
-    return *this;
-  }
-  ServiceOptions& WithMaxQueuedJobs(int n) {
-    max_queued_jobs = n;
-    return *this;
-  }
-  ServiceOptions& WithMaxSessions(int n) {
-    max_sessions = n;
-    return *this;
-  }
-  ServiceOptions& WithPriorityAgingClaims(int n) {
-    priority_aging_claims = n;
-    return *this;
-  }
-  ServiceOptions& WithCacheShards(int n) {
-    cache_shards = n;
-    return *this;
-  }
-  ServiceOptions& WithCacheShardCapacity(int64_t n) {
-    cache_shard_capacity = n;
-    return *this;
-  }
-  ServiceOptions& WithJobTimeoutMs(int64_t ms) {
-    job_timeout_ms = ms;
-    return *this;
-  }
-  ServiceOptions& WithWatchdogPollMs(int ms) {
-    watchdog_poll_ms = ms;
-    return *this;
-  }
-  ServiceOptions& WithJobStallTimeoutMs(int64_t ms) {
-    job_stall_timeout_ms = ms;
-    return *this;
-  }
-  ServiceOptions& WithJobRetry(const RetryOptions& r) {
-    job_retry = r;
-    return *this;
-  }
-  ServiceOptions& WithSessionBreaker(const CircuitBreaker::Options& b) {
-    session_breaker = b;
-    return *this;
-  }
-  ServiceOptions& WithJournalDir(std::string dir) {
-    journal_dir = std::move(dir);
-    return *this;
-  }
-  ServiceOptions& WithJournalMaxEntries(int n) {
-    journal_max_entries = n;
-    return *this;
-  }
-  ServiceOptions& WithFaults(FaultInjector* f) {
-    faults = f;
-    return *this;
-  }
-  ServiceOptions& WithLearning(const LearningOptions& l) {
-    learning = l;
-    return *this;
-  }
 
   Status Validate() const;
 };
@@ -163,15 +88,15 @@ struct ServiceOptions {
 /// callers never share plans across tenants by accident.
 struct SessionOptions {
   /// Unique tenant id; doubles as the cache-domain namespace.
-  std::string name;
+  std::string name{};
   /// Scheduling priority; higher claims runners first. Must be >= 1.
   int priority = 1;
   /// Database substrate the session tunes against. All pointers except
   /// `faults` must be wired.
-  TuningEnv env;
+  TuningEnv env{};
   /// Thresholds for the estimate-driven comparator (and λ for the
   /// continuous loop's regression detection).
-  ComparatorOptions comparator;
+  ComparatorOptions comparator{};
   /// Greedy search depth per tuning call / continuous iteration.
   int max_new_indexes = 5;
   int64_t storage_budget_bytes = 0;  // 0 = unlimited.
@@ -183,60 +108,12 @@ struct SessionOptions {
   /// Name of a ModelRegistry entry whose classifier gates regressions;
   /// empty = pure optimizer comparator. The latest published version is
   /// picked up at every continuous iteration (hot swap).
-  std::string model;
+  std::string model{};
   /// Per-attempt deadline override for this tenant's jobs: -1 inherits
   /// ServiceOptions::job_timeout_ms, 0 disables deadlines for this
   /// session, > 0 is the deadline in ms.
   int64_t job_timeout_ms = -1;
 
-  SessionOptions& WithName(std::string n) {
-    name = std::move(n);
-    return *this;
-  }
-  SessionOptions& WithPriority(int p) {
-    priority = p;
-    return *this;
-  }
-  SessionOptions& WithEnv(const TuningEnv& e) {
-    env = e;
-    return *this;
-  }
-  SessionOptions& WithComparator(const ComparatorOptions& c) {
-    comparator = c;
-    return *this;
-  }
-  SessionOptions& WithMaxNewIndexes(int n) {
-    max_new_indexes = n;
-    return *this;
-  }
-  SessionOptions& WithStorageBudgetBytes(int64_t n) {
-    storage_budget_bytes = n;
-    return *this;
-  }
-  SessionOptions& WithIterations(int n) {
-    iterations = n;
-    return *this;
-  }
-  SessionOptions& WithStopOnRegression(bool b) {
-    stop_on_regression = b;
-    return *this;
-  }
-  SessionOptions& WithVerifyReverts(bool b) {
-    verify_reverts = b;
-    return *this;
-  }
-  SessionOptions& WithQuarantineAfter(int n) {
-    quarantine_after = n;
-    return *this;
-  }
-  SessionOptions& WithModel(std::string m) {
-    model = std::move(m);
-    return *this;
-  }
-  SessionOptions& WithJobTimeoutMs(int64_t ms) {
-    job_timeout_ms = ms;
-    return *this;
-  }
 
   Status Validate() const;
 };

@@ -7,6 +7,24 @@
 
 namespace aimai {
 
+namespace {
+
+constexpr int kJobRunners = 2;
+/// Generous per-attempt deadline: in a chaos run only *injected* stalls
+/// should time out, never honest work (a natural timeout would break the
+/// accounting equation).
+constexpr int64_t kJobTimeoutMs = 10000;
+/// Continuous-job submission waves per tenant.
+constexpr int kWaves = 2;
+/// Armed fault schedules (FailNext counts per point). Publish failures
+/// are armed only when a model spec is given.
+constexpr int kCrashFaults = 2;
+constexpr int kStallFaults = 1;
+constexpr int kTornWrites = 1;
+constexpr int kPublishFailures = 1;
+
+}  // namespace
+
 std::string ChaosReport::ToString() const {
   std::ostringstream out;
   out << "chaos: injected=" << injected << " recovered=" << recovered
@@ -34,24 +52,19 @@ StatusOr<ChaosReport> RunChaos(const ChaosOptions& options,
 
   FaultInjector faults(options.seed);
 
-  RetryOptions retry;
-  retry.max_attempts = options.retry_attempts;
-  // The breaker stays effectively disabled: chaos accounting buckets
-  // faults into recovered/quarantined/shed, and a tripping tenant would
-  // convert retryable faults into fast-rejected jobs mid-equation.
-  // Tenant isolation has its own dedicated test path.
-  CircuitBreaker::Options breaker;
-  breaker.failure_threshold = 1 << 20;
-
+  // Escalated jobs retry under the default budget (3 attempts). The
+  // breaker stays effectively disabled: chaos accounting buckets faults
+  // into recovered/quarantined/shed, and a tripping tenant would convert
+  // retryable faults into fast-rejected jobs mid-equation. Tenant
+  // isolation has its own dedicated test path.
   ServiceOptions sopts;
-  sopts.WithJobRunners(options.job_runners)
-      .WithJobTimeoutMs(options.job_timeout_ms)
-      .WithWatchdogPollMs(options.watchdog_poll_ms)
-      .WithJobStallTimeoutMs(options.stall_timeout_ms)
-      .WithJobRetry(retry)
-      .WithSessionBreaker(breaker)
-      .WithJournalDir(options.journal_dir)
-      .WithFaults(&faults);
+  sopts.job_runners = kJobRunners;
+  sopts.job_timeout_ms = kJobTimeoutMs;
+  sopts.watchdog_poll_ms = options.watchdog_poll_ms;
+  sopts.job_stall_timeout_ms = options.stall_timeout_ms;
+  sopts.session_breaker.failure_threshold = 1 << 20;
+  sopts.journal_dir = options.journal_dir;
+  sopts.faults = &faults;
   AIMAI_ASSIGN_OR_RETURN(std::unique_ptr<TuningService> service,
                          TuningService::Create(std::move(sopts)));
 
@@ -76,17 +89,16 @@ StatusOr<ChaosReport> RunChaos(const ChaosOptions& options,
 
   // Arm the deterministic fault schedules. Only *fired* injections enter
   // the accounting, so an over-armed schedule cannot unbalance it.
-  faults.FailNext(FaultPoint::kJobCrash, options.crash_faults);
-  faults.FailNext(FaultPoint::kJobStall, options.stall_faults);
-  faults.FailNext(FaultPoint::kTornCheckpointWrite, options.torn_writes);
+  faults.FailNext(FaultPoint::kJobCrash, kCrashFaults);
+  faults.FailNext(FaultPoint::kJobStall, kStallFaults);
+  faults.FailNext(FaultPoint::kTornCheckpointWrite, kTornWrites);
   if (model != nullptr) {
-    faults.FailNext(FaultPoint::kModelPublishFailure,
-                    options.publish_failures);
+    faults.FailNext(FaultPoint::kModelPublishFailure, kPublishFailures);
   }
 
   ChaosReport report;
   std::vector<std::shared_ptr<TuningJob>> jobs;
-  for (int wave = 0; wave < options.waves; ++wave) {
+  for (int wave = 0; wave < kWaves; ++wave) {
     for (size_t i = 0; i < tenants.size(); ++i) {
       StatusOr<std::shared_ptr<TuningJob>> job =
           sessions[i]->TuneContinuous(tenants[i].query, tenants[i].initial);
@@ -97,7 +109,7 @@ StatusOr<ChaosReport> RunChaos(const ChaosOptions& options,
     }
     // The final wave stays in flight: Drain() below freezes whatever is
     // still running into checkpointed state and journals it.
-    if (wave + 1 < options.waves) {
+    if (wave + 1 < kWaves) {
       for (const std::shared_ptr<TuningJob>& job : jobs) job->Wait();
     }
   }
@@ -109,7 +121,7 @@ StatusOr<ChaosReport> RunChaos(const ChaosOptions& options,
   int64_t publish_recovered = 0;
   if (model != nullptr) {
     bool landed = false;
-    for (int i = 0; i < options.publish_failures + 2 && !landed; ++i) {
+    for (int i = 0; i < kPublishFailures + 2 && !landed; ++i) {
       landed = service->models()
                    .PublishValidated(model->name, model->classifier,
                                      model->featurizer, model->holdout,
@@ -125,8 +137,7 @@ StatusOr<ChaosReport> RunChaos(const ChaosOptions& options,
   // are forced onto filler entries so the scenario always exercises them.
   (void)service->Drain();
   CheckpointJournal* journal = service->journal();
-  while (faults.injected(FaultPoint::kTornCheckpointWrite) <
-         options.torn_writes) {
+  while (faults.injected(FaultPoint::kTornCheckpointWrite) < kTornWrites) {
     (void)journal->Append("chaos filler entry", &faults);
   }
 

@@ -41,21 +41,8 @@ struct ChaosOptions {
   uint64_t seed = 1;
   /// Journal directory (required — the torn-write faults land here).
   std::string journal_dir;
-  int job_runners = 2;
-  /// Generous per-attempt deadline: in a chaos run only *injected* stalls
-  /// should time out, never honest work (a natural timeout would break
-  /// the accounting equation).
-  int64_t job_timeout_ms = 10000;
   int64_t stall_timeout_ms = 50;
   int watchdog_poll_ms = 2;
-  int retry_attempts = 3;
-  /// Continuous-job submission waves per tenant.
-  int waves = 2;
-  /// Armed fault schedules (FailNext counts per point).
-  int crash_faults = 2;
-  int stall_faults = 1;
-  int torn_writes = 1;
-  int publish_failures = 1;  // Only armed when a model spec is given.
 };
 
 /// What happened, bucketed so the books balance: every *fired* injection
@@ -89,8 +76,8 @@ struct ChaosReport {
 
 /// Runs the deterministic chaos scenario: builds a fault-tolerant
 /// TuningService (watchdog + retries + journal) over the supplied
-/// tenants, arms the four service-layer fault points, pushes `waves`
-/// rounds of continuous-tuning jobs through it, drains (journaling the
+/// tenants, arms the four service-layer fault points, pushes two waves
+/// of continuous-tuning jobs through it, drains (journaling the
 /// checkpoints, with torn-write faults live), sweeps the journal, and
 /// returns the accounting. The service is shut down before returning.
 StatusOr<ChaosReport> RunChaos(const ChaosOptions& options,

@@ -9,15 +9,25 @@
 
 namespace aimai {
 
+namespace {
+
+/// Queue-claim aging: a runnable queued job that loses this many claims
+/// gains one effective priority level, so low-priority work still drains
+/// under a sustained high-priority open-loop flood.
+constexpr int kPriorityAgingClaims = 32;
+
+}  // namespace
+
 TuningService::TuningService(ServiceOptions options)
     : options_(options),
       admission_(std::min(options.max_inflight_jobs, options.job_runners),
                  options.max_queued_jobs),
       queue_(JobQueue::Options{options.max_queued_jobs,
-                               options.priority_aging_claims}),
+                               kPriorityAgingClaims}),
       job_retry_(options.job_retry) {
+  // The cache keeps its default 16 shards and the journal its default
+  // 8-entry retention.
   PlanCacheDomain::Options cache;
-  cache.shards = options_.cache_shards;
   cache.shard_capacity = static_cast<size_t>(options_.cache_shard_capacity);
   domain_ = std::make_shared<PlanCacheDomain>(cache);
 
@@ -28,7 +38,6 @@ TuningService::TuningService(ServiceOptions options)
   if (!options_.journal_dir.empty()) {
     CheckpointJournal::Options jopts;
     jopts.dir = options_.journal_dir;
-    jopts.max_entries = options_.journal_max_entries;
     journal_ = std::make_unique<CheckpointJournal>(jopts);
   }
   if (options_.job_timeout_ms > 0 || options_.job_stall_timeout_ms > 0) {

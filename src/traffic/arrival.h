@@ -44,30 +44,6 @@ struct ArrivalSpec {
   double flash_duration_frac = 0.2;
   double flash_multiplier = 8.0;
 
-  ArrivalSpec& WithKind(ArrivalKind k) {
-    kind = k;
-    return *this;
-  }
-  ArrivalSpec& WithRatePerSec(double r) {
-    rate_per_sec = r;
-    return *this;
-  }
-  ArrivalSpec& WithPeriodS(double p) {
-    period_s = p;
-    return *this;
-  }
-  ArrivalSpec& WithAmplitude(double a) {
-    amplitude = a;
-    return *this;
-  }
-  ArrivalSpec& WithFlash(double start_frac, double duration_frac,
-                         double multiplier) {
-    flash_start_frac = start_frac;
-    flash_duration_frac = duration_frac;
-    flash_multiplier = multiplier;
-    return *this;
-  }
-
   Status Validate() const;
 };
 

@@ -11,6 +11,10 @@ namespace aimai {
 
 namespace {
 
+/// Greedy search depth per traffic tuning job (small keeps per-job cost
+/// bounded; these are interactive-grade jobs, not deep batch tunings).
+constexpr int kMaxNewIndexes = 2;
+
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -52,12 +56,6 @@ Status TrafficOptions::Validate() const {
   if (runners < 1) return Status::InvalidArgument("runners must be >= 1");
   if (max_queued < 1) {
     return Status::InvalidArgument("max_queued must be >= 1");
-  }
-  if (max_new_indexes < 1) {
-    return Status::InvalidArgument("max_new_indexes must be >= 1");
-  }
-  if (priority_aging_claims < 0) {
-    return Status::InvalidArgument("priority_aging_claims must be >= 0");
   }
   return Status::Ok();
 }
@@ -159,7 +157,6 @@ StatusOr<TrafficReport> TrafficEngine::Run() {
   sopts.max_inflight_jobs = options_.runners;
   sopts.max_queued_jobs = options_.max_queued;
   sopts.max_sessions = options_.sessions + 1;
-  sopts.priority_aging_claims = options_.priority_aging_claims;
   if (options_.enforce_slo_deadline && options_.slo_ms > 0) {
     sopts.job_timeout_ms = options_.slo_ms;
     sopts.watchdog_poll_ms = 5;
@@ -186,7 +183,7 @@ StatusOr<TrafficReport> TrafficEngine::Run() {
     so.name = SessionName(i);
     so.priority = options_.priority;
     so.env = bdb->MakeEnv(static_cast<int>(k));
-    so.max_new_indexes = options_.max_new_indexes;
+    so.max_new_indexes = kMaxNewIndexes;
     AIMAI_ASSIGN_OR_RETURN(Session * session,
                            service->CreateSession(std::move(so)));
     sessions.push_back(session);

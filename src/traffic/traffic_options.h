@@ -22,7 +22,7 @@ struct TrafficOptions {
   /// Simulated stream horizon per session, seconds.
   double duration_s = 2.0;
   /// Per-session arrival process (kind, base rate, spike shape).
-  ArrivalSpec arrival;
+  ArrivalSpec arrival{};
   /// Latency SLO per job; a completed job slower than this (or a job the
   /// watchdog timed out) counts as an SLO miss. 0 disables SLO
   /// accounting.
@@ -40,7 +40,7 @@ struct TrafficOptions {
   /// Query-stream family every database/stream is built from. The kind
   /// defaults to "synthetic" (resolved in TrafficEngine) and the spec's
   /// seed/db_name are derived per database from `seed`.
-  QueryStreamSpec stream;
+  QueryStreamSpec stream{};
   /// Replay speed: wall seconds = simulated seconds / time_compression.
   /// 0 dispatches the whole schedule as fast as possible (max-pressure
   /// mode); 1 replays in real time. When dispatch falls behind schedule
@@ -51,77 +51,11 @@ struct TrafficOptions {
   /// queue bound load is shed against.
   int runners = 8;
   int max_queued = 256;
-  /// Greedy search depth per traffic tuning job (small keeps per-job cost
-  /// bounded; these are interactive-grade jobs, not deep batch tunings).
-  int max_new_indexes = 2;
-  /// JobQueue anti-starvation knob (see ServiceOptions).
-  int priority_aging_claims = 32;
   /// Record each completed job's recommendation key (config fingerprint +
   /// plan costs) in the report, in submission order — the bit-identity
   /// currency for closed-subset guards. Off by default: at 1k+ sessions
   /// the keys are pure overhead.
   bool capture_results = false;
-
-  TrafficOptions& WithSessions(int n) {
-    sessions = n;
-    return *this;
-  }
-  TrafficOptions& WithDurationS(double s) {
-    duration_s = s;
-    return *this;
-  }
-  TrafficOptions& WithArrival(const ArrivalSpec& a) {
-    arrival = a;
-    return *this;
-  }
-  TrafficOptions& WithSloMs(int64_t ms) {
-    slo_ms = ms;
-    return *this;
-  }
-  TrafficOptions& WithEnforceSloDeadline(bool b) {
-    enforce_slo_deadline = b;
-    return *this;
-  }
-  TrafficOptions& WithPriority(int p) {
-    priority = p;
-    return *this;
-  }
-  TrafficOptions& WithSeed(uint64_t s) {
-    seed = s;
-    return *this;
-  }
-  TrafficOptions& WithDatabases(int n) {
-    databases = n;
-    return *this;
-  }
-  TrafficOptions& WithStream(const QueryStreamSpec& s) {
-    stream = s;
-    return *this;
-  }
-  TrafficOptions& WithTimeCompression(double c) {
-    time_compression = c;
-    return *this;
-  }
-  TrafficOptions& WithRunners(int n) {
-    runners = n;
-    return *this;
-  }
-  TrafficOptions& WithMaxQueued(int n) {
-    max_queued = n;
-    return *this;
-  }
-  TrafficOptions& WithMaxNewIndexes(int n) {
-    max_new_indexes = n;
-    return *this;
-  }
-  TrafficOptions& WithPriorityAgingClaims(int n) {
-    priority_aging_claims = n;
-    return *this;
-  }
-  TrafficOptions& WithCaptureResults(bool b) {
-    capture_results = b;
-    return *this;
-  }
 
   Status Validate() const;
 };

@@ -10,6 +10,14 @@ namespace aimai {
 
 namespace {
 
+/// Candidates kept per table and per query.
+constexpr int kMaxPerTable = 8;
+constexpr int kMaxPerQuery = 24;
+/// Covering variants are emitted only when at most this many include
+/// columns are needed (wide includes are unrealistic to maintain, and
+/// bounding them keeps seek + key-lookup plans in the search space).
+constexpr int kMaxIncludeColumns = 2;
+
 /// Adds `def` to `out` if its canonical form is new.
 void AddUnique(std::vector<IndexDef>* out, std::set<std::string>* seen,
                IndexDef def) {
@@ -67,20 +75,18 @@ std::vector<IndexDef> CandidateGenerator::GenerateForTable(
     def.table_id = table_id;
     def.key_columns = std::move(keys);
     AddUnique(&out, &seen, def);
-    if (options_.covering_variants) {
-      IndexDef cover = def;
-      cover.include_columns.clear();
-      for (int c : refcols) {
-        if (std::find(cover.key_columns.begin(), cover.key_columns.end(),
-                      c) == cover.key_columns.end()) {
-          cover.include_columns.push_back(c);
-        }
+    IndexDef cover = def;
+    cover.include_columns.clear();
+    for (int c : refcols) {
+      if (std::find(cover.key_columns.begin(), cover.key_columns.end(), c) ==
+          cover.key_columns.end()) {
+        cover.include_columns.push_back(c);
       }
-      if (!cover.include_columns.empty() &&
-          static_cast<int>(cover.include_columns.size()) <=
-              options_.max_include_columns) {
-        AddUnique(&out, &seen, std::move(cover));
-      }
+    }
+    if (!cover.include_columns.empty() &&
+        static_cast<int>(cover.include_columns.size()) <=
+            kMaxIncludeColumns) {
+      AddUnique(&out, &seen, std::move(cover));
     }
   };
 
@@ -111,16 +117,8 @@ std::vector<IndexDef> CandidateGenerator::GenerateForTable(
   make(group_cols);
   make(order_cols);
 
-  if (static_cast<int>(out.size()) > options_.max_per_table) {
-    out.resize(static_cast<size_t>(options_.max_per_table));
-  }
-
-  // Columnstore candidate for aggregation-heavy queries over this table.
-  if (options_.columnstore_candidates && q.HasAggregation()) {
-    IndexDef cs;
-    cs.table_id = table_id;
-    cs.is_columnstore = true;
-    AddUnique(&out, &seen, std::move(cs));
+  if (static_cast<int>(out.size()) > kMaxPerTable) {
+    out.resize(static_cast<size_t>(kMaxPerTable));
   }
   return out;
 }
@@ -136,8 +134,8 @@ std::vector<IndexDef> CandidateGenerator::Generate(
       if (seen.insert(name).second) out.push_back(std::move(def));
     }
   }
-  if (static_cast<int>(out.size()) > options_.max_per_query) {
-    out.resize(static_cast<size_t>(options_.max_per_query));
+  if (static_cast<int>(out.size()) > kMaxPerQuery) {
+    out.resize(static_cast<size_t>(kMaxPerQuery));
   }
   return out;
 }

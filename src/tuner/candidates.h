@@ -14,28 +14,12 @@ namespace aimai {
 /// predicates, join conditions, grouping, and ordering; multi-column
 /// candidates put equality columns (most selective first) before a range
 /// column; covering variants add the remaining referenced columns as
-/// includes.
+/// includes. The search space is B-tree indexes: columnstores appear only
+/// as initial configurations, as in the paper's TPC-DS 100g setup.
 class CandidateGenerator {
  public:
-  struct Options {
-    int max_per_table = 8;
-    int max_per_query = 24;
-    bool covering_variants = true;
-    /// Covering variants are emitted only when at most this many include
-    /// columns are needed (wide includes are unrealistic to maintain, and
-    /// bounding them keeps seek + key-lookup plans in the search space).
-    int max_include_columns = 2;
-    /// Columnstore candidates are off by default: the tuner's search space
-    /// is B-tree indexes (columnstores appear as initial configurations,
-    /// as in the paper's TPC-DS 100g setup).
-    bool columnstore_candidates = false;
-  };
-
   CandidateGenerator(const Database* db, StatisticsCatalog* stats)
-      : CandidateGenerator(db, stats, Options()) {}
-  CandidateGenerator(const Database* db, StatisticsCatalog* stats,
-                     Options options)
-      : db_(db), stats_(stats), options_(options) {}
+      : db_(db), stats_(stats) {}
 
   /// Candidate indexes for one query, deduplicated, excluding those
   /// already in `existing`.
@@ -53,7 +37,6 @@ class CandidateGenerator {
 
   const Database* db_;
   StatisticsCatalog* stats_;
-  Options options_;
 };
 
 }  // namespace aimai

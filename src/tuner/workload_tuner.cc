@@ -10,6 +10,13 @@
 
 namespace aimai {
 
+namespace {
+
+/// Greedy depth of each query-level search in phase (a).
+constexpr int kQueryPhaseMaxIndexes = 3;
+
+}  // namespace
+
 WorkloadTuningResult WorkloadLevelTuner::Tune(
     const std::vector<WorkloadQuery>& workload, const Configuration& base,
     const CostComparator& comparator) {
@@ -38,7 +45,7 @@ WorkloadTuningResult WorkloadLevelTuner::Tune(
   std::vector<IndexDef> pool;
   {
     QueryLevelTuner::Options qopts;
-    qopts.max_new_indexes = options_.query_phase_max_indexes;
+    qopts.max_new_indexes = kQueryPhaseMaxIndexes;
     qopts.storage_budget_bytes = options_.storage_budget_bytes;
     qopts.pool = tp;
     qopts.cancel = options_.cancel;

@@ -31,7 +31,6 @@ class WorkloadLevelTuner {
   struct Options {
     int max_new_indexes = 5;
     int64_t storage_budget_bytes = 0;  // 0 = unlimited.
-    int query_phase_max_indexes = 3;   // Per-query candidate depth.
     /// Pool for parallel fan-out; nullptr = SharedPool(). Phase (a) runs
     /// whole per-query tuners concurrently and phase (b) fans out the
     /// per-candidate what-if evaluations; the greedy reduce itself stays

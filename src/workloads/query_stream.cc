@@ -1,7 +1,7 @@
 #include "workloads/query_stream.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <mutex>
 
 #include "common/check.h"
@@ -279,8 +279,9 @@ void RegisterBuiltins(QueryStreamRegistry* reg) {
   }));
   check(reg->Register("tpch_sf", [](const QueryStreamSpec& spec)
                                      -> StatusOr<std::unique_ptr<IQueryStreamGenerator>> {
-    if (spec.sf <= 0) {
-      return Status::InvalidArgument("tpch_sf sf must be > 0");
+    // Negated so NaN fails too; BuildTpchSf CHECKs the same range.
+    if (!(spec.sf > 0 && spec.sf <= 100)) {
+      return Status::InvalidArgument("tpch_sf sf must be in (0, 100]");
     }
     return std::unique_ptr<IQueryStreamGenerator>(new ReplayStreamGenerator(
         spec, [](const QueryStreamSpec& s) {
@@ -291,17 +292,19 @@ void RegisterBuiltins(QueryStreamRegistry* reg) {
           return BuildTpchSf(s.ResolvedDbName(), options);
         }));
   }));
-  // "customerN" — N selects the profile; the database keeps the kind as
-  // its name unless the spec sets db_name.
+  // "customerN" — N (digits only, 1..11) selects the profile; the
+  // database keeps the kind as its name unless the spec sets db_name.
   check(reg->RegisterPrefix(
       "customer", [](const QueryStreamSpec& spec)
                       -> StatusOr<std::unique_ptr<IQueryStreamGenerator>> {
-        const int idx = spec.kind.size() > 8
-                            ? std::atoi(spec.kind.c_str() + 8)
-                            : 2;
-        if (idx < 1 || idx > 11) {
-          return Status::InvalidArgument("customer profile out of range: " +
-                                         spec.kind);
+        const char* first = spec.kind.data() + 8;
+        const char* last = spec.kind.data() + spec.kind.size();
+        int idx = 0;
+        const auto [end, ec] = std::from_chars(first, last, idx);
+        if (ec != std::errc() || end != last || idx < 1 || idx > 11) {
+          return Status::InvalidArgument(
+              "customer kind must be customerN with N in 1..11: " +
+              spec.kind);
         }
         return std::unique_ptr<IQueryStreamGenerator>(new ReplayStreamGenerator(
             spec, [idx](const QueryStreamSpec& s) {

@@ -19,9 +19,10 @@ namespace aimai {
 /// database (bit-identical ContentFingerprints) and the same query stream
 /// (NextQueryBatch draws from a seeded Rng split, never from global
 /// state). `kind` is the registry key ("tpch", "tpcds", "customerN",
-/// "tpch_sf", "synthetic").
+/// "tpch_sf", "synthetic"). Every member has a default, so a designated
+/// initializer may name any subset ({.kind = "tpch", .seed = 7}).
 struct QueryStreamSpec {
-  std::string kind;
+  std::string kind{};
   /// Integer scale multiplier (toy tpch/tpcds/customer families).
   int scale = 1;
   /// Fractional TPC-H scale factor (tpch_sf family only).
@@ -29,28 +30,7 @@ struct QueryStreamSpec {
   /// Base seed for data generation AND the query stream.
   uint64_t seed = 42;
   /// Database name; empty resolves to "<kind>_db".
-  std::string db_name;
-
-  QueryStreamSpec& WithKind(std::string k) {
-    kind = std::move(k);
-    return *this;
-  }
-  QueryStreamSpec& WithScale(int s) {
-    scale = s;
-    return *this;
-  }
-  QueryStreamSpec& WithSf(double f) {
-    sf = f;
-    return *this;
-  }
-  QueryStreamSpec& WithSeed(uint64_t s) {
-    seed = s;
-    return *this;
-  }
-  QueryStreamSpec& WithDbName(std::string n) {
-    db_name = std::move(n);
-    return *this;
-  }
+  std::string db_name{};
 
   std::string ResolvedDbName() const {
     return db_name.empty() ? kind + "_db" : db_name;

@@ -24,6 +24,12 @@ constexpr int64_t kDateSpan = 2557;
 // Orders stop 151 days before the end of the domain (lineitems ship
 // after their order), mirroring the official generator's o_orderdate cap.
 constexpr int64_t kOrderDateSpan = kDateSpan - 151;
+// Zipf skew on foreign keys (order->customer, lineitem->order/part,
+// partsupp->part): a few parents own most children.
+constexpr double kFkSkew = 0.9;
+// Zipf skew on low-cardinality attribute dictionaries (priority,
+// shipmode, segment marginals).
+constexpr double kAttrSkew = 0.8;
 
 }  // namespace
 
@@ -42,8 +48,6 @@ std::unique_ptr<BenchmarkDatabase> BuildTpchSf(const std::string& name,
   Database* db = bdb->db();
 
   const double sf = options.sf;
-  const double fk_s = options.fk_skew;
-  const double attr_s = options.attr_skew;
   const size_t n_supplier = TpchSfRows(sf, kTpchSfSupplierBase);
   const size_t n_customer = TpchSfRows(sf, kTpchSfCustomerBase);
   const size_t n_part = TpchSfRows(sf, kTpchSfPartBase);
@@ -145,7 +149,7 @@ std::unique_ptr<BenchmarkDatabase> BuildTpchSf(const std::string& name,
     g->FillSequentialInt(s_suppkey, n_supplier);
   });
   plan.Add([=](DataGenerator* g) {
-    g->FillForeignKey(s_nationkey, n_supplier, 25, fk_s);
+    g->FillForeignKey(s_nationkey, n_supplier, 25, kFkSkew);
   });
   plan.Add([=](DataGenerator* g) {
     g->FillUniformDouble(s_acctbal, n_supplier, -999, 9999);
@@ -154,7 +158,7 @@ std::unique_ptr<BenchmarkDatabase> BuildTpchSf(const std::string& name,
     g->FillSequentialInt(c_custkey, n_customer);
   });
   plan.Add([=](DataGenerator* g) {
-    g->FillForeignKey(c_nationkey, n_customer, 25, fk_s);
+    g->FillForeignKey(c_nationkey, n_customer, 25, kFkSkew);
   });
   plan.Add([=](DataGenerator* g) {
     g->FillUniformDouble(c_acctbal, n_customer, -999, 9999);
@@ -179,7 +183,7 @@ std::unique_ptr<BenchmarkDatabase> BuildTpchSf(const std::string& name,
   });
   plan.Add([=](DataGenerator* g) {
     g->FillForeignKey(ps_partkey, n_partsupp,
-                      static_cast<int64_t>(n_part), fk_s);
+                      static_cast<int64_t>(n_part), kFkSkew);
   });
   plan.Add([=](DataGenerator* g) {
     g->FillForeignKey(ps_suppkey, n_partsupp,
@@ -196,7 +200,7 @@ std::unique_ptr<BenchmarkDatabase> BuildTpchSf(const std::string& name,
   });
   plan.Add([=](DataGenerator* g) {
     g->FillForeignKey(o_custkey, n_orders,
-                      static_cast<int64_t>(n_customer), fk_s);
+                      static_cast<int64_t>(n_customer), kFkSkew);
   });
   plan.Add([=](DataGenerator* g) {
     g->FillDateInt(o_orderdate, n_orders, 0, kOrderDateSpan);
@@ -205,15 +209,15 @@ std::unique_ptr<BenchmarkDatabase> BuildTpchSf(const std::string& name,
     g->FillUniformDouble(o_totalprice, n_orders, 900, 500000);
   });
   plan.Add([=](DataGenerator* g) {
-    g->FillDictString(o_orderpriority, n_orders, 5, attr_s, "prio");
+    g->FillDictString(o_orderpriority, n_orders, 5, kAttrSkew, "prio");
   });
   plan.Add([=](DataGenerator* g) {
     g->FillForeignKey(l_orderkey, n_lineitem,
-                      static_cast<int64_t>(n_orders), fk_s);
+                      static_cast<int64_t>(n_orders), kFkSkew);
   });
   plan.Add([=](DataGenerator* g) {
     g->FillForeignKey(l_partkey, n_lineitem,
-                      static_cast<int64_t>(n_part), fk_s);
+                      static_cast<int64_t>(n_part), kFkSkew);
   });
   plan.Add([=](DataGenerator* g) {
     g->FillForeignKey(l_suppkey, n_lineitem,
@@ -232,7 +236,7 @@ std::unique_ptr<BenchmarkDatabase> BuildTpchSf(const std::string& name,
     g->FillDateInt(l_shipdate, n_lineitem, 0, kDateSpan);
   });
   plan.Add([=](DataGenerator* g) {
-    g->FillDictString(l_shipmode, n_lineitem, 7, attr_s, "mode");
+    g->FillDictString(l_shipmode, n_lineitem, 7, kAttrSkew, "mode");
   });
 
   plan.Barrier();
@@ -243,10 +247,10 @@ std::unique_ptr<BenchmarkDatabase> BuildTpchSf(const std::string& name,
   // order key (old orders were returned more).
   plan.Add([=](DataGenerator* g) {
     g->FillBucketCorrelatedDict(c_mktsegment, *c_custkey, n_customer, 5,
-                                attr_s, 0.15, "seg");
+                                kAttrSkew, 0.15, "seg");
   });
   plan.Add([=](DataGenerator* g) {
-    g->FillBucketCorrelatedDict(p_brand, *p_partkey, n_part, 25, attr_s,
+    g->FillBucketCorrelatedDict(p_brand, *p_partkey, n_part, 25, kAttrSkew,
                                 0.2, "brand");
   });
   plan.Add([=](DataGenerator* g) {
@@ -255,7 +259,7 @@ std::unique_ptr<BenchmarkDatabase> BuildTpchSf(const std::string& name,
   });
   plan.Add([=](DataGenerator* g) {
     g->FillBucketCorrelatedDict(l_returnflag, *l_orderkey, n_lineitem, 3,
-                                attr_s, 0.25, "rf");
+                                kAttrSkew, 0.25, "rf");
   });
 
   plan.Run(options.pool);

@@ -26,14 +26,8 @@ namespace aimai {
 /// scheduled by a `TableFillPlan`, so building with a thread pool is
 /// bit-identical to building serially (same table ContentFingerprints).
 struct TpchSfOptions {
-  /// Fractional scale factor; must be > 0. 0.01 ~ 60k lineitem rows.
+  /// Fractional scale factor; must be in (0, 100]. 0.01 ~ 60k lineitem rows.
   double sf = 0.01;
-  /// Zipf skew on foreign keys (order->customer, lineitem->order/part,
-  /// partsupp->part): a few parents own most children. 0 = uniform.
-  double fk_skew = 0.9;
-  /// Zipf skew on low-cardinality attribute dictionaries (priority,
-  /// shipmode, segment marginals). 0 = uniform.
-  double attr_skew = 0.8;
   /// Base seed for data generation and query parameter substitution.
   uint64_t seed = 42;
   /// Query instances materialized per template family.

@@ -370,17 +370,14 @@ TEST(DeterminismTest, MultiSessionServiceMatchesSerialService) {
   std::vector<std::string> serial;
   for (int i = 0; i < kTenants; ++i) {
     auto service = std::move(
-        TuningService::Create(ServiceOptions().WithThreads(1).WithJobRunners(1))
-            .value());
+        TuningService::Create({.threads = 1, .job_runners = 1}).value());
     serial.push_back(run_tenant(service.get(), i));
   }
 
   // Concurrent: all tenants share one parallel service; jobs submitted
   // from concurrent threads, interleaved by the runner fleet.
   auto service = std::move(
-      TuningService::Create(
-          ServiceOptions().WithThreads(4).WithJobRunners(kTenants))
-          .value());
+      TuningService::Create({.threads = 4, .job_runners = kTenants}).value());
   std::vector<std::string> concurrent(kTenants);
   std::vector<std::thread> submitters;
   for (int i = 0; i < kTenants; ++i) {
@@ -406,11 +403,10 @@ TEST(DeterminismTest, LearningLoopIsBitIdenticalAcrossThreadCounts) {
     learning.min_train_rows = 2;
     learning.min_holdout_rows = 1;
     learning.gate.max_regression_miss_rate = 1.0;
-    auto service = std::move(TuningService::Create(ServiceOptions()
-                                                       .WithThreads(threads)
-                                                       .WithJobRunners(runners)
-                                                       .WithLearning(learning))
-                                 .value());
+    auto service = std::move(
+        TuningService::Create(
+            {.threads = threads, .job_runners = runners, .learning = learning})
+            .value());
 
     // Offline model from a flat-distribution db; the tenant tunes a
     // skewed same-schema db (the drifted setting the loop adapts to).

@@ -364,14 +364,12 @@ TEST(HistogramEdgeTest, OverflowingSpanKeepsEveryRowInABucket) {
 // optimizer sees, and so every plan and digest, are unchanged.
 TEST(HistogramOracleTest, GeneratedWorkloadColumnsMatchSortBasedBuild) {
   std::vector<QueryStreamSpec> specs = {
-      QueryStreamSpec().WithKind("tpch_sf").WithSf(0.005).WithSeed(1),
-      QueryStreamSpec().WithKind("tpcds").WithSeed(2),
-      QueryStreamSpec().WithKind("synthetic").WithSeed(3),
+      {.kind = "tpch_sf", .sf = 0.005, .seed = 1},
+      {.kind = "tpcds", .seed = 2},
+      {.kind = "synthetic", .seed = 3},
   };
   for (int p = 1; p <= 11; ++p) {
-    specs.push_back(QueryStreamSpec()
-                        .WithKind("customer" + std::to_string(p))
-                        .WithSeed(4));
+    specs.push_back({.kind = "customer" + std::to_string(p), .seed = 4});
   }
   size_t columns = 0;
   for (const QueryStreamSpec& spec : specs) {

@@ -475,8 +475,7 @@ std::string TraceKey(const ContinuousTuner::QueryTrace& t) {
 // runner-count bit-identity guard.
 LoopRun RunLearningLoop(int job_runners, const LearningOptions& learning) {
   auto service = std::move(
-      TuningService::Create(
-          ServiceOptions().WithJobRunners(job_runners).WithLearning(learning))
+      TuningService::Create({.job_runners = job_runners, .learning = learning})
           .value());
   const Offline offline = TrainOfflineModel("learn_off", 81);
   service->models().Publish("offline", offline.classifier, offline.fz);
@@ -560,8 +559,7 @@ TEST(LearningLoopTest, BitIdenticalAcrossRunnerCounts) {
 
 TEST(LearningLoopTest, TenantsHarvestAndAdaptInIsolation) {
   auto service = std::move(
-      TuningService::Create(ServiceOptions().WithLearning(QuickLearning()))
-          .value());
+      TuningService::Create({.learning = QuickLearning()}).value());
   const Offline offline = TrainOfflineModel("learn_iso_off", 101);
   service->models().Publish("offline", offline.classifier, offline.fz);
 
@@ -601,9 +599,7 @@ TEST(LearningLoopTest, DrainCancelsQueuedRetrainsAndResumeRearms) {
   LearningOptions learning = QuickLearning();
   learning.retrain_after = 4;  // Trigger eagerly.
   auto service = std::move(
-      TuningService::Create(
-          ServiceOptions().WithJobRunners(1).WithLearning(learning))
-          .value());
+      TuningService::Create({.job_runners = 1, .learning = learning}).value());
   const Offline offline = TrainOfflineModel("learn_drain_off", 121);
   service->models().Publish("offline", offline.classifier, offline.fz);
 
@@ -641,9 +637,12 @@ TEST(LearningOptionsTest, ValidateRejectsBadValues) {
   EXPECT_TRUE(LearningOptions().Validate().ok());  // Disabled: anything goes.
   LearningOptions l = QuickLearning();
   EXPECT_TRUE(l.Validate().ok());
-  EXPECT_FALSE(LearningOptions(l).WithRetrainAfter(-1).Validate().ok());
-  EXPECT_FALSE(LearningOptions(l).WithMinTrainRows(0).Validate().ok());
-  EXPECT_FALSE(LearningOptions(l).WithMaxPairPartners(0).Validate().ok());
+  LearningOptions bad_retrain = l;
+  bad_retrain.retrain_after = -1;
+  EXPECT_FALSE(bad_retrain.Validate().ok());
+  LearningOptions bad_train_rows = l;
+  bad_train_rows.min_train_rows = 0;
+  EXPECT_FALSE(bad_train_rows.Validate().ok());
   LearningOptions bad_holdout = l;
   bad_holdout.feedback.holdout_every = 1;
   EXPECT_FALSE(bad_holdout.Validate().ok());
@@ -651,8 +650,7 @@ TEST(LearningOptionsTest, ValidateRejectsBadValues) {
   bad_drift.drift.min_f1 = 1.5;
   EXPECT_FALSE(bad_drift.Validate().ok());
   // ServiceOptions::Validate runs the learning validation.
-  EXPECT_FALSE(
-      ServiceOptions().WithLearning(bad_drift).Validate().ok());
+  EXPECT_FALSE(ServiceOptions{.learning = bad_drift}.Validate().ok());
 }
 
 }  // namespace

@@ -359,18 +359,15 @@ TEST(GoldenPlanTest, SweepHashesAndOperatorCoverage) {
     uint64_t want;
   };
   std::vector<Family> families = {
-      {"tpch", SweepKind(QueryStreamSpec().WithKind("tpch"), 0),
-       0x8bd917c05a4d8ae4ull},
-      {"tpcds", SweepKind(QueryStreamSpec().WithKind("tpcds"), 0),
-       0xd632326ec0be96e9ull},
-      {"customer6", SweepKind(QueryStreamSpec().WithKind("customer6"), 0),
+      {"tpch", SweepKind({.kind = "tpch"}, 0), 0x8bd917c05a4d8ae4ull},
+      {"tpcds", SweepKind({.kind = "tpcds"}, 0), 0xd632326ec0be96e9ull},
+      {"customer6", SweepKind({.kind = "customer6"}, 0),
        0xdb294e962ebe8134ull},
-      {"customer11", SweepKind(QueryStreamSpec().WithKind("customer11"), 0),
+      {"customer11", SweepKind({.kind = "customer11"}, 0),
        0xa30f88468e8da00cull},
-      {"tpch_sf",
-       SweepKind(QueryStreamSpec().WithKind("tpch_sf").WithSf(0.01), 0),
+      {"tpch_sf", SweepKind({.kind = "tpch_sf", .sf = 0.01}, 0),
        0xf6f655589d0f4535ull},
-      {"synthetic", SweepKind(QueryStreamSpec().WithKind("synthetic"), 16),
+      {"synthetic", SweepKind({.kind = "synthetic"}, 16),
        0x66662391851f8b23ull},
   };
   // tpcds with a columnstore C0 on its three fact tables.

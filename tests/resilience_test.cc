@@ -414,13 +414,12 @@ TEST(ResilientServiceTest, WatchdogRescuesInjectedStallThroughRetry) {
   faults.FailNext(FaultPoint::kJobStall, 1);
   RetryOptions retry;
   retry.max_attempts = 2;
-  auto service =
-      std::move(TuningService::Create(ServiceOptions()
-                                          .WithJobStallTimeoutMs(300)
-                                          .WithWatchdogPollMs(10)
-                                          .WithJobRetry(retry)
-                                          .WithFaults(&faults))
-                    .value());
+  auto service = std::move(
+      TuningService::Create({.watchdog_poll_ms = 10,
+                             .job_stall_timeout_ms = 300,
+                             .job_retry = retry,
+                             .faults = &faults})
+          .value());
   ASSERT_NE(service->watchdog(), nullptr);
 
   auto bdb = BuildTpchLike("res_stall", 1, 0.9, 71);
@@ -455,13 +454,12 @@ TEST(ResilientServiceTest, ExhaustedRetryBudgetEndsTimedOutAndShed) {
   faults.FailNext(FaultPoint::kJobStall, 2);  // Every attempt stalls.
   RetryOptions retry;
   retry.max_attempts = 2;
-  auto service =
-      std::move(TuningService::Create(ServiceOptions()
-                                          .WithJobStallTimeoutMs(200)
-                                          .WithWatchdogPollMs(10)
-                                          .WithJobRetry(retry)
-                                          .WithFaults(&faults))
-                    .value());
+  auto service = std::move(
+      TuningService::Create({.watchdog_poll_ms = 10,
+                             .job_stall_timeout_ms = 200,
+                             .job_retry = retry,
+                             .faults = &faults})
+          .value());
 
   auto bdb = BuildTpchLike("res_shed", 1, 0.9, 72);
   Session* session =
@@ -486,8 +484,7 @@ TEST(ResilientServiceTest, QuarantinedTenantLeavesOthersBitIdentical) {
   breaker.cooldown_calls = 2;
   breaker.half_open_successes = 1;
   auto service = std::move(
-      TuningService::Create(ServiceOptions().WithSessionBreaker(breaker))
-          .value());
+      TuningService::Create({.session_breaker = breaker}).value());
 
   auto bdb = BuildTpchLike("res_iso", 1, 0.9, 73);
   Session* healthy =

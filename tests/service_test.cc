@@ -56,40 +56,43 @@ std::string TraceKey(const ContinuousTuner::QueryTrace& t) {
 
 TEST(ServiceOptionsTest, ValidateRejectsBadLimits) {
   EXPECT_TRUE(ServiceOptions().Validate().ok());
-  EXPECT_EQ(ServiceOptions().WithJobRunners(0).Validate().code(),
+  EXPECT_EQ(ServiceOptions{.job_runners = 0}.Validate().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ServiceOptions().WithMaxQueuedJobs(0).Validate().code(),
+  EXPECT_EQ(ServiceOptions{.max_queued_jobs = 0}.Validate().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ServiceOptions().WithCacheShards(-1).Validate().code(),
+  EXPECT_EQ(ServiceOptions{.cache_shard_capacity = 0}.Validate().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(TuningService::Create(ServiceOptions().WithMaxSessions(0))
-                .status()
-                .code(),
+  EXPECT_EQ(TuningService::Create({.max_sessions = 0}).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(ServiceOptionsTest, SessionValidateRejectsBadOptions) {
   auto bdb = BuildTpchLike("svc_opt", 1, 0.5, 11);
   // Unwired env.
-  EXPECT_EQ(SessionOptions().WithName("x").Validate().code(),
+  EXPECT_EQ(SessionOptions{.name = "x"}.Validate().code(),
             StatusCode::kInvalidArgument);
-  SessionOptions good = SessOpts("x", bdb.get(), 0);
+  const SessionOptions good = SessOpts("x", bdb.get(), 0);
   EXPECT_TRUE(good.Validate().ok());
-  EXPECT_EQ(SessionOptions(good).WithName("").Validate().code(),
+  // Validates a copy of `good` with one field changed.
+  auto code_with = [&good](auto edit) {
+    SessionOptions o = good;
+    edit(o);
+    return o.Validate().code();
+  };
+  EXPECT_EQ(code_with([](SessionOptions& o) { o.name = ""; }),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(SessionOptions(good).WithName("a\x1e b").Validate().code(),
+  EXPECT_EQ(code_with([](SessionOptions& o) { o.name = "a\x1e b"; }),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(SessionOptions(good).WithPriority(0).Validate().code(),
+  EXPECT_EQ(code_with([](SessionOptions& o) { o.priority = 0; }),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(SessionOptions(good).WithIterations(0).Validate().code(),
+  EXPECT_EQ(code_with([](SessionOptions& o) { o.iterations = 0; }),
             StatusCode::kInvalidArgument);
 }
 
 TEST(ServiceTest, DuplicateSessionNameAndSessionLimit) {
   auto bdb = BuildTpchLike("svc_dup", 1, 0.5, 12);
   auto service =
-      std::move(TuningService::Create(ServiceOptions().WithMaxSessions(2))
-                    .value());
+      std::move(TuningService::Create({.max_sessions = 2}).value());
   ASSERT_TRUE(service->CreateSession(SessOpts("a", bdb.get(), 0)).ok());
   EXPECT_EQ(service->CreateSession(SessOpts("a", bdb.get(), 0))
                 .status()
@@ -372,10 +375,8 @@ TEST(ServiceTest, UnpublishedModelFailsJob) {
 }
 
 TEST(ServiceTest, AdmissionShedsLoadWhenQueueIsFull) {
-  auto service = std::move(TuningService::Create(ServiceOptions()
-                                                     .WithJobRunners(1)
-                                                     .WithMaxQueuedJobs(1))
-                               .value());
+  auto service = std::move(
+      TuningService::Create({.job_runners = 1, .max_queued_jobs = 1}).value());
   auto bdb = BuildTpchLike("svc_shed", 1, 0.9, 61);
   SessionOptions so = SessOpts("tenant", bdb.get(), 0);
   so.iterations = 10;
@@ -606,10 +607,9 @@ TEST(ServiceTest, SixteenConcurrentSessionsMatchSerialRuns) {
   prof.num_queries = 6;
   prof.max_joins = 2;
 
-  auto service = std::move(TuningService::Create(ServiceOptions()
-                                                     .WithJobRunners(8)
-                                                     .WithMaxQueuedJobs(64))
-                               .value());
+  auto service = std::move(
+      TuningService::Create({.job_runners = 8, .max_queued_jobs = 64})
+          .value());
   constexpr int kSessions = 16;
   std::vector<std::unique_ptr<BenchmarkDatabase>> dbs;
   std::vector<Session*> sessions;

@@ -31,15 +31,14 @@ TEST(ArrivalTest, ParseKindRoundTrips) {
 }
 
 TEST(ArrivalTest, SpecValidationRejectsBadShapes) {
-  EXPECT_FALSE(ArrivalSpec().WithRatePerSec(0).Validate().ok());
-  EXPECT_FALSE(ArrivalSpec()
-                   .WithKind(ArrivalKind::kDiurnal)
-                   .WithAmplitude(1.5)
+  EXPECT_FALSE(ArrivalSpec{.rate_per_sec = 0}.Validate().ok());
+  EXPECT_FALSE((ArrivalSpec{.kind = ArrivalKind::kDiurnal, .amplitude = 1.5})
                    .Validate()
                    .ok());
-  EXPECT_FALSE(ArrivalSpec()
-                   .WithKind(ArrivalKind::kFlashCrowd)
-                   .WithFlash(0.5, 0.2, 0.5)
+  EXPECT_FALSE((ArrivalSpec{.kind = ArrivalKind::kFlashCrowd,
+                            .flash_start_frac = 0.5,
+                            .flash_duration_frac = 0.2,
+                            .flash_multiplier = 0.5})
                    .Validate()
                    .ok());
   EXPECT_TRUE(ArrivalSpec().Validate().ok());
@@ -48,7 +47,7 @@ TEST(ArrivalTest, SpecValidationRejectsBadShapes) {
 TEST(ArrivalTest, GenerationIsAPureFunctionOfTheSeed) {
   for (ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kDiurnal,
                            ArrivalKind::kFlashCrowd}) {
-    ArrivalSpec spec = ArrivalSpec().WithKind(kind).WithRatePerSec(20.0);
+    const ArrivalSpec spec{.kind = kind, .rate_per_sec = 20.0};
     auto process = MakeArrivalProcess(spec, 4.0).value();
     Rng a(99), b(99), c(100);
     const std::vector<double> first = GenerateArrivals(*process, 4.0, &a);
@@ -67,8 +66,7 @@ TEST(ArrivalTest, GenerationIsIdenticalUnderConcurrentThreads) {
   // The process is stateless and all randomness lives in the caller's Rng:
   // eight threads drawing the same seed must produce byte-identical
   // streams no matter how they interleave.
-  ArrivalSpec spec =
-      ArrivalSpec().WithKind(ArrivalKind::kDiurnal).WithRatePerSec(30.0);
+  const ArrivalSpec spec{.kind = ArrivalKind::kDiurnal, .rate_per_sec = 30.0};
   auto process = MakeArrivalProcess(spec, 3.0).value();
   std::vector<std::vector<double>> results(8);
   std::vector<std::thread> threads;
@@ -86,10 +84,11 @@ TEST(ArrivalTest, GenerationIsIdenticalUnderConcurrentThreads) {
 }
 
 TEST(ArrivalTest, FlashCrowdConcentratesArrivalsInTheWindow) {
-  ArrivalSpec spec = ArrivalSpec()
-                         .WithKind(ArrivalKind::kFlashCrowd)
-                         .WithRatePerSec(50.0)
-                         .WithFlash(0.5, 0.2, 8.0);
+  const ArrivalSpec spec{.kind = ArrivalKind::kFlashCrowd,
+                         .rate_per_sec = 50.0,
+                         .flash_start_frac = 0.5,
+                         .flash_duration_frac = 0.2,
+                         .flash_multiplier = 8.0};
   const double duration = 10.0;
   auto process = MakeArrivalProcess(spec, duration).value();
   Rng rng(7);
@@ -107,12 +106,11 @@ TEST(ArrivalTest, FlashCrowdConcentratesArrivalsInTheWindow) {
 // --- Schedule determinism --------------------------------------------------
 
 TEST(TrafficScheduleTest, BitIdenticalAcrossEngineInstances) {
-  TrafficOptions opts = TrafficOptions()
-                            .WithSessions(16)
-                            .WithDurationS(1.0)
-                            .WithDatabases(2)
-                            .WithSeed(11)
-                            .WithArrival(ArrivalSpec().WithRatePerSec(5.0));
+  const TrafficOptions opts{.sessions = 16,
+                            .duration_s = 1.0,
+                            .arrival = {.rate_per_sec = 5.0},
+                            .seed = 11,
+                            .databases = 2};
   TrafficEngine a(opts), b(opts);
   const auto sa = a.BuildSchedule().value();
   const auto sb = b.BuildSchedule().value();
@@ -127,7 +125,9 @@ TEST(TrafficScheduleTest, BitIdenticalAcrossEngineInstances) {
   for (size_t i = 1; i < sa.size(); ++i) {
     EXPECT_LE(sa[i - 1].t_s, sa[i].t_s);
   }
-  TrafficEngine c(TrafficOptions(opts).WithSeed(12));
+  TrafficOptions reseeded = opts;
+  reseeded.seed = 12;
+  TrafficEngine c(reseeded);
   const auto sc = c.BuildSchedule().value();
   bool same = sc.size() == sa.size();
   for (size_t i = 0; same && i < sa.size(); ++i) {
@@ -137,11 +137,10 @@ TEST(TrafficScheduleTest, BitIdenticalAcrossEngineInstances) {
 }
 
 TEST(TrafficScheduleTest, InvalidOptionsAreRejected) {
-  TrafficEngine engine(TrafficOptions().WithSessions(0));
+  TrafficEngine engine({.sessions = 0});
   EXPECT_EQ(engine.BuildSchedule().status().code(),
             StatusCode::kInvalidArgument);
-  TrafficEngine bad_arrival(
-      TrafficOptions().WithArrival(ArrivalSpec().WithRatePerSec(-1)));
+  TrafficEngine bad_arrival({.arrival = {.rate_per_sec = -1}});
   EXPECT_EQ(bad_arrival.Run().status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -183,17 +182,15 @@ TEST(TrafficRunTest, ShedAccountingBalancesUnderOverload) {
   // A deliberately tiny queue under max-pressure dispatch: most arrivals
   // must shed, and every one of them must be accounted for — globally,
   // per tenant, and in the admission controller's own books.
-  TrafficOptions opts =
-      TrafficOptions()
-          .WithSessions(8)
-          .WithDurationS(0.5)
-          .WithDatabases(2)
-          .WithRunners(2)
-          .WithMaxQueued(4)
-          .WithSloMs(0)
-          .WithEnforceSloDeadline(false)
-          .WithSeed(21)
-          .WithArrival(ArrivalSpec().WithRatePerSec(20.0));
+  const TrafficOptions opts{.sessions = 8,
+                            .duration_s = 0.5,
+                            .arrival = {.rate_per_sec = 20.0},
+                            .slo_ms = 0,
+                            .enforce_slo_deadline = false,
+                            .seed = 21,
+                            .databases = 2,
+                            .runners = 2,
+                            .max_queued = 4};
   TrafficEngine engine(opts);
   const TrafficReport report = engine.Run().value();
 
@@ -216,18 +213,16 @@ TEST(TrafficRunTest, SloDeadlineEscalatesOverdueJobs) {
   // A 1ms SLO against TPC-H-sized tuning jobs: the watchdog must escalate
   // overdue attempts to kTimedOut (never retried — the deadline already
   // passed), and every escalation counts as an SLO miss.
-  TrafficOptions opts =
-      TrafficOptions()
-          .WithSessions(4)
-          .WithDurationS(0.5)
-          .WithDatabases(1)
-          .WithRunners(2)
-          .WithMaxQueued(256)
-          .WithSloMs(1)
-          .WithEnforceSloDeadline(true)
-          .WithSeed(31)
-          .WithStream(QueryStreamSpec().WithKind("tpch").WithScale(2))
-          .WithArrival(ArrivalSpec().WithRatePerSec(8.0));
+  const TrafficOptions opts{.sessions = 4,
+                            .duration_s = 0.5,
+                            .arrival = {.rate_per_sec = 8.0},
+                            .slo_ms = 1,
+                            .enforce_slo_deadline = true,
+                            .seed = 31,
+                            .databases = 1,
+                            .stream = {.kind = "tpch", .scale = 2},
+                            .runners = 2,
+                            .max_queued = 256};
   TrafficEngine engine(opts);
   const TrafficReport report = engine.Run().value();
 
@@ -244,21 +239,21 @@ TEST(TrafficRunTest, RunnerCountDoesNotChangeRecommendations) {
   // The bit-identity guard: with nothing shed and no deadline, the same
   // schedule through 1 runner and through 8 runners must produce the same
   // recommendation key for every job, in the same submission order.
-  TrafficOptions base =
-      TrafficOptions()
-          .WithSessions(4)
-          .WithDurationS(0.5)
-          .WithDatabases(2)
-          .WithMaxQueued(100000)
-          .WithSloMs(0)
-          .WithEnforceSloDeadline(false)
-          .WithSeed(41)
-          .WithCaptureResults(true)
-          .WithArrival(ArrivalSpec().WithRatePerSec(8.0));
+  TrafficOptions opts{.sessions = 4,
+                      .duration_s = 0.5,
+                      .arrival = {.rate_per_sec = 8.0},
+                      .slo_ms = 0,
+                      .enforce_slo_deadline = false,
+                      .seed = 41,
+                      .databases = 2,
+                      .max_queued = 100000,
+                      .capture_results = true};
 
-  TrafficEngine serial(TrafficOptions(base).WithRunners(1));
+  opts.runners = 1;
+  TrafficEngine serial(opts);
   const TrafficReport serial_report = serial.Run().value();
-  TrafficEngine wide(TrafficOptions(base).WithRunners(8));
+  opts.runners = 8;
+  TrafficEngine wide(opts);
   const TrafficReport wide_report = wide.Run().value();
 
   EXPECT_EQ(serial_report.shed, 0);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "tuner/candidates.h"
@@ -75,12 +76,16 @@ TEST_F(TunerTest, CandidatesCoverPredicateJoinGroupColumns) {
 }
 
 TEST_F(TunerTest, CandidateCapsRespected) {
-  CandidateGenerator::Options o;
-  o.max_per_table = 2;
-  o.max_per_query = 3;
-  CandidateGenerator gen(bdb_->db(), bdb_->stats(), o);
+  // At most 8 B-tree candidates per table and 24 per query.
+  CandidateGenerator gen(bdb_->db(), bdb_->stats());
   for (const QuerySpec& q : bdb_->queries()) {
-    EXPECT_LE(gen.Generate(q, {}).size(), 3u);
+    const std::vector<IndexDef> cands = gen.Generate(q, {});
+    EXPECT_LE(cands.size(), 24u) << q.name;
+    std::map<int, int> per_table;
+    for (const IndexDef& def : cands) {
+      EXPECT_FALSE(def.is_columnstore) << q.name;
+      EXPECT_LE(++per_table[def.table_id], 8) << q.name;
+    }
   }
 }
 
@@ -340,8 +345,7 @@ TEST(ValidateQueryTest, EveryRegistryQueryPasses) {
        {"tpch", "tpcds", "tpch_sf", "synthetic", "customer1", "customer2",
         "customer3", "customer4", "customer5", "customer6", "customer7",
         "customer8", "customer9", "customer10", "customer11"}) {
-    auto gen = MakePreparedQueryStream(
-        QueryStreamSpec().WithKind(kind).WithSf(0.01));
+    auto gen = MakePreparedQueryStream({.kind = kind});
     ASSERT_TRUE(gen.ok()) << kind;
     BenchmarkDatabase* bdb = (*gen)->database();
     std::vector<QuerySpec> qs = bdb->queries();

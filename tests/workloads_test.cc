@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "workloads/collection.h"
 #include "workloads/customer.h"
@@ -13,6 +17,13 @@
 
 namespace aimai {
 namespace {
+
+QueryStreamSpec Spec(const std::string& kind, uint64_t seed) {
+  QueryStreamSpec spec;
+  spec.kind = kind;
+  spec.seed = seed;
+  return spec;
+}
 
 void ValidateQueries(BenchmarkDatabase* bdb) {
   std::set<std::string> names;
@@ -151,38 +162,54 @@ TEST(RegistryTest, PreparedStreamsDispatchEveryFamily) {
     EXPECT_TRUE(gen.ok()) << gen.status().ToString();
     return gen.ok() ? (*gen)->TakeDatabase() : nullptr;
   };
-  auto tpch =
-      take(QueryStreamSpec().WithKind("tpch").WithScale(1).WithSeed(81));
+  auto tpch = take(Spec("tpch", 81));
   ASSERT_NE(tpch, nullptr);
   EXPECT_GE(tpch->db()->FindTable("lineitem"), 0);
 
-  auto tpcds =
-      take(QueryStreamSpec().WithKind("tpcds").WithScale(1).WithSeed(82));
+  auto tpcds = take(Spec("tpcds", 82));
   ASSERT_NE(tpcds, nullptr);
   EXPECT_GE(tpcds->db()->FindTable("store_sales"), 0);
 
-  auto customer =
-      take(QueryStreamSpec().WithKind("customer3").WithScale(1).WithSeed(83));
+  auto customer = take(Spec("customer3", 83));
   ASSERT_NE(customer, nullptr);
   EXPECT_FALSE(customer->queries().empty());
 
   // tpch_sf honors the fractional scale factor, not `scale`.
-  auto sf = take(QueryStreamSpec()
-                     .WithKind("tpch_sf")
-                     .WithScale(99)
-                     .WithSf(0.001)
-                     .WithSeed(84));
+  QueryStreamSpec sf_spec = Spec("tpch_sf", 84);
+  sf_spec.scale = 99;
+  sf_spec.sf = 0.001;
+  auto sf = take(sf_spec);
   ASSERT_NE(sf, nullptr);
   EXPECT_EQ(sf->db()->table(sf->db()->FindTable("lineitem")).num_rows(),
             6000u);
 
-  EXPECT_EQ(MakePreparedQueryStream(QueryStreamSpec()
-                                        .WithKind("no_such_kind")
-                                        .WithSf(0.01)
-                                        .WithSeed(85))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      MakePreparedQueryStream(Spec("no_such_kind", 85)).status().code(),
+      StatusCode::kInvalidArgument);
+}
+
+TEST(RegistryTest, TpchSfRejectsScaleFactorsOutsideTheBuildRange) {
+  for (double sf : {1000.0, std::nan(""), HUGE_VAL, 0.0}) {
+    QueryStreamSpec spec = Spec("tpch_sf", 86);
+    spec.sf = sf;
+    EXPECT_EQ(MakePreparedQueryStream(spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << sf;
+  }
+}
+
+TEST(RegistryTest, CustomerKindMustBeCustomerThenProfileDigits) {
+  QueryStreamRegistry& reg = QueryStreamRegistry::Global();
+  for (const char* kind : {"customer1", "customer11"}) {
+    EXPECT_TRUE(reg.Create(Spec(kind, 87)).ok()) << kind;
+  }
+  for (const char* kind : {"customer", "customer3abc", "customer0",
+                           "customer12", "customer-3", "customer+3",
+                           "customer 3", "customer99999999999"}) {
+    EXPECT_EQ(reg.Create(Spec(kind, 87)).status().code(),
+              StatusCode::kInvalidArgument)
+        << kind;
+  }
 }
 
 TEST(RegistryTest, KnowsAndKindsCoverEveryBuiltinFamily) {
@@ -200,9 +227,7 @@ TEST(RegistryTest, KnowsAndKindsCoverEveryBuiltinFamily) {
   EXPECT_TRUE(kind_set.count("synthetic"));
   EXPECT_TRUE(kind_set.count("customer*"));
 
-  EXPECT_EQ(reg.Create(QueryStreamSpec().WithKind("no_such_kind"))
-                .status()
-                .code(),
+  EXPECT_EQ(reg.Create(Spec("no_such_kind", 42)).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -218,15 +243,13 @@ TEST(RegistryTest, ExternalKindsRegisterOnceAndDispatch) {
   EXPECT_EQ(reg.Register("wt_custom", delegate).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_TRUE(reg.Knows("wt_custom"));
-  auto gen =
-      MakePreparedQueryStream(QueryStreamSpec().WithKind("wt_custom"));
+  auto gen = MakePreparedQueryStream(Spec("wt_custom", 42));
   ASSERT_TRUE(gen.ok()) << gen.status().ToString();
   EXPECT_EQ((*gen)->database()->name(), "wt_custom_db");
 }
 
 TEST(QueryStreamTest, DdlListsEveryTable) {
-  auto gen = MakePreparedQueryStream(
-      QueryStreamSpec().WithKind("tpch").WithScale(1).WithSeed(92));
+  auto gen = MakePreparedQueryStream(Spec("tpch", 92));
   ASSERT_TRUE(gen.ok());
   const std::string ddl = (*gen)->GetDdl();
   EXPECT_NE(ddl.find("CREATE TABLE lineitem"), std::string::npos);
@@ -234,8 +257,7 @@ TEST(QueryStreamTest, DdlListsEveryTable) {
 }
 
 TEST(QueryStreamTest, StreamsAreDeterministicAndOpenEnded) {
-  const QueryStreamSpec spec =
-      QueryStreamSpec().WithKind("synthetic").WithSeed(93);
+  const QueryStreamSpec spec = Spec("synthetic", 93);
   auto a = MakePreparedQueryStream(spec);
   auto b = MakePreparedQueryStream(spec);
   ASSERT_TRUE(a.ok() && b.ok());
@@ -261,8 +283,7 @@ TEST(QueryStreamTest, StreamsAreDeterministicAndOpenEnded) {
 }
 
 TEST(QueryStreamTest, ReplayFamiliesCycleWithFreshInstanceNames) {
-  auto gen = MakePreparedQueryStream(
-      QueryStreamSpec().WithKind("tpch").WithScale(1).WithSeed(94));
+  auto gen = MakePreparedQueryStream(Spec("tpch", 94));
   ASSERT_TRUE(gen.ok());
   const size_t templates = (*gen)->database()->queries().size();
   // Draw well past one full cycle: instance names must stay unique even
@@ -279,14 +300,75 @@ TEST(QueryStreamTest, ReplayFamiliesCycleWithFreshInstanceNames) {
 }
 
 TEST(QueryStreamTest, TakeDatabaseExhaustsTheGenerator) {
-  auto gen = MakePreparedQueryStream(
-      QueryStreamSpec().WithKind("customer2").WithSeed(95));
+  auto gen = MakePreparedQueryStream(Spec("customer2", 95));
   ASSERT_TRUE(gen.ok());
   auto db = (*gen)->TakeDatabase();
   ASSERT_NE(db, nullptr);
   EXPECT_EQ((*gen)->database(), nullptr);
   EXPECT_EQ((*gen)->NextQueryBatch(1).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+/// FNV-1a over every table's name, row count and ContentFingerprint(),
+/// every template query's name, and every index of the initial
+/// configuration C0, in catalog order.
+uint64_t WorkloadHash(BenchmarkDatabase* bdb) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  auto mix_str = [&](const std::string& s) {
+    mix(s.size());
+    for (char c : s) mix(static_cast<unsigned char>(c));
+  };
+  const Database& db = *bdb->db();
+  for (int t = 0; t < db.num_tables(); ++t) {
+    const Table& table = db.table(t);
+    mix_str(table.name());
+    mix(table.num_rows());
+    mix(table.ContentFingerprint());
+  }
+  for (const QuerySpec& q : bdb->queries()) mix_str(q.name);
+  for (const IndexDef& def : bdb->initial_config().indexes()) {
+    mix_str(def.CanonicalName());
+  }
+  return h;
+}
+
+// Pins the generated data and template queries of every built-in family at
+// the default spec (scale 1, seed 42, sf 0.01), so a change to a generator
+// or to how specs are built moves this hash first.
+TEST(GoldenWorkloadTest, TableFingerprintsAndQueryNames) {
+  const std::vector<std::pair<std::string, uint64_t>> want = {
+      {"tpch", 0x1513e2c9a5db4c49ull},
+      {"tpcds", 0x7853e13d8b1af5e1ull},
+      {"customer1", 0x013b1de065f92174ull},
+      {"customer2", 0x8bc0ab4c9928dadeull},
+      {"customer3", 0x6306a8987494c78full},
+      {"customer4", 0xcc3a87ef95307584ull},
+      {"customer5", 0x1d5fbe13081d520eull},
+      {"customer6", 0x322cdbe02b070d19ull},
+      {"customer7", 0xd058d6aed4f540e5ull},
+      {"customer8", 0x6765d4d1cd33c5f0ull},
+      {"customer9", 0x1fc35df8cfdb8aa4ull},
+      {"customer10", 0xd2b373fd4db30677ull},
+      {"customer11", 0x66d77407559262eaull},
+      {"tpch_sf", 0x2b56a164240a8f84ull},
+      {"synthetic", 0x40aec15e8ec85ebeull},
+  };
+  for (const auto& [kind, hash] : want) {
+    auto gen = MakePreparedQueryStream(Spec(kind, 42));
+    ASSERT_TRUE(gen.ok()) << kind << ": " << gen.status().ToString();
+    EXPECT_EQ(WorkloadHash((*gen)->database()), hash)
+        << kind << ": got 0x" << std::hex << WorkloadHash((*gen)->database());
+  }
+  // tpcds with a columnstore C0 on its three fact tables.
+  auto cs = BuildTpcdsLike("tpcds_cs", 1, 0.8, /*with_columnstore=*/true, 42);
+  EXPECT_EQ(WorkloadHash(cs.get()), 0xd3cf0a5e7c196339ull)
+      << "tpcds_columnstore: got 0x" << std::hex << WorkloadHash(cs.get());
 }
 
 }  // namespace
