@@ -83,7 +83,7 @@ QueryStreamSpec StreamSpecFromFlags(
 
 std::string KnownKinds() {
   std::string kinds;
-  for (const std::string& k : QueryStreamRegistry::Global().Kinds()) {
+  for (const std::string& k : QueryStreamKinds()) {
     if (!kinds.empty()) kinds += "|";
     kinds += k;
   }
@@ -452,7 +452,7 @@ int CmdTraffic(const std::map<std::string, std::string>& flags) {
       std::atof(FlagOr(flags, "rate", "1").c_str());
 
   // Same workload-selection path as tune/chaos, but streamed: the
-  // registry generator keeps producing fresh query instances instead of
+  // stream generator keeps producing fresh query instances instead of
   // handing over a fixed database.
   topts.stream = StreamSpecFromFlags(flags, "synthetic", topts.seed);
 
@@ -550,7 +550,7 @@ void Usage() {
       "          [--time-compression C]  0 = replay as fast as possible\n"
       "                             (default), 1 = real time\n"
       "          [--workload KIND]  query-stream family (default\n"
-      "                             synthetic; any registry kind works)\n"
+      "                             synthetic; any built-in kind works)\n"
       "                             (exits non-zero unless arrived ==\n"
       "                             admitted + shed + rejected, per\n"
       "                             tenant and vs the admission "

@@ -17,7 +17,7 @@
 using namespace aimai;
 
 int main() {
-  // 1. Build a TPC-H-like database through the query-stream registry (the
+  // 1. Build a TPC-H-like database through MakePreparedQueryStream (the
   //    same path every workload family — and the traffic engine — uses).
   auto stream_or = MakePreparedQueryStream(
       {.kind = "tpch", .scale = 1, .seed = 42, .db_name = "quickstart_db"});

@@ -5,7 +5,8 @@
 #                               # (then each label suite — obs, optimizer,
 #                               # workloads, ... — explicitly, so a label
 #                               # regression is caught even if the full run
-#                               # is filtered down later)
+#                               # is filtered down later), the bench gates
+#                               # and perfbench/selftest.py
 #   TSAN=1 scripts/check.sh     # additionally build with -DAIMAI_SANITIZE=thread
 #                               # and run the concurrency-sensitive suites
 #                               # (obs, robustness, parallel, tuner,
@@ -92,6 +93,11 @@ AIMAI_CHAOS_SEED=1337 ctest --test-dir build -L resilience \
 # hold its SLO-miss rate (exits non-zero otherwise; emits
 # BENCH_traffic.json atomically).
 (cd build/bench && AIMAI_QUICK=1 ./bench_traffic)
+# End-to-end benchmark self-test: builds perfbench (Release, its own
+# .bench_build/ tree) against the current src/ and checks every
+# workload's quick-run digests and metric names. Tier-1 ctest never
+# compiles perfbench, so an API break there would otherwise go unseen.
+python3 perfbench/selftest.py
 
 if [[ "${ASAN:-0}" == "1" ]]; then
   cmake -B build-san -S . -DAIMAI_SANITIZE=ON >/dev/null

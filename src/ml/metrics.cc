@@ -58,19 +58,6 @@ ClassMetrics ConfusionMatrix::ForClass(int c) const {
   return m;
 }
 
-double ConfusionMatrix::MacroF1() const {
-  double sum = 0;
-  int n = 0;
-  for (int c = 0; c < num_classes_; ++c) {
-    const ClassMetrics m = ForClass(c);
-    if (m.support > 0) {
-      sum += m.f1;
-      ++n;
-    }
-  }
-  return n > 0 ? sum / n : 0;
-}
-
 std::string ConfusionMatrix::ToString() const {
   std::string out;
   for (int t = 0; t < num_classes_; ++t) {

@@ -31,9 +31,6 @@ class ConfusionMatrix {
   double Accuracy() const;
   ClassMetrics ForClass(int c) const;
 
-  /// Unweighted mean F1 over classes with support.
-  double MacroF1() const;
-
   std::string ToString() const;
 
  private:

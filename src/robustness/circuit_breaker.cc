@@ -58,16 +58,4 @@ void CircuitBreaker::Trip() {
   ++trips_;
 }
 
-const char* CircuitBreaker::StateName() const {
-  switch (state_) {
-    case State::kClosed:
-      return "closed";
-    case State::kOpen:
-      return "open";
-    case State::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 }  // namespace aimai

@@ -40,8 +40,6 @@ class CircuitBreaker {
   int64_t recoveries() const { return recoveries_; }
   const Options& options() const { return options_; }
 
-  const char* StateName() const;
-
  private:
   void Trip();
 

@@ -2,14 +2,13 @@
 #define AIMAI_ROBUSTNESS_RESILIENCE_H_
 
 #include <cstdint>
-#include <string>
 
 #include "obs/metrics.h"
 
 namespace aimai {
 
 /// Counters the resilient paths accumulate so a tuning run can report what
-/// it survived. Logged by the ContinuousTuner and asserted on by the
+/// it survived. Published by the ContinuousTuner and asserted on by the
 /// fault-injection tests ("accurate stats" is itself an invariant: a
 /// swallowed failure that is not counted is a silent bug).
 ///
@@ -39,14 +38,6 @@ struct ResilienceStats {
   int64_t quarantined_recommendations = 0;  // Repeat offenders benched.
   int64_t quarantine_skips = 0;     // Iterations that skipped a benched rec.
 
-  // Telemetry I/O (repository load).
-  int64_t records_skipped_corrupt = 0;
-
-  void Merge(const ResilienceStats& other);
-
-  /// Multi-line human-readable dump for tuner logs.
-  std::string ToString() const;
-
   /// Adds the growth since the previous publish to `registry`'s
   /// "resilience.*" counters (and the backoff gauge). Idempotent under
   /// repetition: publishing twice with no new events adds zero. No-op
@@ -54,10 +45,9 @@ struct ResilienceStats {
   void PublishDeltaTo(obs::MetricsRegistry* registry);
 
  private:
-  /// Field values as of the last PublishDeltaTo. Not merged by Merge():
-  /// merged-in counts are unpublished growth by definition.
+  /// Field values as of the last PublishDeltaTo.
   struct Published {
-    int64_t counters[14] = {};
+    int64_t counters[13] = {};
     double backoff_ms = 0;
   };
   Published published_;

@@ -7,18 +7,14 @@
 
 namespace aimai {
 
-namespace {
-
-uint64_t Fnv1a(const std::string& s) {
+uint64_t TenantSeedHash(const std::string& tenant) {
   uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
+  for (char c : tenant) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ULL;
   }
   return h;
 }
-
-}  // namespace
 
 FeedbackStore::FeedbackStore(Options options) : options_(options) {
   AIMAI_CHECK(options_.capacity_per_tenant > 0);
@@ -30,7 +26,7 @@ FeedbackStore::TenantBuffer& FeedbackStore::BufferLocked(
     const std::string& tenant) {
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) {
-    it = tenants_.emplace(tenant, TenantBuffer(options_.seed ^ Fnv1a(tenant)))
+    it = tenants_.emplace(tenant, TenantBuffer(options_.seed ^ TenantSeedHash(tenant)))
              .first;
   }
   return it->second;

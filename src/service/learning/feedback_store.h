@@ -13,6 +13,12 @@
 
 namespace aimai {
 
+/// FNV-1a over `tenant`, mixed into the learning seeds so each tenant
+/// draws its own reservoir and retrain streams. Starts from
+/// 1469598103934665603, not Fnv1a64's standard offset basis: the
+/// per-tenant seeds (and every result drawn from them) depend on it.
+uint64_t TenantSeedHash(const std::string& tenant);
+
 /// Bounded, thread-safe store of labeled plan-pair feature rows harvested
 /// from tenant sessions' measured executions (the paper's "leverage query
 /// executions" signal, collected inside the service instead of offline).

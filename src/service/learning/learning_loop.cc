@@ -20,15 +20,6 @@ namespace {
 /// many of the most recent earlier plans of the same query instance.
 constexpr int kMaxPairPartners = 3;
 
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// Holdout F1 of the regression class — the gate metric: the adapted
 /// model must catch at least as many true regressions (without drowning
 /// in false alarms) as the shared offline model does on this tenant.
@@ -291,7 +282,7 @@ void LearningLoop::RunRetrainJob(Session* session, TuningJob* job,
     ordinal = ts->retrain_ordinal++;
   }
   const uint64_t seed =
-      options_.seed ^ Fnv1a(tenant) ^
+      options_.seed ^ TenantSeedHash(tenant) ^
       (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(ordinal + 1));
   std::shared_ptr<UncertaintyStrategy> adapted;
   {

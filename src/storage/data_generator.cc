@@ -85,14 +85,6 @@ void DataGenerator::FillUniformDouble(Column* col, size_t n, double lo,
   }
 }
 
-void DataGenerator::FillGaussianDouble(Column* col, size_t n, double mean,
-                                       double stddev) {
-  col->Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    col->AppendDouble(rng_.Gaussian(mean, stddev));
-  }
-}
-
 void DataGenerator::FillCorrelatedInt(Column* col, const Column& src,
                                       size_t n, double slope, int64_t noise) {
   AIMAI_CHECK(src.size() >= n);

@@ -41,9 +41,6 @@ class DataGenerator {
   /// Uniform doubles in [lo, hi).
   void FillUniformDouble(Column* col, size_t n, double lo, double hi);
 
-  /// Gaussian doubles.
-  void FillGaussianDouble(Column* col, size_t n, double mean, double stddev);
-
   /// Integer column correlated with an existing int column of the same
   /// table: value = slope * src + noise. Breaks independence assumptions
   /// when both columns are filtered.

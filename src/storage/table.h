@@ -36,7 +36,6 @@ class Column {
   int32_t CodeOf(const std::string& s) const;
 
   int64_t GetInt(size_t row) const { return ints_[row]; }
-  double GetDouble(size_t row) const { return doubles_[row]; }
   int32_t GetCode(size_t row) const { return codes_[row]; }
 
   /// Raw backing arrays for the vectorized executor's batch kernels

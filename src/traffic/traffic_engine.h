@@ -97,7 +97,7 @@ struct TrafficReport {
 
 /// The open-loop traffic engine: builds a deterministic arrival schedule
 /// (thousands of per-session Poisson/diurnal/flash streams, queries drawn
-/// from the pluggable IQueryStreamGenerator registry), then replays it
+/// from MakePreparedQueryStream generators), then replays it
 /// against a TuningService — submitting SLO-deadlined query-tuning jobs
 /// through per-tenant sessions, counting what admission sheds, and
 /// reporting sustained jobs/sec and latency percentiles per phase.

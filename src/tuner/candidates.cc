@@ -140,19 +140,4 @@ std::vector<IndexDef> CandidateGenerator::Generate(
   return out;
 }
 
-std::vector<IndexDef> CandidateGenerator::GenerateForWorkload(
-    const std::vector<WorkloadQuery>& workload,
-    const Configuration& existing) {
-  std::vector<IndexDef> out;
-  std::set<std::string> seen;
-  for (const WorkloadQuery& wq : workload) {
-    for (IndexDef& def : Generate(wq.query, existing)) {
-      if (seen.insert(def.CanonicalName()).second) {
-        out.push_back(std::move(def));
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace aimai

@@ -26,11 +26,6 @@ class CandidateGenerator {
   std::vector<IndexDef> Generate(const QuerySpec& query,
                                  const Configuration& existing);
 
-  /// Union of candidates over a workload.
-  std::vector<IndexDef> GenerateForWorkload(
-      const std::vector<WorkloadQuery>& workload,
-      const Configuration& existing);
-
  private:
   std::vector<IndexDef> GenerateForTable(const QuerySpec& query,
                                          int table_id);

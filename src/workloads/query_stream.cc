@@ -1,10 +1,7 @@
 #include "workloads/query_stream.h"
 
-#include <algorithm>
 #include <charconv>
-#include <mutex>
 
-#include "common/check.h"
 #include "common/thread_pool.h"
 #include "workloads/customer.h"
 #include "workloads/query_helpers.h"
@@ -16,80 +13,10 @@ namespace aimai {
 
 namespace {
 
-const char* SqlTypeName(DataType t) {
-  switch (t) {
-    case DataType::kInt64:
-      return "BIGINT";
-    case DataType::kDouble:
-      return "DOUBLE PRECISION";
-    case DataType::kString:
-      return "VARCHAR";
-  }
-  return "BIGINT";
-}
-
 /// Derives the stream Rng seed from the spec seed. The salt decouples the
 /// query stream from the data-generation draws (both start from
 /// spec.seed), so adding data columns never perturbs the stream.
 constexpr uint64_t kStreamSeedSalt = 0x9e3779b97f4a7c15ULL;
-
-/// Shared base: database lifecycle (Prepare/GetDdl/TakeDatabase) and the
-/// per-stream Rng. Subclasses implement the stream draw itself.
-class StreamGeneratorBase : public IQueryStreamGenerator {
- public:
-  using DbBuilder =
-      std::function<std::unique_ptr<BenchmarkDatabase>(const QueryStreamSpec&)>;
-
-  StreamGeneratorBase(QueryStreamSpec spec, DbBuilder builder)
-      : spec_(std::move(spec)),
-        builder_(std::move(builder)),
-        stream_rng_(spec_.seed ^ kStreamSeedSalt) {}
-
-  const std::string& kind() const override { return spec_.kind; }
-  const QueryStreamSpec& spec() const override { return spec_; }
-
-  std::string GetDdl() override {
-    const Status st = PrepareInitialData();
-    if (!st.ok()) return "-- " + st.ToString() + "\n";
-    return SchemaDdl(*db_->db());
-  }
-
-  Status PrepareInitialData() override {
-    if (db_ != nullptr) return Status::Ok();
-    if (taken_) {
-      return Status::FailedPrecondition(
-          "query stream database already taken");
-    }
-    std::unique_ptr<BenchmarkDatabase> built = builder_(spec_);
-    if (built == nullptr) {
-      return Status::Internal("workload builder returned no database: " +
-                              spec_.kind);
-    }
-    db_ = std::move(built);
-    return Status::Ok();
-  }
-
-  BenchmarkDatabase* database() override { return db_.get(); }
-
-  std::unique_ptr<BenchmarkDatabase> TakeDatabase() override {
-    const Status st = PrepareInitialData();
-    if (!st.ok()) return nullptr;
-    taken_ = true;
-    return std::move(db_);
-  }
-
- protected:
-  Status EnsureReady() {
-    AIMAI_RETURN_IF_ERROR(PrepareInitialData());
-    return Status::Ok();
-  }
-
-  QueryStreamSpec spec_;
-  DbBuilder builder_;
-  std::unique_ptr<BenchmarkDatabase> db_;
-  Rng stream_rng_;
-  bool taken_ = false;
-};
 
 /// Stream over a *closed* workload family (tpch, tpcds, customer,
 /// tpch_sf): replays the family's built template instances in a seeded
@@ -97,9 +24,9 @@ class StreamGeneratorBase : public IQueryStreamGenerator {
 /// names. Parameter constants repeat per cycle — matching how a
 /// production app re-issues the same statement templates — while the
 /// arrival *order* keeps varying.
-class ReplayStreamGenerator : public StreamGeneratorBase {
+class ReplayStreamGenerator : public IQueryStreamGenerator {
  public:
-  using StreamGeneratorBase::StreamGeneratorBase;
+  using IQueryStreamGenerator::IQueryStreamGenerator;
 
   StatusOr<std::vector<QuerySpec>> NextQueryBatch(int max_queries) override {
     if (max_queries <= 0) {
@@ -141,9 +68,9 @@ class ReplayStreamGenerator : public StreamGeneratorBase {
 /// queries forever* — fresh predicate columns, operators, and constants
 /// every draw, never cycling. This is the drifting-workload stressor: no
 /// finite template set describes the stream.
-class SyntheticStreamGenerator : public StreamGeneratorBase {
+class SyntheticStreamGenerator : public IQueryStreamGenerator {
  public:
-  using StreamGeneratorBase::StreamGeneratorBase;
+  using IQueryStreamGenerator::IQueryStreamGenerator;
 
   StatusOr<std::vector<QuerySpec>> NextQueryBatch(int max_queries) override {
     if (max_queries <= 0) {
@@ -254,185 +181,73 @@ CustomerProfile SyntheticProfile() {
   return p;
 }
 
-void RegisterBuiltins(QueryStreamRegistry* reg) {
-  auto check = [](Status st) { AIMAI_CHECK_MSG(st.ok(), st.message().c_str()); };
-  check(reg->Register("tpch", [](const QueryStreamSpec& spec)
-                                  -> StatusOr<std::unique_ptr<IQueryStreamGenerator>> {
-    if (spec.scale < 1) {
-      return Status::InvalidArgument("tpch scale must be >= 1");
-    }
-    return std::unique_ptr<IQueryStreamGenerator>(new ReplayStreamGenerator(
-        spec, [](const QueryStreamSpec& s) {
-          return BuildTpchLike(s.ResolvedDbName(), s.scale, 0.9, s.seed);
-        }));
-  }));
-  check(reg->Register("tpcds", [](const QueryStreamSpec& spec)
-                                   -> StatusOr<std::unique_ptr<IQueryStreamGenerator>> {
-    if (spec.scale < 1) {
-      return Status::InvalidArgument("tpcds scale must be >= 1");
-    }
-    return std::unique_ptr<IQueryStreamGenerator>(new ReplayStreamGenerator(
-        spec, [](const QueryStreamSpec& s) {
-          return BuildTpcdsLike(s.ResolvedDbName(), s.scale, 0.8,
-                                /*with_columnstore=*/false, s.seed);
-        }));
-  }));
-  check(reg->Register("tpch_sf", [](const QueryStreamSpec& spec)
-                                     -> StatusOr<std::unique_ptr<IQueryStreamGenerator>> {
-    // Negated so NaN fails too; BuildTpchSf CHECKs the same range.
-    if (!(spec.sf > 0 && spec.sf <= 100)) {
-      return Status::InvalidArgument("tpch_sf sf must be in (0, 100]");
-    }
-    return std::unique_ptr<IQueryStreamGenerator>(new ReplayStreamGenerator(
-        spec, [](const QueryStreamSpec& s) {
-          TpchSfOptions options;
-          options.sf = s.sf;
-          options.seed = s.seed;
-          options.pool = SharedPool();
-          return BuildTpchSf(s.ResolvedDbName(), options);
-        }));
-  }));
-  // "customerN" — N (digits only, 1..11) selects the profile; the
-  // database keeps the kind as its name unless the spec sets db_name.
-  check(reg->RegisterPrefix(
-      "customer", [](const QueryStreamSpec& spec)
-                      -> StatusOr<std::unique_ptr<IQueryStreamGenerator>> {
-        const char* first = spec.kind.data() + 8;
-        const char* last = spec.kind.data() + spec.kind.size();
-        int idx = 0;
-        const auto [end, ec] = std::from_chars(first, last, idx);
-        if (ec != std::errc() || end != last || idx < 1 || idx > 11) {
-          return Status::InvalidArgument(
-              "customer kind must be customerN with N in 1..11: " +
-              spec.kind);
-        }
-        return std::unique_ptr<IQueryStreamGenerator>(new ReplayStreamGenerator(
-            spec, [idx](const QueryStreamSpec& s) {
-              return BuildCustomer(
-                  s.db_name.empty() ? s.kind : s.db_name,
-                  CustomerProfileFor(idx), s.seed);
-            }));
-      }));
-  check(reg->Register(
-      "synthetic", [](const QueryStreamSpec& spec)
-                       -> StatusOr<std::unique_ptr<IQueryStreamGenerator>> {
-        return std::unique_ptr<IQueryStreamGenerator>(
-            new SyntheticStreamGenerator(spec, [](const QueryStreamSpec& s) {
-              return BuildCustomer(s.ResolvedDbName(), SyntheticProfile(),
-                                   s.seed);
-            }));
-      }));
-}
-
 }  // namespace
 
-std::string SchemaDdl(const Database& db) {
-  std::string ddl;
-  for (int t = 0; t < db.num_tables(); ++t) {
-    const Table& table = db.table(t);
-    ddl += "CREATE TABLE " + table.name() + " (";
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      if (c > 0) ddl += ",";
-      const Column& col = table.column(c);
-      ddl += "\n  " + col.name() + " " + SqlTypeName(col.type());
-    }
-    ddl += "\n);\n";
-  }
-  return ddl;
-}
+IQueryStreamGenerator::IQueryStreamGenerator(
+    QueryStreamSpec spec, std::unique_ptr<BenchmarkDatabase> db)
+    : spec_(std::move(spec)),
+      db_(std::move(db)),
+      stream_rng_(spec_.seed ^ kStreamSeedSalt) {}
 
-QueryStreamRegistry& QueryStreamRegistry::Global() {
-  static QueryStreamRegistry* registry = [] {
-    auto* reg = new QueryStreamRegistry();
-    RegisterBuiltins(reg);
-    return reg;
-  }();
-  return *registry;
-}
-
-Status QueryStreamRegistry::Register(const std::string& kind,
-                                     Factory factory) {
-  AIMAI_CHECK(factory != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [k, f] : exact_) {
-    if (k == kind) {
-      return Status(StatusCode::kFailedPrecondition,
-                    "query stream kind already registered: " + kind);
-    }
+Status IQueryStreamGenerator::EnsureReady() const {
+  if (db_ == nullptr) {
+    return Status::FailedPrecondition("query stream database already taken");
   }
-  exact_.emplace_back(kind, std::move(factory));
   return Status::Ok();
-}
-
-Status QueryStreamRegistry::RegisterPrefix(const std::string& prefix,
-                                           Factory factory) {
-  AIMAI_CHECK(factory != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [p, f] : prefixes_) {
-    if (p == prefix) {
-      return Status(StatusCode::kFailedPrecondition,
-                    "query stream prefix already registered: " + prefix);
-    }
-  }
-  prefixes_.emplace_back(prefix, std::move(factory));
-  return Status::Ok();
-}
-
-StatusOr<std::unique_ptr<IQueryStreamGenerator>> QueryStreamRegistry::Create(
-    const QueryStreamSpec& spec) const {
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [k, f] : exact_) {
-      if (k == spec.kind) {
-        factory = f;
-        break;
-      }
-    }
-    if (!factory) {
-      size_t best = 0;
-      for (const auto& [p, f] : prefixes_) {
-        if (spec.kind.rfind(p, 0) == 0 && p.size() >= best) {
-          best = p.size();
-          factory = f;
-        }
-      }
-    }
-  }
-  if (!factory) {
-    return Status(StatusCode::kInvalidArgument,
-                  "unknown query stream kind: " + spec.kind);
-  }
-  return factory(spec);
-}
-
-bool QueryStreamRegistry::Knows(const std::string& kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [k, f] : exact_) {
-    if (k == kind) return true;
-  }
-  for (const auto& [p, f] : prefixes_) {
-    if (kind.rfind(p, 0) == 0) return true;
-  }
-  return false;
-}
-
-std::vector<std::string> QueryStreamRegistry::Kinds() const {
-  std::vector<std::string> kinds;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [k, f] : exact_) kinds.push_back(k);
-    for (const auto& [p, f] : prefixes_) kinds.push_back(p + "*");
-  }
-  std::sort(kinds.begin(), kinds.end());
-  return kinds;
 }
 
 StatusOr<std::unique_ptr<IQueryStreamGenerator>> MakePreparedQueryStream(
     const QueryStreamSpec& spec) {
-  AIMAI_ASSIGN_OR_RETURN(auto gen, QueryStreamRegistry::Global().Create(spec));
-  AIMAI_RETURN_IF_ERROR(gen->PrepareInitialData());
-  return gen;
+  std::unique_ptr<BenchmarkDatabase> db;
+  if (spec.kind == "tpch") {
+    if (spec.scale < 1) {
+      return Status::InvalidArgument("tpch scale must be >= 1");
+    }
+    db = BuildTpchLike(spec.ResolvedDbName(), spec.scale, 0.9, spec.seed);
+  } else if (spec.kind == "tpcds") {
+    if (spec.scale < 1) {
+      return Status::InvalidArgument("tpcds scale must be >= 1");
+    }
+    db = BuildTpcdsLike(spec.ResolvedDbName(), spec.scale, 0.8,
+                        /*with_columnstore=*/false, spec.seed);
+  } else if (spec.kind == "tpch_sf") {
+    // Negated so NaN fails too; BuildTpchSf CHECKs the same range.
+    if (!(spec.sf > 0 && spec.sf <= 100)) {
+      return Status::InvalidArgument("tpch_sf sf must be in (0, 100]");
+    }
+    TpchSfOptions options;
+    options.sf = spec.sf;
+    options.seed = spec.seed;
+    options.pool = SharedPool();
+    db = BuildTpchSf(spec.ResolvedDbName(), options);
+  } else if (spec.kind == "synthetic") {
+    return std::unique_ptr<IQueryStreamGenerator>(new SyntheticStreamGenerator(
+        spec,
+        BuildCustomer(spec.ResolvedDbName(), SyntheticProfile(), spec.seed)));
+  } else if (spec.kind.rfind("customer", 0) == 0) {
+    // "customerN" — N (digits only, 1..11) selects the profile; the
+    // database keeps the kind as its name unless the spec sets db_name.
+    const char* first = spec.kind.data() + 8;
+    const char* last = spec.kind.data() + spec.kind.size();
+    int idx = 0;
+    const auto [end, ec] = std::from_chars(first, last, idx);
+    if (ec != std::errc() || end != last || idx < 1 || idx > 11) {
+      return Status::InvalidArgument(
+          "customer kind must be customerN with N in 1..11: " + spec.kind);
+    }
+    db = BuildCustomer(spec.db_name.empty() ? spec.kind : spec.db_name,
+                       CustomerProfileFor(idx), spec.seed);
+  } else {
+    return Status::InvalidArgument("unknown query stream kind: " + spec.kind);
+  }
+  return std::unique_ptr<IQueryStreamGenerator>(
+      new ReplayStreamGenerator(spec, std::move(db)));
+}
+
+const std::vector<std::string>& QueryStreamKinds() {
+  static const std::vector<std::string> kinds = {
+      "customer*", "synthetic", "tpcds", "tpch", "tpch_sf"};
+  return kinds;
 }
 
 }  // namespace aimai

@@ -1,9 +1,7 @@
 #ifndef AIMAI_WORKLOADS_QUERY_STREAM_H_
 #define AIMAI_WORKLOADS_QUERY_STREAM_H_
 
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,7 +16,7 @@ namespace aimai {
 /// fully determines a generator: the same spec always produces the same
 /// database (bit-identical ContentFingerprints) and the same query stream
 /// (NextQueryBatch draws from a seeded Rng split, never from global
-/// state). `kind` is the registry key ("tpch", "tpcds", "customerN",
+/// state). `kind` names the family ("tpch", "tpcds", "customerN",
 /// "tpch_sf", "synthetic"). Every member has a default, so a designated
 /// initializer may name any subset ({.kind = "tpch", .seed = 7}).
 struct QueryStreamSpec {
@@ -37,21 +35,12 @@ struct QueryStreamSpec {
   }
 };
 
-/// Pluggable query-stream generator (modeled on ydb's
-/// IWorkloadQueryGenerator): every workload family exposes the same three
-/// phases —
-///
-///   GetDdl()             — the schema as CREATE TABLE text (what a real
-///                          driver would execute against a server),
-///   PrepareInitialData() — builds and populates the BenchmarkDatabase
-///                          (tables, statistics, optimizer, executor,
-///                          initial configuration); idempotent,
-///   NextQueryBatch(n)    — up to n query instances of an *open-ended*
-///                          stream. Closed families (tpch, tpcds,
-///                          customer, tpch_sf) replay their template
-///                          instances in a seeded shuffled cycle with
-///                          fresh instance names; the synthetic family
-///                          instantiates brand-new queries forever.
+/// Query-stream generator over a built workload database. Every family
+/// exposes the same stream: NextQueryBatch(n) draws up to n query
+/// instances of an *open-ended* stream. Closed families (tpch, tpcds,
+/// customer, tpch_sf) replay their template instances in a seeded
+/// shuffled cycle with fresh instance names; the synthetic family
+/// instantiates brand-new queries forever.
 ///
 /// Streams are deterministic: two generators built from equal specs yield
 /// byte-identical batches in the same call sequence, regardless of thread
@@ -60,21 +49,12 @@ struct QueryStreamSpec {
 /// loop) owns the cursor.
 class IQueryStreamGenerator {
  public:
+  IQueryStreamGenerator(QueryStreamSpec spec,
+                        std::unique_ptr<BenchmarkDatabase> db);
   virtual ~IQueryStreamGenerator() = default;
 
-  /// The registry kind this generator was created for.
-  virtual const std::string& kind() const = 0;
-  virtual const QueryStreamSpec& spec() const = 0;
-
-  /// Schema DDL (builds the database on first use).
-  virtual std::string GetDdl() = 0;
-
-  /// Builds data + statistics; must succeed before NextQueryBatch.
-  virtual Status PrepareInitialData() = 0;
-
-  /// The built database; nullptr before PrepareInitialData (or after
-  /// TakeDatabase).
-  virtual BenchmarkDatabase* database() = 0;
+  /// The built database; nullptr after TakeDatabase.
+  BenchmarkDatabase* database() { return db_.get(); }
 
   /// Draws the next batch (at most `max_queries` instances, at least one)
   /// from the stream. Instance names are unique across the stream's
@@ -82,58 +62,29 @@ class IQueryStreamGenerator {
   virtual StatusOr<std::vector<QuerySpec>> NextQueryBatch(
       int max_queries) = 0;
 
-  /// Relinquishes the built database (the deprecated Build* shims are
-  /// this call). The generator is exhausted afterwards.
-  virtual std::unique_ptr<BenchmarkDatabase> TakeDatabase() = 0;
+  /// Relinquishes the built database (how callers that only need the
+  /// database get it). The generator is exhausted afterwards.
+  std::unique_ptr<BenchmarkDatabase> TakeDatabase() { return std::move(db_); }
+
+ protected:
+  /// FailedPrecondition once the database has been taken.
+  Status EnsureReady() const;
+
+  QueryStreamSpec spec_;
+  std::unique_ptr<BenchmarkDatabase> db_;
+  Rng stream_rng_;
 };
 
-/// Process-wide registry of query-stream factories. All built-in families
-/// self-register on first access; external code may add its own kinds.
-/// `Create` resolves an exact kind first, then the longest registered
-/// prefix (which is how "customer3".."customer11" dispatch to the
-/// "customer" factory).
-class QueryStreamRegistry {
- public:
-  using Factory = std::function<StatusOr<std::unique_ptr<IQueryStreamGenerator>>(
-      const QueryStreamSpec&)>;
-
-  /// The global registry with the built-in families installed.
-  static QueryStreamRegistry& Global();
-
-  QueryStreamRegistry() = default;
-  QueryStreamRegistry(const QueryStreamRegistry&) = delete;
-  QueryStreamRegistry& operator=(const QueryStreamRegistry&) = delete;
-
-  /// Registers an exact kind; FailedPrecondition if taken.
-  Status Register(const std::string& kind, Factory factory);
-  /// Registers a prefix family ("customer" matches "customerN").
-  Status RegisterPrefix(const std::string& prefix, Factory factory);
-
-  /// Instantiates a generator for `spec.kind` (exact match first, then the
-  /// longest registered prefix); InvalidArgument for unknown kinds.
-  StatusOr<std::unique_ptr<IQueryStreamGenerator>> Create(
-      const QueryStreamSpec& spec) const;
-
-  /// True when `kind` would resolve (exactly or by prefix).
-  bool Knows(const std::string& kind) const;
-
-  /// Registered exact kinds plus prefix families (prefix kinds carry a
-  /// trailing "*"), sorted.
-  std::vector<std::string> Kinds() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<std::pair<std::string, Factory>> exact_;
-  std::vector<std::pair<std::string, Factory>> prefixes_;
-};
-
-/// Convenience: Create + PrepareInitialData through the global registry.
+/// Validates `spec`, builds its database and returns the family's stream
+/// over it. Kinds: "tpch", "tpcds", "tpch_sf", "synthetic" and
+/// "customerN" (N in 1..11); InvalidArgument for anything else or for an
+/// out-of-range spec.
 StatusOr<std::unique_ptr<IQueryStreamGenerator>> MakePreparedQueryStream(
     const QueryStreamSpec& spec);
 
-/// Renders a database's schema as CREATE TABLE statements (the GetDdl
-/// implementation shared by every built-in family).
-std::string SchemaDdl(const Database& db);
+/// The kinds MakePreparedQueryStream accepts, sorted ("customer*" stands
+/// for customer1..customer11).
+const std::vector<std::string>& QueryStreamKinds();
 
 }  // namespace aimai
 

@@ -379,13 +379,6 @@ TEST(ResilienceShimTest, PublishDeltaToDoesNotDoubleCount) {
   rs.PublishDeltaTo(&Registry());
   EXPECT_EQ(c->value() - c0, 5);
   EXPECT_DOUBLE_EQ(g->value() - g0, 12.5);
-
-  // Merge treats absorbed counts as unpublished growth.
-  ResilienceStats other;
-  other.what_if_timeouts = 2;
-  rs.Merge(other);
-  rs.PublishDeltaTo(&Registry());
-  EXPECT_EQ(c->value() - c0, 7);
 }
 
 }  // namespace

@@ -417,8 +417,6 @@ TEST_F(RobustTunerTest, SurvivesInjectedFaultsWithAccurateStats) {
   // Every revert was either verified restored or flagged.
   EXPECT_EQ(rs.reverts_verified + rs.revert_verification_failures,
             rs.reverts);
-  // The stats render for the tuner log.
-  EXPECT_NE(rs.ToString().find("resilience:"), std::string::npos);
 }
 
 TEST_F(RobustTunerTest, FaultFreeRunsAreUnchangedByTheHooks) {
@@ -475,8 +473,6 @@ TEST_F(RobustTunerTest, EndToEndChaosPipeline) {
                 wire.injected(FaultPoint::kTelemetryCorruption)));
   EXPECT_EQ(lstats.records_loaded + lstats.records_skipped,
             lstats.records_expected);
-  env.resilience.records_skipped_corrupt +=
-      static_cast<int64_t>(lstats.records_skipped);
 }
 
 TEST_F(RobustTunerTest, RepeatOffendersAreQuarantined) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <string>
@@ -199,61 +200,34 @@ TEST(RegistryTest, TpchSfRejectsScaleFactorsOutsideTheBuildRange) {
 }
 
 TEST(RegistryTest, CustomerKindMustBeCustomerThenProfileDigits) {
-  QueryStreamRegistry& reg = QueryStreamRegistry::Global();
   for (const char* kind : {"customer1", "customer11"}) {
-    EXPECT_TRUE(reg.Create(Spec(kind, 87)).ok()) << kind;
+    EXPECT_TRUE(MakePreparedQueryStream(Spec(kind, 87)).ok()) << kind;
   }
   for (const char* kind : {"customer", "customer3abc", "customer0",
                            "customer12", "customer-3", "customer+3",
                            "customer 3", "customer99999999999"}) {
-    EXPECT_EQ(reg.Create(Spec(kind, 87)).status().code(),
+    EXPECT_EQ(MakePreparedQueryStream(Spec(kind, 87)).status().code(),
               StatusCode::kInvalidArgument)
         << kind;
   }
 }
 
 TEST(RegistryTest, KnowsAndKindsCoverEveryBuiltinFamily) {
-  QueryStreamRegistry& reg = QueryStreamRegistry::Global();
-  EXPECT_TRUE(reg.Knows("tpch"));
-  EXPECT_TRUE(reg.Knows("tpcds"));
-  EXPECT_TRUE(reg.Knows("tpch_sf"));
-  EXPECT_TRUE(reg.Knows("synthetic"));
-  EXPECT_TRUE(reg.Knows("customer7"));  // Prefix dispatch.
-  EXPECT_FALSE(reg.Knows("no_such_kind"));
+  for (const char* kind : {"tpch", "tpcds", "tpch_sf", "synthetic",
+                           "customer7"}) {
+    EXPECT_TRUE(MakePreparedQueryStream(Spec(kind, 88)).ok()) << kind;
+  }
+  EXPECT_EQ(QueryStreamKinds(),
+            (std::vector<std::string>{"customer*", "synthetic", "tpcds",
+                                      "tpch", "tpch_sf"}));
 
-  const std::vector<std::string> kinds = reg.Kinds();
-  const std::set<std::string> kind_set(kinds.begin(), kinds.end());
-  EXPECT_TRUE(kind_set.count("tpch"));
-  EXPECT_TRUE(kind_set.count("synthetic"));
-  EXPECT_TRUE(kind_set.count("customer*"));
-
-  EXPECT_EQ(reg.Create(Spec("no_such_kind", 42)).status().code(),
+  EXPECT_EQ(MakePreparedQueryStream(Spec("no_such_kind", 42)).status().code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(RegistryTest, ExternalKindsRegisterOnceAndDispatch) {
-  QueryStreamRegistry& reg = QueryStreamRegistry::Global();
-  auto delegate = [](const QueryStreamSpec& spec) {
-    QueryStreamSpec inner = spec;
-    inner.kind = "synthetic";
-    if (inner.db_name.empty()) inner.db_name = "wt_custom_db";
-    return QueryStreamRegistry::Global().Create(inner);
-  };
-  ASSERT_TRUE(reg.Register("wt_custom", delegate).ok());
-  EXPECT_EQ(reg.Register("wt_custom", delegate).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(reg.Knows("wt_custom"));
-  auto gen = MakePreparedQueryStream(Spec("wt_custom", 42));
-  ASSERT_TRUE(gen.ok()) << gen.status().ToString();
-  EXPECT_EQ((*gen)->database()->name(), "wt_custom_db");
-}
-
-TEST(QueryStreamTest, DdlListsEveryTable) {
-  auto gen = MakePreparedQueryStream(Spec("tpch", 92));
-  ASSERT_TRUE(gen.ok());
-  const std::string ddl = (*gen)->GetDdl();
-  EXPECT_NE(ddl.find("CREATE TABLE lineitem"), std::string::npos);
-  EXPECT_NE(ddl.find("CREATE TABLE orders"), std::string::npos);
+  for (const char* kind : {"", "TPCH", "tpch_sf2", "synthetic "}) {
+    EXPECT_EQ(MakePreparedQueryStream(Spec(kind, 42)).status().code(),
+              StatusCode::kInvalidArgument)
+        << kind;
+  }
 }
 
 TEST(QueryStreamTest, StreamsAreDeterministicAndOpenEnded) {
@@ -309,33 +283,94 @@ TEST(QueryStreamTest, TakeDatabaseExhaustsTheGenerator) {
             StatusCode::kFailedPrecondition);
 }
 
-/// FNV-1a over every table's name, row count and ContentFingerprint(),
-/// every template query's name, and every index of the initial
-/// configuration C0, in catalog order.
-uint64_t WorkloadHash(BenchmarkDatabase* bdb) {
+/// FNV-1a over 64-bit words and length-prefixed strings.
+struct Fnv {
   uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint64_t v) {
+  void operator()(uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       h ^= (v >> (8 * i)) & 0xff;
       h *= 1099511628211ULL;
     }
-  };
-  auto mix_str = [&](const std::string& s) {
-    mix(s.size());
-    for (char c : s) mix(static_cast<unsigned char>(c));
-  };
+  }
+  void operator()(const std::string& s) {
+    (*this)(s.size());
+    for (char c : s) (*this)(static_cast<unsigned char>(c));
+  }
+  void operator()(const ColumnRef& c) {
+    (*this)(static_cast<uint64_t>(c.table_id));
+    (*this)(static_cast<uint64_t>(c.column_id));
+  }
+  void operator()(const Value& v) {
+    (*this)(static_cast<uint64_t>(v.type()));
+    switch (v.type()) {
+      case DataType::kInt64:
+        (*this)(static_cast<uint64_t>(v.as_int()));
+        break;
+      case DataType::kDouble:
+        (*this)(std::bit_cast<uint64_t>(v.as_double()));
+        break;
+      case DataType::kString:
+        (*this)(v.as_string());
+        break;
+    }
+  }
+};
+
+/// FNV-1a over every table's name, row count and ContentFingerprint(),
+/// every template query's name, and every index of the initial
+/// configuration C0, in catalog order.
+uint64_t WorkloadHash(BenchmarkDatabase* bdb) {
+  Fnv mix;
   const Database& db = *bdb->db();
   for (int t = 0; t < db.num_tables(); ++t) {
     const Table& table = db.table(t);
-    mix_str(table.name());
+    mix(table.name());
     mix(table.num_rows());
     mix(table.ContentFingerprint());
   }
-  for (const QuerySpec& q : bdb->queries()) mix_str(q.name);
+  for (const QuerySpec& q : bdb->queries()) mix(q.name);
   for (const IndexDef& def : bdb->initial_config().indexes()) {
-    mix_str(def.CanonicalName());
+    mix(def.CanonicalName());
   }
-  return h;
+  return mix.h;
+}
+
+/// FNV-1a over a stream's first three NextQueryBatch(7) draws: each
+/// query's name, tables, predicates (constants included), group-by,
+/// aggregates, order-by and TOP.
+uint64_t StreamHash(IQueryStreamGenerator* gen) {
+  Fnv mix;
+  for (int round = 0; round < 3; ++round) {
+    auto batch = gen->NextQueryBatch(7);
+    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+    if (!batch.ok()) return 0;
+    for (const QuerySpec& q : *batch) {
+      mix(q.name);
+      mix(q.tables.size());
+      for (int t : q.tables) mix(static_cast<uint64_t>(t));
+      mix(q.predicates.size());
+      for (const Predicate& p : q.predicates) {
+        mix(ColumnRef{p.table_id, p.column_id});
+        mix(static_cast<uint64_t>(p.op));
+        mix(p.lo);
+        mix(p.hi);
+      }
+      mix(q.group_by.size());
+      for (const ColumnRef& c : q.group_by) mix(c);
+      mix(q.aggregates.size());
+      for (const AggItem& a : q.aggregates) {
+        mix(static_cast<uint64_t>(a.func));
+        mix(a.col);
+      }
+      mix(q.order_by.size());
+      for (const SortKey& k : q.order_by) {
+        mix(k.col);
+        mix(static_cast<uint64_t>(k.ascending));
+      }
+      mix(static_cast<uint64_t>(q.top_n));
+    }
+  }
+  return mix.h;
 }
 
 // Pins the generated data and template queries of every built-in family at
@@ -369,6 +404,35 @@ TEST(GoldenWorkloadTest, TableFingerprintsAndQueryNames) {
   auto cs = BuildTpcdsLike("tpcds_cs", 1, 0.8, /*with_columnstore=*/true, 42);
   EXPECT_EQ(WorkloadHash(cs.get()), 0xd3cf0a5e7c196339ull)
       << "tpcds_columnstore: got 0x" << std::hex << WorkloadHash(cs.get());
+}
+
+// Pins the query stream of every built-in family at the default spec:
+// replay order and instance names for the closed families, the freshly
+// instantiated queries (constants included) for synthetic.
+TEST(GoldenWorkloadTest, StreamBatches) {
+  const std::vector<std::pair<std::string, uint64_t>> want = {
+      {"tpch", 0xd22d23f048e7b2c9ull},
+      {"tpcds", 0xc2219f63c87dec54ull},
+      {"customer1", 0x282f5331a0ecb0afull},
+      {"customer2", 0xb129923d7eaedc6eull},
+      {"customer3", 0x0fcf3194dfcb633full},
+      {"customer4", 0xad3c742c9fec6ec8ull},
+      {"customer5", 0x6734c61efd7c621aull},
+      {"customer6", 0x309215a82b7f9010ull},
+      {"customer7", 0x534cd77669f521d0ull},
+      {"customer8", 0x153db2bcb4b47b69ull},
+      {"customer9", 0xef87afba548b90b1ull},
+      {"customer10", 0x5c571b5d6c0de6cfull},
+      {"customer11", 0xcd2e935835608e3aull},
+      {"tpch_sf", 0xac673f1d66644a04ull},
+      {"synthetic", 0xea5c813d0116056aull},
+  };
+  for (const auto& [kind, hash] : want) {
+    auto gen = MakePreparedQueryStream(Spec(kind, 42));
+    ASSERT_TRUE(gen.ok()) << kind << ": " << gen.status().ToString();
+    const uint64_t got = StreamHash(gen->get());
+    EXPECT_EQ(got, hash) << kind << ": got 0x" << std::hex << got;
+  }
 }
 
 }  // namespace
