@@ -48,7 +48,7 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv,
     // A flag followed by another --flag (or by nothing) is a bare switch,
     // e.g. `tune --online-learning --retrain-after 8`.
     if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
-      flags[key] = "1";
+      flags[key] = std::string("1");
       i += 1;
     } else {
       flags[key] = argv[i + 1];

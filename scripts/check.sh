@@ -5,8 +5,10 @@
 #                               # (then each label suite — obs, optimizer,
 #                               # workloads, ... — explicitly, so a label
 #                               # regression is caught even if the full run
-#                               # is filtered down later), the bench gates
-#                               # and perfbench/selftest.py
+#                               # is filtered down later), the generator
+#                               # pins again in a Release tree
+#                               # (build-release/), the bench gates and
+#                               # perfbench/selftest.py
 #   TSAN=1 scripts/check.sh     # additionally build with -DAIMAI_SANITIZE=thread
 #                               # and run the concurrency-sensitive suites
 #                               # (obs, robustness, parallel, tuner,
@@ -64,6 +66,14 @@ ctest --test-dir build -L tpch_sf --output-on-failure -j
 # accounting balance, SLO deadline escalation, runner-count
 # bit-identity, JobQueue aging).
 ctest --test-dir build -L traffic --output-on-failure -j
+# The generator pins must also hold at the build type perfbench measures:
+# golden table fingerprints and the ZipfSampler / bucket-correlated
+# dictionary oracles, rebuilt and rerun in a Release tree.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j --target common_test workloads_test tpch_sf_test
+for t in common_test workloads_test tpch_sf_test; do
+  "build-release/tests/$t"
+done
 # Chaos determinism stage: the same suite under an explicit fault-schedule
 # seed — every fired injection must be accounted for at a non-default seed
 # too (recovered + quarantined + shed == injected).

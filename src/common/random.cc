@@ -28,41 +28,6 @@ bool Rng::Bernoulli(double p) {
   return dist(engine_);
 }
 
-int64_t Rng::Zipf(int64_t n, double s) {
-  AIMAI_CHECK(n >= 1);
-  if (s <= 0.0) return UniformInt(1, n);
-  // Rejection-inversion sampling (Hormann & Derflinger). Handles s == 1 via
-  // the log form of the generalized harmonic integral.
-  const double sd = s;
-  auto h_integral = [sd](double x) -> double {
-    const double log_x = std::log(x);
-    if (std::abs(1.0 - sd) < 1e-12) return log_x;
-    return (std::exp((1.0 - sd) * log_x) - 1.0) / (1.0 - sd);
-  };
-  auto h_integral_inv = [sd](double x) -> double {
-    if (std::abs(1.0 - sd) < 1e-12) return std::exp(x);
-    double t = x * (1.0 - sd);
-    if (t < -1.0) t = -1.0;  // Guard against numerical round-off.
-    return std::exp(std::log1p(t) / (1.0 - sd));
-  };
-  auto h = [sd](double x) { return std::exp(-sd * std::log(x)); };
-
-  const double h_x1 = h_integral(1.5) - 1.0;
-  const double h_n = h_integral(static_cast<double>(n) + 0.5);
-  const double s_shift = 2.0 - h_integral_inv(h_integral(2.5) - h(2.0));
-
-  while (true) {
-    const double u = h_n + Uniform() * (h_x1 - h_n);
-    const double x = h_integral_inv(u);
-    double k = std::floor(x + 0.5);
-    if (k < 1.0) k = 1.0;
-    if (k > static_cast<double>(n)) k = static_cast<double>(n);
-    if (k - x <= s_shift || u >= h_integral(k + 0.5) - h(k)) {
-      return static_cast<int64_t>(k);
-    }
-  }
-}
-
 Rng Rng::Split() {
   // Derive a child seed from the parent stream; golden-ratio increment
   // decorrelates consecutive splits.
@@ -73,6 +38,45 @@ Rng Rng::Split() {
 size_t Rng::Index(size_t n) {
   AIMAI_CHECK(n > 0);
   return static_cast<size_t>(UniformInt(0, static_cast<int64_t>(n) - 1));
+}
+
+ZipfSampler::ZipfSampler(int64_t n, double s)
+    : n_(n), s_(s), log_form_(std::abs(1.0 - s) < 1e-12) {
+  AIMAI_CHECK(n >= 1);
+  if (s <= 0.0) return;
+  h_x1_ = HIntegral(1.5) - 1.0;
+  h_n_ = HIntegral(static_cast<double>(n) + 0.5);
+  s_shift_ = 2.0 - HIntegralInv(HIntegral(2.5) - H(2.0));
+}
+
+double ZipfSampler::HIntegral(double x) const {
+  const double log_x = std::log(x);
+  if (log_form_) return log_x;
+  return (std::exp((1.0 - s_) * log_x) - 1.0) / (1.0 - s_);
+}
+
+double ZipfSampler::HIntegralInv(double x) const {
+  if (log_form_) return std::exp(x);
+  double t = x * (1.0 - s_);
+  if (t < -1.0) t = -1.0;  // Guard against numerical round-off.
+  return std::exp(std::log1p(t) / (1.0 - s_));
+}
+
+double ZipfSampler::H(double x) const { return std::exp(-s_ * std::log(x)); }
+
+int64_t ZipfSampler::Draw(Rng* rng) const {
+  if (s_ <= 0.0) return rng->UniformInt(1, n_);
+  const double n = static_cast<double>(n_);
+  while (true) {
+    const double u = h_n_ + rng->Uniform() * (h_x1_ - h_n_);
+    const double x = HIntegralInv(u);
+    double k = std::floor(x + 0.5);
+    if (k < 1.0) k = 1.0;
+    if (k > n) k = n;
+    if (k - x <= s_shift_ || u >= HIntegral(k + 0.5) - H(k)) {
+      return static_cast<int64_t>(k);
+    }
+  }
 }
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {

@@ -11,9 +11,10 @@ namespace aimai {
 /// data generation, model training, and experiments are reproducible.
 ///
 /// Wraps a 64-bit Mersenne Twister and adds the distributions the
-/// workload generators and ML models need (Zipf, Gaussian, choice,
-/// shuffle). A `Rng` can be `Split()` into an independent child stream,
-/// which keeps parallel components decoupled from each other's draw order.
+/// workload generators and ML models need (Gaussian, choice, shuffle;
+/// Zipf is `ZipfSampler` below). A `Rng` can be `Split()` into an
+/// independent child stream, which keeps parallel components decoupled
+/// from each other's draw order.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(seed) {}
@@ -29,11 +30,6 @@ class Rng {
 
   /// Bernoulli draw with probability `p` of true.
   bool Bernoulli(double p);
-
-  /// Zipf-distributed integer in [1, n] with skew parameter `s` (s=0 is
-  /// uniform; s around 1 is the classic heavy skew used for "TPC-H Zipf").
-  /// Uses rejection-inversion sampling so large `n` is cheap.
-  int64_t Zipf(int64_t n, double s);
 
   /// Returns an independent generator derived from this one.
   Rng Split();
@@ -62,6 +58,35 @@ class Rng {
 
  private:
   std::mt19937_64 engine_;
+};
+
+/// Zipf-distributed integers in [1, n] with skew parameter `s` (s <= 0 is
+/// uniform; s around 1 is the classic heavy skew used for "TPC-H Zipf"),
+/// by rejection-inversion sampling (Hormann & Derflinger), so large `n`
+/// is cheap.
+///
+/// Build one per fill: the `(n, s)` constants are computed once here. A
+/// draw consumes the same `Uniform()` values in the same order and
+/// evaluates the same expressions as computing everything per draw, so
+/// the values and the generator state left behind are bit-identical to
+/// that (DESIGN.md, determinism contract).
+class ZipfSampler {
+ public:
+  ZipfSampler(int64_t n, double s);
+
+  int64_t Draw(Rng* rng) const;
+
+ private:
+  double HIntegral(double x) const;
+  double HIntegralInv(double x) const;
+  double H(double x) const;
+
+  int64_t n_;
+  double s_;
+  bool log_form_;  // s == 1 (to 1e-12): the integral is a plain log.
+  double h_x1_ = 0;
+  double h_n_ = 0;
+  double s_shift_ = 0;
 };
 
 }  // namespace aimai

@@ -67,8 +67,9 @@ Status WriteFileAtomic(const std::string& path, const std::string& payload,
     return IoError("failed to rename into", path);
   }
   // Make the rename durable: fsync the containing directory.
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
+  const std::string parent =
+      std::filesystem::path(path).parent_path().string();
+  const std::string dir = parent.empty() ? "." : parent;
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dfd >= 0) {
     ::fsync(dfd);  // Best-effort: some filesystems refuse directory fsync.

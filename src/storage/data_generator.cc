@@ -58,22 +58,20 @@ void DataGenerator::FillUniformInt(Column* col, size_t n, int64_t lo,
 void DataGenerator::FillZipfInt(Column* col, size_t n, int64_t lo,
                                 int64_t domain, double s) {
   AIMAI_CHECK(domain >= 1);
+  ZipfSampler zipf(domain, s);
   col->Reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    col->AppendInt(lo + rng_.Zipf(domain, s) - 1);
+    col->AppendInt(lo + zipf.Draw(&rng_) - 1);
   }
 }
 
 void DataGenerator::FillForeignKey(Column* col, size_t n, int64_t parent_rows,
                                    double s) {
   AIMAI_CHECK(parent_rows >= 1);
+  ZipfSampler zipf(parent_rows, s);
   col->Reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (s > 0.0) {
-      col->AppendInt(rng_.Zipf(parent_rows, s) - 1);
-    } else {
-      col->AppendInt(rng_.UniformInt(0, parent_rows - 1));
-    }
+    col->AppendInt(zipf.Draw(&rng_) - 1);
   }
 }
 
@@ -100,15 +98,10 @@ void DataGenerator::FillDictString(Column* col, size_t n, int64_t vocab,
                                    double s, const std::string& prefix) {
   AIMAI_CHECK(vocab >= 1);
   col->SetDictionary(BuildSortedDict(vocab, prefix));
+  ZipfSampler zipf(vocab, s);
   col->Reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    int64_t code;
-    if (s > 0.0) {
-      code = rng_.Zipf(vocab, s) - 1;
-    } else {
-      code = rng_.UniformInt(0, vocab - 1);
-    }
-    col->AppendCode(static_cast<int32_t>(code));
+    col->AppendCode(static_cast<int32_t>(zipf.Draw(&rng_) - 1));
   }
 }
 
@@ -127,22 +120,30 @@ void DataGenerator::FillBucketCorrelatedDict(Column* col, const Column& src,
   // scale-factor generators run this on multi-million-row columns, and
   // the temporaries here are the build's peak transient memory.
   AIMAI_CHECK(n < (1ULL << 32));
-  std::vector<int32_t> codes(n);
-  for (size_t i = 0; i < n; ++i) {
-    codes[i] = static_cast<int32_t>(
-        rng_.Zipf(vocab, zipf_s > 0 ? zipf_s : 0.6) - 1);
-  }
-  std::sort(codes.begin(), codes.end());
+  // Codes lie in [0, vocab), so counting them is sorting them: a sorted
+  // multiset is unique, whatever the sort.
+  ZipfSampler zipf(vocab, zipf_s > 0 ? zipf_s : 0.6);
+  std::vector<uint32_t> code_count(static_cast<size_t>(vocab));
+  for (size_t i = 0; i < n; ++i) ++code_count[zipf.Draw(&rng_) - 1];
 
+  // Which of several rows with equal src values gets which code is decided
+  // by std::sort's tie order, so this must stay std::sort with comparisons
+  // equal to `src.NumericAt(a) < src.NumericAt(b)`; the typed array only
+  // saves the per-row type switch (DESIGN.md, determinism contract).
   std::vector<uint32_t> rank(n);
   for (size_t i = 0; i < n; ++i) rank[i] = static_cast<uint32_t>(i);
-  std::sort(rank.begin(), rank.end(), [&src](uint32_t a, uint32_t b) {
-    return src.NumericAt(a) < src.NumericAt(b);
+  VisitNumericData(src, [&rank](const auto* data) {
+    std::sort(rank.begin(), rank.end(), [data](uint32_t a, uint32_t b) {
+      return static_cast<double>(data[a]) < static_cast<double>(data[b]);
+    });
   });
 
   std::vector<int32_t> assigned(n);
-  for (size_t pos = 0; pos < n; ++pos) {
-    assigned[rank[pos]] = codes[pos];
+  size_t pos = 0;
+  for (size_t code = 0; code < code_count.size(); ++code) {
+    for (uint32_t c = 0; c < code_count[code]; ++c) {
+      assigned[rank[pos++]] = static_cast<int32_t>(code);
+    }
   }
   col->Reserve(n);
   for (size_t i = 0; i < n; ++i) {

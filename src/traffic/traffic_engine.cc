@@ -21,7 +21,7 @@ int64_t NowMs() {
       .count();
 }
 
-std::string SessionName(int i) { return "t" + std::to_string(i); }
+std::string SessionName(int i) { return StrFormat("t%d", i); }
 
 /// Session-i stream seed: a golden-ratio multiple keeps neighboring
 /// sessions' Mersenne Twister states decorrelated (seed ^ i would differ

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
 #include "storage/data_generator.h"
 #include "workloads/query_helpers.h"
 
@@ -114,7 +115,7 @@ std::unique_ptr<BenchmarkDatabase> BuildCustomer(const std::string& name,
     const int n_values = 3 + static_cast<int>(rng.Index(4));
     Column* prev_int = nullptr;
     for (int v = 0; v < n_values; ++v) {
-      const std::string cname = "v" + std::to_string(v);
+      const std::string cname = StrFormat("v%d", v);
       const double pick = rng.Uniform();
       if (pick < 0.5) {
         Column* col = table->AddColumn(cname, DataType::kInt64);

@@ -3,6 +3,7 @@
 #include <charconv>
 
 #include "common/thread_pool.h"
+#include "obs/obs.h"
 #include "workloads/customer.h"
 #include "workloads/query_helpers.h"
 #include "workloads/tpcds_like.h"
@@ -47,7 +48,8 @@ class ReplayStreamGenerator : public IQueryStreamGenerator {
     batch.reserve(static_cast<size_t>(max_queries));
     for (int i = 0; i < max_queries; ++i) {
       QuerySpec q = templates[order_[cursor_++]];
-      q.name += "~" + std::to_string(seq_++);
+      q.name += '~';
+      q.name += std::to_string(seq_++);
       batch.push_back(std::move(q));
       if (cursor_ == order_.size()) {
         cursor_ = 0;
@@ -203,11 +205,13 @@ StatusOr<std::unique_ptr<IQueryStreamGenerator>> MakePreparedQueryStream(
     if (spec.scale < 1) {
       return Status::InvalidArgument("tpch scale must be >= 1");
     }
+    AIMAI_SPAN("workloads.generate.tpch");
     db = BuildTpchLike(spec.ResolvedDbName(), spec.scale, 0.9, spec.seed);
   } else if (spec.kind == "tpcds") {
     if (spec.scale < 1) {
       return Status::InvalidArgument("tpcds scale must be >= 1");
     }
+    AIMAI_SPAN("workloads.generate.tpcds");
     db = BuildTpcdsLike(spec.ResolvedDbName(), spec.scale, 0.8,
                         /*with_columnstore=*/false, spec.seed);
   } else if (spec.kind == "tpch_sf") {
@@ -215,12 +219,14 @@ StatusOr<std::unique_ptr<IQueryStreamGenerator>> MakePreparedQueryStream(
     if (!(spec.sf > 0 && spec.sf <= 100)) {
       return Status::InvalidArgument("tpch_sf sf must be in (0, 100]");
     }
+    AIMAI_SPAN("workloads.generate.tpch_sf");
     TpchSfOptions options;
     options.sf = spec.sf;
     options.seed = spec.seed;
     options.pool = SharedPool();
     db = BuildTpchSf(spec.ResolvedDbName(), options);
   } else if (spec.kind == "synthetic") {
+    AIMAI_SPAN("workloads.generate.synthetic");
     return std::unique_ptr<IQueryStreamGenerator>(new SyntheticStreamGenerator(
         spec,
         BuildCustomer(spec.ResolvedDbName(), SyntheticProfile(), spec.seed)));
@@ -235,6 +241,7 @@ StatusOr<std::unique_ptr<IQueryStreamGenerator>> MakePreparedQueryStream(
       return Status::InvalidArgument(
           "customer kind must be customerN with N in 1..11: " + spec.kind);
     }
+    AIMAI_SPAN("workloads.generate.customer");
     db = BuildCustomer(spec.db_name.empty() ? spec.kind : spec.db_name,
                        CustomerProfileFor(idx), spec.seed);
   } else {

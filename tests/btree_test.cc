@@ -13,6 +13,7 @@
 
 #include "catalog/database.h"
 #include "common/ordered_bits.h"
+#include "common/string_util.h"
 #include "index/btree_index.h"
 #include "index/index_manager.h"
 #include "obs/metrics.h"
@@ -207,7 +208,7 @@ std::unique_ptr<Database> MakeDoubleDb(const Columns& cols) {
   auto db = std::make_unique<Database>("flat_db");
   auto t = std::make_unique<Table>("t");
   for (size_t c = 0; c < cols.size(); ++c) {
-    Column* col = t->AddColumn("c" + std::to_string(c), DataType::kDouble);
+    Column* col = t->AddColumn(StrFormat("c%zu", c), DataType::kDouble);
     for (double v : cols[c]) col->AppendDouble(v);
   }
   t->SealRows();
@@ -398,7 +399,7 @@ std::unique_ptr<Database> MakeIntDb(const std::vector<std::vector<int64_t>>& col
   auto t = std::make_unique<Table>("t");
   view->assign(cols.size(), {});
   for (size_t c = 0; c < cols.size(); ++c) {
-    Column* col = t->AddColumn("c" + std::to_string(c), type);
+    Column* col = t->AddColumn(StrFormat("c%zu", c), type);
     if (type == DataType::kString) {
       const int64_t top = *std::max_element(cols[c].begin(), cols[c].end());
       std::vector<std::string> dict;

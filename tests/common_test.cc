@@ -50,10 +50,11 @@ TEST(RngTest, SplitDecorrelates) {
 
 TEST(RngTest, ZipfIsSkewedAndBounded) {
   Rng rng(7);
+  ZipfSampler zipf(100, 1.0);
   std::map<int64_t, int> counts;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    const int64_t v = rng.Zipf(100, 1.0);
+    const int64_t v = zipf.Draw(&rng);
     ASSERT_GE(v, 1);
     ASSERT_LE(v, 100);
     counts[v]++;
@@ -66,8 +67,9 @@ TEST(RngTest, ZipfIsSkewedAndBounded) {
 
 TEST(RngTest, ZipfZeroSkewIsUniformish) {
   Rng rng(7);
+  ZipfSampler zipf(10, 0.0);
   std::map<int64_t, int> counts;
-  for (int i = 0; i < 30000; ++i) counts[rng.Zipf(10, 0.0)]++;
+  for (int i = 0; i < 30000; ++i) counts[zipf.Draw(&rng)]++;
   for (int64_t v = 1; v <= 10; ++v) {
     EXPECT_NEAR(counts[v], 3000, 450) << "value " << v;
   }

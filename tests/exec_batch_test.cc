@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "exec/execution_cost.h"
 #include "exec/executor.h"
 #include "exec/vectorized_executor.h"
@@ -393,7 +394,7 @@ std::unique_ptr<Database> MakeJoinDb(uint64_t seed, bool with_nan) {
   DataGenerator gen(Rng{seed + 1});
   const size_t rows[] = {5000, 60, 40};
   for (int t = 0; t < 3; ++t) {
-    auto table = std::make_unique<Table>("t" + std::to_string(t));
+    auto table = std::make_unique<Table>(StrFormat("t%d", t));
     Column* k = table->AddColumn("k", DataType::kDouble);
     Column* g = table->AddColumn("g", DataType::kInt64);
     for (size_t r = 0; r < rows[t]; ++r) {

@@ -127,7 +127,7 @@ TEST(OperatorsTest, HashJoinMatchesMergeJoin) {
 std::unique_ptr<Database> MakeTieDb(Rng* rng, size_t rows, bool with_nan) {
   auto db = std::make_unique<Database>("ties");
   for (int t = 0; t < 3; ++t) {
-    auto table = std::make_unique<Table>("t" + std::to_string(t));
+    auto table = std::make_unique<Table>(StrFormat("t%d", t));
     Column* c = table->AddColumn("k", DataType::kDouble);
     for (size_t r = 0; r < rows; ++r) {
       const double choices[] = {-0.0, 0.0, 1.0, 2.0, -3.0, 4.5};
@@ -207,7 +207,7 @@ TEST(OperatorsTest, MergeJoinNanKeysMeetNothing) {
   for (size_t c = 0; c < lefts.size(); ++c) {
     Database db("nan_merge");
     for (const auto* keys : {&lefts[c], &rights[c]}) {
-      auto t = std::make_unique<Table>("t" + std::to_string(db.num_tables()));
+      auto t = std::make_unique<Table>(StrFormat("t%d", db.num_tables()));
       Column* k = t->AddColumn("k", DataType::kDouble);
       for (double v : *keys) k->AppendDouble(v);
       t->SealRows();

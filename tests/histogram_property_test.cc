@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "optimizer/histogram.h"
 #include "storage/data_generator.h"
 #include "workloads/query_stream.h"
@@ -243,7 +244,9 @@ TEST_P(HistogramOracleProperty, RandomColumnsMatchSortBasedBuild) {
   Column doubles("d", DataType::kDouble);
   Column codes("s", DataType::kString);
   std::vector<std::string> dict;
-  for (int64_t k = 0; k < domain; ++k) dict.push_back("v" + std::to_string(k));
+  for (int64_t k = 0; k < domain; ++k) {
+    dict.push_back(StrFormat("v%lld", static_cast<long long>(k)));
+  }
   std::sort(dict.begin(), dict.end());
   codes.SetDictionary(dict);
   for (size_t r = 0; r < n; ++r) {

@@ -38,7 +38,10 @@ std::string QueryResultKey(const QueryTuningResult& r) {
   std::string out = r.recommended.Fingerprint();
   out += StrFormat("|base:%.17g|final:%.17g", r.base_plan->est_total_cost,
                    r.final_plan->est_total_cost);
-  for (const IndexDef& def : r.new_indexes) out += "|" + def.CanonicalName();
+  for (const IndexDef& def : r.new_indexes) {
+    out += '|';
+    out += def.CanonicalName();
+  }
   return out;
 }
 

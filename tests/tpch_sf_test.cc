@@ -9,6 +9,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "storage/data_generator.h"
@@ -82,6 +85,35 @@ TEST(TpchSfTest, ParallelFillBitIdenticalToSerial) {
   opts.seed = 93;
   auto other = BuildTpchSf("sf_ser", opts);
   EXPECT_NE(Fingerprints(other.get()), fp);
+}
+
+// Pins every table's ContentFingerprint at SF 0.05, the size perfbench
+// collects on: Zipf foreign keys over ~75k orders and bucket-correlated
+// dictionaries over ~300k lineitems, so a generator change that moves one
+// bit of the large fills fails here first.
+TEST(TpchSfTest, GoldenFingerprintsAtSf005) {
+  TpchSfOptions opts;
+  opts.sf = 0.05;
+  opts.seed = 42;
+  auto bdb = BuildTpchSf("tpch_sf", opts);
+  const std::vector<std::pair<std::string, uint64_t>> want = {
+      {"region", 0x37d12da54e5c05cdull},
+      {"nation", 0x696425c908fabd28ull},
+      {"supplier", 0xc0dc314396066c90ull},
+      {"customer", 0x6fcda6e2c2cd34b3ull},
+      {"part", 0x56c5a54458372c90ull},
+      {"partsupp", 0x9dce1a072c6ca28bull},
+      {"orders", 0x30c36e94e10d45f9ull},
+      {"lineitem", 0xde8993ff3f02c177ull},
+  };
+  ASSERT_EQ(static_cast<size_t>(bdb->db()->num_tables()), want.size());
+  for (size_t t = 0; t < want.size(); ++t) {
+    const Table& table = bdb->db()->table(static_cast<int>(t));
+    EXPECT_EQ(table.name(), want[t].first);
+    EXPECT_EQ(table.ContentFingerprint(), want[t].second)
+        << table.name() << ": got 0x" << std::hex
+        << table.ContentFingerprint();
+  }
 }
 
 // Regression: the dictionary builder used a fixed %06lld pad, so at

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "service/job_queue.h"
 #include "traffic/arrival.h"
 #include "traffic/traffic_engine.h"
@@ -284,7 +285,7 @@ TEST(JobQueueAgingTest, AgedLowPriorityJobClaimsAfterBoundedLosses) {
   ASSERT_TRUE(queue.Push(low).ok());
   int claimed_low_at = -1;
   for (int i = 1; i <= 12; ++i) {
-    ASSERT_TRUE(queue.Push(QueueJob(i, "h" + std::to_string(i), 5)).ok());
+    ASSERT_TRUE(queue.Push(QueueJob(i, StrFormat("h%d", i), 5)).ok());
     auto claimed = queue.Claim();
     ASSERT_NE(claimed, nullptr);
     queue.Release(claimed->session_name());
@@ -303,7 +304,7 @@ TEST(JobQueueAgingTest, StrictPriorityStarvesWithoutAging) {
   auto low = QueueJob(0, "low", 1);
   ASSERT_TRUE(queue.Push(low).ok());
   for (int i = 1; i <= 12; ++i) {
-    ASSERT_TRUE(queue.Push(QueueJob(i, "h" + std::to_string(i), 5)).ok());
+    ASSERT_TRUE(queue.Push(QueueJob(i, StrFormat("h%d", i), 5)).ok());
     auto claimed = queue.Claim();
     ASSERT_NE(claimed, nullptr);
     EXPECT_NE(claimed->id(), 0) << "low job claimed without aging";

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <set>
@@ -10,6 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
+#include "obs/obs.h"
+#include "storage/data_generator.h"
 #include "workloads/collection.h"
 #include "workloads/customer.h"
 #include "workloads/query_stream.h"
@@ -406,6 +410,22 @@ TEST(GoldenWorkloadTest, TableFingerprintsAndQueryNames) {
       << "tpcds_columnstore: got 0x" << std::hex << WorkloadHash(cs.get());
 }
 
+// Pins BuildTpchLike at the two other skews the paper benches pass (the
+// default spec above covers 0.9): zipf 0.0 takes the uniform branch of
+// every skewed fill, zipf 0.5 a second Zipf shape.
+TEST(GoldenWorkloadTest, TpchLikeAtOtherSkews) {
+  const std::vector<std::pair<double, uint64_t>> want = {
+      {0.0, 0x86018cb8444b8534ull},
+      {0.5, 0xf75da29696684756ull},
+  };
+  for (const auto& [zipf_s, hash] : want) {
+    auto bdb = BuildTpchLike("tpch", 1, zipf_s, 42);
+    EXPECT_EQ(WorkloadHash(bdb.get()), hash)
+        << "zipf " << zipf_s << ": got 0x" << std::hex
+        << WorkloadHash(bdb.get());
+  }
+}
+
 // Pins the query stream of every built-in family at the default spec:
 // replay order and instance names for the closed families, the freshly
 // instantiated queries (constants included) for synthetic.
@@ -432,6 +452,182 @@ TEST(GoldenWorkloadTest, StreamBatches) {
     ASSERT_TRUE(gen.ok()) << kind << ": " << gen.status().ToString();
     const uint64_t got = StreamHash(gen->get());
     EXPECT_EQ(got, hash) << kind << ": got 0x" << std::hex << got;
+  }
+}
+
+#if !defined(AIMAI_OBS_DISABLED)
+
+// Database generation is the set-up stage of every loop; each family's
+// build records one `workloads.generate.<family>` span, so set-up has a
+// layer split under AIMAI_METRICS=1.
+TEST(GenerateSpanTest, EveryFamilyRecordsItsSpan) {
+  const std::vector<std::pair<std::string, std::string>> kinds = {
+      {"tpch", "tpch"},         {"tpcds", "tpcds"},
+      {"tpch_sf", "tpch_sf"},   {"customer3", "customer"},
+      {"synthetic", "synthetic"},
+  };
+  for (const auto& [kind, family] : kinds) {
+    obs::Histogram* span = obs::Registry().GetHistogram(
+        "workloads.generate." + family + ".ns");
+    const int64_t before = span->count();
+    auto gen = MakePreparedQueryStream(Spec(kind, 42));
+    ASSERT_TRUE(gen.ok()) << kind << ": " << gen.status().ToString();
+    EXPECT_EQ(span->count(), before + 1) << kind;
+  }
+  // A rejected spec builds nothing and records nothing.
+  obs::Histogram* sf = obs::Registry().GetHistogram(
+      "workloads.generate.tpch_sf.ns");
+  const int64_t before = sf->count();
+  QueryStreamSpec bad = Spec("tpch_sf", 42);
+  bad.sf = 0;
+  EXPECT_FALSE(MakePreparedQueryStream(bad).ok());
+  EXPECT_EQ(sf->count(), before);
+}
+
+#endif  // !AIMAI_OBS_DISABLED
+
+/// The per-draw Zipf sampler every generator used before ZipfSampler: it
+/// recomputes the (n, s) constants and the reject threshold on every draw.
+/// ZipfSampler must reproduce it value for value and draw for draw.
+int64_t ReferenceZipf(Rng* rng, int64_t n, double s) {
+  if (s <= 0.0) return rng->UniformInt(1, n);
+  const double sd = s;
+  auto h_integral = [sd](double x) -> double {
+    const double log_x = std::log(x);
+    if (std::abs(1.0 - sd) < 1e-12) return log_x;
+    return (std::exp((1.0 - sd) * log_x) - 1.0) / (1.0 - sd);
+  };
+  auto h_integral_inv = [sd](double x) -> double {
+    if (std::abs(1.0 - sd) < 1e-12) return std::exp(x);
+    double t = x * (1.0 - sd);
+    if (t < -1.0) t = -1.0;
+    return std::exp(std::log1p(t) / (1.0 - sd));
+  };
+  auto h = [sd](double x) { return std::exp(-sd * std::log(x)); };
+
+  const double h_x1 = h_integral(1.5) - 1.0;
+  const double h_n = h_integral(static_cast<double>(n) + 0.5);
+  const double s_shift = 2.0 - h_integral_inv(h_integral(2.5) - h(2.0));
+
+  while (true) {
+    const double u = h_n + rng->Uniform() * (h_x1 - h_n);
+    const double x = h_integral_inv(u);
+    double k = std::floor(x + 0.5);
+    if (k < 1.0) k = 1.0;
+    if (k > static_cast<double>(n)) k = static_cast<double>(n);
+    if (k - x <= s_shift || u >= h_integral(k + 0.5) - h(k)) {
+      return static_cast<int64_t>(k);
+    }
+  }
+}
+
+// Tiny and mid-size domains (4096 / 4097), the tpch_sf key domains
+// (75k orders at SF 0.05, 6M lineitems at SF 1) and the skews the
+// generators pass, including the s == 1 log form and s <= 0 (uniform).
+TEST(ZipfSamplerOracleTest, MatchesPerDrawReferenceAndLeavesSameState) {
+  const std::vector<int64_t> ns = {1, 2, 7, 4096, 4097, 75000, 6'000'000};
+  const std::vector<double> ss = {0.0, 0.6, 0.9, 1.0, 1.1, 1.5};
+  uint64_t seed = 1;
+  for (int64_t n : ns) {
+    for (double s : ss) {
+      Rng got_rng(seed), want_rng(seed);
+      ++seed;
+      ZipfSampler zipf(n, s);
+      int64_t mismatches = 0;
+      for (int i = 0; i < 4000; ++i) {
+        const int64_t got = zipf.Draw(&got_rng);
+        const int64_t want = ReferenceZipf(&want_rng, n, s);
+        ASSERT_GE(got, 1);
+        ASSERT_LE(got, n);
+        if (got != want) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0) << "n " << n << " s " << s;
+      EXPECT_EQ(got_rng.engine()(), want_rng.engine()())
+          << "n " << n << " s " << s;
+    }
+  }
+}
+
+/// FillBucketCorrelatedDict as it was before the counting sort and the
+/// typed comparator: Zipf codes sorted with std::sort, then assigned in
+/// the order of an indirect std::sort of row ids through NumericAt.
+/// Returns the codes; leaves `rng` where the fill leaves its generator.
+std::vector<int32_t> ReferenceBucketCorrelatedCodes(Rng* rng,
+                                                    const Column& src,
+                                                    size_t n, int64_t vocab,
+                                                    double zipf_s,
+                                                    double flip_probability) {
+  std::vector<int32_t> codes(n);
+  for (size_t i = 0; i < n; ++i) {
+    codes[i] = static_cast<int32_t>(
+        ReferenceZipf(rng, vocab, zipf_s > 0 ? zipf_s : 0.6) - 1);
+  }
+  std::sort(codes.begin(), codes.end());
+  std::vector<uint32_t> rank(n);
+  for (size_t i = 0; i < n; ++i) rank[i] = static_cast<uint32_t>(i);
+  std::sort(rank.begin(), rank.end(), [&src](uint32_t a, uint32_t b) {
+    return src.NumericAt(a) < src.NumericAt(b);
+  });
+  std::vector<int32_t> assigned(n);
+  for (size_t pos = 0; pos < n; ++pos) assigned[rank[pos]] = codes[pos];
+  for (size_t i = 0; i < n; ++i) {
+    if (flip_probability > 0 && rng->Bernoulli(flip_probability)) {
+      assigned[i] = static_cast<int32_t>(rng->UniformInt(0, vocab - 1));
+    }
+  }
+  return assigned;
+}
+
+// Tie-heavy sources of every type decide which tied rows get which code
+// through std::sort's tie order; the fill must keep that order exactly.
+// The int64 source also holds values past 2^53, where distinct integers
+// tie as doubles, so the comparator must compare the numeric (double)
+// view, not the raw integers.
+TEST(BucketCorrelatedDictOracleTest, MatchesIndirectSortReference) {
+  constexpr size_t kRows = 30000;
+  Rng fill(17);
+  Column ints("ints", DataType::kInt64);
+  Column doubles("doubles", DataType::kDouble);
+  Column strings("strings", DataType::kString);
+  Column huge("huge", DataType::kInt64);
+  strings.SetDictionary({"a", "b", "c", "d", "e"});
+  for (size_t i = 0; i < kRows; ++i) {
+    ints.AppendInt(fill.UniformInt(0, 40));
+    doubles.AppendDouble(0.5 * static_cast<double>(fill.UniformInt(-3, 9)) +
+                         (fill.Bernoulli(0.1) ? -0.0 : 0.0));
+    strings.AppendCode(static_cast<int32_t>(fill.UniformInt(0, 4)));
+    huge.AppendInt((int64_t{1} << 53) + fill.UniformInt(0, 7));
+  }
+  struct Case {
+    const Column* src;
+    size_t n;
+    int64_t vocab;
+    double zipf_s;
+    double flip;
+  };
+  const std::vector<Case> cases = {
+      {&ints, kRows, 7, 0.9, 0.0},      {&ints, kRows - 123, 50, 0.0, 0.05},
+      {&doubles, kRows, 3, 1.0, 0.02},  {&doubles, 1000, 4200, 1.1, 0.0},
+      {&strings, kRows, 25, 0.6, 0.0},  {&strings, 17, 2, 1.5, 0.3},
+      {&huge, kRows, 11, 0.9, 0.01},    {&ints, 1, 1, 0.9, 0.0},
+  };
+  uint64_t seed = 100;
+  for (const Case& c : cases) {
+    Rng want_rng(seed);
+    const std::vector<int32_t> want = ReferenceBucketCorrelatedCodes(
+        &want_rng, *c.src, c.n, c.vocab, c.zipf_s, c.flip);
+    DataGenerator gen{Rng(seed)};
+    ++seed;
+    Column col("out", DataType::kString);
+    gen.FillBucketCorrelatedDict(&col, *c.src, c.n, c.vocab, c.zipf_s,
+                                 c.flip, "p");
+    ASSERT_EQ(col.size(), c.n);
+    const std::vector<int32_t> got(col.codes_data(),
+                                   col.codes_data() + col.size());
+    EXPECT_EQ(got, want) << c.src->name() << " n " << c.n << " vocab "
+                         << c.vocab;
+    EXPECT_EQ(gen.rng()->engine()(), want_rng.engine()())
+        << c.src->name() << " n " << c.n;
   }
 }
 
