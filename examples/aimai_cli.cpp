@@ -115,6 +115,31 @@ PairFeaturizer DefaultFeaturizer() {
                         PairCombine::kPairDiffNormalized);
 }
 
+// Reads a model file written by `train` for DefaultFeaturizer()'s
+// features. A missing, truncated or corrupt file is reported on stderr and
+// returns false (the caller exits 2).
+bool LoadModelFile(const std::string& path, RandomForest* rf) {
+  std::ifstream mf(path, std::ios::binary);
+  if (!mf) {
+    std::fprintf(stderr, "cannot open model\n");
+    return false;
+  }
+  TokenReader r(&mf, /*lenient=*/true);
+  const Status st = rf->Load(&r);
+  if (!st.ok()) {
+    std::fprintf(stderr, "model load failed: %s\n", st.ToString().c_str());
+    return false;
+  }
+  const size_t dim = DefaultFeaturizer().dim();
+  if (rf->MaxFeature() >= static_cast<int>(dim)) {
+    std::fprintf(stderr,
+                 "model load failed: a split reads feature %d of %zu\n",
+                 rf->MaxFeature(), dim);
+    return false;
+  }
+  return true;
+}
+
 int CmdCollect(const std::map<std::string, std::string>& flags) {
   auto bdb = BuildDb(flags, "tpch",
                      std::strtoull(FlagOr(flags, "seed", "42").c_str(),
@@ -185,16 +210,7 @@ int CmdEval(const std::map<std::string, std::string>& flags) {
     return 2;
   }
   RandomForest rf;
-  {
-    std::ifstream mf(FlagOr(flags, "model-file", "model.rf"),
-                     std::ios::binary);
-    if (!mf) {
-      std::fprintf(stderr, "cannot open model\n");
-      return 2;
-    }
-    TokenReader r(&mf);
-    rf.Load(&r);
-  }
+  if (!LoadModelFile(FlagOr(flags, "model-file", "model.rf"), &rf)) return 2;
   Rng rng(9);
   const auto pairs = repo.MakePairs(60, &rng);
   PairFeaturizer fz = DefaultFeaturizer();
@@ -268,13 +284,7 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
   std::unique_ptr<TuningService> service = std::move(service_or).value();
   if (with_model) {
     auto rf = std::make_shared<RandomForest>();
-    std::ifstream mf(model_file, std::ios::binary);
-    if (!mf) {
-      std::fprintf(stderr, "cannot open model\n");
-      return 2;
-    }
-    TokenReader r(&mf);
-    rf->Load(&r);
+    if (!LoadModelFile(model_file, rf.get())) return 2;
     service->models().Publish("pairwise", rf, DefaultFeaturizer());
   }
 

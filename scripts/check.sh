@@ -6,7 +6,7 @@
 #                               # workloads, ... — explicitly, so a label
 #                               # regression is caught even if the full run
 #                               # is filtered down later), the generator
-#                               # pins again in a Release tree
+#                               # and tree pins again in a Release tree
 #                               # (build-release/), the bench gates and
 #                               # perfbench/selftest.py
 #   TSAN=1 scripts/check.sh     # additionally build with -DAIMAI_SANITIZE=thread
@@ -66,12 +66,15 @@ ctest --test-dir build -L tpch_sf --output-on-failure -j
 # accounting balance, SLO deadline escalation, runner-count
 # bit-identity, JobQueue aging).
 ctest --test-dir build -L traffic --output-on-failure -j
-# The generator pins must also hold at the build type perfbench measures:
-# golden table fingerprints and the ZipfSampler / bucket-correlated
-# dictionary oracles, rebuilt and rerun in a Release tree.
+# The generator and tree pins must also hold at the build type perfbench
+# measures: golden table fingerprints, the ZipfSampler / bucket-correlated
+# dictionary oracles, golden model Save() hashes and the compiled-forest
+# identities, rebuilt and rerun in a Release tree.
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-release -j --target common_test workloads_test tpch_sf_test
-for t in common_test workloads_test tpch_sf_test; do
+cmake --build build-release -j --target common_test workloads_test \
+  tpch_sf_test ml_tree_test inference_test
+for t in common_test workloads_test tpch_sf_test ml_tree_test \
+  inference_test; do
   "build-release/tests/$t"
 done
 # Chaos determinism stage: the same suite under an explicit fault-schedule

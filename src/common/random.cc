@@ -80,33 +80,41 @@ int64_t ZipfSampler::Draw(Rng* rng) const {
 }
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
+  std::vector<size_t> out;
+  SampleWithoutReplacement(n, k, &out);
+  return out;
+}
+
+void Rng::SampleWithoutReplacement(size_t n, size_t k,
+                                   std::vector<size_t>* out) {
   AIMAI_CHECK(k <= n);
-  if (k == 0) return {};
+  out->clear();
+  if (k == 0) return;
   // Floyd's algorithm for sparse draws: O(k) time and space instead of
   // materializing an O(n) index vector (48MB per call at n = 6M). The
   // n/k guard keeps the draw stream of every dense call site unchanged.
   if (n >= 1024 && k <= n / 64) {
     std::unordered_set<size_t> chosen;
     chosen.reserve(2 * k);
-    std::vector<size_t> out;
-    out.reserve(k);
+    out->reserve(k);
     for (size_t i = n - k; i < n; ++i) {
       const size_t j =
           static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i)));
       if (chosen.insert(j).second) {
-        out.push_back(j);
+        out->push_back(j);
       } else {
         chosen.insert(i);
-        out.push_back(i);
+        out->push_back(i);
       }
     }
     // Floyd yields a uniform k-subset but an order biased by insertion;
     // shuffling restores the uniform ordered-sequence distribution the
     // Fisher-Yates path produces.
-    Shuffle(&out);
-    return out;
+    Shuffle(out);
+    return;
   }
-  std::vector<size_t> all(n);
+  std::vector<size_t>& all = *out;
+  all.resize(n);
   for (size_t i = 0; i < n; ++i) all[i] = i;
   // Partial Fisher-Yates: only the first k positions need to be shuffled.
   for (size_t i = 0; i < k; ++i) {
@@ -114,7 +122,6 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
     std::swap(all[i], all[j]);
   }
   all.resize(k);
-  return all;
 }
 
 }  // namespace aimai

@@ -53,6 +53,8 @@ class Rng {
   /// index range for sparse draws, which matters when parameter sampling
   /// hits multi-million-row tables.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
+  /// Same draws and result, written into `out` (its capacity is reused).
+  void SampleWithoutReplacement(size_t n, size_t k, std::vector<size_t>* out);
 
   std::mt19937_64& engine() { return engine_; }
 

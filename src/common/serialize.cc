@@ -59,7 +59,9 @@ std::string TokenReader::NextToken() {
   if (!status_.ok()) return std::string();
   std::string tok;
   *in_ >> tok;
-  if (tok.empty() || in_->fail()) {
+  // TokenWriter ends every token with a space, so a token that runs into
+  // the end of the stream was cut short.
+  if (tok.empty() || in_->fail() || in_->eof()) {
     Fail("truncated stream");
     return std::string();
   }
@@ -89,7 +91,7 @@ double TokenReader::ReadDouble() {
   if (!status_.ok()) return 0;
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str()) Fail("bad double token");
+  if (end == tok.c_str() || *end != '\0') Fail("bad double token");
   return status_.ok() ? v : 0;
 }
 

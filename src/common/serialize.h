@@ -46,6 +46,11 @@ class TokenWriter {
 ///    Callers check `ok()`/`status()` at record boundaries and skip or
 ///    propagate. This is the currency of the telemetry skip-and-count
 ///    path (models/repository_io).
+///
+/// TokenWriter ends every token with a space, so a number or tag token that
+/// runs into the end of the stream counts as truncated, and a double token
+/// must parse in full: a cut inside or just after one is not read as a
+/// shorter valid value.
 class TokenReader {
  public:
   explicit TokenReader(std::istream* in) : in_(in) {}

@@ -1,8 +1,11 @@
 #include "ml/decision_tree.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 
@@ -13,6 +16,7 @@ void FeatureBinner::Fit(const Dataset& data, const std::vector<size_t>& rows,
   const size_t d = data.d();
   edges_.assign(d, {});
   num_rows_ = data.n();
+  AIMAI_CHECK(num_rows_ <= std::numeric_limits<uint32_t>::max());
   bins_.assign(d * num_rows_, 0);
   if (rows.empty()) return;
 
@@ -27,22 +31,49 @@ void FeatureBinner::Fit(const Dataset& data, const std::vector<size_t>& rows,
     for (size_t p : pick) reduced.push_back(sample[p]);
     sample = std::move(reduced);
   }
+  bool sample_is_every_row = sample.size() == num_rows_;
+  for (size_t i = 0; sample_is_every_row && i < sample.size(); ++i) {
+    sample_is_every_row = sample[i] == i;
+  }
 
-  std::vector<double> vals;
-  vals.reserve(sample.size());
+  // (value, row) pairs sorted by value alone: std::sort's moves depend
+  // only on comparison outcomes, so the values come out in exactly the
+  // order sorting the bare values gives (signed zeros included), and the
+  // edges are the same bits.
+  using Entry = std::pair<double, uint32_t>;
+  const auto by_value = [](const Entry& x, const Entry& y) {
+    return x.first < y.first;
+  };
+  std::vector<Entry> sorted;
+  sorted.reserve(std::max(sample.size(), num_rows_));
   for (size_t j = 0; j < d; ++j) {
-    vals.clear();
-    for (size_t i : sample) vals.push_back(data.At(i, j));
-    std::sort(vals.begin(), vals.end());
+    sorted.clear();
+    for (size_t i : sample) {
+      sorted.emplace_back(data.At(i, j), static_cast<uint32_t>(i));
+    }
+    std::sort(sorted.begin(), sorted.end(), by_value);
     std::vector<double>& e = edges_[j];
     for (int b = 1; b < kMaxBins; ++b) {
-      const size_t pos = vals.size() * static_cast<size_t>(b) /
+      const size_t pos = sorted.size() * static_cast<size_t>(b) /
                          static_cast<size_t>(kMaxBins);
-      const double v = vals[std::min(pos, vals.size() - 1)];
+      const double v = sorted[std::min(pos, sorted.size() - 1)].first;
       if (e.empty() || v > e.back()) e.push_back(v);
     }
+    if (!sample_is_every_row) {
+      sorted.clear();
+      for (size_t i = 0; i < num_rows_; ++i) {
+        sorted.emplace_back(data.At(i, j), static_cast<uint32_t>(i));
+      }
+      std::sort(sorted.begin(), sorted.end(), by_value);
+    }
+    // Walking values upward, a row's bin (the number of edges below its
+    // value, as in BinOf) only grows.
     uint8_t* col = &bins_[j * num_rows_];
-    for (size_t i = 0; i < num_rows_; ++i) col[i] = BinOf(j, data.At(i, j));
+    size_t bin = 0;
+    for (const Entry& x : sorted) {
+      while (bin < e.size() && e[bin] < x.first) ++bin;
+      col[x.second] = static_cast<uint8_t>(bin);
+    }
   }
 }
 
@@ -62,6 +93,170 @@ double FeatureBinner::EdgeValue(size_t j, int b) const {
   return e[static_cast<size_t>(b)];
 }
 
+namespace {
+
+// One node sample: a global row id and how many bootstrap draws it stands
+// for. A classification fit visits each distinct sample row once with its
+// multiplicity as the weight; a regression fit keeps every draw as its own
+// sample (weight 1), in the sample's order, because its target sums are
+// rounded in that order.
+struct Sample {
+  uint32_t row;
+  uint32_t weight;
+};
+
+// Class counts go to kLanes interleaved histograms, so consecutive samples
+// in one bin do not serialize on one counter; the scan sums the lanes.
+// Counts are integers, so the sums are exact.
+constexpr size_t kLanes = 4;
+using Lanes = std::array<uint32_t*, kLanes>;
+
+// The best split of a node so far. `gain` starts at the node's
+// min_impurity_decrease: a split must beat it.
+struct SplitChoice {
+  double gain;
+  int feature = -1;
+  int bin = -1;
+};
+
+// What the split scans of one node read.
+struct NodeView {
+  const Sample* samples;
+  size_t begin;
+  size_t end;
+  size_t m;  // Draws: sample weights summed.
+  size_t min_leaf;
+  double parent_impurity;
+  const uint32_t* counts;  // Classification: per class.
+  double sum;              // Regression: target sum, in sample order.
+};
+
+// Sums bin `b`'s k cells over the lanes into `out`, zeroes them, and
+// returns their total.
+template <size_t K>
+uint32_t DrainBin(const Lanes& lane, size_t k, size_t b, uint32_t* out) {
+  if constexpr (K > 0) k = K;
+  uint32_t total = 0;
+  for (size_t c = 0; c < k; ++c) {
+    const size_t cell = b * k + c;
+    const uint32_t v =
+        lane[0][cell] + lane[1][cell] + lane[2][cell] + lane[3][cell];
+    lane[0][cell] = lane[1][cell] = lane[2][cell] = lane[3][cell] = 0;
+    out[c] += v;
+    total += v;
+  }
+  return total;
+}
+
+// Both scans evaluate a split after each occupied bin but the highest
+// (whose split would leave the right side empty). An empty bin would
+// repeat the partition, and so the gain, of the occupied bin below it;
+// gains must beat the best strictly, so that lower bin's split is the one
+// a scan over every bin keeps.
+
+// Gini scan of feature `f` (bin column `col`). K > 0 fixes the class
+// count at compile time, which unrolls the per-class loops; K == 0 reads
+// it from `k`. `left_buf` holds k counters.
+template <size_t K>
+void ScanClassFeature(const NodeView& node, const int* labels, size_t k,
+                      const Lanes& lane, uint32_t* left_buf, int f,
+                      const uint8_t* col, SplitChoice* best) {
+  if constexpr (K > 0) k = K;
+  uint64_t occupied = 0;
+  size_t i = node.begin;
+  for (; i + kLanes <= node.end; i += kLanes) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      const Sample s = node.samples[i + l];
+      const uint8_t b = col[s.row];
+      occupied |= uint64_t{1} << b;
+      lane[l][b * k + static_cast<size_t>(labels[s.row])] += s.weight;
+    }
+  }
+  for (; i < node.end; ++i) {
+    const Sample s = node.samples[i];
+    const uint8_t b = col[s.row];
+    occupied |= uint64_t{1} << b;
+    lane[0][b * k + static_cast<size_t>(labels[s.row])] += s.weight;
+  }
+  uint32_t left_fixed[K > 0 ? K : 1] = {};
+  uint32_t* left = K > 0 ? left_fixed : left_buf;
+  if constexpr (K == 0) std::fill(left, left + k, 0);
+  const double md = static_cast<double>(node.m);
+  const int top = 63 - std::countl_zero(occupied);
+  uint32_t left_cnt = 0;
+  for (uint64_t bits = occupied; bits != 0; bits &= bits - 1) {
+    const int b = std::countr_zero(bits);
+    left_cnt += DrainBin<K>(lane, k, static_cast<size_t>(b), left);
+    if (b == top) break;
+    const size_t right_cnt = node.m - left_cnt;
+    if (left_cnt < node.min_leaf || right_cnt < node.min_leaf) continue;
+    const double lc = static_cast<double>(left_cnt);
+    const double rc_total = static_cast<double>(right_cnt);
+    double right_gini_num = 0;
+    double left_gini_num = 0;
+    for (size_t c = 0; c < k; ++c) {
+      const double lx = static_cast<double>(left[c]);
+      const double rx = static_cast<double>(node.counts[c] - left[c]);
+      left_gini_num += lx * lx;
+      right_gini_num += rx * rx;
+    }
+    const double gini_l = 1.0 - left_gini_num / (lc * lc);
+    const double gini_r = 1.0 - right_gini_num / (rc_total * rc_total);
+    const double gain =
+        node.parent_impurity - (lc * gini_l + rc_total * gini_r) / md;
+    if (gain > best->gain) *best = {gain, f, b};
+  }
+}
+
+// Variance-reduction scan of feature `f`: counts in lanes, target sums in
+// one array `h_sum` (kMaxBins, zero between uses), added in sample order.
+void ScanRegressionFeature(const NodeView& node, const double* targets,
+                           const Lanes& lane, double* h_sum, int f,
+                           const uint8_t* col, SplitChoice* best) {
+  uint64_t occupied = 0;
+  for (size_t i = node.begin; i < node.end; ++i) {
+    const uint32_t r = node.samples[i].row;
+    const uint8_t b = col[r];
+    occupied |= uint64_t{1} << b;
+    lane[i % kLanes][b] += 1;
+    h_sum[b] += targets[r];
+  }
+  const double md = static_cast<double>(node.m);
+  const double sum = node.sum;
+  const int top = 63 - std::countl_zero(occupied);
+  uint32_t left_cnt = 0;
+  double left_sum = 0;
+  for (uint64_t bits = occupied; bits != 0; bits &= bits - 1) {
+    const int b = std::countr_zero(bits);
+    DrainBin<1>(lane, 1, static_cast<size_t>(b), &left_cnt);
+    left_sum += h_sum[b];
+    h_sum[b] = 0;
+    if (b == top) break;
+    const size_t right_cnt = node.m - left_cnt;
+    if (left_cnt < node.min_leaf || right_cnt < node.min_leaf) continue;
+    const double lc = static_cast<double>(left_cnt);
+    const double rc = static_cast<double>(right_cnt);
+    const double right_sum = sum - left_sum;
+    // SSE reduction per sample.
+    const double gain = (left_sum * left_sum / lc +
+                         right_sum * right_sum / rc - sum * sum / md) /
+                        md;
+    if (gain > best->gain) *best = {gain, f, b};
+  }
+}
+
+double GiniFromCounts(const std::vector<uint32_t>& counts, double total) {
+  if (total <= 0) return 0;
+  double sumsq = 0;
+  for (uint32_t c : counts) {
+    const double x = static_cast<double>(c);
+    sumsq += x * x;
+  }
+  return 1.0 - sumsq / (total * total);
+}
+
+}  // namespace
+
 // Fit-time state. Nodes partition global dataset row ids; the binner's
 // matrix, labels and targets are all indexed by them.
 struct DecisionTree::BuildContext {
@@ -70,62 +265,62 @@ struct DecisionTree::BuildContext {
   const double* targets = nullptr;  // Regression.
   size_t d = 0;
   size_t features_per_split = 0;
+  size_t k = 1;  // Histogram cells per bin: classes, or 1 for regression.
   Rng rng{1};
   FeatureBinner own_binner;  // Standalone fits only.
+  std::vector<Sample> samples;
+
+  // Per-node scratch. A node is done with it before it recurses.
+  std::vector<size_t> features;
+  std::vector<uint32_t> counts;  // Per class.
+  std::vector<uint32_t> left;    // Per class.
+  std::vector<uint32_t> lanes;   // kLanes x kMaxBins x k, zero between uses.
+  std::vector<double> h_sum;     // kMaxBins, zero between uses.
 };
 
-namespace {
-
-double GiniFromCounts(const std::vector<double>& counts, double total) {
-  if (total <= 0) return 0;
-  double sumsq = 0;
-  for (double c : counts) sumsq += c * c;
-  return 1.0 - sumsq / (total * total);
-}
-
-}  // namespace
-
-int DecisionTree::BuildNode(BuildContext* ctx, std::vector<uint32_t>* rows,
-                            size_t begin, size_t end, int depth) {
+int DecisionTree::BuildNode(BuildContext* ctx, size_t begin, size_t end,
+                            int depth) {
   const int node_id = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
-  const size_t m = end - begin;
-  AIMAI_CHECK(m > 0);
+  Sample* const samples = ctx->samples.data();
 
-  // Node statistics.
-  std::vector<double> counts;
+  // Node statistics. m counts draws: sample weights summed.
+  size_t m = 0;
   double sum = 0, sumsq = 0;
   if (is_regression_) {
+    m = end - begin;
     for (size_t i = begin; i < end; ++i) {
-      const double t = ctx->targets[(*rows)[i]];
+      const double t = ctx->targets[samples[i].row];
       sum += t;
       sumsq += t * t;
     }
   } else {
-    counts.assign(static_cast<size_t>(num_classes_), 0.0);
+    ctx->counts.assign(static_cast<size_t>(num_classes_), 0);
     for (size_t i = begin; i < end; ++i) {
-      counts[static_cast<size_t>(ctx->labels[(*rows)[i]])] += 1;
+      ctx->counts[static_cast<size_t>(ctx->labels[samples[i].row])] +=
+          samples[i].weight;
+      m += samples[i].weight;
     }
   }
+  AIMAI_CHECK(m > 0);
+  const double md = static_cast<double>(m);
 
   auto make_leaf = [&]() {
     Node& leaf = nodes_[static_cast<size_t>(node_id)];
     if (is_regression_) {
-      leaf.value = sum / static_cast<double>(m);
+      leaf.value = sum / md;
     } else {
       leaf.dist.assign(static_cast<size_t>(num_classes_), 0.0);
-      for (size_t c = 0; c < counts.size(); ++c) {
-        leaf.dist[c] = counts[c] / static_cast<double>(m);
+      for (size_t c = 0; c < ctx->counts.size(); ++c) {
+        leaf.dist[c] = static_cast<double>(ctx->counts[c]) / md;
       }
     }
     return node_id;
   };
 
   const double parent_impurity =
-      is_regression_
-          ? (sumsq - sum * sum / static_cast<double>(m)) /
-                static_cast<double>(m)
-          : GiniFromCounts(counts, static_cast<double>(m));
+      is_regression_ ? (sumsq - sum * sum / md) / md
+                     : GiniFromCounts(ctx->counts, md);
 
   if (depth >= options_.max_depth || m < 2 * options_.min_samples_leaf ||
       parent_impurity <= options_.min_impurity_decrease) {
@@ -133,115 +328,65 @@ int DecisionTree::BuildNode(BuildContext* ctx, std::vector<uint32_t>* rows,
   }
 
   // Candidate features.
-  std::vector<size_t> features =
-      ctx->rng.SampleWithoutReplacement(ctx->d, ctx->features_per_split);
+  ctx->rng.SampleWithoutReplacement(ctx->d, ctx->features_per_split,
+                                    &ctx->features);
 
-  int best_feature = -1;
-  int best_bin = -1;
-  double best_gain = options_.min_impurity_decrease;
-
-  // Histogram buffers (reused across features).
-  std::vector<double> h_count(FeatureBinner::kMaxBins);
-  std::vector<double> h_sum(FeatureBinner::kMaxBins);
-  std::vector<double> h_cls(FeatureBinner::kMaxBins *
-                            static_cast<size_t>(std::max(1, num_classes_)));
-
-  for (size_t f : features) {
-    const int nbins = ctx->binner->NumBins(f);
-    if (nbins < 2) continue;
+  const NodeView view{.samples = samples,
+                      .begin = begin,
+                      .end = end,
+                      .m = m,
+                      .min_leaf = options_.min_samples_leaf,
+                      .parent_impurity = parent_impurity,
+                      .counts = ctx->counts.data(),
+                      .sum = sum};
+  const size_t lane_size = FeatureBinner::kMaxBins * ctx->k;
+  const Lanes lane = {ctx->lanes.data(), ctx->lanes.data() + lane_size,
+                      ctx->lanes.data() + 2 * lane_size,
+                      ctx->lanes.data() + 3 * lane_size};
+  SplitChoice best{options_.min_impurity_decrease};
+  for (size_t f : ctx->features) {
+    if (ctx->binner->NumBins(f) < 2) continue;
     const uint8_t* col = ctx->binner->Column(f);
-    std::fill(h_count.begin(), h_count.begin() + nbins, 0.0);
+    const int fi = static_cast<int>(f);
     if (is_regression_) {
-      std::fill(h_sum.begin(), h_sum.begin() + nbins, 0.0);
-      for (size_t i = begin; i < end; ++i) {
-        const uint32_t r = (*rows)[i];
-        const uint8_t b = col[r];
-        h_count[b] += 1;
-        h_sum[b] += ctx->targets[r];
-      }
-      double left_cnt = 0, left_sum = 0;
-      for (int b = 0; b + 1 < nbins; ++b) {
-        left_cnt += h_count[static_cast<size_t>(b)];
-        left_sum += h_sum[static_cast<size_t>(b)];
-        const double right_cnt = static_cast<double>(m) - left_cnt;
-        if (left_cnt < static_cast<double>(options_.min_samples_leaf) ||
-            right_cnt < static_cast<double>(options_.min_samples_leaf)) {
-          continue;
-        }
-        const double right_sum = sum - left_sum;
-        // SSE reduction per sample.
-        const double gain =
-            (left_sum * left_sum / left_cnt +
-             right_sum * right_sum / right_cnt - sum * sum /
-                 static_cast<double>(m)) / static_cast<double>(m);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_feature = static_cast<int>(f);
-          best_bin = b;
-        }
-      }
-    } else {
-      const size_t k = static_cast<size_t>(num_classes_);
-      std::fill(h_cls.begin(),
-                h_cls.begin() + static_cast<size_t>(nbins) * k, 0.0);
-      for (size_t i = begin; i < end; ++i) {
-        const uint32_t r = (*rows)[i];
-        const uint8_t b = col[r];
-        h_cls[static_cast<size_t>(b) * k +
-              static_cast<size_t>(ctx->labels[r])] += 1;
-        h_count[b] += 1;
-      }
-      std::vector<double> left(k, 0.0);
-      double left_cnt = 0;
-      for (int b = 0; b + 1 < nbins; ++b) {
-        for (size_t c = 0; c < k; ++c) {
-          left[c] += h_cls[static_cast<size_t>(b) * k + c];
-        }
-        left_cnt += h_count[static_cast<size_t>(b)];
-        const double right_cnt = static_cast<double>(m) - left_cnt;
-        if (left_cnt < static_cast<double>(options_.min_samples_leaf) ||
-            right_cnt < static_cast<double>(options_.min_samples_leaf)) {
-          continue;
-        }
-        double right_gini_num = 0;
-        double left_gini_num = 0;
-        for (size_t c = 0; c < k; ++c) {
-          const double rc = counts[c] - left[c];
-          left_gini_num += left[c] * left[c];
-          right_gini_num += rc * rc;
-        }
-        const double gini_l = 1.0 - left_gini_num / (left_cnt * left_cnt);
-        const double gini_r = 1.0 - right_gini_num / (right_cnt * right_cnt);
-        const double gain = parent_impurity -
-                            (left_cnt * gini_l + right_cnt * gini_r) /
-                                static_cast<double>(m);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_feature = static_cast<int>(f);
-          best_bin = b;
-        }
-      }
+      ScanRegressionFeature(view, ctx->targets, lane, ctx->h_sum.data(), fi,
+                            col, &best);
+      continue;
+    }
+    switch (ctx->k) {
+      case 2:
+        ScanClassFeature<2>(view, ctx->labels, 2, lane, nullptr, fi, col,
+                            &best);
+        break;
+      case 3:
+        ScanClassFeature<3>(view, ctx->labels, 3, lane, nullptr, fi, col,
+                            &best);
+        break;
+      default:
+        ScanClassFeature<0>(view, ctx->labels, ctx->k, lane,
+                            ctx->left.data(), fi, col, &best);
+        break;
     }
   }
+  if (best.feature < 0) return make_leaf();
 
-  if (best_feature < 0) return make_leaf();
-
-  // Partition rows by bin <= best_bin.
-  const size_t fidx = static_cast<size_t>(best_feature);
+  // Partition samples by bin <= best.bin. Regression relies on this being
+  // the same std::partition over the same sequence as before, since child
+  // sums follow sample order.
+  const size_t fidx = static_cast<size_t>(best.feature);
   const uint8_t* col = ctx->binner->Column(fidx);
-  auto mid_it = std::partition(
-      rows->begin() + static_cast<long>(begin),
-      rows->begin() + static_cast<long>(end),
-      [&](uint32_t r) { return col[r] <= static_cast<uint8_t>(best_bin); });
-  const size_t mid =
-      static_cast<size_t>(mid_it - rows->begin());
+  Sample* mid_it = std::partition(
+      samples + begin, samples + end, [&](const Sample& s) {
+        return col[s.row] <= static_cast<uint8_t>(best.bin);
+      });
+  const size_t mid = static_cast<size_t>(mid_it - samples);
   AIMAI_CHECK(mid > begin && mid < end);
 
-  const int left_id = BuildNode(ctx, rows, begin, mid, depth + 1);
-  const int right_id = BuildNode(ctx, rows, mid, end, depth + 1);
+  const int left_id = BuildNode(ctx, begin, mid, depth + 1);
+  const int right_id = BuildNode(ctx, mid, end, depth + 1);
   Node& node = nodes_[static_cast<size_t>(node_id)];
-  node.feature = best_feature;
-  node.threshold = ctx->binner->EdgeValue(fidx, best_bin);
+  node.feature = best.feature;
+  node.threshold = ctx->binner->EdgeValue(fidx, best.bin);
   node.left = left_id;
   node.right = right_id;
   return node_id;
@@ -266,6 +411,7 @@ void DecisionTree::Build(BuildContext* ctx, const Dataset& data,
                          const FeatureBinner* shared_binner) {
   AIMAI_CHECK(!rows.empty());
   AIMAI_CHECK(data.n() <= std::numeric_limits<uint32_t>::max());
+  AIMAI_CHECK(rows.size() <= std::numeric_limits<uint32_t>::max());
   nodes_.clear();
   ctx->d = data.d();
   ctx->rng = Rng(options_.seed);
@@ -277,16 +423,35 @@ void DecisionTree::Build(BuildContext* ctx, const Dataset& data,
   }
   AIMAI_CHECK(shared_binner->num_rows() == data.n());
   ctx->binner = shared_binner;
-  // Global row ids in the sample's order, duplicates included: nodes read
-  // the shared bin matrix directly, with no per-tree copy.
-  std::vector<uint32_t> order(rows.begin(), rows.end());
-  BuildNode(ctx, &order, 0, order.size(), 0);
+  ctx->k = is_regression_ ? 1 : static_cast<size_t>(num_classes_);
+  ctx->left.assign(ctx->k, 0);
+  ctx->lanes.assign(kLanes * FeatureBinner::kMaxBins * ctx->k, 0);
+  ctx->h_sum.assign(FeatureBinner::kMaxBins, 0.0);
+  // Global row ids: nodes read the shared bin matrix directly, with no
+  // per-tree copy. Classification samples are the distinct rows, each
+  // weighted by its number of draws.
+  ctx->samples.clear();
+  if (is_regression_) {
+    for (size_t r : rows) {
+      ctx->samples.push_back({static_cast<uint32_t>(r), 1});
+    }
+  } else {
+    std::vector<uint32_t> draws(data.n(), 0);
+    for (size_t r : rows) ++draws[r];
+    for (size_t r = 0; r < draws.size(); ++r) {
+      if (draws[r] > 0) {
+        ctx->samples.push_back({static_cast<uint32_t>(r), draws[r]});
+      }
+    }
+  }
+  BuildNode(ctx, 0, ctx->samples.size(), 0);
 }
 
 void DecisionTree::FitClassification(const Dataset& data,
                                      const std::vector<size_t>& rows,
                                      int num_classes,
                                      const FeatureBinner* shared_binner) {
+  AIMAI_CHECK(num_classes >= 1);
   is_regression_ = false;
   num_classes_ = num_classes;
   BuildContext ctx;
@@ -304,6 +469,12 @@ void DecisionTree::FitRegression(const Dataset& data,
   BuildContext ctx;
   ctx.targets = targets.data();
   Build(&ctx, data, rows, shared_binner);
+}
+
+int DecisionTree::MaxFeature() const {
+  int max_feature = -1;
+  for (const Node& n : nodes_) max_feature = std::max(max_feature, n.feature);
+  return max_feature;
 }
 
 int DecisionTree::FindLeaf(const double* x) const {
@@ -355,21 +526,77 @@ void DecisionTree::Save(TokenWriter* w) const {
   }
 }
 
-void DecisionTree::Load(TokenReader* r) {
+Status DecisionTree::Load(TokenReader* r) {
   r->ExpectTag("tree");
-  num_classes_ = static_cast<int>(r->ReadInt());
-  is_regression_ = r->ReadBool();
+  const int64_t classes = r->ReadInt();
+  const bool regression = r->ReadBool();
   const uint64_t n = r->ReadUInt();
-  nodes_.assign(n, Node());
+  if (!r->ok()) return r->status();
+  if (regression ? classes != 0 : (classes < 1 || classes > kMaxClasses)) {
+    return Status::DataLoss("tree: bad class count");
+  }
+  if (n == 0 || n > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return Status::DataLoss("tree: bad node count");
+  }
+  const size_t dist_size = static_cast<size_t>(classes);
+  // Nodes are read one by one, so a node count the stream cannot hold
+  // ends in a truncated-stream error, not in a huge allocation.
+  std::vector<Node> nodes;
   for (uint64_t i = 0; i < n; ++i) {
-    Node& node = nodes_[i];
-    node.feature = static_cast<int>(r->ReadInt());
+    Node node;
+    const int64_t feature = r->ReadInt();
     node.threshold = r->ReadDouble();
-    node.left = static_cast<int>(r->ReadInt());
-    node.right = static_cast<int>(r->ReadInt());
+    const int64_t left = r->ReadInt();
+    const int64_t right = r->ReadInt();
     node.value = r->ReadDouble();
     node.dist = r->ReadDoubleVector();
+    if (!r->ok()) return r->status();
+    if (feature < -1 || feature > std::numeric_limits<int>::max()) {
+      return Status::DataLoss("tree: bad split feature");
+    }
+    node.feature = static_cast<int>(feature);
+    if (node.feature >= 0) {
+      // Nodes are saved in preorder: children come after their parent, so
+      // in-range child ids cannot form a cycle.
+      const auto is_child = [&](int64_t id) {
+        return id > static_cast<int64_t>(i) && id < static_cast<int64_t>(n);
+      };
+      if (!is_child(left) || !is_child(right)) {
+        return Status::DataLoss("tree: child id out of range");
+      }
+      node.left = static_cast<int>(left);
+      node.right = static_cast<int>(right);
+    } else if (node.dist.size() != dist_size) {
+      return Status::DataLoss("tree: leaf distribution size mismatch");
+    }
+    nodes.push_back(std::move(node));
   }
+  num_classes_ = static_cast<int>(classes);
+  is_regression_ = regression;
+  nodes_ = std::move(nodes);
+  return Status::Ok();
+}
+
+Status LoadTrees(TokenReader* r, int num_classes,
+                 std::vector<std::unique_ptr<DecisionTree>>* trees) {
+  const uint64_t n = r->ReadUInt();
+  if (!r->ok()) return r->status();
+  if (n == 0) return Status::DataLoss("ensemble: no trees");
+  // Trees are read one by one: a tree count the stream cannot hold ends
+  // in a truncated-stream error.
+  std::vector<std::unique_ptr<DecisionTree>> loaded;
+  for (uint64_t i = 0; i < n; ++i) {
+    auto t = std::make_unique<DecisionTree>();
+    const Status st = t->Load(r);
+    if (!st.ok()) return st;
+    if (t->is_regression() != (num_classes == 0) ||
+        t->num_classes() != num_classes) {
+      return Status::DataLoss("ensemble: tree kind does not match");
+    }
+    loaded.push_back(std::move(t));
+  }
+  *trees = std::move(loaded);
+  return Status::Ok();
 }
 
 }  // namespace aimai

@@ -2,6 +2,7 @@
 #define AIMAI_ML_DECISION_TREE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -19,6 +20,9 @@ namespace aimai {
 ///
 /// `Fit` also bins every dataset row once into a column-major d x n
 /// matrix, which every tree of an ensemble fit reads by global row id.
+/// Each column is binned by one walk over its rows in sorted order; when
+/// the edges come from every row (an ensemble fit of up to 4096 rows),
+/// the sort that yields the edges is that order.
 class FeatureBinner {
  public:
   static constexpr int kMaxBins = 64;
@@ -69,6 +73,9 @@ class DecisionTree {
     uint64_t seed = 1;
   };
 
+  /// Largest class count a model file may declare.
+  static constexpr int kMaxClasses = 1 << 24;
+
   DecisionTree() : DecisionTree(Options()) {}
   explicit DecisionTree(Options options) : options_(options) {}
 
@@ -93,6 +100,10 @@ class DecisionTree {
 
   size_t num_nodes() const { return nodes_.size(); }
   int num_classes() const { return num_classes_; }
+  bool is_regression() const { return is_regression_; }
+  /// Largest feature index a split reads (-1 for a single leaf). A loaded
+  /// tree can only be applied to rows with more features than this.
+  int MaxFeature() const;
 
   /// Appends this tree to a compiled forest (`out` must already have the
   /// matching payload stride: num_classes for classification, 1 for
@@ -101,9 +112,12 @@ class DecisionTree {
   void CompileInto(CompiledForest* out) const;
 
   /// Persists the trained tree (inference state only; refitting requires
-  /// the original data).
+  /// the original data). `Load` returns DataLoss on a malformed stream or
+  /// structure (child ids that are not later nodes, a leaf distribution
+  /// whose size is not num_classes); with a lenient reader it never
+  /// aborts.
   void Save(TokenWriter* w) const;
-  void Load(TokenReader* r);
+  Status Load(TokenReader* r);
 
  private:
   struct Node {
@@ -119,8 +133,7 @@ class DecisionTree {
   void Build(BuildContext* ctx, const Dataset& data,
              const std::vector<size_t>& rows,
              const FeatureBinner* shared_binner);
-  int BuildNode(BuildContext* ctx, std::vector<uint32_t>* rows, size_t begin,
-                size_t end, int depth);
+  int BuildNode(BuildContext* ctx, size_t begin, size_t end, int depth);
   int FindLeaf(const double* x) const;
 
   Options options_;
@@ -128,6 +141,14 @@ class DecisionTree {
   bool is_regression_ = false;
   std::vector<Node> nodes_;
 };
+
+/// Reads a tree count and that many trees saved by DecisionTree::Save, as
+/// the tree ensembles persist them. Every tree must be a classification
+/// tree over `num_classes` classes, or a regression tree when
+/// `num_classes` is 0. On failure returns DataLoss and leaves `trees`
+/// unchanged.
+Status LoadTrees(TokenReader* r, int num_classes,
+                 std::vector<std::unique_ptr<DecisionTree>>* trees);
 
 }  // namespace aimai
 

@@ -114,18 +114,22 @@ void GradientBoostedTrees::Save(TokenWriter* w) const {
   for (const auto& t : trees_) t->Save(w);
 }
 
-void GradientBoostedTrees::Load(TokenReader* r) {
+Status GradientBoostedTrees::Load(TokenReader* r) {
   r->ExpectTag("gbt");
-  num_classes_ = static_cast<int>(r->ReadInt());
-  options_.learning_rate = r->ReadDouble();
-  const uint64_t n = r->ReadUInt();
-  trees_.clear();
-  for (uint64_t i = 0; i < n; ++i) {
-    auto t = std::make_unique<DecisionTree>();
-    t->Load(r);
-    trees_.push_back(std::move(t));
+  const int64_t classes = r->ReadInt();
+  const double learning_rate = r->ReadDouble();
+  if (!r->ok()) return r->status();
+  if (classes < 2 || classes > DecisionTree::kMaxClasses) {
+    return Status::DataLoss("gbt: bad class count");
   }
+  std::vector<std::unique_ptr<DecisionTree>> trees;
+  const Status st = LoadTrees(r, /*num_classes=*/0, &trees);
+  if (!st.ok()) return st;
+  num_classes_ = static_cast<int>(classes);
+  options_.learning_rate = learning_rate;
+  trees_ = std::move(trees);
   Compile();
+  return Status::Ok();
 }
 
 void GradientBoostedTreesRegressor::Fit(const Dataset& train) {
@@ -174,18 +178,19 @@ void GradientBoostedTreesRegressor::Save(TokenWriter* w) const {
   for (const auto& t : trees_) t->Save(w);
 }
 
-void GradientBoostedTreesRegressor::Load(TokenReader* r) {
+Status GradientBoostedTreesRegressor::Load(TokenReader* r) {
   r->ExpectTag("gbtreg");
-  base_ = r->ReadDouble();
-  options_.learning_rate = r->ReadDouble();
-  const uint64_t n = r->ReadUInt();
-  trees_.clear();
-  for (uint64_t i = 0; i < n; ++i) {
-    auto t = std::make_unique<DecisionTree>();
-    t->Load(r);
-    trees_.push_back(std::move(t));
-  }
+  const double base = r->ReadDouble();
+  const double learning_rate = r->ReadDouble();
+  if (!r->ok()) return r->status();
+  std::vector<std::unique_ptr<DecisionTree>> trees;
+  const Status st = LoadTrees(r, /*num_classes=*/0, &trees);
+  if (!st.ok()) return st;
+  base_ = base;
+  options_.learning_rate = learning_rate;
+  trees_ = std::move(trees);
   Compile();
+  return Status::Ok();
 }
 
 double GradientBoostedTreesRegressor::Predict(const double* x) const {

@@ -33,8 +33,10 @@ class GradientBoostedTrees : public Classifier {
   /// Reference node-chasing path (bit-identity tests).
   std::vector<double> PredictProbaScalar(const double* x) const;
 
+  /// `Load` returns DataLoss on a malformed or truncated stream (read it
+  /// with a lenient TokenReader) and then leaves the model unchanged.
   void Save(TokenWriter* w) const;
-  void Load(TokenReader* r);
+  Status Load(TokenReader* r);
 
  private:
   void Compile();
@@ -61,8 +63,9 @@ class GradientBoostedTreesRegressor : public Regressor {
   /// Reference node-chasing path (bit-identity tests).
   double PredictScalar(const double* x) const;
 
+  /// As GradientBoostedTrees::Save / Load.
   void Save(TokenWriter* w) const;
-  void Load(TokenReader* r);
+  Status Load(TokenReader* r);
 
  private:
   void Compile();

@@ -55,6 +55,14 @@ void RandomForest::Fit(const Dataset& train) {
   Compile();
 }
 
+int RandomForest::MaxFeature() const {
+  int max_feature = -1;
+  for (const auto& t : trees_) {
+    max_feature = std::max(max_feature, t->MaxFeature());
+  }
+  return max_feature;
+}
+
 void RandomForest::Compile() {
   compiled_.Reset(static_cast<size_t>(num_classes_));
   for (const auto& tree : trees_) tree->CompileInto(&compiled_);
@@ -116,17 +124,20 @@ void RandomForest::Save(TokenWriter* w) const {
   for (const auto& t : trees_) t->Save(w);
 }
 
-void RandomForest::Load(TokenReader* r) {
+Status RandomForest::Load(TokenReader* r) {
   r->ExpectTag("rf");
-  num_classes_ = static_cast<int>(r->ReadInt());
-  const uint64_t n = r->ReadUInt();
-  trees_.clear();
-  for (uint64_t i = 0; i < n; ++i) {
-    auto t = std::make_unique<DecisionTree>();
-    t->Load(r);
-    trees_.push_back(std::move(t));
+  const int64_t classes = r->ReadInt();
+  if (!r->ok()) return r->status();
+  if (classes < 2 || classes > DecisionTree::kMaxClasses) {
+    return Status::DataLoss("forest: bad class count");
   }
+  std::vector<std::unique_ptr<DecisionTree>> trees;
+  const Status st = LoadTrees(r, static_cast<int>(classes), &trees);
+  if (!st.ok()) return st;
+  num_classes_ = static_cast<int>(classes);
+  trees_ = std::move(trees);
   Compile();
+  return Status::Ok();
 }
 
 void RandomForestRegressor::Save(TokenWriter* w) const {
@@ -135,16 +146,14 @@ void RandomForestRegressor::Save(TokenWriter* w) const {
   for (const auto& t : trees_) t->Save(w);
 }
 
-void RandomForestRegressor::Load(TokenReader* r) {
+Status RandomForestRegressor::Load(TokenReader* r) {
   r->ExpectTag("rfreg");
-  const uint64_t n = r->ReadUInt();
-  trees_.clear();
-  for (uint64_t i = 0; i < n; ++i) {
-    auto t = std::make_unique<DecisionTree>();
-    t->Load(r);
-    trees_.push_back(std::move(t));
-  }
+  std::vector<std::unique_ptr<DecisionTree>> trees;
+  const Status st = LoadTrees(r, /*num_classes=*/0, &trees);
+  if (!st.ok()) return st;
+  trees_ = std::move(trees);
   Compile();
+  return Status::Ok();
 }
 
 double RandomForestRegressor::Predict(const double* x) const {

@@ -38,10 +38,14 @@ class RandomForest : public Classifier {
   std::vector<double> PredictProbaScalar(const double* x) const;
 
   size_t num_trees() const { return trees_.size(); }
+  /// Largest feature index any split reads (-1 if none).
+  int MaxFeature() const;
 
-  /// Persists / restores the trained ensemble (inference state).
+  /// Persists / restores the trained ensemble (inference state). `Load`
+  /// returns DataLoss on a malformed or truncated stream (read it with a
+  /// lenient TokenReader) and then leaves the model unchanged.
   void Save(TokenWriter* w) const;
-  void Load(TokenReader* r);
+  Status Load(TokenReader* r);
 
  private:
   void Compile();
@@ -66,8 +70,9 @@ class RandomForestRegressor : public Regressor {
   /// Reference node-chasing path (bit-identity tests).
   double PredictScalar(const double* x) const;
 
+  /// As RandomForest::Save / Load.
   void Save(TokenWriter* w) const;
-  void Load(TokenReader* r);
+  Status Load(TokenReader* r);
 
  private:
   void Compile();

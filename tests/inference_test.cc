@@ -194,7 +194,7 @@ TEST(InferenceTest, SaveLoadKeepsCompiledPathsIdentical) {
   rf.Save(&w);
   RandomForest loaded;
   TokenReader r(&ss);
-  loaded.Load(&r);
+  ASSERT_TRUE(loaded.Load(&r).ok());
 
   // The loaded model must recompile: compiled path, not just the nodes.
   ExpectCompiledMatchesNodes(loaded, data);

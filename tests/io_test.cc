@@ -94,7 +94,7 @@ TEST(ModelIoTest, RandomForestRoundTrip) {
   rf.Save(&w);
   RandomForest loaded;
   TokenReader r(&ss);
-  loaded.Load(&r);
+  ASSERT_TRUE(loaded.Load(&r).ok());
   ExpectIdenticalPredictions(rf, loaded, data);
 }
 
@@ -109,7 +109,7 @@ TEST(ModelIoTest, RandomForestRegressorRoundTrip) {
   rf.Save(&w);
   RandomForestRegressor loaded;
   TokenReader r(&ss);
-  loaded.Load(&r);
+  ASSERT_TRUE(loaded.Load(&r).ok());
   for (size_t i = 0; i < data.n(); ++i) {
     EXPECT_EQ(rf.Predict(data.Row(i)), loaded.Predict(data.Row(i)));
   }
@@ -139,7 +139,7 @@ TEST(ModelIoTest, GbtRoundTrip) {
   gbt.Save(&w);
   GradientBoostedTrees loaded;
   TokenReader r(&ss);
-  loaded.Load(&r);
+  ASSERT_TRUE(loaded.Load(&r).ok());
   ExpectIdenticalPredictions(gbt, loaded, data);
 }
 
@@ -154,7 +154,7 @@ TEST(ModelIoTest, GbtRegressorRoundTrip) {
   gbt.Save(&w);
   GradientBoostedTreesRegressor loaded;
   TokenReader r(&ss);
-  loaded.Load(&r);
+  ASSERT_TRUE(loaded.Load(&r).ok());
   for (size_t i = 0; i < data.n(); ++i) {
     EXPECT_EQ(gbt.Predict(data.Row(i)), loaded.Predict(data.Row(i)));
   }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -114,6 +116,58 @@ TEST(FeatureBinnerTest, ColumnMajorMatrixMatchesBinOf) {
   }
   EXPECT_TRUE(saw_edge);
   EXPECT_TRUE(saw_top);
+}
+
+// Test-local oracle: the edges as sorting the bare sample values gives
+// them. A signed zero keeps the sign std::sort leaves at an edge position.
+std::vector<double> OracleEdges(const Dataset& d,
+                                const std::vector<size_t>& sample,
+                                size_t j) {
+  std::vector<double> vals;
+  for (size_t i : sample) vals.push_back(d.At(i, j));
+  std::sort(vals.begin(), vals.end());
+  std::vector<double> e;
+  for (int b = 1; b < FeatureBinner::kMaxBins; ++b) {
+    const size_t pos = vals.size() * static_cast<size_t>(b) /
+                       static_cast<size_t>(FeatureBinner::kMaxBins);
+    const double v = vals[std::min(pos, vals.size() - 1)];
+    if (e.empty() || v > e.back()) e.push_back(v);
+  }
+  return e;
+}
+
+TEST(FeatureBinnerTest, EdgesAndBinsMatchSortOracle) {
+  // Columns: half zeros of both signs, continuous, few integers.
+  Rng rng(8);
+  Dataset d(3);
+  for (int i = 0; i < 900; ++i) {
+    const double zero = rng.Index(2) == 0 ? -0.0 : 0.0;
+    d.Add({rng.Index(2) == 0 ? zero : rng.Uniform(-1, 1), rng.Gaussian(0, 1),
+           static_cast<double>(rng.Index(5))},
+          0);
+  }
+  std::vector<size_t> every(d.n());
+  for (size_t i = 0; i < d.n(); ++i) every[i] = i;
+  std::vector<size_t> draws;
+  for (size_t i = 0; i < d.n(); ++i) draws.push_back(rng.Index(d.n()));
+  for (const std::vector<size_t>* sample : {&every, &draws}) {
+    FeatureBinner binner;
+    binner.Fit(d, *sample, &rng);
+    for (size_t j = 0; j < d.d(); ++j) {
+      const std::vector<double> want = OracleEdges(d, *sample, j);
+      ASSERT_EQ(static_cast<size_t>(binner.NumBins(j)), want.size() + 1);
+      for (size_t b = 0; b < want.size(); ++b) {
+        const double got = binner.EdgeValue(j, static_cast<int>(b));
+        ASSERT_EQ(std::bit_cast<uint64_t>(got),
+                  std::bit_cast<uint64_t>(want[b]))
+            << "feature " << j << " edge " << b;
+      }
+      for (size_t i = 0; i < d.n(); ++i) {
+        ASSERT_EQ(binner.Column(j)[i], binner.BinOf(j, d.At(i, j)))
+            << "feature " << j << " row " << i;
+      }
+    }
+  }
 }
 
 TEST(DecisionTreeTest, FitsAxisAlignedRule) {
@@ -377,6 +431,252 @@ TEST(GoldenModelTest, StandaloneTreesOnRowSubset) {
   DecisionTree reg(o);
   reg.FitRegression(d, rows, d.targets(), nullptr);
   ExpectHash(SavedHash(reg), 0xe0c2f43a57eb579full);
+}
+
+// Golden models in the regime of the plan-pair datasets the learning loop
+// fits: 780 rows x 106 features, most columns with a handful of distinct
+// values (so values sit on bin edges and a node occupies few bins), and
+// column 0 continuous, so it has exactly kMaxBins bins and its top bin is
+// the last bit of a 64-bit occupancy mask.
+Dataset PairLikeData(size_t n, int classes, uint64_t seed) {
+  constexpr size_t kD = 106;
+  Rng rng(seed);
+  Dataset d(kD);
+  std::vector<double> x(kD);
+  for (size_t i = 0; i < n; ++i) {
+    x[0] = rng.Uniform(0, 1);
+    for (size_t j = 1; j < kD; ++j) {
+      switch (j % 4) {
+        case 0:
+          x[j] = static_cast<double>(rng.Index(2));
+          break;
+        case 1:
+          x[j] = static_cast<double>(rng.Index(4));
+          break;
+        case 2:
+          x[j] = rng.Uniform(0, 1) < 0.85
+                     ? 0.0
+                     : static_cast<double>(rng.Index(6) + 1);
+          break;
+        default:
+          x[j] = std::round(rng.Gaussian(0, 2)) * 0.5;
+          break;
+      }
+    }
+    const double score = 2 * x[0] + x[1] - 0.5 * x[2] + x[4] + 0.3 * x[7] +
+                         0.2 * x[10];
+    int label = static_cast<int>(score * classes / 8.0);
+    label = std::max(0, std::min(classes - 1, label));
+    if (rng.Uniform(0, 1) < 0.15) label = static_cast<int>(rng.Index(
+                                      static_cast<size_t>(classes)));
+    const double target = score * score + x[3] - x[9] + rng.Gaussian(0, 0.2);
+    d.Add(x, label, target);
+  }
+  return d;
+}
+
+TEST(GoldenModelTest, PairLikeDataHasFullAndSparseColumns) {
+  const Dataset d = PairLikeData(780, 5, 41);
+  std::vector<size_t> all(d.n());
+  for (size_t i = 0; i < d.n(); ++i) all[i] = i;
+  Rng rng(1);
+  FeatureBinner binner;
+  binner.Fit(d, all, &rng);
+  EXPECT_EQ(binner.NumBins(0), FeatureBinner::kMaxBins);
+  for (size_t j = 1; j < d.d(); ++j) EXPECT_LE(binner.NumBins(j), 16);
+}
+
+TEST(GoldenModelTest, RandomForestPairLikeFiveClassesLeaf0) {
+  RandomForest::Options o;
+  o.num_trees = 6;
+  o.min_samples_leaf = 0;
+  o.bootstrap_fraction = 1.0;
+  RandomForest rf(o);
+  rf.Fit(PairLikeData(780, 5, 41));
+  ExpectHash(SavedHash(rf), 0x9f6cbaecce9edc93ull);
+}
+
+TEST(GoldenModelTest, RandomForestPairLikeFiveClassesLeaf3HalfSample) {
+  RandomForest::Options o;
+  o.num_trees = 6;
+  o.min_samples_leaf = 3;
+  o.bootstrap_fraction = 0.5;
+  RandomForest rf(o);
+  rf.Fit(PairLikeData(780, 5, 41));
+  ExpectHash(SavedHash(rf), 0x67466248f52fde77ull);
+}
+
+TEST(GoldenModelTest, RandomForestPairLikeThreeClasses) {
+  RandomForest::Options o;
+  o.num_trees = 6;
+  RandomForest rf(o);
+  rf.Fit(PairLikeData(780, 3, 42));
+  ExpectHash(SavedHash(rf), 0x1202317c4193d6baull);
+}
+
+TEST(GoldenModelTest, RandomForestRegressorPairLike) {
+  RandomForestRegressor::Options o;
+  o.num_trees = 6;
+  o.bootstrap_fraction = 1.0;
+  RandomForestRegressor rf(o);
+  rf.Fit(PairLikeData(780, 5, 41));
+  ExpectHash(SavedHash(rf), 0xa1d2e8c28875a8d5ull);
+}
+
+TEST(GoldenModelTest, RandomForestRegressorPairLikeLeaf3HalfSample) {
+  RandomForestRegressor::Options o;
+  o.num_trees = 6;
+  o.min_samples_leaf = 3;
+  o.bootstrap_fraction = 0.5;
+  RandomForestRegressor rf(o);
+  rf.Fit(PairLikeData(780, 5, 41));
+  ExpectHash(SavedHash(rf), 0x6c1d6c61df354674ull);
+}
+
+// With min_samples_leaf 0 the split after the highest occupied bin leaves
+// the right side empty; its target sum (the node sum minus the bin sums)
+// can round to a nonzero value and give an infinite gain. The scan never
+// evaluates a split with an empty side, so this fit completes, and equals
+// the min_samples_leaf 1 fit (a one-draw node cannot split either way).
+TEST(GoldenModelTest, RandomForestRegressorPairLikeLeaf0) {
+  RandomForestRegressor::Options o;
+  o.num_trees = 6;
+  o.min_samples_leaf = 0;
+  RandomForestRegressor rf(o);
+  rf.Fit(PairLikeData(780, 5, 41));
+  ExpectHash(SavedHash(rf), 0xa1d2e8c28875a8d5ull);
+}
+
+TEST(GoldenModelTest, GradientBoostedTreesPairLike) {
+  GradientBoostedTrees::Options o;
+  o.num_rounds = 4;
+  GradientBoostedTrees gbt(o);
+  gbt.Fit(PairLikeData(780, 3, 43));
+  ExpectHash(SavedHash(gbt), 0x0c1bb167c0deb8d0ull);
+}
+
+TEST(GoldenModelTest, StandaloneTreesPairLikeBootstrap) {
+  // A bootstrap sample with its duplicates, binned by the tree itself.
+  const Dataset d = PairLikeData(780, 5, 44);
+  Rng rng(45);
+  std::vector<size_t> rows(d.n());
+  for (size_t& r : rows) r = rng.Index(d.n());
+  DecisionTree::Options o;
+  o.feature_fraction = -1;
+  o.min_samples_leaf = 2;
+  DecisionTree cls(o);
+  cls.FitClassification(d, rows, 5, nullptr);
+  ExpectHash(SavedHash(cls), 0xa1de35efc2cfaf85ull);
+  DecisionTree reg(o);
+  reg.FitRegression(d, rows, d.targets(), nullptr);
+  ExpectHash(SavedHash(reg), 0x8e12098050600769ull);
+}
+
+// Model files come from outside the process: a cut or malformed one must
+// fail to load with a Status (lenient reader), never abort.
+TEST(ModelLoadTest, EveryTruncatedForestPrefixFails) {
+  RandomForest::Options o;
+  o.num_trees = 3;
+  o.max_depth = 4;
+  RandomForest rf(o);
+  const Dataset data = Blobs(3, 30, 51, /*separation=*/2.0);
+  rf.Fit(data);
+  std::ostringstream out;
+  TokenWriter w(&out);
+  rf.Save(&w);
+  const std::string bytes = out.str();
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    std::istringstream in(bytes.substr(0, len));
+    TokenReader r(&in, /*lenient=*/true);
+    RandomForest loaded;
+    ASSERT_FALSE(loaded.Load(&r).ok()) << "prefix of " << len << " bytes";
+  }
+  std::istringstream in(bytes);
+  TokenReader r(&in, /*lenient=*/true);
+  RandomForest loaded;
+  const Status st = loaded.Load(&r);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(SavedHash(loaded), SavedHash(rf));
+  for (size_t i = 0; i < data.n(); ++i) {
+    EXPECT_EQ(loaded.PredictProba(data.Row(i)), rf.PredictProba(data.Row(i)));
+  }
+}
+
+// One tree token stream: `nodes` holds (feature, left, right, dist size)
+// per node, as DecisionTree::Save lays them out.
+std::string TreeTokens(int classes, uint64_t claimed_nodes,
+                       const std::vector<std::vector<int64_t>>& nodes) {
+  std::ostringstream out;
+  TokenWriter w(&out);
+  w.WriteTag("rf");
+  w.WriteInt(classes);
+  w.WriteUInt(1);
+  w.WriteTag("tree");
+  w.WriteInt(classes);
+  w.WriteBool(false);
+  w.WriteUInt(claimed_nodes);
+  for (const std::vector<int64_t>& n : nodes) {
+    w.WriteInt(n[0]);
+    w.WriteDouble(0.5);
+    w.WriteInt(n[1]);
+    w.WriteInt(n[2]);
+    w.WriteDouble(0);
+    w.WriteDoubleVector(std::vector<double>(static_cast<size_t>(n[3]), 0.5));
+  }
+  return out.str();
+}
+
+Status LoadForest(const std::string& bytes) {
+  std::istringstream in(bytes);
+  TokenReader r(&in, /*lenient=*/true);
+  RandomForest rf;
+  return rf.Load(&r);
+}
+
+TEST(ModelLoadTest, RejectsMalformedTreeStructure) {
+  // A well-formed stump loads.
+  ASSERT_TRUE(
+      LoadForest(TreeTokens(2, 3, {{0, 1, 2, 0}, {-1, -1, -1, 2},
+                                   {-1, -1, -1, 2}}))
+          .ok());
+  // A child id past the last node, or one pointing back at its parent.
+  EXPECT_EQ(LoadForest(TreeTokens(2, 3, {{0, 1, 3, 0}, {-1, -1, -1, 2},
+                                         {-1, -1, -1, 2}}))
+                .code(),
+            StatusCode::kDataLoss);
+  EXPECT_FALSE(LoadForest(TreeTokens(2, 3, {{0, 0, 2, 0}, {-1, -1, -1, 2},
+                                            {-1, -1, -1, 2}}))
+                   .ok());
+  // A leaf distribution whose size is not the class count.
+  EXPECT_FALSE(LoadForest(TreeTokens(2, 3, {{0, 1, 2, 0}, {-1, -1, -1, 3},
+                                            {-1, -1, -1, 2}}))
+                   .ok());
+  // A node count the stream cannot hold, and an empty tree.
+  EXPECT_FALSE(LoadForest(TreeTokens(2, uint64_t{1} << 40,
+                                     {{-1, -1, -1, 2}}))
+                   .ok());
+  EXPECT_FALSE(LoadForest(TreeTokens(2, 0, {})).ok());
+  // A forest whose trees disagree with its class count.
+  EXPECT_FALSE(LoadForest(TreeTokens(1, 1, {{-1, -1, -1, 1}})).ok());
+}
+
+// MaxFeature lets a caller check a loaded model against its feature width
+// before a split reads past the row.
+TEST(ModelLoadTest, MaxFeatureIsTheLargestSplitFeature) {
+  for (int64_t feature : {0, 7, 1000000}) {
+    std::istringstream in(TreeTokens(2, 3, {{feature, 1, 2, 0},
+                                            {-1, -1, -1, 2},
+                                            {-1, -1, -1, 2}}));
+    TokenReader r(&in, /*lenient=*/true);
+    RandomForest rf;
+    ASSERT_TRUE(rf.Load(&r).ok());
+    EXPECT_EQ(rf.MaxFeature(), feature);
+  }
+  std::istringstream in(TreeTokens(2, 1, {{-1, -1, -1, 2}}));
+  TokenReader r(&in, /*lenient=*/true);
+  RandomForest rf;
+  ASSERT_TRUE(rf.Load(&r).ok());
+  EXPECT_EQ(rf.MaxFeature(), -1);
 }
 
 // Property sweep: all tree ensembles beat the majority-class baseline on
