@@ -45,7 +45,7 @@ void FeatureBinner::Fit(const Dataset& data, const std::vector<size_t>& rows,
     return x.first < y.first;
   };
   std::vector<Entry> sorted;
-  sorted.reserve(std::max(sample.size(), num_rows_));
+  sorted.reserve(sample.size());
   for (size_t j = 0; j < d; ++j) {
     sorted.clear();
     for (size_t i : sample) {
@@ -59,16 +59,13 @@ void FeatureBinner::Fit(const Dataset& data, const std::vector<size_t>& rows,
       const double v = sorted[std::min(pos, sorted.size() - 1)].first;
       if (e.empty() || v > e.back()) e.push_back(v);
     }
-    if (!sample_is_every_row) {
-      sorted.clear();
-      for (size_t i = 0; i < num_rows_; ++i) {
-        sorted.emplace_back(data.At(i, j), static_cast<uint32_t>(i));
-      }
-      std::sort(sorted.begin(), sorted.end(), by_value);
-    }
-    // Walking values upward, a row's bin (the number of edges below its
-    // value, as in BinOf) only grows.
     uint8_t* col = &bins_[j * num_rows_];
+    if (!sample_is_every_row) {
+      for (size_t i = 0; i < num_rows_; ++i) col[i] = BinOf(j, data.At(i, j));
+      continue;
+    }
+    // The sort holds every row: walking values upward, a row's bin (the
+    // number of edges below its value, as in BinOf) only grows.
     size_t bin = 0;
     for (const Entry& x : sorted) {
       while (bin < e.size() && e[bin] < x.first) ++bin;
@@ -353,19 +350,13 @@ int DecisionTree::BuildNode(BuildContext* ctx, size_t begin, size_t end,
                             col, &best);
       continue;
     }
-    switch (ctx->k) {
-      case 2:
-        ScanClassFeature<2>(view, ctx->labels, 2, lane, nullptr, fi, col,
-                            &best);
-        break;
-      case 3:
-        ScanClassFeature<3>(view, ctx->labels, 3, lane, nullptr, fi, col,
-                            &best);
-        break;
-      default:
-        ScanClassFeature<0>(view, ctx->labels, ctx->k, lane,
-                            ctx->left.data(), fi, col, &best);
-        break;
+    // The learn stage's pair forests have three classes (kNumPairLabels).
+    if (ctx->k == 3) {
+      ScanClassFeature<3>(view, ctx->labels, 3, lane, nullptr, fi, col,
+                          &best);
+    } else {
+      ScanClassFeature<0>(view, ctx->labels, ctx->k, lane, ctx->left.data(),
+                          fi, col, &best);
     }
   }
   if (best.feature < 0) return make_leaf();
