@@ -26,7 +26,6 @@
 // directory. Knobs: AIMAI_QUICK=1 shrinks the scale factor and repeats;
 // AIMAI_SEED=<n>.
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -36,7 +35,7 @@
 #include "exec/executor.h"
 #include "exec/vectorized_executor.h"
 #include "harness.h"
-#include "robustness/atomic_file.h"
+#include "report.h"
 #include "tuner/candidates.h"
 #include "tuner/continuous_tuner.h"
 #include "workloads/tpch_sf.h"
@@ -45,12 +44,6 @@ using namespace aimai;
 using namespace aimai::bench;
 
 namespace {
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 int ColId(const Table& t, const std::string& name) {
   for (size_t i = 0; i < t.num_columns(); ++i) {
@@ -375,24 +368,20 @@ int main() {
   std::fprintf(stderr, "tuning recommendations %s\n",
                tune_match ? "identical" : "DIVERGED");
 
-  std::string json = StrFormat(
-      "{\n  \"sf\": %.2f,\n  \"lineitem_rows\": %zu,\n  \"shapes\": {\n",
-      sf, n);
-  for (size_t i = 0; i < shapes.size(); ++i) {
-    const ShapeResult& s = shapes[i];
-    json += StrFormat(
-        "    \"%s\": {\"row_ms\": %.3f, \"vectorized_ms\": %.3f, "
-        "\"speedup\": %.2f, \"gated\": %s, \"identical\": %s}%s\n",
-        s.name.c_str(), s.row_ms, s.vec_ms, s.speedup(),
-        s.gated ? "true" : "false", s.identical ? "true" : "false",
-        i + 1 < shapes.size() ? "," : "");
+  Report report("exec");
+  report.Num("sf", sf, 2)
+      .Int("lineitem_rows", static_cast<int64_t>(n))
+      .BeginObject("shapes");
+  for (const ShapeResult& s : shapes) {
+    report.BeginObject(s.name.c_str())
+        .Num("row_ms", s.row_ms, 3)
+        .Num("vectorized_ms", s.vec_ms, 3)
+        .Num("speedup", s.speedup(), 2)
+        .Bool("gated", s.gated)
+        .Bool("identical", s.identical)
+        .EndObject();
   }
-  json += StrFormat("  },\n  \"tuning_identical\": %s\n}\n",
-                    tune_match ? "true" : "false");
-  const Status wrote = WriteFileAtomic("BENCH_exec.json", json);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "warning: %s\n", wrote.ToString().c_str());
-  }
+  report.EndObject().Bool("tuning_identical", tune_match).Write();
 
   bool ok = true;
   for (const ShapeResult& s : shapes) {

@@ -1,13 +1,14 @@
 // Online learning loop: cost and payoff. Phase one pushes an identical
 // continuous-tuning job stream through a service with learning disabled
 // and one that harvests every measured iteration into the FeedbackStore
-// (but never retrains) — the acceptance bar is harvest overhead < 2% on
-// best-of-N wall time, with bit-identical recommendations. Phase two
-// runs the full loop on a drifted tenant (offline model trained on a
-// flat-distribution database, tenant tuning a skewed one), reports the
-// background retrain's wall time and the adapted-vs-offline
-// regression-class F1 on the tenant holdout, and fails when the adapted
-// model is worse than the offline one it replaces. Emits
+// (but never retrains) — the acceptance bar is harvest overhead < 2%
+// (the median process-CPU ratio over alternating pairs of runs), with
+// bit-identical recommendations. Phase two runs the full loop on a
+// drifted tenant (offline model trained on a flat-distribution database,
+// tenant tuning a skewed one), reports the background retrain's wall
+// time and the adapted-vs-offline regression-class F1 on the tenant
+// holdout, and fails when the adapted model is worse than the offline
+// one it replaces. Emits
 // machine-readable results to BENCH_learning.json (atomic write); exits
 // non-zero when a bar is missed.
 //
@@ -15,7 +16,6 @@
 // AIMAI_FULL=1 grows it.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -23,7 +23,7 @@
 
 #include "harness.h"
 #include "models/adaptive.h"
-#include "robustness/atomic_file.h"
+#include "report.h"
 #include "service/learning/learning_loop.h"
 #include "service/service.h"
 #include "workloads/tpch_like.h"
@@ -32,12 +32,6 @@ using namespace aimai;
 using namespace aimai::bench;
 
 namespace {
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string TraceKey(const ContinuousTuner::QueryTrace& t) {
   std::string key = t.final_config.Fingerprint();
@@ -88,22 +82,15 @@ LearningOptions FullLoop() {
   return l;
 }
 
-struct RunResult {
-  double wall_ms = 0;
-  std::vector<std::string> keys;
-  bool all_done = true;
-};
-
 // One timed pass: continuous-tuning jobs for every tenant, submitted
 // up-front and drained through the runner fleet. Databases are built
 // fresh (same seeds) per pass — continuous jobs consume the env's
 // measurement-noise RNG, so reusing a database across passes would make
 // the streams diverge for reasons that have nothing to do with learning.
-RunResult RunStream(const LearningOptions* learning, int sessions,
-                    uint64_t seed,
-                    std::shared_ptr<const Classifier> offline,
-                    const PairFeaturizer& fz, int queries_per_session,
-                    int iterations) {
+AbRun RunStream(const LearningOptions* learning, int sessions,
+                uint64_t seed, std::shared_ptr<const Classifier> offline,
+                const PairFeaturizer& fz, int queries_per_session,
+                int iterations) {
   std::vector<std::unique_ptr<BenchmarkDatabase>> dbs;
   for (int s = 0; s < sessions; ++s) {
     dbs.push_back(BuildTpchLike("lbench_" + std::to_string(s), 1, 0.9,
@@ -126,8 +113,9 @@ RunResult RunStream(const LearningOptions* learning, int sessions,
     handles.push_back(service->CreateSession(so).value());
   }
 
-  RunResult result;
+  AbRun result;
   const double wall0 = NowMs();
+  const double cpu0 = CpuMs();
   std::vector<std::shared_ptr<TuningJob>> jobs;
   for (size_t s = 0; s < dbs.size(); ++s) {
     const auto& queries = dbs[s]->queries();
@@ -143,6 +131,7 @@ RunResult RunStream(const LearningOptions* learning, int sessions,
     result.keys.push_back(TraceKey(job->outputs().trace));
   }
   result.wall_ms = NowMs() - wall0;
+  result.cpu_ms = CpuMs() - cpu0;
   service->Shutdown();
   return result;
 }
@@ -155,38 +144,23 @@ int main() {
   const int sessions = 2;
   const int queries_per_session = quick ? 4 : 6;
   const int iterations = quick ? 6 : 8;
-  const int repeats = quick ? 5 : 7;
-  constexpr double kOverheadBarPct = 2.0;
 
   const PairFeaturizer fz = DefaultFeaturizer();
   std::fprintf(stderr, "training the shared offline model...\n");
   const std::shared_ptr<const Classifier> offline =
       TrainOffline(fz, opts.seed, quick);
 
-  // --- Phase one: harvest overhead. Interleave the repeats so thermal /
-  // background drift hits both configurations equally.
+  // --- Phase one: harvest overhead.
   const LearningOptions harvest_only = HarvestOnly();
-  double best_base = 1e300;
-  double best_learn = 1e300;
-  bool identical = true;
-  bool all_done = true;
-  std::vector<std::string> reference_keys;
-  for (int r = 0; r < repeats; ++r) {
-    const RunResult base = RunStream(nullptr, sessions, opts.seed, offline,
-                                     fz, queries_per_session, iterations);
-    const RunResult learn =
-        RunStream(&harvest_only, sessions, opts.seed, offline, fz,
-                  queries_per_session, iterations);
-    best_base = std::min(best_base, base.wall_ms);
-    best_learn = std::min(best_learn, learn.wall_ms);
-    all_done = all_done && base.all_done && learn.all_done;
-    if (reference_keys.empty()) reference_keys = base.keys;
-    identical = identical && base.keys == reference_keys &&
-                learn.keys == reference_keys;
-    std::fprintf(stderr, "repeat %d: baseline %.1f ms, harvesting %.1f ms\n",
-                 r + 1, base.wall_ms, learn.wall_ms);
-  }
-  const double overhead_pct = 100.0 * (best_learn - best_base) / best_base;
+  AbResult ab = MeasureOverhead(
+      [&] {
+        return RunStream(nullptr, sessions, opts.seed, offline, fz,
+                         queries_per_session, iterations);
+      },
+      [&] {
+        return RunStream(&harvest_only, sessions, opts.seed, offline, fz,
+                         queries_per_session, iterations);
+      });
 
   // --- Phase two: the full loop on one drifted tenant. The retrain runs
   // in the background; its wall time is measured standalone below on the
@@ -203,13 +177,14 @@ int main() {
   so.iterations = iterations;
   so.model = "offline";
   Session* session = service->CreateSession(so).value();
+  bool adapt_done = true;
   for (size_t q = 0;
        q < tenant_db->queries().size() &&
        q < static_cast<size_t>(queries_per_session) + 2;
        ++q) {
     auto job = session->TuneContinuous(tenant_db->queries()[q], {}).value();
     job->Wait();
-    if (job->phase() != JobPhase::kDone) all_done = false;
+    if (job->phase() != JobPhase::kDone) adapt_done = false;
   }
   service->learning()->BarrierFor("tenant");
   const LearningLoop::TenantStats stats =
@@ -227,6 +202,7 @@ int main() {
   const double retrain_ms = NowMs() - t0;
   service->Shutdown();
 
+  ab.all_done = ab.all_done && adapt_done;
   const bool retrained = stats.retrains_completed >= 1;
   const bool f1_ok =
       retrained && stats.last_adapted_f1 >= stats.last_offline_f1;
@@ -234,10 +210,10 @@ int main() {
   const int jobs = sessions * queries_per_session;
   std::printf("%-22s %8s %10s %10s %10s\n", "config", "jobs", "wall_ms",
               "overhead%", "identical");
-  std::printf("%-22s %8d %10.1f %10s %10s\n", "baseline", jobs, best_base,
-              "-", "-");
+  std::printf("%-22s %8d %10.1f %10s %10s\n", "baseline", jobs,
+              ab.baseline_ms, "-", "-");
   std::printf("%-22s %8d %10.1f %9.2f%% %10s\n", "harvesting", jobs,
-              best_learn, overhead_pct, identical ? "yes" : "NO");
+              ab.variant_ms, ab.overhead_pct, ab.identical ? "yes" : "NO");
   std::printf(
       "adaptation: %lld rows harvested, %lld retrains, %lld publishes\n",
       static_cast<long long>(stats.rows_harvested),
@@ -247,43 +223,28 @@ int main() {
   std::printf("holdout (n=%zu) regression F1: offline %.3f, adapted %.3f\n",
               holdout.n(), stats.last_offline_f1, stats.last_adapted_f1);
 
-  std::string json = StrFormat(
-      "{\n  \"sessions\": %d,\n  \"queries_per_session\": %d,\n"
-      "  \"repeats\": %d,\n  \"baseline_ms\": %.1f,\n"
-      "  \"harvesting_ms\": %.1f,\n  \"overhead_pct\": %.2f,\n"
-      "  \"overhead_bar_pct\": %.1f,\n  \"identical\": %s,\n"
-      "  \"rows_harvested\": %lld,\n  \"retrains_completed\": %lld,\n"
-      "  \"publishes\": %lld,\n  \"retrain_ms\": %.1f,\n"
-      "  \"train_rows\": %zu,\n  \"holdout_rows\": %zu,\n"
-      "  \"offline_f1\": %.4f,\n  \"adapted_f1\": %.4f,\n"
-      "  \"all_done\": %s\n}\n",
-      sessions, queries_per_session, repeats, best_base, best_learn,
-      overhead_pct, kOverheadBarPct, identical ? "true" : "false",
-      static_cast<long long>(stats.rows_harvested),
-      static_cast<long long>(stats.retrains_completed),
-      static_cast<long long>(stats.publishes), retrain_ms, train.n(),
-      holdout.n(), stats.last_offline_f1, stats.last_adapted_f1,
-      all_done ? "true" : "false");
-  const Status wrote = WriteFileAtomic("BENCH_learning.json", json);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "warning: %s\n", wrote.ToString().c_str());
-  }
+  Report("learning")
+      .Int("sessions", sessions)
+      .Int("queries_per_session", queries_per_session)
+      .Int("repeats", kOverheadPairs)
+      .Num("baseline_ms", ab.baseline_ms, 1)
+      .Num("harvesting_ms", ab.variant_ms, 1)
+      .Num("overhead_pct", ab.overhead_pct, 2)
+      .Num("overhead_bar_pct", kOverheadBarPct, 1)
+      .Bool("identical", ab.identical)
+      .Int("rows_harvested", stats.rows_harvested)
+      .Int("retrains_completed", stats.retrains_completed)
+      .Int("publishes", stats.publishes)
+      .Num("retrain_ms", retrain_ms, 1)
+      .Int("train_rows", static_cast<int64_t>(train.n()))
+      .Int("holdout_rows", static_cast<int64_t>(holdout.n()))
+      .Num("offline_f1", stats.last_offline_f1, 4)
+      .Num("adapted_f1", stats.last_adapted_f1, 4)
+      .Bool("all_done", ab.all_done)
+      .Write();
   (void)adapted;
 
-  if (!all_done) {
-    std::fprintf(stderr, "FAIL: not every job reached kDone\n");
-    return 1;
-  }
-  if (!identical) {
-    std::fprintf(stderr,
-                 "FAIL: harvesting perturbed the tuning recommendations\n");
-    return 1;
-  }
-  if (overhead_pct >= kOverheadBarPct) {
-    std::fprintf(stderr, "FAIL: harvest overhead %.2f%% >= %.1f%% bar\n",
-                 overhead_pct, kOverheadBarPct);
-    return 1;
-  }
+  if (!PassesOverheadGate(ab, "harvest")) return 1;
   if (!retrained) {
     std::fprintf(stderr, "FAIL: the loop never completed a retrain\n");
     return 1;

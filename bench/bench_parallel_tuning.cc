@@ -19,6 +19,7 @@
 
 #include "common/thread_pool.h"
 #include "harness.h"
+#include "report.h"
 #include "tuner/workload_tuner.h"
 #include "workloads/tpch_like.h"
 
@@ -40,11 +41,11 @@ double TimeTuneMs(BenchmarkDatabase* bdb,
   WorkloadLevelTuner tuner(bdb->db(), &what_if, &gen, o);
   OptimizerComparator cmp(0.0, 0.2);
 
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = NowMs();
   const WorkloadTuningResult r = tuner.Tune(wl, bdb->initial_config(), cmp);
-  const auto t1 = std::chrono::steady_clock::now();
+  const double ms = NowMs() - t0;
   *fingerprint = r.recommended.Fingerprint();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+  return ms;
 }
 
 /// Wall time for 16 x 5ms blocking tasks fanned through a ThreadPool.
@@ -53,11 +54,10 @@ double TimeBlockingFanoutMs(int threads) {
   constexpr size_t kTasks = 16;
   constexpr auto kTaskTime = std::chrono::milliseconds(5);
   ThreadPool pool(threads);
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = NowMs();
   ParallelFor(&pool, kTasks,
               [&](size_t) { std::this_thread::sleep_for(kTaskTime); });
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+  return NowMs() - t0;
 }
 
 }  // namespace

@@ -2,19 +2,18 @@
 // pushed through a baseline TuningService and through one with the full
 // resilience stack armed (job deadlines + watchdog thread + stall
 // detection + retry budget + checkpoint journal) but no faults injected.
-// The acceptance bar is overhead < 2% on best-of-N wall time — the
-// watchdog must be free when nothing is wrong. Also cross-checks that
-// both services produce bit-identical recommendations and reports the
-// journal's atomic-append latency separately (it is off the hot path:
-// checkpoints are written at drain time, not per job). Emits
-// machine-readable results to BENCH_resilience.json (atomic write);
-// exits non-zero when the bar is missed.
+// The acceptance bar is overhead < 2%, the median process-CPU ratio over
+// alternating pairs of runs — the watchdog must be free when nothing is
+// wrong. Also cross-checks that both services produce bit-identical
+// recommendations and reports the journal's atomic-append latency
+// separately (it is off the hot path: checkpoints are written at drain
+// time, not per job). Emits machine-readable results to
+// BENCH_resilience.json (atomic write); exits non-zero when the bar is
+// missed.
 //
 // Knobs: AIMAI_QUICK=1 shrinks the job stream; AIMAI_SEED=<n> reseeds;
 // AIMAI_FULL=1 grows it.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -22,7 +21,7 @@
 #include <vector>
 
 #include "harness.h"
-#include "robustness/atomic_file.h"
+#include "report.h"
 #include "service/service.h"
 #include "workloads/customer.h"
 
@@ -30,12 +29,6 @@ using namespace aimai;
 using namespace aimai::bench;
 
 namespace {
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 CustomerProfile TenantProfile(bool quick, bool full) {
   CustomerProfile prof;
@@ -54,19 +47,13 @@ std::string ResultKey(const QueryTuningResult& r) {
   return key;
 }
 
-struct RunResult {
-  double wall_ms = 0;
-  std::vector<std::string> keys;
-  bool all_done = true;
-};
-
 // One timed pass: `jobs_per_session` query-tuning jobs per tenant, waves
 // interleaved across sessions exactly like bench_service. The resilient
 // configuration arms deadlines far above any honest job's runtime, so the
 // watchdog scans but never escalates — its cost is pure overhead.
-RunResult RunOnce(bool resilient,
-                  const std::vector<std::unique_ptr<BenchmarkDatabase>>& dbs,
-                  int jobs_per_session, const std::string& journal_dir) {
+AbRun RunOnce(bool resilient,
+              const std::vector<std::unique_ptr<BenchmarkDatabase>>& dbs,
+              int jobs_per_session, const std::string& journal_dir) {
   const int sessions = static_cast<int>(dbs.size());
   ServiceOptions sopts;
   sopts.job_runners = 4;
@@ -88,8 +75,9 @@ RunResult RunOnce(bool resilient,
     handles.push_back(service->CreateSession(so).value());
   }
 
-  RunResult result;
+  AbRun result;
   const double wall0 = NowMs();
+  const double cpu0 = CpuMs();
   std::vector<std::shared_ptr<TuningJob>> jobs;
   for (int round = 0; round < jobs_per_session; ++round) {
     for (int s = 0; s < sessions; ++s) {
@@ -107,6 +95,7 @@ RunResult RunOnce(bool resilient,
     result.keys.push_back(ResultKey(job->outputs().query));
   }
   result.wall_ms = NowMs() - wall0;
+  result.cpu_ms = CpuMs() - cpu0;
   service->Shutdown();
   return result;
 }
@@ -119,8 +108,6 @@ int main() {
   const CustomerProfile prof = TenantProfile(quick, opts.full);
   const int sessions = 4;
   const int jobs_per_session = quick ? 4 : (opts.full ? 24 : 12);
-  const int repeats = quick ? 3 : 5;
-  constexpr double kOverheadBarPct = 2.0;
 
   const std::string journal_dir =
       (std::filesystem::temp_directory_path() / "aimai_bench_resilience")
@@ -135,27 +122,9 @@ int main() {
                                 opts.seed + static_cast<uint64_t>(s)));
   }
 
-  // Interleave baseline/resilient repeats so thermal or background drift
-  // hits both configurations equally; best-of-N absorbs the rest.
-  double best_base = 1e300;
-  double best_res = 1e300;
-  bool identical = true;
-  bool all_done = true;
-  std::vector<std::string> reference_keys;
-  for (int r = 0; r < repeats; ++r) {
-    const RunResult base =
-        RunOnce(false, dbs, jobs_per_session, journal_dir);
-    const RunResult res = RunOnce(true, dbs, jobs_per_session, journal_dir);
-    best_base = std::min(best_base, base.wall_ms);
-    best_res = std::min(best_res, res.wall_ms);
-    all_done = all_done && base.all_done && res.all_done;
-    if (reference_keys.empty()) reference_keys = base.keys;
-    identical = identical && base.keys == reference_keys &&
-                res.keys == reference_keys;
-    std::fprintf(stderr, "repeat %d: baseline %.1f ms, resilient %.1f ms\n",
-                 r + 1, base.wall_ms, res.wall_ms);
-  }
-  const double overhead_pct = 100.0 * (best_res - best_base) / best_base;
+  const AbResult ab = MeasureOverhead(
+      [&] { return RunOnce(false, dbs, jobs_per_session, journal_dir); },
+      [&] { return RunOnce(true, dbs, jobs_per_session, journal_dir); });
 
   // Journal append latency, reported separately: checkpoints are written
   // at drain time, never inside the job hot path.
@@ -169,41 +138,24 @@ int main() {
   const int jobs = sessions * jobs_per_session;
   std::printf("%-24s %10s %10s %10s %10s\n", "config", "jobs", "wall_ms",
               "overhead%", "identical");
-  std::printf("%-24s %10d %10.1f %10s %10s\n", "baseline", jobs, best_base,
-              "-", "-");
+  std::printf("%-24s %10d %10.1f %10s %10s\n", "baseline", jobs,
+              ab.baseline_ms, "-", "-");
   std::printf("%-24s %10d %10.1f %9.2f%% %10s\n",
-              "watchdog+deadline+journal", jobs, best_res, overhead_pct,
-              identical ? "yes" : "NO");
+              "watchdog+deadline+journal", jobs, ab.variant_ms,
+              ab.overhead_pct, ab.identical ? "yes" : "NO");
   std::printf("journal append (4 KiB, fsync+rename): %.2f ms\n", append_ms);
 
-  std::string json = StrFormat(
-      "{\n  \"sessions\": %d,\n  \"jobs_per_session\": %d,\n"
-      "  \"repeats\": %d,\n  \"baseline_ms\": %.1f,\n"
-      "  \"resilient_ms\": %.1f,\n  \"overhead_pct\": %.2f,\n"
-      "  \"overhead_bar_pct\": %.1f,\n  \"journal_append_ms\": %.2f,\n"
-      "  \"identical\": %s,\n  \"all_done\": %s\n}\n",
-      sessions, jobs_per_session, repeats, best_base, best_res, overhead_pct,
-      kOverheadBarPct, append_ms, identical ? "true" : "false",
-      all_done ? "true" : "false");
-  const Status wrote = WriteFileAtomic("BENCH_resilience.json", json);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "warning: %s\n", wrote.ToString().c_str());
-  }
-
-  if (!all_done) {
-    std::fprintf(stderr, "FAIL: not every job reached kDone\n");
-    return 1;
-  }
-  if (!identical) {
-    std::fprintf(stderr,
-                 "FAIL: resilient service diverged from the baseline\n");
-    return 1;
-  }
-  if (overhead_pct >= kOverheadBarPct) {
-    std::fprintf(stderr,
-                 "FAIL: resilience overhead %.2f%% >= %.1f%% bar\n",
-                 overhead_pct, kOverheadBarPct);
-    return 1;
-  }
-  return 0;
+  Report("resilience")
+      .Int("sessions", sessions)
+      .Int("jobs_per_session", jobs_per_session)
+      .Int("repeats", kOverheadPairs)
+      .Num("baseline_ms", ab.baseline_ms, 1)
+      .Num("resilient_ms", ab.variant_ms, 1)
+      .Num("overhead_pct", ab.overhead_pct, 2)
+      .Num("overhead_bar_pct", kOverheadBarPct, 1)
+      .Num("journal_append_ms", append_ms, 2)
+      .Bool("identical", ab.identical)
+      .Bool("all_done", ab.all_done)
+      .Write();
+  return PassesOverheadGate(ab, "resilience") ? 0 : 1;
 }

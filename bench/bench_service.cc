@@ -10,14 +10,13 @@
 // reseeds; AIMAI_FULL=1 grows the per-tenant workload.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "harness.h"
-#include "robustness/atomic_file.h"
+#include "report.h"
 #include "service/service.h"
 #include "tuner/workload_tuner.h"
 #include "workloads/customer.h"
@@ -26,12 +25,6 @@ using namespace aimai;
 using namespace aimai::bench;
 
 namespace {
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 CustomerProfile TenantProfile(bool quick, bool full) {
   CustomerProfile prof;
@@ -185,26 +178,23 @@ int main() {
                 r.deterministic ? "yes" : "NO");
   }
 
-  std::string json = StrFormat(
-      "{\n  \"jobs_per_session\": %d,\n  \"scales\": [\n", jobs_per_session);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const RunStats& r = results[i];
-    json += StrFormat(
-        "    {\"sessions\": %d, \"jobs\": %d, \"wall_ms\": %.1f, "
-        "\"jobs_per_sec\": %.2f, \"mean_ms\": %.1f, \"p99_ms\": %.1f, "
-        "\"cache_hit_rate\": %.4f, \"admitted\": %lld, \"shed\": %lld, "
-        "\"deterministic\": %s}%s\n",
-        r.sessions, r.jobs, r.wall_ms, r.jobs_per_sec, r.mean_ms, r.p99_ms,
-        r.cache_hit_rate, static_cast<long long>(r.admitted),
-        static_cast<long long>(r.shed), r.deterministic ? "true" : "false",
-        i + 1 < results.size() ? "," : "");
+  Report report("service");
+  report.Int("jobs_per_session", jobs_per_session).BeginArray("scales");
+  for (const RunStats& r : results) {
+    report.BeginObject(nullptr)
+        .Int("sessions", r.sessions)
+        .Int("jobs", r.jobs)
+        .Num("wall_ms", r.wall_ms, 1)
+        .Num("jobs_per_sec", r.jobs_per_sec, 2)
+        .Num("mean_ms", r.mean_ms, 1)
+        .Num("p99_ms", r.p99_ms, 1)
+        .Num("cache_hit_rate", r.cache_hit_rate, 4)
+        .Int("admitted", r.admitted)
+        .Int("shed", r.shed)
+        .Bool("deterministic", r.deterministic)
+        .EndObject();
   }
-  json += "  ]\n}\n";
-  // Atomic replace: a crash mid-write can never leave a torn results file.
-  const Status wrote = WriteFileAtomic("BENCH_service.json", json);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "warning: %s\n", wrote.ToString().c_str());
-  }
+  report.EndArray().Write();
 
   bool all_deterministic = true;
   for (const RunStats& r : results) all_deterministic &= r.deterministic;

@@ -16,14 +16,13 @@
 // Knobs: AIMAI_QUICK=1 sweeps SF 0.01 only; the default sweeps
 // {0.01, 0.05, 0.1}; AIMAI_FULL=1 adds 0.3. AIMAI_SEED=<n> reseeds.
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "harness.h"
-#include "robustness/atomic_file.h"
+#include "report.h"
 #include "tuner/query_tuner.h"
 #include "workloads/tpch_sf.h"
 
@@ -31,12 +30,6 @@ using namespace aimai;
 using namespace aimai::bench;
 
 namespace {
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Per-table fingerprints, keyed by table order (stable across builds).
 std::vector<uint64_t> Fingerprints(BenchmarkDatabase* bdb) {
@@ -199,29 +192,26 @@ int main() {
   PrintTable("TPC-H scale sweep: generation and tuning vs scale factor",
              rows);
 
-  std::string json = "{\n  \"sweep\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const SfResult& r = results[i];
-    json += StrFormat(
-        "    {\"sf\": %.4g, \"lineitem_rows\": %zu,\n"
-        "     \"gen_serial_ms\": %.1f, \"gen_parallel_ms\": %.1f,\n"
-        "     \"reproducible\": %s, \"parallel_identical\": %s,\n"
-        "     \"tune_ms\": %.1f, \"queries\": %d, \"improved\": %d,\n"
-        "     \"est_improvement_pct\": %.2f,\n"
-        "     \"measured_improvement_pct\": %.2f,\n"
-        "     \"model_f1\": %.4f, \"optimizer_f1\": %.4f}%s\n",
-        r.sf, r.lineitem_rows, r.gen_serial_ms, r.gen_parallel_ms,
-        r.reproducible ? "true" : "false",
-        r.parallel_identical ? "true" : "false", r.tune_ms, r.queries,
-        r.improved, r.est_improvement_pct, r.measured_improvement_pct,
-        r.model_f1, r.optimizer_f1, i + 1 < results.size() ? "," : "");
+  Report report("tpch_scale");
+  report.BeginArray("sweep");
+  for (const SfResult& r : results) {
+    report.BeginObject(nullptr)
+        .Num("sf", r.sf, 2)
+        .Int("lineitem_rows", static_cast<int64_t>(r.lineitem_rows))
+        .Num("gen_serial_ms", r.gen_serial_ms, 1)
+        .Num("gen_parallel_ms", r.gen_parallel_ms, 1)
+        .Bool("reproducible", r.reproducible)
+        .Bool("parallel_identical", r.parallel_identical)
+        .Num("tune_ms", r.tune_ms, 1)
+        .Int("queries", r.queries)
+        .Int("improved", r.improved)
+        .Num("est_improvement_pct", r.est_improvement_pct, 2)
+        .Num("measured_improvement_pct", r.measured_improvement_pct, 2)
+        .Num("model_f1", r.model_f1, 4)
+        .Num("optimizer_f1", r.optimizer_f1, 4)
+        .EndObject();
   }
-  json += StrFormat("  ],\n  \"deterministic\": %s\n}\n",
-                    deterministic ? "true" : "false");
-  const Status wrote = WriteFileAtomic("BENCH_tpch_scale.json", json);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "warning: %s\n", wrote.ToString().c_str());
-  }
+  report.EndArray().Bool("deterministic", deterministic).Write();
 
   if (!deterministic) {
     std::fprintf(stderr,

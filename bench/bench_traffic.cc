@@ -20,9 +20,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "harness.h"
-#include "robustness/atomic_file.h"
+#include "report.h"
 #include "traffic/traffic_engine.h"
 
 using namespace aimai;
@@ -52,18 +53,6 @@ double MeasureCapacity(uint64_t seed, bool quick) {
     std::exit(2);
   }
   return report_or->jobs_per_sec;
-}
-
-std::string PhaseJson(const char* name, const TrafficPhaseStats& p) {
-  return StrFormat(
-      "    \"%s\": {\"arrived\": %lld, \"admitted\": %lld, \"shed\": %lld, "
-      "\"completed\": %lld, \"timed_out\": %lld, \"slo_miss\": %lld, "
-      "\"p99_ms\": %.1f, \"slo_miss_rate\": %.4f}",
-      name, static_cast<long long>(p.arrived),
-      static_cast<long long>(p.admitted), static_cast<long long>(p.shed),
-      static_cast<long long>(p.completed),
-      static_cast<long long>(p.timed_out),
-      static_cast<long long>(p.slo_miss), p.p99_ms, p.SloMissRate());
 }
 
 }  // namespace
@@ -114,20 +103,18 @@ int main() {
   }
   const TrafficReport& r = report_or.value();
 
+  const std::pair<const char*, const TrafficPhaseStats*> phases[] = {
+      {"steady", &r.steady}, {"flash", &r.flash}};
   std::printf("%-8s %8s %8s %8s %8s %10s %10s\n", "phase", "arrived",
               "admitted", "shed", "completed", "p99_ms", "miss_rate");
-  std::printf("%-8s %8lld %8lld %8lld %8lld %10.1f %9.1f%%\n", "steady",
-              static_cast<long long>(r.steady.arrived),
-              static_cast<long long>(r.steady.admitted),
-              static_cast<long long>(r.steady.shed),
-              static_cast<long long>(r.steady.completed), r.steady.p99_ms,
-              100.0 * r.steady.SloMissRate());
-  std::printf("%-8s %8lld %8lld %8lld %8lld %10.1f %9.1f%%\n", "flash",
-              static_cast<long long>(r.flash.arrived),
-              static_cast<long long>(r.flash.admitted),
-              static_cast<long long>(r.flash.shed),
-              static_cast<long long>(r.flash.completed), r.flash.p99_ms,
-              100.0 * r.flash.SloMissRate());
+  for (const auto& [name, p] : phases) {
+    std::printf("%-8s %8lld %8lld %8lld %8lld %10.1f %9.1f%%\n", name,
+                static_cast<long long>(p->arrived),
+                static_cast<long long>(p->admitted),
+                static_cast<long long>(p->shed),
+                static_cast<long long>(p->completed), p->p99_ms,
+                100.0 * p->SloMissRate());
+  }
   std::printf(
       "total: %lld arrived over %zu tenants, %.1f jobs/sec sustained, "
       "p50 %.1fms p99 %.1fms, %lld shed, accounting %s\n",
@@ -135,30 +122,37 @@ int main() {
       r.p50_ms, r.p99_ms, static_cast<long long>(r.shed),
       r.AccountingBalanced() ? "balanced" : "IMBALANCED");
 
-  std::string json = StrFormat(
-      "{\n  \"sessions\": %d,\n  \"duration_s\": %.1f,\n"
-      "  \"capacity_jobs_per_sec\": %.2f,\n"
-      "  \"steady_rate_per_session\": %.4f,\n  \"slo_ms\": %lld,\n"
-      "  \"arrived\": %lld,\n  \"admitted\": %lld,\n  \"shed\": %lld,\n"
-      "  \"rejected\": %lld,\n  \"completed\": %lld,\n"
-      "  \"jobs_per_sec\": %.2f,\n  \"p50_ms\": %.1f,\n"
-      "  \"p99_ms\": %.1f,\n  \"slo_miss_rate\": %.4f,\n"
-      "  \"phases\": {\n",
-      kSessions, duration_s, capacity, steady_rate,
-      static_cast<long long>(slo_ms), static_cast<long long>(r.arrived),
-      static_cast<long long>(r.admitted), static_cast<long long>(r.shed),
-      static_cast<long long>(r.rejected),
-      static_cast<long long>(r.completed), r.jobs_per_sec, r.p50_ms,
-      r.p99_ms, r.SloMissRate());
-  json += PhaseJson("steady", r.steady) + ",\n";
-  json += PhaseJson("flash", r.flash) + "\n  },\n";
-  json += StrFormat("  \"accounting_balanced\": %s\n}\n",
-                    r.AccountingBalanced() ? "true" : "false");
-  // Atomic replace: a crash mid-write can never leave a torn results file.
-  const Status wrote = WriteFileAtomic("BENCH_traffic.json", json);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "warning: %s\n", wrote.ToString().c_str());
+  Report report("traffic");
+  report.Int("sessions", kSessions)
+      .Num("duration_s", duration_s, 1)
+      .Num("capacity_jobs_per_sec", capacity, 2)
+      .Num("steady_rate_per_session", steady_rate, 4)
+      .Int("slo_ms", slo_ms)
+      .Int("arrived", r.arrived)
+      .Int("admitted", r.admitted)
+      .Int("shed", r.shed)
+      .Int("rejected", r.rejected)
+      .Int("completed", r.completed)
+      .Num("jobs_per_sec", r.jobs_per_sec, 2)
+      .Num("p50_ms", r.p50_ms, 1)
+      .Num("p99_ms", r.p99_ms, 1)
+      .Num("slo_miss_rate", r.SloMissRate(), 4)
+      .BeginObject("phases");
+  for (const auto& [name, p] : phases) {
+    report.BeginObject(name)
+        .Int("arrived", p->arrived)
+        .Int("admitted", p->admitted)
+        .Int("shed", p->shed)
+        .Int("completed", p->completed)
+        .Int("timed_out", p->timed_out)
+        .Int("slo_miss", p->slo_miss)
+        .Num("p99_ms", p->p99_ms, 1)
+        .Num("slo_miss_rate", p->SloMissRate(), 4)
+        .EndObject();
   }
+  report.EndObject()
+      .Bool("accounting_balanced", r.AccountingBalanced())
+      .Write();
 
   bool ok = true;
   if (!r.AccountingBalanced()) {

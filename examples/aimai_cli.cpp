@@ -16,7 +16,6 @@
 #include <string>
 
 #include "common/thread_pool.h"
-#include "exec/executor.h"
 #include "ml/metrics.h"
 #include "ml/split.h"
 #include "obs/export.h"
@@ -124,7 +123,7 @@ bool LoadModelFile(const std::string& path, RandomForest* rf) {
     std::fprintf(stderr, "cannot open model\n");
     return false;
   }
-  TokenReader r(&mf, /*lenient=*/true);
+  TokenReader r(&mf);
   const Status st = rf->Load(&r);
   if (!st.ok()) {
     std::fprintf(stderr, "model load failed: %s\n", st.ToString().c_str());
@@ -576,12 +575,6 @@ void Usage() {
       "  --threads N                what-if/tuner worker threads\n"
       "                             (overrides AIMAI_THREADS; default:\n"
       "                             hardware concurrency; 1 = serial)\n\n"
-      "execution engine (any command that executes plans):\n"
-      "  --exec row|vector          query execution engine (overrides\n"
-      "                             AIMAI_EXEC; default vector = columnar\n"
-      "                             batch engine, row = row-at-a-time\n"
-      "                             oracle; results are bit-identical\n"
-      "                             either way)\n\n"
       "observability (any command):\n"
       "  --metrics text|json|PATH   dump a metrics snapshot on exit\n"
       "                             (text/json -> stdout, else write JSON\n"
@@ -639,16 +632,6 @@ int main(int argc, char** argv) {
   // first time it is used.
   const int threads = std::atoi(FlagOr(flags, "threads", "0").c_str());
   if (threads > 0) SetConfiguredThreads(threads);
-  const std::string exec_mode = FlagOr(flags, "exec", "");
-  if (exec_mode == "row") {
-    SetDefaultExecMode(ExecMode::kRow);
-  } else if (exec_mode == "vector") {
-    SetDefaultExecMode(ExecMode::kBatch);
-  } else if (!exec_mode.empty()) {
-    std::fprintf(stderr, "unknown --exec '%s' (row|vector)\n",
-                 exec_mode.c_str());
-    return 1;
-  }
   int rc = 1;
   if (cmd == "collect") {
     rc = CmdCollect(flags);

@@ -77,35 +77,57 @@ for t in common_test workloads_test tpch_sf_test ml_tree_test \
   inference_test; do
   "build-release/tests/$t"
 done
+# Every gated bench writes BENCH_<name>.json through bench/report: it must
+# parse as strict JSON (no NaN/Infinity constants) and start from the
+# build header (build type, C++ flags, compiler, thread count).
+check_bench_json() {
+  python3 - "build/bench/BENCH_$1.json" <<'PY'
+import json, sys
+
+def reject(constant):
+    raise ValueError(f"{sys.argv[1]}: non-finite number {constant}")
+
+with open(sys.argv[1]) as f:
+    report = json.load(f, parse_constant=reject)
+if not isinstance(report.get("build"), dict):
+    sys.exit(f"{sys.argv[1]}: no build header")
+PY
+}
 # Chaos determinism stage: the same suite under an explicit fault-schedule
 # seed — every fired injection must be accounted for at a non-default seed
 # too (recovered + quarantined + shed == injected).
 AIMAI_CHAOS_SEED=1337 ctest --test-dir build -L resilience \
   -R ChaosTest --output-on-failure
 # Resilience overhead gate: watchdog + deadlines + journal must cost < 2%
-# on a fault-free job stream (exits non-zero over the bar; emits
-# BENCH_resilience.json).
+# on a fault-free job stream, as the median CPU-time ratio over 401
+# alternating baseline/resilient pairs (exits non-zero over the bar;
+# emits BENCH_resilience.json).
 (cd build/bench && AIMAI_QUICK=1 ./bench_resilience)
-# Learning gates: harvest overhead < 2% with bit-identical
-# recommendations, retrain completes, adapted holdout F1 >= offline
-# (exits non-zero over a bar; emits BENCH_learning.json).
+check_bench_json resilience
+# Learning gates: harvest overhead < 2% (the same paired median) with
+# bit-identical recommendations, retrain completes, adapted holdout
+# F1 >= offline (exits non-zero over a bar; emits BENCH_learning.json).
 (cd build/bench && AIMAI_QUICK=1 ./bench_learning)
+check_bench_json learning
 # Scale-factor gate: tpch_sf generation must be deterministic (same seed
 # => identical per-table ContentFingerprints, pooled fill bit-identical
 # to serial) while a tuning round runs per query family (exits non-zero
 # on a determinism break; emits BENCH_tpch_scale.json).
 (cd build/bench && AIMAI_QUICK=1 ./bench_tpch_scale)
+check_bench_json tpch_scale
 # Vectorized execution gate: the columnar pipeline must beat the row
 # engine >= 3x on Q1/Q6-shaped lineitem plans while producing
 # bit-identical results, cardinalities, costs, and tuning
 # recommendations (exits non-zero otherwise; emits BENCH_exec.json).
 (cd build/bench && AIMAI_QUICK=1 ./bench_exec)
+check_bench_json exec
 # Traffic gate: 1024 open-loop sessions with a flash-crowd overload
 # window — shed accounting must balance exactly (engine, per tenant,
 # and admission controller) and the steady phase at half capacity must
 # hold its SLO-miss rate (exits non-zero otherwise; emits
 # BENCH_traffic.json atomically).
 (cd build/bench && AIMAI_QUICK=1 ./bench_traffic)
+check_bench_json traffic
 # End-to-end benchmark self-test: builds perfbench (Release, its own
 # .bench_build/ tree) against the current src/ and checks every
 # workload's quick-run digests and metric names. Tier-1 ctest never

@@ -2,8 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
-
-#include "common/check.h"
+#include <cstdlib>
 
 namespace aimai {
 
@@ -46,10 +45,6 @@ void TokenWriter::WriteDoubleVector(const std::vector<double>& v) {
 }
 
 void TokenReader::Fail(const char* what) {
-  if (!lenient_) {
-    std::fprintf(stderr, "TokenReader: %s\n", what);
-    AIMAI_CHECK_MSG(false, what);
-  }
   if (status_.ok()) {  // First error wins; later ones are cascade noise.
     status_ = Status::DataLoss(what);
   }

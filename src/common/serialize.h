@@ -36,16 +36,11 @@ class TokenWriter {
   std::ostream* out_;
 };
 
-/// Reader mirroring TokenWriter, with two failure disciplines:
-///
-///  - strict (default): malformed input aborts via AIMAI_CHECK. This is
-///    right for model files baked into an experiment — a corrupt model
-///    must not load silently.
-///  - lenient: the first malformed token latches a sticky error Status;
-///    every subsequent read is a cheap no-op returning a default value.
-///    Callers check `ok()`/`status()` at record boundaries and skip or
-///    propagate. This is the currency of the telemetry skip-and-count
-///    path (models/repository_io).
+/// Reader mirroring TokenWriter. Every input it reads comes from outside
+/// the process (model files, telemetry, checkpoints), so it never aborts:
+/// the first malformed token latches a sticky DataLoss Status, and every
+/// later read is a cheap no-op returning a default value. Callers check
+/// `ok()`/`status()` at record boundaries and skip or propagate.
 ///
 /// TokenWriter ends every token with a space, so a number or tag token that
 /// runs into the end of the stream counts as truncated, and a double token
@@ -54,7 +49,6 @@ class TokenWriter {
 class TokenReader {
  public:
   explicit TokenReader(std::istream* in) : in_(in) {}
-  TokenReader(std::istream* in, bool lenient) : in_(in), lenient_(lenient) {}
 
   int64_t ReadInt();
   uint64_t ReadUInt();
@@ -71,12 +65,11 @@ class TokenReader {
   const Status& status() const { return status_; }
 
  private:
-  /// Latches (lenient) or aborts on (strict) a malformed-input condition.
+  /// Latches a malformed-input condition (the first one wins).
   void Fail(const char* what);
   std::string NextToken();
 
   std::istream* in_;
-  bool lenient_ = false;
   Status status_;
 };
 

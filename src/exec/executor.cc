@@ -1,9 +1,6 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <span>
 
 #include "common/check.h"
@@ -11,29 +8,6 @@
 #include "obs/obs.h"
 
 namespace aimai {
-
-namespace {
-
-std::atomic<int>& DefaultExecModeFlag() {
-  static std::atomic<int> mode = [] {
-    const char* env = std::getenv("AIMAI_EXEC");
-    if (env != nullptr && std::strcmp(env, "row") == 0) {
-      return static_cast<int>(ExecMode::kRow);
-    }
-    return static_cast<int>(ExecMode::kBatch);
-  }();
-  return mode;
-}
-
-}  // namespace
-
-ExecMode DefaultExecMode() {
-  return static_cast<ExecMode>(DefaultExecModeFlag().load());
-}
-
-void SetDefaultExecMode(ExecMode mode) {
-  DefaultExecModeFlag().store(static_cast<int>(mode));
-}
 
 namespace {
 

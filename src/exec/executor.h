@@ -8,15 +8,6 @@
 
 namespace aimai {
 
-/// Process-wide default engine for newly constructed Executors:
-/// `ExecMode::kBatch` selects the vectorized engine for every plan,
-/// `ExecMode::kRow` the row-at-a-time oracle (for bisection and parity
-/// tests). Initialized from the
-/// `AIMAI_EXEC` environment variable ("row" or "vector"; default vector)
-/// and overridable at runtime (`aimai_cli --exec=...`).
-ExecMode DefaultExecMode();
-void SetDefaultExecMode(ExecMode mode);
-
 /// Builds a B+-tree KeyRange from `node`'s seek predicates: an equality
 /// prefix over the index key columns, optionally followed by one range
 /// column. Shared by the row and vectorized engines so seeks qualify the
@@ -34,11 +25,11 @@ KeyRange BuildSeekRange(const Database& db, const PlanNode& node);
 /// (kRow), which stays as the bit-identity oracle. Both produce
 /// bit-identical results and actual statistics on every plan
 /// `VectorizedExecutor::CanExecute` accepts; `mode()` selects which one
-/// runs (default: the process-wide `DefaultExecMode()`).
+/// runs (default: kBatch; tests and bench_exec set kRow for the oracle).
 class Executor {
  public:
   Executor(const Database* db, IndexManager* indexes)
-      : db_(db), indexes_(indexes), mode_(DefaultExecMode()) {}
+      : db_(db), indexes_(indexes) {}
 
   /// Executes the plan; fills `stats.actual_rows` / `actual_executions` on
   /// every node. Returns the root's result (for verification in tests).
@@ -55,7 +46,7 @@ class Executor {
 
   const Database* db_;
   IndexManager* indexes_;
-  ExecMode mode_;
+  ExecMode mode_ = ExecMode::kBatch;
 };
 
 }  // namespace aimai

@@ -114,8 +114,7 @@ class DecisionTree {
   /// Persists the trained tree (inference state only; refitting requires
   /// the original data). `Load` returns DataLoss on a malformed stream or
   /// structure (child ids that are not later nodes, a leaf distribution
-  /// whose size is not num_classes); with a lenient reader it never
-  /// aborts.
+  /// whose size is not num_classes); it never aborts.
   void Save(TokenWriter* w) const;
   Status Load(TokenReader* r);
 

@@ -33,8 +33,8 @@ class GradientBoostedTrees : public Classifier {
   /// Reference node-chasing path (bit-identity tests).
   std::vector<double> PredictProbaScalar(const double* x) const;
 
-  /// `Load` returns DataLoss on a malformed or truncated stream (read it
-  /// with a lenient TokenReader) and then leaves the model unchanged.
+  /// `Load` returns DataLoss on a malformed or truncated stream and then
+  /// leaves the model unchanged.
   void Save(TokenWriter* w) const;
   Status Load(TokenReader* r);
 

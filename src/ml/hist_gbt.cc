@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
 
 #include "common/check.h"
@@ -239,25 +240,56 @@ void HistGradientBoosting::Save(TokenWriter* w) const {
   }
 }
 
-void HistGradientBoosting::Load(TokenReader* r) {
+Status HistGradientBoosting::Load(TokenReader* r) {
   r->ExpectTag("hgbt");
-  num_classes_ = static_cast<int>(r->ReadInt());
-  options_.learning_rate = r->ReadDouble();
+  const int64_t classes = r->ReadInt();
+  const double learning_rate = r->ReadDouble();
   const uint64_t nt = r->ReadUInt();
-  trees_.assign(nt, Tree());
+  if (!r->ok()) return r->status();
+  if (classes < 2 || classes > DecisionTree::kMaxClasses || nt == 0) {
+    return Status::DataLoss("hgbt: bad class or tree count");
+  }
+  constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+  // Trees and nodes are read one by one, so a count the stream cannot hold
+  // ends in a truncated-stream error, not in a huge allocation. GrowTree
+  // appends children after their parent, so a split's children must be
+  // later nodes of its tree, which also rules out cycles.
+  std::vector<Tree> trees;
   for (uint64_t t = 0; t < nt; ++t) {
     const uint64_t nn = r->ReadUInt();
-    trees_[t].nodes.assign(nn, TreeNode());
-    for (uint64_t i = 0; i < nn; ++i) {
-      TreeNode& n = trees_[t].nodes[i];
-      n.feature = static_cast<int>(r->ReadInt());
+    if (!r->ok()) return r->status();
+    if (nn == 0 || nn > static_cast<uint64_t>(kMaxInt)) {
+      return Status::DataLoss("hgbt: bad node count");
+    }
+    const int64_t end = static_cast<int64_t>(nn);
+    trees.emplace_back();
+    for (int64_t i = 0; i < end; ++i) {
+      TreeNode n;
+      const int64_t feature = r->ReadInt();
       n.threshold = r->ReadDouble();
-      n.left = static_cast<int>(r->ReadInt());
-      n.right = static_cast<int>(r->ReadInt());
+      const int64_t left = r->ReadInt();
+      const int64_t right = r->ReadInt();
       n.value = r->ReadDouble();
+      if (!r->ok()) return r->status();
+      if (feature < -1 || feature > kMaxInt) {
+        return Status::DataLoss("hgbt: bad split feature");
+      }
+      if (feature >= 0) {
+        if (left <= i || left >= end || right <= i || right >= end) {
+          return Status::DataLoss("hgbt: child id out of range");
+        }
+        n.feature = static_cast<int>(feature);
+        n.left = static_cast<int>(left);
+        n.right = static_cast<int>(right);
+      }
+      trees.back().nodes.push_back(n);
     }
   }
+  num_classes_ = static_cast<int>(classes);
+  options_.learning_rate = learning_rate;
+  trees_ = std::move(trees);
   Compile();
+  return Status::Ok();
 }
 
 void HistGradientBoosting::PredictProbaInto(const double* x,

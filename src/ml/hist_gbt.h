@@ -35,8 +35,11 @@ class HistGradientBoosting : public Classifier {
   /// Reference node-chasing path (bit-identity tests).
   std::vector<double> PredictProbaScalar(const double* x) const;
 
+  /// `Load` returns DataLoss on a malformed or truncated stream (counts,
+  /// child ids that are not later nodes of the same tree) and then leaves
+  /// the model unchanged.
   void Save(TokenWriter* w) const;
-  void Load(TokenReader* r);
+  Status Load(TokenReader* r);
 
  private:
   struct TreeNode {

@@ -111,13 +111,27 @@ void LogisticRegression::Save(TokenWriter* w) const {
   w->WriteDoubleVector(w_);
 }
 
-void LogisticRegression::Load(TokenReader* r) {
+Status LogisticRegression::Load(TokenReader* r) {
   r->ExpectTag("lr");
-  num_classes_ = static_cast<int>(r->ReadInt());
-  d_ = r->ReadUInt();
-  mean_ = r->ReadDoubleVector();
-  inv_std_ = r->ReadDoubleVector();
-  w_ = r->ReadDoubleVector();
+  const int64_t classes = r->ReadInt();
+  const uint64_t d = r->ReadUInt();
+  std::vector<double> mean = r->ReadDoubleVector();
+  std::vector<double> inv_std = r->ReadDoubleVector();
+  std::vector<double> w = r->ReadDoubleVector();
+  if (!r->ok()) return r->status();
+  // The reader caps vector lengths, so once `mean` matches `d` and the
+  // class count is at most w's length, the product cannot overflow.
+  if (mean.size() != d || inv_std.size() != d || classes < 2 ||
+      static_cast<uint64_t>(classes) > w.size() ||
+      w.size() != static_cast<uint64_t>(classes) * (d + 1)) {
+    return Status::DataLoss("lr: weight sizes do not match");
+  }
+  num_classes_ = static_cast<int>(classes);
+  d_ = d;
+  mean_ = std::move(mean);
+  inv_std_ = std::move(inv_std);
+  w_ = std::move(w);
+  return Status::Ok();
 }
 
 void LogisticRegression::PredictProbaInto(const double* x,

@@ -31,8 +31,10 @@ class LogisticRegression : public Classifier {
   /// softmax runs in place over `out`.
   void PredictProbaInto(const double* x, double* out) const override;
 
+  /// `Load` returns DataLoss on a malformed or truncated stream, or on
+  /// weights whose sizes disagree, and then leaves the model unchanged.
   void Save(TokenWriter* w) const;
-  void Load(TokenReader* r);
+  Status Load(TokenReader* r);
 
  private:
   std::vector<double> Standardize(const double* x) const;

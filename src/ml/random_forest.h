@@ -42,8 +42,8 @@ class RandomForest : public Classifier {
   int MaxFeature() const;
 
   /// Persists / restores the trained ensemble (inference state). `Load`
-  /// returns DataLoss on a malformed or truncated stream (read it with a
-  /// lenient TokenReader) and then leaves the model unchanged.
+  /// returns DataLoss on a malformed or truncated stream and then leaves
+  /// the model unchanged.
   void Save(TokenWriter* w) const;
   Status Load(TokenReader* r);
 

@@ -78,22 +78,6 @@ ColumnRef LoadColumnRef(TokenReader* r) {
   return c;
 }
 
-void SaveIndexDef(TokenWriter* w, const IndexDef& d) {
-  w->WriteInt(d.table_id);
-  w->WriteIntVector(d.key_columns);
-  w->WriteIntVector(d.include_columns);
-  w->WriteBool(d.is_columnstore);
-}
-
-IndexDef LoadIndexDef(TokenReader* r) {
-  IndexDef d;
-  d.table_id = static_cast<int>(r->ReadInt());
-  d.key_columns = r->ReadIntVector();
-  d.include_columns = r->ReadIntVector();
-  d.is_columnstore = r->ReadBool();
-  return d;
-}
-
 void SaveStats(TokenWriter* w, const NodeStats& s) {
   w->WriteDouble(s.est_rows);
   w->WriteDouble(s.est_executions);
@@ -134,6 +118,22 @@ Status CheckedCount(TokenReader* r, uint64_t* out, uint64_t cap) {
 }
 
 }  // namespace
+
+void SaveIndexDef(TokenWriter* w, const IndexDef& d) {
+  w->WriteInt(d.table_id);
+  w->WriteIntVector(d.key_columns);
+  w->WriteIntVector(d.include_columns);
+  w->WriteBool(d.is_columnstore);
+}
+
+IndexDef LoadIndexDef(TokenReader* r) {
+  IndexDef d;
+  d.table_id = static_cast<int>(r->ReadInt());
+  d.key_columns = r->ReadIntVector();
+  d.include_columns = r->ReadIntVector();
+  d.is_columnstore = r->ReadBool();
+  return d;
+}
 
 void SavePlanNode(TokenWriter* w, const PlanNode& node) {
   w->WriteTag("node");
@@ -346,7 +346,7 @@ Status LoadRepository(std::istream* in, ExecutionDataRepository* repo,
       faults->ShouldFail(FaultPoint::kRepositoryIo)) {
     return Status::Unavailable("injected repository load I/O error");
   }
-  TokenReader r(in, /*lenient=*/true);
+  TokenReader r(in);
   r.ExpectTag("aimai_repo");
   const int version = static_cast<int>(r.ReadInt());
   if (!r.ok()) {
@@ -375,7 +375,7 @@ Status LoadRepository(std::istream* in, ExecutionDataRepository* repo,
       continue;
     }
     std::istringstream payload_stream(payload);
-    TokenReader pr(&payload_stream, /*lenient=*/true);
+    TokenReader pr(&payload_stream);
     StatusOr<ExecutedPlan> rec = LoadExecutedPlan(&pr);
     if (!rec.ok() || rec->plan == nullptr || rec->plan->root == nullptr) {
       ++s->records_skipped;

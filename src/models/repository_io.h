@@ -19,9 +19,14 @@ namespace aimai {
 /// Robustness contract (format v2): every repository record is framed as
 ///   rec <fnv1a64 checksum> <length-prefixed payload>
 /// so corruption inside one record is detected (checksum mismatch) or
-/// contained (lenient parse failure) and the loader skips that record,
+/// contained (latched parse failure) and the loader skips that record,
 /// counts it, and keeps going. Telemetry is redundant by nature — losing a
 /// record must never lose the repository.
+
+/// One index definition; also the unit of the continuous-tuning
+/// checkpoint's configurations (service/checkpoint).
+void SaveIndexDef(TokenWriter* w, const IndexDef& d);
+IndexDef LoadIndexDef(TokenReader* r);
 
 void SavePlanNode(TokenWriter* w, const PlanNode& node);
 StatusOr<std::unique_ptr<PlanNode>> LoadPlanNode(TokenReader* r);

@@ -4,10 +4,6 @@
 
 namespace aimai::obs {
 
-namespace {
-
-/// Metric/span names are dotted ASCII identifiers by convention, but the
-/// exporters must stay valid JSON for any name.
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -38,6 +34,8 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 double NsToMs(double ns) { return ns / 1e6; }
 

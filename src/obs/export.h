@@ -9,6 +9,11 @@
 
 namespace aimai::obs {
 
+/// `s` escaped for a JSON string body (no surrounding quotes). Metric and
+/// span names are dotted identifiers by convention, but every exporter,
+/// the bench reports included, must stay valid JSON for any name.
+std::string JsonEscape(const std::string& s);
+
 /// Human-readable multi-line dump: counters, gauges, then histograms with
 /// count / total-ms / p50 / p90 / p99 (nanosecond histograms rendered in
 /// milliseconds). For tuner logs and `aimai_cli --metrics text`.

@@ -12,22 +12,6 @@ namespace {
 constexpr const char* kMagic = "aimai-continuous-ckpt";
 constexpr int64_t kVersion = 1;
 
-void SaveIndexDef(TokenWriter* w, const IndexDef& def) {
-  w->WriteInt(def.table_id);
-  w->WriteIntVector(def.key_columns);
-  w->WriteIntVector(def.include_columns);
-  w->WriteBool(def.is_columnstore);
-}
-
-IndexDef LoadIndexDef(TokenReader* r) {
-  IndexDef def;
-  def.table_id = static_cast<int>(r->ReadInt());
-  def.key_columns = r->ReadIntVector();
-  def.include_columns = r->ReadIntVector();
-  def.is_columnstore = r->ReadBool();
-  return def;
-}
-
 void SaveConfiguration(TokenWriter* w, const Configuration& config) {
   const std::vector<IndexDef> indexes = config.indexes();
   w->WriteUInt(indexes.size());
@@ -108,7 +92,7 @@ Status LoadContinuousCheckpoint(std::istream* in, ContinuousCheckpoint* ckpt,
   if (in == nullptr || ckpt == nullptr || repo == nullptr) {
     return Status::InvalidArgument("null checkpoint load argument");
   }
-  TokenReader r(in, /*lenient=*/true);
+  TokenReader r(in);
   r.ExpectTag(kMagic);
   const int64_t version = r.ReadInt();
   if (!r.ok()) {

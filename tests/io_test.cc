@@ -44,6 +44,7 @@ TEST(TokenStreamTest, RoundTripsAllTypes) {
   r.ExpectTag("marker");
   EXPECT_EQ(r.ReadIntVector(), (std::vector<int>{1, -2, 3}));
   EXPECT_EQ(r.ReadDoubleVector(), (std::vector<double>{0.5, -0.25}));
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
 }
 
 TEST(TokenStreamTest, DoublesRoundTripExactly) {
@@ -59,6 +60,7 @@ TEST(TokenStreamTest, DoublesRoundTripExactly) {
   for (double v : values) {
     EXPECT_EQ(r.ReadDouble(), v);  // Bit-exact via hex float.
   }
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
 }
 
 Dataset SyntheticData(uint64_t seed, size_t n = 400) {
@@ -124,7 +126,7 @@ TEST(ModelIoTest, LogisticRegressionRoundTrip) {
   lr.Save(&w);
   LogisticRegression loaded;
   TokenReader r(&ss);
-  loaded.Load(&r);
+  ASSERT_TRUE(loaded.Load(&r).ok());
   ExpectIdenticalPredictions(lr, loaded, data);
 }
 
@@ -171,7 +173,7 @@ TEST(ModelIoTest, HistGbtRoundTrip) {
   lgbm.Save(&w);
   HistGradientBoosting loaded;
   TokenReader r(&ss);
-  loaded.Load(&r);
+  ASSERT_TRUE(loaded.Load(&r).ok());
   ExpectIdenticalPredictions(lgbm, loaded, data);
 }
 
@@ -246,7 +248,8 @@ TEST(RepositoryIoTest, PlanNodeDeepFieldsRoundTrip) {
   SavePhysicalPlan(&w, *plan);
   TokenReader r(&ss);
   const auto loaded = LoadPhysicalPlan(&r);
-  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(r.ok());
   EXPECT_EQ((*loaded)->ToString(*bdb->db()), plan->ToString(*bdb->db()));
 }
 

@@ -14,6 +14,7 @@
 #include "ml/decision_tree.h"
 #include "ml/gbt.h"
 #include "ml/hist_gbt.h"
+#include "ml/logistic_regression.h"
 #include "ml/random_forest.h"
 
 namespace aimai {
@@ -573,33 +574,51 @@ TEST(GoldenModelTest, StandaloneTreesPairLikeBootstrap) {
 }
 
 // Model files come from outside the process: a cut or malformed one must
-// fail to load with a Status (lenient reader), never abort.
+// fail to load with a Status, never abort.
+template <typename Model>
+void ExpectEveryTruncatedPrefixFails(const Model& fitted,
+                                     const Dataset& data) {
+  std::ostringstream out;
+  TokenWriter w(&out);
+  fitted.Save(&w);
+  const std::string bytes = out.str();
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    std::istringstream in(bytes.substr(0, len));
+    TokenReader r(&in);
+    Model loaded;
+    ASSERT_FALSE(loaded.Load(&r).ok()) << "prefix of " << len << " bytes";
+  }
+  std::istringstream in(bytes);
+  TokenReader r(&in);
+  Model loaded;
+  const Status st = loaded.Load(&r);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(SavedHash(loaded), SavedHash(fitted));
+  for (size_t i = 0; i < data.n(); ++i) {
+    EXPECT_EQ(loaded.PredictProba(data.Row(i)),
+              fitted.PredictProba(data.Row(i)));
+  }
+}
+
 TEST(ModelLoadTest, EveryTruncatedForestPrefixFails) {
+  const Dataset data = Blobs(3, 30, 51, /*separation=*/2.0);
   RandomForest::Options o;
   o.num_trees = 3;
   o.max_depth = 4;
   RandomForest rf(o);
-  const Dataset data = Blobs(3, 30, 51, /*separation=*/2.0);
   rf.Fit(data);
-  std::ostringstream out;
-  TokenWriter w(&out);
-  rf.Save(&w);
-  const std::string bytes = out.str();
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    std::istringstream in(bytes.substr(0, len));
-    TokenReader r(&in, /*lenient=*/true);
-    RandomForest loaded;
-    ASSERT_FALSE(loaded.Load(&r).ok()) << "prefix of " << len << " bytes";
-  }
-  std::istringstream in(bytes);
-  TokenReader r(&in, /*lenient=*/true);
-  RandomForest loaded;
-  const Status st = loaded.Load(&r);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(SavedHash(loaded), SavedHash(rf));
-  for (size_t i = 0; i < data.n(); ++i) {
-    EXPECT_EQ(loaded.PredictProba(data.Row(i)), rf.PredictProba(data.Row(i)));
-  }
+  ExpectEveryTruncatedPrefixFails(rf, data);
+  LogisticRegression::Options lo;
+  lo.epochs = 2;
+  LogisticRegression lr(lo);
+  lr.Fit(data);
+  ExpectEveryTruncatedPrefixFails(lr, data);
+  HistGradientBoosting::Options ho;
+  ho.num_rounds = 2;
+  ho.max_leaves = 4;
+  HistGradientBoosting hgbt(ho);
+  hgbt.Fit(data);
+  ExpectEveryTruncatedPrefixFails(hgbt, data);
 }
 
 // One tree token stream: `nodes` holds (feature, left, right, dist size)
@@ -628,7 +647,7 @@ std::string TreeTokens(int classes, uint64_t claimed_nodes,
 
 Status LoadForest(const std::string& bytes) {
   std::istringstream in(bytes);
-  TokenReader r(&in, /*lenient=*/true);
+  TokenReader r(&in);
   RandomForest rf;
   return rf.Load(&r);
 }
@@ -658,6 +677,26 @@ TEST(ModelLoadTest, RejectsMalformedTreeStructure) {
   EXPECT_FALSE(LoadForest(TreeTokens(2, 0, {})).ok());
   // A forest whose trees disagree with its class count.
   EXPECT_FALSE(LoadForest(TreeTokens(1, 1, {{-1, -1, -1, 1}})).ok());
+  // A boosted stump whose right child is past its last node.
+  for (const uint64_t nodes : {3, 2}) {
+    std::stringstream ss;
+    TokenWriter w(&ss);
+    w.WriteTag("hgbt");
+    w.WriteInt(2);
+    w.WriteDouble(0.1);
+    w.WriteUInt(1);
+    w.WriteUInt(nodes);
+    for (const int64_t feature : {0, -1, -1}) {
+      w.WriteInt(feature);
+      w.WriteDouble(0.5);
+      w.WriteInt(feature < 0 ? -1 : 1);
+      w.WriteInt(feature < 0 ? -1 : 2);
+      w.WriteDouble(0.25);
+    }
+    TokenReader r(&ss);
+    HistGradientBoosting hgbt;
+    EXPECT_EQ(hgbt.Load(&r).ok(), nodes == 3);
+  }
 }
 
 // MaxFeature lets a caller check a loaded model against its feature width
@@ -667,13 +706,13 @@ TEST(ModelLoadTest, MaxFeatureIsTheLargestSplitFeature) {
     std::istringstream in(TreeTokens(2, 3, {{feature, 1, 2, 0},
                                             {-1, -1, -1, 2},
                                             {-1, -1, -1, 2}}));
-    TokenReader r(&in, /*lenient=*/true);
+    TokenReader r(&in);
     RandomForest rf;
     ASSERT_TRUE(rf.Load(&r).ok());
     EXPECT_EQ(rf.MaxFeature(), feature);
   }
   std::istringstream in(TreeTokens(2, 1, {{-1, -1, -1, 2}}));
-  TokenReader r(&in, /*lenient=*/true);
+  TokenReader r(&in);
   RandomForest rf;
   ASSERT_TRUE(rf.Load(&r).ok());
   EXPECT_EQ(rf.MaxFeature(), -1);
