@@ -84,15 +84,8 @@ AbResult MeasureOverhead(const std::function<AbRun()>& baseline,
   r.baseline_ms = r.variant_ms = INFINITY;
   std::vector<std::string> reference;
   std::vector<double> overheads;
-  for (int p = 0; p < kOverheadPairs; ++p) {
-    AbRun base, var;
-    if (p % 2 == 0) {
-      base = baseline();
-      var = variant();
-    } else {
-      var = variant();
-      base = baseline();
-    }
+  for (const auto& [base, var] :
+       RunAlternatingPairs(kOverheadPairs, baseline, variant)) {
     r.baseline_ms = std::min(r.baseline_ms, base.wall_ms);
     r.variant_ms = std::min(r.variant_ms, var.wall_ms);
     overheads.push_back(100.0 * (var.cpu_ms - base.cpu_ms) / base.cpu_ms);

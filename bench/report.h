@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace aimai::bench {
@@ -76,6 +77,31 @@ constexpr double kOverheadBarPct = 2.0;
 /// median of 401 pairs keeps the verdict's run-to-run spread inside the
 /// bar. Wall time scatters three to five times more, with scheduling.
 constexpr int kOverheadPairs = 401;
+
+/// Runs `baseline` and `variant` in `pairs` back-to-back pairs,
+/// alternating which side goes first so drift in machine speed lands on
+/// both, and returns each pair's (baseline, variant) results. Gates take
+/// the median of a per-pair statistic over them, so a disturbed pair moves
+/// one sample, not the verdict.
+template <typename Run>
+std::vector<std::pair<Run, Run>> RunAlternatingPairs(
+    int pairs, const std::function<Run()>& baseline,
+    const std::function<Run()>& variant) {
+  std::vector<std::pair<Run, Run>> out;
+  out.reserve(static_cast<size_t>(pairs));
+  for (int p = 0; p < pairs; ++p) {
+    Run base, var;
+    if (p % 2 == 0) {
+      base = baseline();
+      var = variant();
+    } else {
+      var = variant();
+      base = baseline();
+    }
+    out.emplace_back(std::move(base), std::move(var));
+  }
+  return out;
+}
 
 /// Runs `baseline` and `variant` in kOverheadPairs back-to-back pairs,
 /// alternating which side goes first so drift in machine speed lands on

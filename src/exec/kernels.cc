@@ -1,17 +1,21 @@
 #include "exec/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace aimai {
 
 BoundsSpec BoundsSpec::From(const NumericBounds& b) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   BoundsSpec s;
-  s.lo = b.lo;
-  s.hi = b.hi;
-  s.check_lo = b.has_lo ? 1u : 0u;
-  s.check_hi = b.has_hi ? 1u : 0u;
-  s.lo_open = b.lo_open ? 1u : 0u;
-  s.hi_open = b.hi_open ? 1u : 0u;
+  if ((b.has_lo && b.lo_open && b.lo == kInf) ||
+      (b.has_hi && b.hi_open && b.hi == -kInf)) {
+    s.lo_c = kInf;
+    s.hi_c = -kInf;
+    return s;
+  }
+  if (b.has_lo) s.lo_c = b.lo_open ? std::nextafter(b.lo, kInf) : b.lo;
+  if (b.has_hi) s.hi_c = b.hi_open ? std::nextafter(b.hi, -kInf) : b.hi;
   return s;
 }
 

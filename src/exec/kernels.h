@@ -12,32 +12,25 @@
 
 namespace aimai {
 
-/// Flattened, branch-free form of NumericBounds for the batch filter
-/// kernels. `Pass` mirrors `NumericBounds::Contains` bit-for-bit —
-/// including its NaN behavior (NaN compares false against both ends, so a
-/// NaN cell passes every bound, exactly as in the row engine) — but with
-/// the short-circuiting `if`s replaced by data-parallel mask arithmetic so
-/// the compiler can vectorize the compaction loop.
+/// Closed form of NumericBounds for the batch filter kernels: a row passes
+/// iff `!(x < lo_c) & !(x > hi_c)`, two compares and no per-bound flags.
+/// `From` folds each bound's presence and openness into its constant —
+/// an absent bound is -inf / +inf, an open one steps to the adjacent
+/// double (`x <= lo` is `x < nextafter(lo, +inf)` for every non-NaN x) —
+/// so `Pass` equals `NumericBounds::Contains` bit-for-bit, NaN included
+/// (NaN compares false against both ends and passes every bound, exactly
+/// as in the row engine). An open bound at the far infinity (x <= +inf,
+/// x >= -inf) has no adjacent double; it rejects every non-NaN x, which
+/// the empty interval lo_c = +inf, hi_c = -inf also does.
 struct BoundsSpec {
-  double lo = 0;
-  double hi = 0;
-  uint32_t check_lo = 0;  // 1 iff has_lo.
-  uint32_t check_hi = 0;  // 1 iff has_hi.
-  uint32_t lo_open = 0;
-  uint32_t hi_open = 0;
+  double lo_c = -std::numeric_limits<double>::infinity();
+  double hi_c = std::numeric_limits<double>::infinity();
 
   static BoundsSpec From(const NumericBounds& b);
 
   bool Pass(double x) const {
-    // fail_lo = has_lo && (lo_open ? x <= lo : x < lo), decomposed so every
-    // comparison is an independent mask (x <= lo  ==  x < lo || x == lo).
-    const uint32_t fail_lo =
-        check_lo & (static_cast<uint32_t>(x < lo) |
-                    (lo_open & static_cast<uint32_t>(x == lo)));
-    const uint32_t fail_hi =
-        check_hi & (static_cast<uint32_t>(x > hi) |
-                    (hi_open & static_cast<uint32_t>(x == hi)));
-    return (fail_lo | fail_hi) == 0;
+    return static_cast<bool>(static_cast<uint32_t>(!(x < lo_c)) &
+                             static_cast<uint32_t>(!(x > hi_c)));
   }
 };
 

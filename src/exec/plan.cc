@@ -95,36 +95,51 @@ std::string PlanNode::ToString(const Database& db, int indent) const {
 
 namespace {
 
-// FNV-1a, fed field by field. A running-state hash (rather than hashing a
-// serialized buffer) keeps fingerprinting allocation-free on the tuner's
-// hot path.
+// Every field ContentHash reads goes through one walk, fed to a sink:
+// FNV-1a for ContentHash, a byte string for ContentKey. The running-state
+// hash keeps fingerprinting allocation-free on the tuner's hot path.
 constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
-void HashBytes(uint64_t* h, const void* data, size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    *h ^= p[i];
-    *h *= kFnvPrime;
+struct FnvSink {
+  uint64_t h = kFnvOffset;
+  void Add(const void* data, size_t n) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= kFnvPrime;
+    }
   }
+};
+
+struct BytesSink {
+  std::string bytes;
+  void Add(const void* data, size_t n) {
+    bytes.append(static_cast<const char*>(data), n);
+  }
+};
+
+template <typename Sink>
+void HashI64(Sink* h, int64_t v) {
+  const uint64_t u = static_cast<uint64_t>(v);
+  h->Add(&u, sizeof(u));
 }
 
-void HashU64(uint64_t* h, uint64_t v) { HashBytes(h, &v, sizeof(v)); }
-
-void HashI64(uint64_t* h, int64_t v) { HashU64(h, static_cast<uint64_t>(v)); }
-
-void HashDouble(uint64_t* h, double v) {
+template <typename Sink>
+void HashDouble(Sink* h, double v) {
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
-  HashU64(h, bits);
+  h->Add(&bits, sizeof(bits));
 }
 
-void HashColumn(uint64_t* h, const ColumnRef& c) {
+template <typename Sink>
+void HashColumn(Sink* h, const ColumnRef& c) {
   HashI64(h, c.table_id);
   HashI64(h, c.column_id);
 }
 
-void HashValue(uint64_t* h, const Value& v) {
+template <typename Sink>
+void HashValue(Sink* h, const Value& v) {
   HashI64(h, static_cast<int64_t>(v.type()));
   switch (v.type()) {
     case DataType::kInt64:
@@ -135,12 +150,13 @@ void HashValue(uint64_t* h, const Value& v) {
       break;
     case DataType::kString:
       HashI64(h, static_cast<int64_t>(v.as_string().size()));
-      HashBytes(h, v.as_string().data(), v.as_string().size());
+      h->Add(v.as_string().data(), v.as_string().size());
       break;
   }
 }
 
-void HashPredicate(uint64_t* h, const Predicate& p) {
+template <typename Sink>
+void HashPredicate(Sink* h, const Predicate& p) {
   HashI64(h, p.table_id);
   HashI64(h, p.column_id);
   HashI64(h, static_cast<int64_t>(p.op));
@@ -148,7 +164,8 @@ void HashPredicate(uint64_t* h, const Predicate& p) {
   HashValue(h, p.hi);
 }
 
-void HashNode(uint64_t* h, const PlanNode& n) {
+template <typename Sink>
+void HashNode(Sink* h, const PlanNode& n) {
   HashI64(h, static_cast<int64_t>(n.op));
   HashI64(h, static_cast<int64_t>(n.mode));
   HashI64(h, n.parallel ? 1 : 0);
@@ -200,15 +217,26 @@ void HashNode(uint64_t* h, const PlanNode& n) {
   for (const auto& c : n.children) HashNode(h, *c);
 }
 
+template <typename Sink>
+void HashPlan(Sink* h, const PhysicalPlan& plan) {
+  HashI64(h, plan.degree_of_parallelism);
+  HashDouble(h, plan.est_total_cost);
+  HashI64(h, plan.root ? 1 : 0);
+  if (plan.root) HashNode(h, *plan.root);
+}
+
 }  // namespace
 
 uint64_t PhysicalPlan::ContentHash() const {
-  uint64_t h = kFnvOffset;
-  HashI64(&h, degree_of_parallelism);
-  HashDouble(&h, est_total_cost);
-  HashI64(&h, root ? 1 : 0);
-  if (root) HashNode(&h, *root);
-  return h;
+  FnvSink sink;
+  HashPlan(&sink, *this);
+  return sink.h;
+}
+
+std::string PhysicalPlan::ContentKey() const {
+  BytesSink sink;
+  HashPlan(&sink, *this);
+  return std::move(sink.bytes);
 }
 
 std::unique_ptr<PhysicalPlan> PhysicalPlan::Clone() const {

@@ -149,6 +149,11 @@ struct PhysicalPlan {
   /// (PlanFeatureCache) keys on one of these, the model comparator's
   /// label memo on an ordered pair.
   uint64_t ContentHash() const;
+
+  /// The bytes ContentHash() hashes. Equal keys mean every field
+  /// ContentHash reads is equal, bit for bit: the exact check behind a
+  /// 64-bit hash match.
+  std::string ContentKey() const;
 };
 
 /// Computes the total output width (bytes/row) of a set of columns.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/ordered_bits.h"
@@ -12,29 +14,27 @@ namespace aimai {
 namespace {
 
 /// Open-addressing set of `OrderedBits` images (0 marks an empty slot; no
-/// non-NaN value maps there), kept at most 3/4 full.
+/// non-NaN value maps there), sized once for its most keys and so never
+/// more than 3/4 full: a column's distinct values never grow and rehash it.
 /// Slots come from the high bits of a multiplicative hash: integer-valued
 /// doubles share all-zero low mantissa bits, so a low-bit hash would pile
 /// them into a few clusters.
 class BitsSet {
  public:
-  /// Adds `key`; true if it was not present.
-  bool Insert(uint64_t key) {
-    if (4 * (size_ + 1) > 3 * slots_.size()) Grow();
-    if (!Place(key, &slots_)) return false;
-    ++size_;
-    return true;
+  explicit BitsSet(size_t max_keys) {
+    size_t slots = 64;
+    while (4 * max_keys > 3 * slots) slots *= 2;
+    slots_.assign(slots, 0);
+    mask_ = slots - 1;
+    shift_ = 64 - std::countr_zero(slots);
   }
 
- private:
-  static constexpr size_t kInitialSlots = 64;
-
-  /// Linear probe from the hashed slot; false if `key` is already there.
-  bool Place(uint64_t key, std::vector<uint64_t>* slots) const {
-    const size_t mask = slots->size() - 1;
+  /// Adds `key`; true if it was not present. Linear probe from the hashed
+  /// slot.
+  bool Insert(uint64_t key) {
     size_t i = static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
-    for (;; i = (i + 1) & mask) {
-      uint64_t& slot = (*slots)[i];
+    for (;; i = (i + 1) & mask_) {
+      uint64_t& slot = slots_[i];
       if (slot == key) return false;
       if (slot == 0) {
         slot = key;
@@ -43,19 +43,25 @@ class BitsSet {
     }
   }
 
-  void Grow() {
-    std::vector<uint64_t> old = std::move(slots_);
-    slots_.assign(old.empty() ? kInitialSlots : 2 * old.size(), 0);
-    shift_ = 64 - std::countr_zero(slots_.size());
-    for (uint64_t key : old) {
-      if (key != 0) Place(key, &slots_);
-    }
-  }
-
+ private:
   std::vector<uint64_t> slots_;
-  int shift_ = 64;
-  size_t size_ = 0;
+  size_t mask_ = 0;
+  int shift_ = 0;
 };
+
+/// Integers of magnitude at most 2^53 convert to distinct doubles, so
+/// within that range an integer column's distinct values are its distinct
+/// doubles.
+constexpr double kExactIntLimit = 9007199254740992.0;  // 2^53
+
+/// True if an integer column over [min, max] may count its values in a
+/// dense array: every value converts exactly and the array is no longer
+/// than the column.
+bool DenseCountable(double min, double max, size_t n) {
+  return -kExactIntLimit <= min && max <= kExactIntLimit &&
+         max - min < static_cast<double>(n) &&
+         n <= std::numeric_limits<uint32_t>::max();
+}
 
 /// `static_cast<int>((v - min) / width)` clamped to [0, last]. A position
 /// that is not a number (an infinite value over an infinite width) goes to
@@ -79,25 +85,63 @@ Histogram Histogram::Build(const Column& col, int num_buckets) {
   // Counts and distincts are sums of 1.0, so they do not depend on the
   // order rows are visited in.
   VisitNumericData(col, [&](const auto* data) {
+    using T = std::remove_cv_t<std::remove_pointer_t<decltype(data)>>;
     auto value = [data](size_t r) { return static_cast<double>(data[r]); };
     // Pass 1: the first smallest and last largest non-NaN value
-    // (std::minmax_element's choice among ±0.0 ties).
+    // (std::minmax_element's choice among ±0.0 ties). Integers have no NaN
+    // and no signed zero, and convert monotonically, so they compare as
+    // integers.
     size_t r = 0;
-    while (r < n && std::isnan(value(r))) ++r;
-    if (r == n) return;
-    double min = value(r);
-    double max = min;
-    for (++r; r < n; ++r) {
-      const double v = value(r);
-      if (v < min) min = v;
-      if (v >= max) max = v;
+    double min = 0;
+    double max = 0;
+    if constexpr (std::is_integral_v<T>) {
+      if (n == 0) return;
+      T lo = data[0];
+      T hi = data[0];
+      for (r = 1; r < n; ++r) {
+        lo = std::min(lo, data[r]);
+        hi = std::max(hi, data[r]);
+      }
+      min = static_cast<double>(lo);
+      max = static_cast<double>(hi);
+    } else {
+      while (r < n && std::isnan(value(r))) ++r;
+      if (r == n) return;
+      min = value(r);
+      max = min;
+      for (++r; r < n; ++r) {
+        const double v = value(r);
+        if (v < min) min = v;
+        if (v >= max) max = v;
+      }
     }
     h.min_ = min;
     h.max_ = max;
+    const double width = h.BucketWidth();
+    if constexpr (std::is_integral_v<T>) {
+      if (DenseCountable(min, max, n)) {
+        // Pass 2, dense: count each value in its slot of [min, max], then
+        // bucket each distinct value once with its count. Every value
+        // converts exactly, so it lands in the bucket its rows would.
+        const int64_t base = static_cast<int64_t>(min);
+        std::vector<uint32_t> freq(static_cast<size_t>(max - min) + 1, 0);
+        for (r = 0; r < n; ++r) {
+          ++freq[static_cast<size_t>(static_cast<int64_t>(data[r]) - base)];
+        }
+        for (size_t i = 0; i < freq.size(); ++i) {
+          if (freq[i] == 0) continue;
+          const double v = static_cast<double>(base + static_cast<int64_t>(i));
+          const size_t b = BucketOf(v, min, width, last);
+          h.counts_[b] += freq[i];
+          h.distincts_[b] += 1;
+          h.distinct_total_ += 1;
+        }
+        return;
+      }
+    }
     // Pass 2: every row into its bucket; a value counts as distinct, in
     // its own bucket, the first time the set sees it.
-    const double width = h.BucketWidth();
-    BitsSet seen;
+    BitsSet seen(n);
     uint64_t prev_bits = 0;
     for (r = 0; r < n; ++r) {
       const double v = value(r);

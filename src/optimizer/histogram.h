@@ -22,9 +22,12 @@ namespace aimai {
 class Histogram {
  public:
   /// Builds over all rows of `col` with `num_buckets` equal-width buckets,
-  /// in O(n) with no sort: one pass for min/max, one that buckets every
-  /// row and counts each value as distinct the first time a hash set sees
-  /// it (-0.0 and +0.0 are one value). NaN rows count toward `row_count()`
+  /// in O(n) with no sort: one pass for min/max, then one of two counting
+  /// passes. An integer or dictionary-code column spanning fewer values
+  /// than it has rows (within ±2^53) counts each value in a dense array and
+  /// buckets each distinct value once; any other column buckets every row
+  /// and counts each value as distinct the first time a hash set sees it
+  /// (-0.0 and +0.0 are one value). NaN rows count toward `row_count()`
   /// only: they are in no bucket, no distinct count and neither bound.
   static Histogram Build(const Column& col, int num_buckets);
 

@@ -29,6 +29,30 @@ void PrefetchPlans(ThreadPool* tp, WhatIfOptimizer* what_if,
   });
 }
 
+/// Writes `from`'s execution statistics into the content-equal tree `to`.
+/// The est_* fields are already equal bit for bit (same ContentKey), so
+/// the assignment changes only the actuals.
+void CopyActuals(const PlanNode& from, PlanNode* to) {
+  to->stats = from.stats;
+  for (size_t i = 0; i < from.children.size(); ++i) {
+    CopyActuals(*from.children[i], to->children[i].get());
+  }
+}
+
+/// The memo entry holding an executed plan content-equal to `plan` under
+/// `mode`, or nullptr.
+const PhysicalPlan* FindExecuted(const TuningEnv::ExecutedMemo& memo,
+                                 const PhysicalPlan& plan, uint64_t hash,
+                                 ExecMode mode) {
+  for (const TuningEnv::ExecutedEntry& e : memo.entries) {
+    if (e.hash == hash && e.mode == mode &&
+        e.plan->ContentKey() == plan.ContentKey()) {
+      return e.plan.get();
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 StatusOr<TuningEnv::Measurement> TuningEnv::TryExecuteAndMeasure(
@@ -65,7 +89,20 @@ StatusOr<TuningEnv::Measurement> TuningEnv::TryExecuteAndMeasure(
   out.plan = optimized->Clone();
   indexes->Materialize(config);
 
-  // The execution itself, retried across injected failures.
+  // A plan this query already executed has its actuals on file: the data,
+  // the indexes and the engine are deterministic, so a re-run would write
+  // the same ones.
+  std::string query_fp = query.ContentFingerprint();
+  if (query_fp != executed.query_fp || executor != executed.executor ||
+      exec_cost != executed.exec_cost) {
+    executed = ExecutedMemo{std::move(query_fp), executor, exec_cost, {}};
+  }
+  const uint64_t hash = out.plan->ContentHash();
+  const PhysicalPlan* memo_hit =
+      FindExecuted(executed, *out.plan, hash, executor->mode());
+
+  // The execution itself, retried across injected failures. A memo hit
+  // skips only the run: the fault draws, retries and backoff stay.
   const RetryPolicy::Outcome exec_outcome = policy.Run([&]() -> Status {
     ++resilience.execution_attempts;
     if (faults != nullptr &&
@@ -73,7 +110,7 @@ StatusOr<TuningEnv::Measurement> TuningEnv::TryExecuteAndMeasure(
       ++resilience.execution_faults;
       return Status::Unavailable("query execution failed");
     }
-    executor->Execute(out.plan.get());
+    if (memo_hit == nullptr) executor->Execute(out.plan.get());
     return Status::Ok();
   });
   resilience.execution_retries += exec_outcome.attempts - 1;
@@ -82,7 +119,16 @@ StatusOr<TuningEnv::Measurement> TuningEnv::TryExecuteAndMeasure(
     ++resilience.execution_failures;
     return exec_outcome.status;
   }
-  exec_cost->ComputeActualCost(out.plan.get());
+  if (memo_hit != nullptr) {
+    AIMAI_COUNTER_INC("tuner.measure.memo_hits");
+    CopyActuals(*memo_hit->root, out.plan->root.get());
+    out.plan->actual_total_cost = memo_hit->actual_total_cost;
+  } else {
+    exec_cost->ComputeActualCost(out.plan.get());
+    executed.entries.push_back(
+        {hash, executor->mode(), std::shared_ptr<const PhysicalPlan>(
+                                     out.plan->Clone())});
+  }
 
   // Cost sampling degrades instead of failing: a lost sample (a re-run
   // the platform killed) is dropped, a noisy-neighbor spike inflates one

@@ -53,6 +53,10 @@ struct TuningEnv {
   /// timeouts and execution failures are retried with backoff, lost cost
   /// samples degrade the measurement to fewer samples, and a permanent
   /// failure comes back as an error Status instead of an abort.
+  ///
+  /// Execution is deterministic, so a plan already executed for this
+  /// query is not run again: its actuals come from `executed` (every
+  /// fault draw, retry and noise sample still happens as for a run).
   StatusOr<Measurement> TryExecuteAndMeasure(const QuerySpec& query,
                                              const Configuration& config);
 
@@ -66,6 +70,24 @@ struct TuningEnv {
   /// "passive collection" path of §2.3). Returns the plan id.
   int Record(const QuerySpec& query, const Configuration& config,
              Measurement measurement, ExecutionDataRepository* repo) const;
+
+  /// The plans executed for the query measured last, with their actuals,
+  /// found by ContentHash() and the executor mode and confirmed by
+  /// ContentKey(). Cleared when the query, the executor or the cost model
+  /// changes, so it holds one query's configurations at most. Entries are
+  /// immutable and shared, so copies of the env share them safely.
+  struct ExecutedEntry {
+    uint64_t hash = 0;
+    ExecMode mode = ExecMode::kBatch;
+    std::shared_ptr<const PhysicalPlan> plan;
+  };
+  struct ExecutedMemo {
+    std::string query_fp;
+    const Executor* executor = nullptr;
+    const ExecutionCostModel* exec_cost = nullptr;
+    std::vector<ExecutedEntry> entries;
+  };
+  ExecutedMemo executed;
 };
 
 /// Continuous index tuning (Problem Statement 2, evaluated in §7.9):

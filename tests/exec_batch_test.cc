@@ -17,6 +17,7 @@
 #include "common/string_util.h"
 #include "exec/execution_cost.h"
 #include "exec/executor.h"
+#include "exec/kernels.h"
 #include "exec/vectorized_executor.h"
 #include "models/repository_io.h"
 #include "storage/data_generator.h"
@@ -699,6 +700,131 @@ TEST(ExecBatchJoinTest, EmptyOuterNeverBuildsInnerIndex) {
   EXPECT_TRUE(owned->root->stats.executed);
   owned->root->child(1)->Visit(
       [](const PlanNode& n) { EXPECT_FALSE(n.stats.executed); });
+}
+
+// ------------------------------------------------- filter kernel oracle
+
+// The flag-and-mask form the closed-form BoundsSpec replaced, kept as the
+// oracle: four compares per row, NumericBounds::Contains' semantics, NaN
+// passing every bound.
+bool OraclePass(const NumericBounds& b, double x) {
+  const uint32_t fail_lo =
+      static_cast<uint32_t>(b.has_lo) &
+      (static_cast<uint32_t>(x < b.lo) |
+       (static_cast<uint32_t>(b.lo_open) & static_cast<uint32_t>(x == b.lo)));
+  const uint32_t fail_hi =
+      static_cast<uint32_t>(b.has_hi) &
+      (static_cast<uint32_t>(x > b.hi) |
+       (static_cast<uint32_t>(b.hi_open) & static_cast<uint32_t>(x == b.hi)));
+  return (fail_lo | fail_hi) == 0;
+}
+
+/// Every bound shape: each end absent, closed or open, at every value.
+std::vector<NumericBounds> AllBounds(const std::vector<double>& values) {
+  std::vector<NumericBounds> out;
+  for (int lo_kind = 0; lo_kind < 3; ++lo_kind) {
+    for (int hi_kind = 0; hi_kind < 3; ++hi_kind) {
+      for (size_t i = 0; i < (lo_kind > 0 ? values.size() : 1); ++i) {
+        for (size_t j = 0; j < (hi_kind > 0 ? values.size() : 1); ++j) {
+          NumericBounds b;
+          b.has_lo = lo_kind > 0;
+          b.lo_open = lo_kind == 2;
+          b.lo = b.has_lo ? values[i] : 0;
+          b.has_hi = hi_kind > 0;
+          b.hi_open = hi_kind == 2;
+          b.hi = b.has_hi ? values[j] : 0;
+          out.push_back(b);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::string BoundsName(const NumericBounds& b) {
+  return StrFormat("%s%.17g, %.17g%s", !b.has_lo ? "(-" : b.lo_open ? "(" : "[",
+                   b.lo, b.hi, !b.has_hi ? "+)" : b.hi_open ? ")" : "]");
+}
+
+/// FilterDense, FilterGather and FilterPositions over `data` (viewed as
+/// `view`) against the oracle, for every bound shape over `bound_values`.
+template <typename T>
+void ExpectFilterKernelsMatchOracle(const ColumnView& view,
+                                    const std::vector<T>& data,
+                                    const std::vector<double>& bound_values) {
+  const size_t n = data.size();
+  // A selection that visits the rows out of order: odd rows, then even.
+  std::vector<uint32_t> ids;
+  for (size_t start : {size_t{1}, size_t{0}}) {
+    for (size_t r = start; r < n; r += 2) ids.push_back(static_cast<uint32_t>(r));
+  }
+  std::vector<uint32_t> pos(n);
+  for (size_t i = 0; i < n; ++i) pos[i] = static_cast<uint32_t>(n - 1 - i);
+  std::vector<uint32_t> out(n);
+  for (const NumericBounds& b : AllBounds(bound_values)) {
+    const BoundsSpec spec = BoundsSpec::From(b);
+    auto passes = [&](uint32_t r) {
+      return OraclePass(b, static_cast<double>(data[r]));
+    };
+    std::vector<uint32_t> want;
+    for (uint32_t r = 0; r < n; ++r) {
+      if (passes(r)) want.push_back(r);
+    }
+    size_t k = FilterDense(view, 0, static_cast<uint32_t>(n), spec, out.data());
+    EXPECT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + k), want)
+        << "dense " << BoundsName(b);
+
+    want.clear();
+    for (uint32_t r : ids) {
+      if (passes(r)) want.push_back(r);
+    }
+    k = FilterGather(view, ids.data(), n, spec, out.data());
+    EXPECT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + k), want)
+        << "gather " << BoundsName(b);
+
+    want.clear();
+    for (uint32_t p : pos) {
+      if (passes(ids[p])) want.push_back(p);
+    }
+    k = FilterPositions(view, ids.data(), pos.data(), n, spec, out.data());
+    EXPECT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + k), want)
+        << "positions " << BoundsName(b);
+  }
+}
+
+TEST(FilterKernelOracleTest, ClosedFormBoundsMatchFlagForm) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> bounds = {
+      kNan, -kInf, kInf, -0.0, 0.0, -kMax, kMax, -kTiny, kTiny,
+      -1.5, -1, 0.5,  1,   2,    2.5, 3,     9.2233720368547758e18};
+
+  const std::vector<double> doubles = {
+      kNan, -kNan, -kInf, kInf, -0.0, 0.0, -kMax, kMax, -kTiny, kTiny,
+      -1.5, -1, 0.5, std::nextafter(0.5, 0.0), std::nextafter(0.5, 1.0),
+      1, 2, std::nextafter(2.0, kInf), 2.5, 3};
+  ColumnView dv;
+  dv.type = DataType::kDouble;
+  dv.f64 = doubles.data();
+  ExpectFilterKernelsMatchOracle(dv, doubles, bounds);
+
+  constexpr int64_t k53 = int64_t{1} << 53;
+  const std::vector<int64_t> ints = {
+      std::numeric_limits<int64_t>::min(), -k53 - 1, -3, -2, -1, 0, 1, 2, 3,
+      k53 + 1, std::numeric_limits<int64_t>::max()};
+  ColumnView iv;
+  iv.type = DataType::kInt64;
+  iv.i64 = ints.data();
+  ExpectFilterKernelsMatchOracle(iv, ints, bounds);
+
+  const std::vector<int32_t> codes = {0, 1, 2, 3, 4, 7,
+                                      std::numeric_limits<int32_t>::max()};
+  ColumnView cv;
+  cv.type = DataType::kString;
+  cv.codes = codes.data();
+  ExpectFilterKernelsMatchOracle(cv, codes, bounds);
 }
 
 }  // namespace

@@ -319,6 +319,63 @@ TEST(HistogramOracleTest, WideIntsMatchSortBasedBuild) {
   }
 }
 
+// Integer columns whose span is below their row count are counted in a
+// dense array; the rest fall back to the hash set. Both must equal the
+// sort-based build, at and around the switch.
+TEST(HistogramOracleTest, DenseCountPathMatchesSortBasedBuild) {
+  constexpr int64_t k53 = int64_t{1} << 53;
+  Rng rng(17);
+  std::vector<std::pair<std::string, std::vector<int64_t>>> cases;
+  auto uniform = [&rng](size_t n, int64_t lo, int64_t hi) {
+    std::vector<int64_t> v;
+    for (size_t r = 0; r < n; ++r) v.push_back(rng.UniformInt(lo, hi));
+    return v;
+  };
+  cases.emplace_back("dense", uniform(1000, 0, 99));
+  cases.emplace_back("dense negative", uniform(1000, -250, -1));
+  cases.emplace_back("dense across zero", uniform(777, -40, 40));
+  cases.emplace_back("fallback sparse", uniform(100, -1000000, 1000000));
+  cases.emplace_back("single value", std::vector<int64_t>(300, -12));
+  cases.emplace_back("single row", std::vector<int64_t>{5});
+  // Span n - 1 is dense, span n falls back.
+  std::vector<int64_t> edge_dense = uniform(64, 10, 73);
+  edge_dense[0] = 10;
+  edge_dense[1] = 73;
+  cases.emplace_back("span n-1", edge_dense);
+  std::vector<int64_t> edge_sparse = edge_dense;
+  edge_sparse[1] = 74;
+  cases.emplace_back("span n", edge_sparse);
+  // Dense up to ±2^53 exactly; one past it neighbouring integers share a
+  // double, so the column falls back and counts distinct doubles.
+  cases.emplace_back("ending at 2^53", uniform(500, k53 - 40, k53));
+  cases.emplace_back("starting at -2^53", uniform(500, -k53, -k53 + 40));
+  cases.emplace_back("past 2^53", uniform(500, k53 - 40, k53 + 40));
+  cases.emplace_back("past -2^53", uniform(500, -k53 - 40, -k53 + 40));
+  for (const auto& [name, values] : cases) {
+    for (int buckets : {1, 3, 8, 64}) {
+      ExpectMatchesOracle(IntColumn(values), buckets,
+                          name + " buckets=" + std::to_string(buckets));
+    }
+  }
+
+  // Dictionary codes: a full dictionary (dense) and a large one with few
+  // rows (sparse codes, fallback).
+  for (const auto& [dict_size, rows] :
+       {std::pair<int, size_t>{40, 2000}, std::pair<int, size_t>{5000, 50}}) {
+    std::vector<std::string> dict;
+    for (int k = 0; k < dict_size; ++k) dict.push_back(StrFormat("w%05d", k));
+    Column codes("s", DataType::kString);
+    codes.SetDictionary(dict);
+    for (size_t r = 0; r < rows; ++r) {
+      codes.AppendCode(static_cast<int32_t>(rng.UniformInt(0, dict_size - 1)));
+    }
+    for (int buckets : {1, 8, 64}) {
+      ExpectMatchesOracle(codes, buckets,
+                          "codes dict=" + std::to_string(dict_size));
+    }
+  }
+}
+
 TEST(HistogramNanTest, NanRowsCountTowardRowCountOnly) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const Column with_nan = DoubleColumn({nan, 2.0, -nan, 5.0, 2.0, nan, 9.0});

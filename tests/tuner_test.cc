@@ -3,17 +3,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
 #include <map>
 #include <set>
+#include <sstream>
 
+#include "common/serialize.h"
+#include "models/repository_io.h"
+#include "obs/obs.h"
+#include "robustness/fault_injector.h"
 #include "tuner/candidates.h"
 #include "tuner/comparator.h"
 #include "tuner/continuous_tuner.h"
 #include "tuner/query_tuner.h"
 #include "tuner/workload_tuner.h"
+#include "workloads/collection.h"
 #include "workloads/query_helpers.h"
 #include "workloads/query_stream.h"
 #include "workloads/tpch_like.h"
+#include "workloads/tpch_sf.h"
 
 namespace aimai {
 namespace {
@@ -357,6 +367,257 @@ TEST(ValidateQueryTest, EveryRegistryQueryPasses) {
       EXPECT_TRUE(st.ok()) << kind << ": " << st.message();
     }
   }
+}
+
+// ------------------------------------------------------ measurement memo
+
+#if !defined(AIMAI_OBS_DISABLED)
+class MeasureMemoTest : public TunerTest {
+ protected:
+  struct Counts {
+    int64_t measurements;
+    int64_t hits;
+    int64_t executed;
+  };
+  static Counts Now() {
+    auto& r = obs::Registry();
+    return {r.GetCounter("tuner.measurements")->value(),
+            r.GetCounter("tuner.measure.memo_hits")->value(),
+            r.GetCounter("exec.plans_executed")->value()};
+  }
+  static Counts Since(const Counts& c0) {
+    const Counts c = Now();
+    return {c.measurements - c0.measurements, c.hits - c0.hits,
+            c.executed - c0.executed};
+  }
+
+  /// A configuration holding one index on a table `query` does not read:
+  /// the optimizer's plan is the one it picks with no indexes.
+  Configuration Unrelated(const QuerySpec& query) const {
+    const Database& d = *bdb_->db();
+    for (int t = 0; t < d.num_tables(); ++t) {
+      if (std::find(query.tables.begin(), query.tables.end(), t) ==
+          query.tables.end()) {
+        IndexDef def;
+        def.table_id = t;
+        def.key_columns = {0};
+        Configuration c;
+        c.Add(def);
+        return c;
+      }
+    }
+    ADD_FAILURE() << "query reads every table";
+    return {};
+  }
+
+  /// Every execution-written field of `got` equals a direct run of the
+  /// same plan, bit for bit.
+  void ExpectActualsOfDirectRun(const PhysicalPlan& got) const {
+    std::unique_ptr<PhysicalPlan> direct = got.Clone();
+    bdb_->executor()->Execute(direct.get());
+    bdb_->exec_cost()->ComputeActualCost(direct.get());
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.actual_total_cost),
+              std::bit_cast<uint64_t>(direct->actual_total_cost));
+    std::vector<const PlanNode*> a, b;
+    got.root->Visit([&a](const PlanNode& n) { a.push_back(&n); });
+    direct->root->Visit([&b](const PlanNode& n) { b.push_back(&n); });
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      const NodeStats& x = a[i]->stats;
+      const NodeStats& y = b[i]->stats;
+      EXPECT_EQ(std::bit_cast<uint64_t>(x.actual_rows),
+                std::bit_cast<uint64_t>(y.actual_rows));
+      EXPECT_EQ(std::bit_cast<uint64_t>(x.actual_executions),
+                std::bit_cast<uint64_t>(y.actual_executions));
+      EXPECT_EQ(std::bit_cast<uint64_t>(x.actual_access_rows),
+                std::bit_cast<uint64_t>(y.actual_access_rows));
+      EXPECT_EQ(std::bit_cast<uint64_t>(x.actual_cost),
+                std::bit_cast<uint64_t>(y.actual_cost));
+      EXPECT_EQ(x.executed, y.executed);
+      EXPECT_TRUE(x.executed);
+    }
+  }
+};
+
+TEST_F(MeasureMemoTest, EqualPlansUnderTwoConfigurationsExecuteOnce) {
+  TuningEnv env = bdb_->MakeEnv(0);
+  const QuerySpec& q = bdb_->queries()[1];
+  const Configuration other = Unrelated(q);
+  const Counts c0 = Now();
+  TuningEnv::Measurement first = env.ExecuteAndMeasure(q, {});
+  TuningEnv::Measurement second = env.ExecuteAndMeasure(q, other);
+  const Counts d = Since(c0);
+  ASSERT_EQ(first.plan->ContentKey(), second.plan->ContentKey());
+  EXPECT_EQ(d.measurements, 2);
+  EXPECT_EQ(d.hits, 1);
+  EXPECT_EQ(d.executed, 1);
+  EXPECT_EQ(second.samples_used, env.cost_samples);
+  ExpectActualsOfDirectRun(*first.plan);
+  ExpectActualsOfDirectRun(*second.plan);
+}
+
+TEST_F(MeasureMemoTest, AnotherQueryClearsTheMemo) {
+  TuningEnv env = bdb_->MakeEnv(0);
+  const QuerySpec& q1 = bdb_->queries()[1];
+  const QuerySpec& q2 = bdb_->queries()[2];
+  ASSERT_NE(q1.ContentFingerprint(), q2.ContentFingerprint());
+  const Counts c0 = Now();
+  env.ExecuteAndMeasure(q1, {});
+  env.ExecuteAndMeasure(q2, {});
+  TuningEnv::Measurement again = env.ExecuteAndMeasure(q1, {});
+  const Counts d = Since(c0);
+  EXPECT_EQ(d.hits, 0);
+  EXPECT_EQ(d.executed, 3);
+  ExpectActualsOfDirectRun(*again.plan);
+}
+
+TEST_F(MeasureMemoTest, RowModeNeverReusesBatchResults) {
+  TuningEnv env = bdb_->MakeEnv(0);
+  const QuerySpec& q = bdb_->queries()[1];
+  const Counts c0 = Now();
+  env.ExecuteAndMeasure(q, {});  // Batch engine.
+  env.executor->set_mode(ExecMode::kRow);
+  env.ExecuteAndMeasure(q, {});  // Runs on the row engine...
+  TuningEnv::Measurement row = env.ExecuteAndMeasure(q, {});  // ...reused.
+  ExpectActualsOfDirectRun(*row.plan);
+  env.executor->set_mode(ExecMode::kBatch);
+  const Counts d = Since(c0);
+  EXPECT_EQ(d.hits, 1);
+  EXPECT_EQ(d.executed, 3);  // Two measured runs and the direct one.
+}
+#endif  // !AIMAI_OBS_DISABLED
+
+// ------------------------------------------------------------ golden pins
+//
+// Hashes of everything the measurement path produces, recorded before the
+// per-query measurement memo existed: a memo hit must hand back the very
+// actuals an execution would have written, and leave every fault draw,
+// retry and noise sample where it was.
+
+void ExpectHash(uint64_t got, uint64_t want) {
+  EXPECT_EQ(got, want) << "got 0x" << std::hex << got;
+}
+
+std::string RepositoryBytes(const ExecutionDataRepository& repo) {
+  std::ostringstream out;
+  EXPECT_TRUE(SaveRepository(&out, repo).ok());
+  return out.str();
+}
+
+/// Raw bytes of a trivially copyable value, appended to `out`.
+template <typename T>
+void AppendBytes(std::string* out, const T& v) {
+  char buf[sizeof(T)];
+  std::memcpy(buf, &v, sizeof(T));
+  out->append(buf, sizeof(T));
+}
+
+void AppendIterations(
+    std::string* out,
+    const std::vector<ContinuousTuner::IterationRecord>& iterations) {
+  AppendBytes(out, iterations.size());
+  for (const ContinuousTuner::IterationRecord& ir : iterations) {
+    AppendBytes(out, ir.iteration);
+    AppendBytes(out, ir.num_new_indexes);
+    AppendBytes(out, ir.measured_cost);
+    AppendBytes(out, ir.regressed);
+    AppendBytes(out, ir.failed);
+    AppendBytes(out, ir.quarantined);
+  }
+}
+
+void AppendResilience(std::string* out, const ResilienceStats& rs) {
+  for (int64_t v :
+       {rs.execution_attempts, rs.execution_retries, rs.execution_faults,
+        rs.execution_failures, rs.what_if_timeouts, rs.cost_samples_dropped,
+        rs.degraded_measurements, rs.failed_iterations, rs.reverts,
+        rs.reverts_verified, rs.revert_verification_failures,
+        rs.quarantined_recommendations, rs.quarantine_skips}) {
+    AppendBytes(out, v);
+  }
+  AppendBytes(out, rs.total_backoff_ms);
+}
+
+TEST(MeasurementGoldenTest, CollectionRepositoryBytes) {
+  TpchSfOptions opt;
+  opt.sf = 0.005;
+  opt.seed = 15;
+  auto sf = BuildTpchSf("pin_sf", opt);
+  ExecutionDataRepository sf_repo;
+  CollectionOptions copts;
+  copts.configs_per_query = 8;
+  copts.seed = 16;
+  CollectExecutionData(sf.get(), 0, copts, &sf_repo);
+  EXPECT_GT(sf_repo.num_plans(), 0u);
+  ExpectHash(Fnv1a64(RepositoryBytes(sf_repo)), 0xd118f0007beba051ull);
+
+  auto like = BuildTpchLike("pin_like", 1, 0.9, 61);
+  ExecutionDataRepository like_repo;
+  copts.configs_per_query = 6;
+  CollectExecutionData(like.get(), 3, copts, &like_repo);
+  EXPECT_GT(like_repo.num_plans(), 0u);
+  ExpectHash(Fnv1a64(RepositoryBytes(like_repo)), 0x165ceb07d4844a06ull);
+}
+
+// Continuous tuning under an armed FaultInjector: query traces, the
+// workload trace, every ResilienceStats counter, the injector's counts,
+// the passively collected repository and the noise stream's next draw.
+// The two regression thresholds exercise reverts and their re-measurement.
+TEST_F(TunerTest, ContinuousTuningUnderFaultsGolden) {
+  std::string bytes;
+  int64_t reverts = 0;
+  for (double threshold : {0.2, -0.5}) {
+    TuningEnv env = bdb_->MakeEnv(0);
+    FaultInjector faults(1234);
+    faults.set_probability(FaultPoint::kQueryExecution, 0.10);
+    faults.set_probability(FaultPoint::kWhatIfTimeout, 0.05);
+    faults.set_probability(FaultPoint::kCostNoiseSpike, 0.05);
+    env.faults = &faults;
+    CandidateGenerator gen(bdb_->db(), bdb_->stats());
+    ContinuousTuner::Options o;
+    o.iterations = 4;
+    o.max_indexes_per_iteration = 2;
+    o.regression_threshold = threshold;
+    ContinuousTuner tuner(&env, &gen, o);
+    auto factory = []() -> std::unique_ptr<CostComparator> {
+      return std::make_unique<OptimizerComparator>(0.0, 0.2);
+    };
+    ExecutionDataRepository repo;
+    for (size_t qi = 0; qi < 6; ++qi) {
+      const auto trace =
+          tuner.TuneQuery(bdb_->queries()[qi], {}, factory, &repo, nullptr);
+      bytes += trace.query_name + "|" + trace.final_config.Fingerprint();
+      AppendBytes(&bytes, trace.initial_cost);
+      AppendBytes(&bytes, trace.final_cost);
+      AppendBytes(&bytes, trace.regress_final);
+      AppendBytes(&bytes, trace.improve_cumulative);
+      AppendBytes(&bytes, trace.completed);
+      AppendIterations(&bytes, trace.iterations);
+    }
+    std::vector<WorkloadQuery> wl;
+    for (size_t i = 2; i < 6; ++i) {
+      wl.push_back(WorkloadQuery{bdb_->queries()[i], 1.0});
+    }
+    const auto wt = tuner.TuneWorkload(wl, {}, factory, &repo, nullptr);
+    bytes += wt.final_config.Fingerprint();
+    AppendBytes(&bytes, wt.initial_cost);
+    AppendBytes(&bytes, wt.final_cost);
+    AppendBytes(&bytes, wt.completed);
+    AppendIterations(&bytes, wt.iterations);
+
+    reverts += env.resilience.reverts;
+    AppendResilience(&bytes, env.resilience);
+    for (FaultPoint p : {FaultPoint::kQueryExecution,
+                         FaultPoint::kCostNoiseSpike,
+                         FaultPoint::kWhatIfTimeout}) {
+      AppendBytes(&bytes, faults.checks(p));
+      AppendBytes(&bytes, faults.injected(p));
+    }
+    bytes += RepositoryBytes(repo);
+    AppendBytes(&bytes, env.noise_rng->Uniform());
+  }
+  EXPECT_GT(reverts, 0);
+  ExpectHash(Fnv1a64(bytes), 0x7ad764d88cf4c244ull);
 }
 
 }  // namespace
