@@ -68,13 +68,14 @@ ctest --test-dir build -L tpch_sf --output-on-failure -j
 ctest --test-dir build -L traffic --output-on-failure -j
 # The generator and tree pins must also hold at the build type perfbench
 # measures: golden table fingerprints, the ZipfSampler / bucket-correlated
-# dictionary oracles, golden model Save() hashes and the compiled-forest
-# identities, rebuilt and rerun in a Release tree.
+# dictionary oracles, golden model Save() hashes, the compiled-forest
+# identities and the index bulk-load oracles (the bucket pass slices key
+# values in floating point), rebuilt and rerun in a Release tree.
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j --target common_test workloads_test \
-  tpch_sf_test ml_tree_test inference_test
+  tpch_sf_test ml_tree_test inference_test btree_test
 for t in common_test workloads_test tpch_sf_test ml_tree_test \
-  inference_test; do
+  inference_test btree_test; do
   "build-release/tests/$t"
 done
 # Every gated bench writes BENCH_<name>.json through bench/report: it must

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "catalog/database.h"
 #include "common/check.h"
 #include "common/ordered_bits.h"
+#include "obs/obs.h"
 
 namespace aimai {
 
@@ -174,16 +176,109 @@ std::vector<uint32_t> RadixPass(const T* v, const std::vector<uint32_t>& order,
   return rows;
 }
 
+/// One stable pass by a single bucket split: the rows of `order` ordered
+/// by the order-preserving bits of `v[row]`, or nullopt when some bucket
+/// would hold more than `BTreeIndex::kMaxBucketEntries` rows. When `keys`
+/// is set, the sorted keys go to `keys[i * stride]`.
+///
+/// Finite values fall into n equal slices of [min, max]. The slice map is
+/// monotone, so an earlier bucket holds only smaller values; -inf and
+/// negative NaNs go to a bucket before the slices, +inf and positive NaNs
+/// to one after them. The scatter keeps input order within a bucket, and
+/// one stable insertion sort by bits over the whole sequence finishes it:
+/// its shifts stay inside a bucket, so they cost at most
+/// `kMaxBucketEntries` per row. The result never depends on the slice
+/// map, only the cost does.
+template <typename T>
+std::optional<std::vector<uint32_t>> BucketPass(
+    const T* v, const std::vector<uint32_t>& order, size_t n, double* keys,
+    size_t stride) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (size_t r = 0; r < n; ++r) {
+    const auto x = static_cast<double>(v[r]);
+    if (std::isfinite(x)) {
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    }
+  }
+  // Halves keep the width finite out to ±DBL_MAX. A width too narrow to
+  // scale (or no finite value at all) puts every finite value in one
+  // slice.
+  const size_t slices = std::max<size_t>(n, 1);
+  const double half_lo = lo * 0.5;
+  double scale = hi > lo ? static_cast<double>(slices) / (hi * 0.5 - half_lo)
+                         : 0.0;
+  if (!std::isfinite(scale)) scale = 0.0;
+  auto bucket = [&](double x) -> size_t {
+    if (x >= lo && x <= hi) {
+      const auto slice = static_cast<size_t>((x * 0.5 - half_lo) * scale);
+      return 1 + std::min(slice, slices - 1);
+    }
+    return std::signbit(x) ? 0 : slices + 1;
+  };
+
+  // start[b + 1] counts bucket b, then prefix sums make start[b] its
+  // first position.
+  std::vector<uint32_t> start(slices + 3, 0);
+  ForEachRow(order, n, [&](uint32_t r) {
+    ++start[bucket(static_cast<double>(v[r])) + 1];
+  });
+  for (size_t b = 1; b < start.size(); ++b) {
+    if (start[b] > BTreeIndex::kMaxBucketEntries) return std::nullopt;
+    start[b] += start[b - 1];
+  }
+  // The values themselves are scattered (a contiguous key column is
+  // written in place) and compared by their bits.
+  std::vector<double> scratch;
+  double* vals = keys;
+  if (keys == nullptr || stride != 1) {
+    scratch.resize(n);
+    vals = scratch.data();
+  }
+  std::vector<uint32_t> rows(n);
+  ForEachRow(order, n, [&](uint32_t r) {
+    const auto x = static_cast<double>(v[r]);
+    const uint32_t to = start[bucket(x)]++;
+    vals[to] = x;
+    rows[to] = r;
+  });
+  // `top` is the largest image in vals[0, i).
+  uint64_t top = n > 0 ? OrderedBits(vals[0]) : 0;
+  for (size_t i = 1; i < n; ++i) {
+    const double x = vals[i];
+    const uint64_t key = OrderedBits(x);
+    if (top <= key) {
+      top = key;
+      continue;
+    }
+    const uint32_t row = rows[i];
+    size_t j = i;
+    do {
+      vals[j] = vals[j - 1];
+      rows[j] = rows[j - 1];
+    } while (--j > 0 && OrderedBits(vals[j - 1]) > key);
+    vals[j] = x;
+    rows[j] = row;
+  }
+  if (keys != nullptr && vals != keys) {
+    for (size_t i = 0; i < n; ++i) keys[i * stride] = vals[i];
+  }
+  return rows;
+}
+
 }  // namespace
 
-BTreeIndex::BTreeIndex(const Database& db, IndexDef def)
-    : def_(std::move(def)), width_(def_.key_columns.size()) {
-  AIMAI_CHECK(!def_.is_columnstore);
+BTreeIndex::BTreeIndex(const Database& db, const IndexDef& def)
+    : table_id_(def.table_id),
+      key_columns_(def.key_columns),
+      width_(key_columns_.size()) {
+  AIMAI_CHECK(!def.is_columnstore);
   AIMAI_CHECK(width_ > 0);
-  const Table& table = db.table(def_.table_id);
+  const Table& table = db.table(table_id_);
   const size_t n = table.num_rows();
   auto key_column = [&](size_t c) -> const Column& {
-    return table.column(static_cast<size_t>(def_.key_columns[c]));
+    return table.column(static_cast<size_t>(key_columns_[c]));
   };
 
   // Entry order: (key, row id) ascending, every key column compared by its
@@ -194,15 +289,22 @@ BTreeIndex::BTreeIndex(const Database& db, IndexDef def)
   keys_.resize(width_ * n);
   bool lead_keys_filled = false;
   for (size_t c = width_; c-- > 0;) {
+    double* keys = c == 0 ? keys_.data() : nullptr;
     VisitNumericData(key_column(c), [&](const auto* v) {
       if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(*v)>>) {
         if (const std::optional<DenseDomain> d = DenseDomainOf(v, n)) {
-          double* keys = c == 0 ? keys_.data() : nullptr;
           rows_ = CountingPass(v, *d, rows_, n, keys, width_);
           lead_keys_filled = keys != nullptr;
           return;
         }
       }
+      if (std::optional<std::vector<uint32_t>> sorted =
+              BucketPass(v, rows_, n, keys, width_)) {
+        rows_ = std::move(*sorted);
+        lead_keys_filled = keys != nullptr;
+        return;
+      }
+      AIMAI_COUNTER_INC("index.radix_fallbacks");
       rows_ = RadixPass(v, rows_, n);
     });
   }

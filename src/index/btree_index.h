@@ -39,8 +39,12 @@ struct KeyRange {
 /// ids, sorted by (key, row id) with every key column compared by its
 /// `OrderedBits` image (the double order on NaN-free keys). The bulk load
 /// is one stable pass per key column, last column first: a counting sort
-/// for integer columns with a dense domain (`kDenseSpanPerRow`), an LSD
-/// radix sort otherwise. Leaves are implicit `kLeafCapacity`-entry
+/// for integer columns with a dense domain (`kDenseSpanPerRow`), otherwise
+/// one bucket split by value followed by an insertion sort, or an LSD
+/// radix sort when a bucket would exceed `kMaxBucketEntries`. The entries
+/// depend only on the table and the key columns, never on an index's
+/// INCLUDE columns, so indexes that differ only there can share one
+/// `BTreeIndex`. Leaves are implicit `kLeafCapacity`-entry
 /// pages of that sequence and internal levels implicit `kInternalCapacity`-
 /// way fan-outs over them; seeks binary-search the sequence with the same
 /// prefix-compare semantics a root-to-leaf descent would apply.
@@ -50,16 +54,23 @@ class BTreeIndex {
   static constexpr int kInternalCapacity = 64;
   /// An int64 or dictionary-code key column whose values lie within ±2^53
   /// and span at most this many values per row sorts by counting (16 B/row
-  /// of uint32_t counts at most); any other column by radix.
+  /// of uint32_t counts at most).
   static constexpr size_t kDenseSpanPerRow = 4;
+  /// Any other column is split into one bucket per row by its value's
+  /// position in [min, max]; a column where some bucket would hold more
+  /// rows than this (heavy duplicates, clustered values) takes the radix
+  /// sort instead, which bounds the in-bucket insertion sort.
+  static constexpr size_t kMaxBucketEntries = 64;
 
-  /// Builds the index over `db.table(def.table_id)`.
-  BTreeIndex(const Database& db, IndexDef def);
+  /// Builds the index over `db.table(def.table_id)` keyed on
+  /// `def.key_columns`; `def.include_columns` play no part.
+  BTreeIndex(const Database& db, const IndexDef& def);
 
   BTreeIndex(const BTreeIndex&) = delete;
   BTreeIndex& operator=(const BTreeIndex&) = delete;
 
-  const IndexDef& def() const { return def_; }
+  int table_id() const { return table_id_; }
+  const std::vector<int>& key_columns() const { return key_columns_; }
   size_t num_entries() const { return rows_.size(); }
   /// Levels from root to leaves (1 for a single leaf page).
   int height() const;
@@ -102,7 +113,8 @@ class BTreeIndex {
 
   const double* KeyAt(size_t i) const { return keys_.data() + i * width_; }
 
-  IndexDef def_;
+  int table_id_;
+  std::vector<int> key_columns_;
   size_t width_ = 0;
   std::vector<double> keys_;    // Row-major, sorted by (key, row id).
   std::vector<uint32_t> rows_;  // rows_[i] owns keys_[i * width_, +width_).

@@ -1,9 +1,9 @@
 #ifndef AIMAI_INDEX_INDEX_MANAGER_H_
 #define AIMAI_INDEX_INDEX_MANAGER_H_
 
+#include <map>
 #include <memory>
-#include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "catalog/configuration.h"
@@ -12,10 +12,12 @@
 
 namespace aimai {
 
-/// Materializes B+-tree indexes on demand and caches them by canonical
-/// name. During data collection the same index appears in many
-/// configurations (the tuner enumerates index subsets), so building each
-/// physical structure exactly once is a large win.
+/// Materializes B+-tree indexes on demand and caches them by table and
+/// ordered key columns: a `BTreeIndex`'s entries depend on nothing else,
+/// so indexes that differ only in their INCLUDE columns share one build.
+/// The executors call `GetOrBuild` for the indexes a plan reads, so an
+/// index is built on the first plan that reads it; `Materialize` is for
+/// callers that want every index of a configuration up front.
 ///
 /// Columnstore indexes carry no auxiliary structure here — a columnstore
 /// scan reads the base table in batch mode — so they are tracked only as
@@ -27,12 +29,9 @@ class IndexManager {
   IndexManager(const IndexManager&) = delete;
   IndexManager& operator=(const IndexManager&) = delete;
 
-  /// Returns the materialized B+-tree for `def`, building it if needed.
-  /// `def` must not be a columnstore.
+  /// Returns the materialized B+-tree for `def`'s table and key columns,
+  /// building it if needed. `def` must not be a columnstore.
   const BTreeIndex* GetOrBuild(const IndexDef& def);
-
-  /// Returns the already-built index by canonical name, or nullptr.
-  const BTreeIndex* Find(const std::string& canonical_name) const;
 
   /// Ensures every row-store index in `config` is materialized.
   void Materialize(const Configuration& config);
@@ -43,8 +42,11 @@ class IndexManager {
   const Database& db() const { return *db_; }
 
  private:
+  /// (table id, key columns in key order).
+  using Key = std::pair<int, std::vector<int>>;
+
   const Database* db_;
-  std::unordered_map<std::string, std::unique_ptr<BTreeIndex>> cache_;
+  std::map<Key, std::unique_ptr<BTreeIndex>> cache_;
 };
 
 }  // namespace aimai

@@ -85,9 +85,10 @@ StatusOr<TuningEnv::Measurement> TuningEnv::TryExecuteAndMeasure(
     return opt_outcome.status;
   }
 
+  // No index is built up front: the executor builds each index the plan
+  // reads on first use, and a configuration's other indexes never are.
   Measurement out;
   out.plan = optimized->Clone();
-  indexes->Materialize(config);
 
   // A plan this query already executed has its actuals on file: the data,
   // the indexes and the engine are deterministic, so a re-run would write

@@ -22,7 +22,8 @@
 namespace aimai {
 
 /// Everything bound to one database needed to implement configurations
-/// for real: optimize, materialize indexes, execute, and measure cost.
+/// for real: optimize, execute (building the indexes the plan reads), and
+/// measure cost.
 struct TuningEnv {
   Database* db = nullptr;
   int database_id = 0;
@@ -48,11 +49,12 @@ struct TuningEnv {
     int samples_used = 0;  // < cost_samples when degraded under faults.
   };
 
-  /// Implements `config`, runs `query`'s optimizer-chosen plan, and
-  /// measures the median noisy execution cost. Resilient: what-if
-  /// timeouts and execution failures are retried with backoff, lost cost
-  /// samples degrade the measurement to fewer samples, and a permanent
-  /// failure comes back as an error Status instead of an abort.
+  /// Implements `config`, runs `query`'s optimizer-chosen plan (building
+  /// only the indexes that plan reads), and measures the median noisy
+  /// execution cost. Resilient: what-if timeouts and execution failures
+  /// are retried with backoff, lost cost samples degrade the measurement
+  /// to fewer samples, and a permanent failure comes back as an error
+  /// Status instead of an abort.
   ///
   /// Execution is deterministic, so a plan already executed for this
   /// query is not run again: its actuals come from `executed` (every

@@ -626,6 +626,176 @@ TEST(BTreeFlatTest, SeekEqualMatchesEqualityScan) {
   }
 }
 
+// Key columns that are neither dense integers nor crowded into one value
+// slice take one bucket pass; the rest fall back to the radix sort. Either
+// way the entries are a stable sort by (OrderedBits of each key column,
+// row id), NaNs and signed zeros included.
+
+int64_t RadixFallbacks() {
+#if defined(AIMAI_OBS_DISABLED)
+  return 0;
+#else
+  return obs::Registry().GetCounter("index.radix_fallbacks")->value();
+#endif
+}
+
+// Builds the index on `key` over `cols` (int columns are stored as int64)
+// and checks its entries and keys against a stable sort of row ids by the
+// key columns' OrderedBits images, and that `fallbacks` of its passes fell
+// back to the radix sort.
+void ExpectBitsOrder(const Columns& cols, const std::vector<bool>& is_int,
+                     const std::vector<int>& key, int64_t fallbacks) {
+  auto db = std::make_unique<Database>("bits_db");
+  auto t = std::make_unique<Table>("t");
+  for (size_t c = 0; c < cols.size(); ++c) {
+    const DataType type = is_int[c] ? DataType::kInt64 : DataType::kDouble;
+    Column* col = t->AddColumn(StrFormat("c%zu", c), type);
+    for (double v : cols[c]) {
+      if (is_int[c]) {
+        col->AppendInt(static_cast<int64_t>(v));
+      } else {
+        col->AppendDouble(v);
+      }
+    }
+  }
+  t->SealRows();
+  db->AddTable(std::move(t));
+
+  auto image = [&](uint32_t r) {
+    std::vector<uint64_t> out;
+    for (int c : key) {
+      out.push_back(OrderedBits(cols[static_cast<size_t>(c)][r]));
+    }
+    return out;
+  };
+  std::vector<uint32_t> want(cols[0].size());
+  std::iota(want.begin(), want.end(), 0u);
+  std::stable_sort(want.begin(), want.end(), [&](uint32_t a, uint32_t b) {
+    return image(a) < image(b);
+  });
+  std::vector<uint64_t> want_keys;
+  for (uint32_t r : want) {
+    for (int c : key) {
+      want_keys.push_back(
+          std::bit_cast<uint64_t>(cols[static_cast<size_t>(c)][r]));
+    }
+  }
+
+  const int64_t fallbacks0 = RadixFallbacks();
+  BTreeIndex idx(*db, KeyOn(key));
+#if !defined(AIMAI_OBS_DISABLED)
+  EXPECT_EQ(RadixFallbacks() - fallbacks0, fallbacks);
+#else
+  (void)fallbacks0;
+  (void)fallbacks;
+#endif
+  ASSERT_EQ(idx.ScanAll(), want);
+  std::vector<uint64_t> got_keys;
+  for (double v : idx.keys()) got_keys.push_back(std::bit_cast<uint64_t>(v));
+  ASSERT_EQ(got_keys, want_keys);
+}
+
+void ExpectBitsOrder(const std::vector<double>& col, int64_t fallbacks) {
+  ExpectBitsOrder({col}, {false}, {0}, fallbacks);
+}
+
+TEST(BTreeBucketTest, UniformDoublesTakeTheBucketPass) {
+  Rng rng(51);
+  for (size_t n : {size_t{2}, size_t{65}, size_t{5000}, size_t{40000}}) {
+    std::vector<double> col;
+    for (size_t i = 0; i < n; ++i) col.push_back(rng.Uniform(-3.0, 1e4));
+    ExpectBitsOrder(col, 0);
+  }
+  // Equal values stay in row-id order: every value twice, far apart.
+  std::vector<double> twice;
+  for (int i = 0; i < 3000; ++i) twice.push_back(rng.Uniform(0.0, 0.1));
+  std::vector<double> copy = twice;
+  rng.Shuffle(&copy);
+  twice.insert(twice.end(), copy.begin(), copy.end());
+  ExpectBitsOrder(twice, 0);
+}
+
+TEST(BTreeBucketTest, HeavyDuplicatesFallBackToRadix) {
+  Rng rng(52);
+  std::vector<double> col;
+  for (int i = 0; i < 3000; ++i) {
+    col.push_back(0.25 * static_cast<double>(rng.UniformInt(-4, 4)));
+  }
+  ExpectBitsOrder(col, 1);
+
+  // One crowded slice is enough: a single far outlier squeezes every
+  // other value into the first slice.
+  std::vector<double> outlier;
+  for (int i = 0; i < 2000; ++i) outlier.push_back(rng.Uniform(0.0, 1.0));
+  outlier.push_back(1e300);
+  ExpectBitsOrder(outlier, 1);
+
+  // At most kMaxBucketEntries copies of one value still fit one bucket.
+  const size_t run = BTreeIndex::kMaxBucketEntries;
+  std::vector<double> edge(run, 7.5);
+  for (size_t i = 0; i < 4 * run; ++i) edge.push_back(rng.Uniform(-1.0, 1.0));
+  rng.Shuffle(&edge);
+  ExpectBitsOrder(edge, 0);
+  edge.push_back(7.5);
+  ExpectBitsOrder(edge, 1);
+}
+
+TEST(BTreeBucketTest, SpecialValuesInOneColumn) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double max = std::numeric_limits<double>::max();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {nan,       -nan,      inf,       -inf,
+                             0.0,       -0.0,      tiny,      -tiny,
+                             3 * tiny,  -7 * tiny, max,       -max,
+                             std::numeric_limits<double>::min()};
+  Rng rng(53);
+  // Values spread over all of [-DBL_MAX, DBL_MAX] keep every slice short,
+  // so the specials ride the bucket pass: NaN and inf of each sign in the
+  // end buckets, zeros and denormals together in a middle one.
+  std::vector<double> col;
+  for (int i = 0; i < 4000; ++i) col.push_back(rng.Uniform(-1.0, 1.0) * max);
+  for (int k = 0; k < 3; ++k) {
+    for (double v : specials) col.push_back(v);
+  }
+  rng.Shuffle(&col);
+  ExpectBitsOrder(col, 0);
+
+  // Specials only: no finite range to slice beyond ±DBL_MAX and denormals.
+  std::vector<double> few(std::begin(specials), std::end(specials));
+  few.insert(few.end(), std::begin(specials), std::end(specials));
+  rng.Shuffle(&few);
+  ExpectBitsOrder(few, 0);
+  ExpectBitsOrder({nan, -nan, nan, inf, -inf, -nan}, 0);
+  ExpectBitsOrder({tiny, 2 * tiny, tiny, 0.0, -0.0}, 0);
+
+  // The same specials among ordinary values, where they crowd nothing.
+  std::vector<double> mixed;
+  for (int i = 0; i < 3000; ++i) mixed.push_back(rng.Uniform(-50.0, 50.0));
+  for (double v : specials) mixed.push_back(v);
+  rng.Shuffle(&mixed);
+  ExpectBitsOrder(mixed, 1);  // ±DBL_MAX put all of [-50, 50] in a slice.
+}
+
+TEST(BTreeBucketTest, CompositeDoubleAndIntKeys) {
+  // Column 0: doubles from a pool (so ties need the other column) with a
+  // few NaNs and signed zeros; column 1: small ints (counting sort).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(54);
+  std::vector<double> pool;
+  for (int i = 0; i < 1500; ++i) pool.push_back(rng.Uniform(-1e3, 1e3));
+  Columns cols(2);
+  for (int i = 0; i < 6000; ++i) {
+    double v = pool[rng.Index(pool.size())];
+    if (rng.Bernoulli(0.003)) v = rng.Bernoulli(0.5) ? nan : -nan;
+    if (rng.Bernoulli(0.003)) v = rng.Bernoulli(0.5) ? 0.0 : -0.0;
+    cols[0].push_back(v);
+    cols[1].push_back(static_cast<double>(rng.UniformInt(0, 9)));
+  }
+  ExpectBitsOrder(cols, {false, true}, {0, 1}, 0);
+  ExpectBitsOrder(cols, {false, true}, {1, 0}, 0);
+}
+
 // The build span and counter record cache misses only. Recording is
 // compiled out under -DAIMAI_OBS_DISABLE=ON.
 #if !defined(AIMAI_OBS_DISABLED)
@@ -640,6 +810,57 @@ TEST(IndexManagerTest, BuildSpanCountsOnlyCacheMisses) {
   EXPECT_EQ(indexes.GetOrBuild(SingleCol()), first);
   EXPECT_EQ(builds->value() - builds0, 1);
   EXPECT_EQ(span->count() - spans0, 1);
+}
+
+// An index's entries depend only on its table and ordered key columns, so
+// variants that differ in their INCLUDE columns share one build.
+TEST(IndexManagerTest, IncludeOnlyVariantsShareOneBuild) {
+  Rng rng(13);
+  Columns cols(3);
+  for (int i = 0; i < 300; ++i) {
+    for (auto& col : cols) col.push_back(static_cast<double>(rng.Index(40)));
+  }
+  auto db = MakeDoubleDb(cols);
+  IndexManager indexes(db.get());
+  obs::Counter* builds = obs::Registry().GetCounter("index.builds");
+  const int64_t builds0 = builds->value();
+  IndexDef bare = KeyOn({0});
+  IndexDef with_b = KeyOn({0});
+  with_b.include_columns = {1};
+  IndexDef with_bc = KeyOn({0});
+  with_bc.include_columns = {1, 2};
+  IndexDef with_cb = KeyOn({0});
+  with_cb.include_columns = {2, 1};
+  const BTreeIndex* first = indexes.GetOrBuild(with_b);
+  EXPECT_EQ(indexes.GetOrBuild(bare), first);
+  EXPECT_EQ(indexes.GetOrBuild(with_bc), first);
+  EXPECT_EQ(indexes.GetOrBuild(with_cb), first);
+  EXPECT_EQ(builds->value() - builds0, 1);
+  EXPECT_EQ(indexes.num_built(), 1u);
+  EXPECT_EQ(first->table_id(), 0);
+  EXPECT_EQ(first->key_columns(), std::vector<int>{0});
+
+  // Key order and key width make separate builds.
+  IndexDef ab = KeyOn({0, 1});
+  ab.include_columns = {1};
+  const BTreeIndex* wide = indexes.GetOrBuild(ab);
+  const BTreeIndex* swapped = indexes.GetOrBuild(KeyOn({1, 0}));
+  EXPECT_NE(wide, first);
+  EXPECT_NE(swapped, wide);
+  EXPECT_NE(swapped, first);
+  EXPECT_EQ(indexes.GetOrBuild(KeyOn({0, 1})), wide);
+  EXPECT_EQ(builds->value() - builds0, 3);
+  EXPECT_EQ(indexes.num_built(), 3u);
+
+  // Materializing a configuration of include variants builds nothing new.
+  Configuration config;
+  config.Add(bare);
+  config.Add(with_b);
+  config.Add(with_cb);
+  config.Add(ab);
+  indexes.Materialize(config);
+  EXPECT_EQ(builds->value() - builds0, 3);
+  EXPECT_EQ(indexes.num_built(), 3u);
 }
 #endif  // !AIMAI_OBS_DISABLED
 

@@ -416,11 +416,18 @@ class MeasureMemoTest : public TunerTest {
     std::unique_ptr<PhysicalPlan> direct = got.Clone();
     bdb_->executor()->Execute(direct.get());
     bdb_->exec_cost()->ComputeActualCost(direct.get());
+    ExpectSameActuals(got, *direct);
+  }
+
+  /// Every execution-written field of `got` equals `want`'s, bit for bit,
+  /// and every node executed.
+  static void ExpectSameActuals(const PhysicalPlan& got,
+                                const PhysicalPlan& want) {
     EXPECT_EQ(std::bit_cast<uint64_t>(got.actual_total_cost),
-              std::bit_cast<uint64_t>(direct->actual_total_cost));
+              std::bit_cast<uint64_t>(want.actual_total_cost));
     std::vector<const PlanNode*> a, b;
     got.root->Visit([&a](const PlanNode& n) { a.push_back(&n); });
-    direct->root->Visit([&b](const PlanNode& n) { b.push_back(&n); });
+    want.root->Visit([&b](const PlanNode& n) { b.push_back(&n); });
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       const NodeStats& x = a[i]->stats;
@@ -484,6 +491,89 @@ TEST_F(MeasureMemoTest, RowModeNeverReusesBatchResults) {
   const Counts d = Since(c0);
   EXPECT_EQ(d.hits, 1);
   EXPECT_EQ(d.executed, 3);  // Two measured runs and the direct one.
+}
+
+// ---------------------------------------------------------- lazy builds
+
+using MeasureTest = MeasureMemoTest;
+
+bool ReadsIndex(const PhysicalPlan& plan, const IndexDef& def) {
+  bool reads = false;
+  plan.root->Visit([&](const PlanNode& n) {
+    reads |= (n.op == PhysOp::kIndexSeek || n.op == PhysOp::kIndexScan) &&
+             n.index.CanonicalName() == def.CanonicalName();
+  });
+  return reads;
+}
+
+TEST_F(MeasureTest, BuildsOnlyTheIndexesItsPlanReads) {
+  TuningEnv env = bdb_->MakeEnv(0);
+  // The first query whose plan reads a candidate index, and that index.
+  CandidateGenerator candidates(bdb_->db(), env.stats);
+  const QuerySpec* query = nullptr;
+  IndexDef read;
+  for (const QuerySpec& q : bdb_->queries()) {
+    for (const IndexDef& def : candidates.Generate(q, {})) {
+      Configuration c;
+      c.Add(def);
+      if (ReadsIndex(*env.what_if->Optimize(q, c), def)) {
+        query = &q;
+        read = def;
+        break;
+      }
+    }
+    if (query != nullptr) break;
+  }
+  ASSERT_NE(query, nullptr);
+  // Plus an index on a table the query never reads.
+  Configuration config = Unrelated(*query);
+  config.Add(read);
+  ASSERT_EQ(config.size(), 2u);
+
+  obs::Counter* builds = obs::Registry().GetCounter("index.builds");
+  const int64_t builds0 = builds->value();
+  ASSERT_EQ(env.indexes->num_built(), 0u);
+  TuningEnv::Measurement lazy = env.ExecuteAndMeasure(*query, config);
+  ASSERT_TRUE(ReadsIndex(*lazy.plan, read));
+  EXPECT_EQ(env.indexes->num_built(), 1u);
+  EXPECT_EQ(builds->value() - builds0, 1);
+
+  // The same measurement as with every index materialized up front, on a
+  // twin database.
+  std::unique_ptr<BenchmarkDatabase> twin =
+      BuildTpchLike("tuner_t", 1, 0.9, 61);
+  TuningEnv eager_env = twin->MakeEnv(0);
+  eager_env.indexes->Materialize(config);
+  EXPECT_EQ(eager_env.indexes->num_built(), 2u);
+  TuningEnv::Measurement eager = eager_env.ExecuteAndMeasure(*query, config);
+  EXPECT_EQ(lazy.plan->ContentKey(), eager.plan->ContentKey());
+  EXPECT_EQ(lazy.samples_used, eager.samples_used);
+  EXPECT_EQ(std::bit_cast<uint64_t>(lazy.median_cost),
+            std::bit_cast<uint64_t>(eager.median_cost));
+  ExpectSameActuals(*lazy.plan, *eager.plan);
+
+  // Measuring again, under the unread index alone, and under an
+  // include-only variant of the index the plan read builds nothing more.
+  const int64_t builds1 = builds->value();
+  IndexDef wider = read;
+  wider.include_columns.clear();
+  const Table& table = bdb_->db()->table(read.table_id);
+  for (int c = 0; c < static_cast<int>(table.num_columns()); ++c) {
+    if (std::find(read.key_columns.begin(), read.key_columns.end(), c) ==
+        read.key_columns.end()) {
+      wider.include_columns.push_back(c);
+    }
+  }
+  Configuration covering;
+  covering.Add(wider);
+  env.ExecuteAndMeasure(*query, config);
+  env.ExecuteAndMeasure(*query, Unrelated(*query));
+  const Counts c0 = Now();
+  TuningEnv::Measurement again = env.ExecuteAndMeasure(*query, covering);
+  EXPECT_EQ(Since(c0).executed, 1);
+  EXPECT_TRUE(ReadsIndex(*again.plan, wider));
+  EXPECT_EQ(env.indexes->num_built(), 1u);
+  EXPECT_EQ(builds->value(), builds1);
 }
 #endif  // !AIMAI_OBS_DISABLED
 
