@@ -7,7 +7,9 @@
 #                               # regression is caught even if the full run
 #                               # is filtered down later), the generator
 #                               # and tree pins again in a Release tree
-#                               # (build-release/), the bench gates and
+#                               # (build-release/), a build of the whole
+#                               # tree with the observability kill switch
+#                               # on (build-obs-off/), the bench gates and
 #                               # perfbench/selftest.py
 #   TSAN=1 scripts/check.sh     # additionally build with -DAIMAI_SANITIZE=thread
 #                               # and run the concurrency-sensitive suites
@@ -78,6 +80,14 @@ for t in common_test workloads_test tpch_sf_test ml_tree_test \
   inference_test btree_test; do
   "build-release/tests/$t"
 done
+# Observability kill switch: with -DAIMAI_OBS_DISABLE=ON the AIMAI_*
+# macros compile to nothing, so a variable read only inside one becomes
+# unused and -Werror stops src/. The whole tree (library, aimai_cli,
+# every test and bench binary) must still build; nothing runs, because
+# the obs-asserting tests expect the instrumentation to be on.
+cmake -B build-obs-off -S . -DCMAKE_BUILD_TYPE=Release \
+  -DAIMAI_OBS_DISABLE=ON >/dev/null
+cmake --build build-obs-off -j
 # Every gated bench writes BENCH_<name>.json through bench/report: it must
 # parse as strict JSON (no NaN/Infinity constants) and start from the
 # build header (build type, C++ flags, compiler, thread count).

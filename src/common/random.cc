@@ -3,28 +3,50 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "common/check.h"
-
 namespace aimai {
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  AIMAI_CHECK(lo <= hi);
-  std::uniform_int_distribution<int64_t> dist(lo, hi);
-  return dist(engine_);
+namespace {
+
+// MT19937-64's parameters (the values `std::mt19937_64` names).
+constexpr size_t kShift = 156;  // m
+constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;  // The top w - r bits.
+constexpr uint64_t kInitMultiplier = 6364136223846793005ULL;  // f
+
+/// One twist step. `0 - (y & 1)` is all ones exactly when y is odd, so the
+/// matrix is applied by a mask rather than a branch, which mispredicts on
+/// every other word.
+inline uint64_t TwistWord(uint64_t cur, uint64_t next, uint64_t far) {
+  const uint64_t y = (cur & kUpperMask) | (next & ~kUpperMask);
+  return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
 }
 
-double Rng::Uniform(double lo, double hi) {
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
+}  // namespace
+
+// The standard's integer seeding (mersenne_twister_engine::seed).
+Mt19937_64::Mt19937_64(uint64_t seed) {
+  state_[0] = seed;
+  for (size_t i = 1; i < kStateSize; ++i) {
+    const uint64_t prev = state_[i - 1];
+    state_[i] = kInitMultiplier * (prev ^ (prev >> 62)) + i;
+  }
+  pos_ = kStateSize;
+}
+
+void Mt19937_64::Twist() {
+  constexpr size_t n = kStateSize;
+  for (size_t i = 0; i < n - kShift; ++i) {
+    state_[i] = TwistWord(state_[i], state_[i + 1], state_[i + kShift]);
+  }
+  for (size_t i = n - kShift; i < n - 1; ++i) {
+    state_[i] = TwistWord(state_[i], state_[i + 1], state_[i + kShift - n]);
+  }
+  state_[n - 1] = TwistWord(state_[n - 1], state_[0], state_[kShift - 1]);
+  pos_ = 0;
 }
 
 double Rng::Gaussian(double mean, double stddev) {
   std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
-}
-
-bool Rng::Bernoulli(double p) {
-  std::bernoulli_distribution dist(p);
   return dist(engine_);
 }
 
@@ -33,11 +55,6 @@ Rng Rng::Split() {
   // decorrelates consecutive splits.
   uint64_t child = engine_() ^ 0x9e3779b97f4a7c15ULL;
   return Rng(child);
-}
-
-size_t Rng::Index(size_t n) {
-  AIMAI_CHECK(n > 0);
-  return static_cast<size_t>(UniformInt(0, static_cast<int64_t>(n) - 1));
 }
 
 ZipfSampler::ZipfSampler(int64_t n, double s)

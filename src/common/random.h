@@ -1,41 +1,103 @@
 #ifndef AIMAI_COMMON_RANDOM_H_
 #define AIMAI_COMMON_RANDOM_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
 
+#include "common/check.h"
+
 namespace aimai {
+
+/// The 64-bit Mersenne Twister: for every integer seed, output for output
+/// the sequence of `std::mt19937_64` (the standard's seeding recurrence and
+/// tempering; only the twist is written branch-free). It meets the
+/// UniformRandomBitGenerator requirements, so the std distributions run on
+/// it unchanged.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(uint64_t seed);
+
+  result_type operator()() {
+    if (pos_ >= kStateSize) Twist();
+    uint64_t z = state_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  static constexpr size_t kStateSize = 312;
+
+  /// Regenerates all `kStateSize` words and rewinds `pos_`.
+  void Twist();
+
+  uint64_t state_[kStateSize];
+  size_t pos_;
+};
+
+/// The [0, 1) double libstdc++'s `generate_canonical<double, 53>` makes
+/// from one 64-bit engine output `bits`: `double(bits) * 2^-64`, clamped
+/// below 1. `double(bits)` is computed from its two 32-bit halves — both
+/// exact, one rounding add — which equals the hardware's branchy unsigned
+/// conversion bit for bit.
+inline double CanonicalDouble(uint64_t bits) {
+  const double value =
+      static_cast<double>(static_cast<uint32_t>(bits >> 32)) * 0x1p32 +
+      static_cast<double>(static_cast<uint32_t>(bits));
+  // Only words of at least 2^64 - 2^10 round to 2^64, that is to 1.0.
+  return std::min(value * 0x1p-64, 0x1.fffffffffffffp-1);
+}
 
 /// Seeded random number generator used everywhere in the library so that
 /// data generation, model training, and experiments are reproducible.
 ///
 /// Wraps a 64-bit Mersenne Twister and adds the distributions the
 /// workload generators and ML models need (Gaussian, choice, shuffle;
-/// Zipf is `ZipfSampler` below). A `Rng` can be `Split()` into an
-/// independent child stream, which keeps parallel components decoupled
-/// from each other's draw order.
+/// Zipf is `ZipfSampler` below). Every draw returns what the matching
+/// libstdc++ distribution over `std::mt19937_64` returns (pinned by
+/// `RngOracleTest`). A `Rng` can be `Split()` into an independent child
+/// stream, which keeps parallel components decoupled from each other's
+/// draw order.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(seed) {}
 
   /// Uniform integer in [lo, hi] inclusive.
-  int64_t UniformInt(int64_t lo, int64_t hi);
+  int64_t UniformInt(int64_t lo, int64_t hi) {
+    AIMAI_CHECK(lo <= hi);
+    std::uniform_int_distribution<int64_t> dist(lo, hi);
+    return dist(engine_);
+  }
 
-  /// Uniform double in [lo, hi).
-  double Uniform(double lo = 0.0, double hi = 1.0);
+  /// Uniform double in [lo, hi) (`uniform_real_distribution`'s formula).
+  double Uniform(double lo = 0.0, double hi = 1.0) {
+    return CanonicalDouble(engine_()) * (hi - lo) + lo;
+  }
 
   /// Standard normal scaled by (mean, stddev).
   double Gaussian(double mean = 0.0, double stddev = 1.0);
 
-  /// Bernoulli draw with probability `p` of true.
-  bool Bernoulli(double p);
+  /// Bernoulli draw with probability `p` of true
+  /// (`bernoulli_distribution`'s formula).
+  bool Bernoulli(double p) { return CanonicalDouble(engine_()) < p; }
 
   /// Returns an independent generator derived from this one.
   Rng Split();
 
   /// Picks a uniformly random element index from [0, n).
-  size_t Index(size_t n);
+  size_t Index(size_t n) {
+    AIMAI_CHECK(n > 0);
+    return static_cast<size_t>(UniformInt(0, static_cast<int64_t>(n) - 1));
+  }
 
   /// Fisher-Yates shuffle.
   template <typename T>
@@ -56,10 +118,10 @@ class Rng {
   /// Same draws and result, written into `out` (its capacity is reused).
   void SampleWithoutReplacement(size_t n, size_t k, std::vector<size_t>* out);
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 /// Zipf-distributed integers in [1, n] with skew parameter `s` (s <= 0 is

@@ -184,7 +184,8 @@ void TuningService::RunnerLoop() {
       // job: requeue it with accounted (virtual, never slept) backoff.
       // Push happens before Release so WaitIdle cannot observe an idle
       // instant while a retry is still pending.
-      const double backoff = job_retry_.BackoffMs(job->attempt() - 1);
+      [[maybe_unused]] const double backoff =
+          job_retry_.BackoffMs(job->attempt() - 1);
       AIMAI_HIST_RECORD("service.job.retry_backoff_ms", backoff);
       jobs_retried_.fetch_add(1, std::memory_order_relaxed);
       AIMAI_COUNTER_INC("service.jobs_retried");

@@ -116,7 +116,7 @@ void DataGenerator::FillBucketCorrelatedDict(Column* col, const Column& src,
 
   // Draw the marginal distribution (Zipf over the vocabulary), then sort
   // and assign by the rank of `src` so that low src values get the heavy
-  // codes. Flips keep the correlation imperfect. Ranks are 32-bit — the
+  // codes. Flips keep the correlation imperfect. Row ids are 32-bit — the
   // scale-factor generators run this on multi-million-row columns, and
   // the temporaries here are the build's peak transient memory.
   AIMAI_CHECK(n < (1ULL << 32));
@@ -128,21 +128,31 @@ void DataGenerator::FillBucketCorrelatedDict(Column* col, const Column& src,
 
   // Which of several rows with equal src values gets which code is decided
   // by std::sort's tie order, so this must stay std::sort with comparisons
-  // equal to `src.NumericAt(a) < src.NumericAt(b)`; the typed array only
-  // saves the per-row type switch (DESIGN.md, determinism contract).
-  std::vector<uint32_t> rank(n);
-  for (size_t i = 0; i < n; ++i) rank[i] = static_cast<uint32_t>(i);
-  VisitNumericData(src, [&rank](const auto* data) {
-    std::sort(rank.begin(), rank.end(), [data](uint32_t a, uint32_t b) {
-      return static_cast<double>(data[a]) < static_cast<double>(data[b]);
-    });
+  // equal to `src.NumericAt(a) < src.NumericAt(b)`. Each record carries its
+  // row's key (the double view, so int64 keys past 2^53 still tie), so a
+  // comparison reads no other memory; the sort makes the same comparisons
+  // as one over row indices and yields the same permutation (DESIGN.md,
+  // determinism contract).
+  struct KeyedRow {
+    double key;
+    uint32_t row;
+  };
+  std::vector<KeyedRow> order;
+  order.reserve(n);
+  VisitNumericData(src, [&order, n](const auto* data) {
+    for (size_t i = 0; i < n; ++i) {
+      order.push_back(
+          {static_cast<double>(data[i]), static_cast<uint32_t>(i)});
+    }
   });
+  std::sort(order.begin(), order.end(),
+            [](const KeyedRow& a, const KeyedRow& b) { return a.key < b.key; });
 
   std::vector<int32_t> assigned(n);
   size_t pos = 0;
   for (size_t code = 0; code < code_count.size(); ++code) {
     for (uint32_t c = 0; c < code_count[code]; ++c) {
-      assigned[rank[pos++]] = static_cast<int32_t>(code);
+      assigned[order[pos++].row] = static_cast<int32_t>(code);
     }
   }
   col->Reserve(n);

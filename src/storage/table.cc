@@ -22,22 +22,6 @@ size_t Column::size() const {
   return 0;
 }
 
-void Column::AppendInt(int64_t v) {
-  AIMAI_CHECK(type_ == DataType::kInt64);
-  ints_.push_back(v);
-}
-
-void Column::AppendDouble(double v) {
-  AIMAI_CHECK(type_ == DataType::kDouble);
-  doubles_.push_back(v);
-}
-
-void Column::AppendCode(int32_t code) {
-  AIMAI_CHECK(type_ == DataType::kString);
-  AIMAI_CHECK(code >= 0 && static_cast<size_t>(code) < dict_.size());
-  codes_.push_back(code);
-}
-
 void Column::SetDictionary(std::vector<std::string> dict) {
   AIMAI_CHECK(type_ == DataType::kString);
   AIMAI_CHECK(std::is_sorted(dict.begin(), dict.end()));

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
 #include "storage/value.h"
 
 namespace aimai {
@@ -23,10 +24,20 @@ class Column {
   DataType type() const { return type_; }
   size_t size() const;
 
-  void AppendInt(int64_t v);
-  void AppendDouble(double v);
+  void AppendInt(int64_t v) {
+    AIMAI_CHECK(type_ == DataType::kInt64);
+    ints_.push_back(v);
+  }
+  void AppendDouble(double v) {
+    AIMAI_CHECK(type_ == DataType::kDouble);
+    doubles_.push_back(v);
+  }
   /// Appends a string by dictionary code; use `BuildDictionary` first.
-  void AppendCode(int32_t code);
+  void AppendCode(int32_t code) {
+    AIMAI_CHECK(type_ == DataType::kString);
+    AIMAI_CHECK(code >= 0 && static_cast<size_t>(code) < dict_.size());
+    codes_.push_back(code);
+  }
 
   /// Installs the (sorted, unique) dictionary for a string column.
   void SetDictionary(std::vector<std::string> dict);

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <concepts>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <random>
+#include <unordered_set>
 
 #include "common/random.h"
 #include "common/stats.h"
@@ -142,6 +148,163 @@ TEST(RngTest, ShuffleIsPermutation) {
   rng.Shuffle(&v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
+}
+
+// The in-house engine and inline draws against libstdc++'s distributions
+// over std::mt19937_64, the reference every generated table and golden pin
+// was recorded with: same values, bit for bit, and the same engine state.
+
+static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(RngOracleTest, EngineMatchesStdMt19937_64) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  for (const uint64_t seed :
+       {uint64_t{0}, uint64_t{1}, uint64_t{42}, uint64_t{5489},
+        uint64_t{1} << 63, kMax}) {
+    Mt19937_64 got(seed);
+    std::mt19937_64 want(seed);
+    int mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) mismatches += got() != want();
+    EXPECT_EQ(mismatches, 0) << "seed " << seed;
+  }
+  // The standard's own check: the 10000th output of a default-seeded
+  // (5489) mt19937_64.
+  Mt19937_64 standard(5489);
+  for (int i = 1; i < 10000; ++i) standard();
+  EXPECT_EQ(standard(), 9981545732273789042ULL);
+}
+
+// Returns one fixed word, for feeding generate_canonical chosen bits.
+struct FixedBits {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() {
+    return std::numeric_limits<uint64_t>::max();
+  }
+  result_type operator()() { return bits; }
+  uint64_t bits;
+};
+
+double StdCanonical(uint64_t bits) {
+  FixedBits g{bits};
+  return std::generate_canonical<double, 53>(g);
+}
+
+TEST(RngOracleTest, CanonicalDoubleMatchesGenerateCanonical) {
+  constexpr uint64_t k53 = uint64_t{1} << 53;
+  constexpr uint64_t k63 = uint64_t{1} << 63;
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  // Exact values, rounding ties in both directions at the top binade
+  // (one ulp there is 2^11), and the words that round to 2^64.
+  for (const uint64_t bits :
+       {uint64_t{0}, uint64_t{1}, k53 - 1, k53 + 1, k63, k63 + (1 << 10),
+        k63 + (1 << 10) + 1, k63 + 3 * (1 << 10), kMax - (1 << 10) + 1,
+        kMax}) {
+    EXPECT_EQ(Bits(CanonicalDouble(bits)), Bits(StdCanonical(bits)))
+        << "bits " << bits;
+  }
+  EXPECT_EQ(CanonicalDouble(kMax), std::nextafter(1.0, 0.0));
+  std::mt19937_64 words(3);
+  int mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const uint64_t bits = words();
+    mismatches += Bits(CanonicalDouble(bits)) != Bits(StdCanonical(bits));
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// Test-local copies of the sampling algorithms, drawing from the std
+// distributions directly.
+int64_t StdInt(std::mt19937_64& g, int64_t lo, int64_t hi) {
+  return std::uniform_int_distribution<int64_t>(lo, hi)(g);
+}
+
+template <typename T>
+void StdShuffle(std::mt19937_64& g, std::vector<T>* v) {
+  if (v->empty()) return;
+  for (size_t i = v->size() - 1; i > 0; --i) {
+    std::swap((*v)[i], (*v)[static_cast<size_t>(
+                           StdInt(g, 0, static_cast<int64_t>(i)))]);
+  }
+}
+
+std::vector<size_t> StdSample(std::mt19937_64& g, size_t n, size_t k) {
+  std::vector<size_t> out;
+  if (n >= 1024 && k <= n / 64) {
+    std::unordered_set<size_t> chosen;
+    for (size_t i = n - k; i < n; ++i) {
+      const size_t j =
+          static_cast<size_t>(StdInt(g, 0, static_cast<int64_t>(i)));
+      if (chosen.insert(j).second) {
+        out.push_back(j);
+      } else {
+        chosen.insert(i);
+        out.push_back(i);
+      }
+    }
+    StdShuffle(g, &out);
+    return out;
+  }
+  for (size_t i = 0; i < n; ++i) out.push_back(i);
+  for (size_t i = 0; i < k; ++i) {
+    const int64_t offset = StdInt(g, 0, static_cast<int64_t>(n - i) - 1);
+    std::swap(out[i], out[i + static_cast<size_t>(offset)]);
+  }
+  out.resize(k);
+  return out;
+}
+
+TEST(RngOracleTest, EveryDrawMatchesTheStdDistributions) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t k32 = int64_t{1} << 32;
+  for (const uint64_t seed : {uint64_t{7}, uint64_t{5489}}) {
+    Rng rng(seed);
+    std::mt19937_64 want(seed);
+    const auto real = [&want](double lo, double hi) {
+      return Bits(std::uniform_real_distribution<double>(lo, hi)(want));
+    };
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(Bits(rng.Uniform()), real(0.0, 1.0));
+      ASSERT_EQ(Bits(rng.Uniform(-7.25, 3.5)), real(-7.25, 3.5));
+      ASSERT_EQ(Bits(rng.Uniform(-1e6, -2.0)), real(-1e6, -2.0));
+      ASSERT_EQ(Bits(rng.Uniform(4.0, 4.0)), real(4.0, 4.0));
+      ASSERT_EQ(rng.UniformInt(5, 5), StdInt(want, 5, 5));
+      ASSERT_EQ(rng.UniformInt(kMin, kMax), StdInt(want, kMin, kMax));
+      ASSERT_EQ(rng.UniformInt(-3, 7), StdInt(want, -3, 7));
+      for (const int64_t span : {k32 - 1, k32, k32 + 1}) {
+        ASSERT_EQ(rng.UniformInt(-9, span - 10), StdInt(want, -9, span - 10));
+      }
+      for (const double p : {0.0, 1.0, 0.4}) {
+        ASSERT_EQ(rng.Bernoulli(p), std::bernoulli_distribution(p)(want));
+      }
+      ASSERT_EQ(Bits(rng.Gaussian()),
+                Bits(std::normal_distribution<double>(0.0, 1.0)(want)));
+      ASSERT_EQ(Bits(rng.Gaussian(3.0, 0.5)),
+                Bits(std::normal_distribution<double>(3.0, 0.5)(want)));
+      ASSERT_EQ(rng.Index(1), static_cast<size_t>(StdInt(want, 0, 0)));
+      ASSERT_EQ(rng.Index(17), static_cast<size_t>(StdInt(want, 0, 16)));
+    }
+    std::vector<int> shuffled(64), expected(64);
+    for (int i = 0; i < 64; ++i) shuffled[i] = expected[i] = i;
+    rng.Shuffle(&shuffled);
+    StdShuffle(want, &expected);
+    EXPECT_EQ(shuffled, expected);
+    // The partial Fisher-Yates path, then Floyd's (k <= n / 64).
+    EXPECT_EQ(rng.SampleWithoutReplacement(300, 40), StdSample(want, 300, 40));
+    EXPECT_EQ(rng.SampleWithoutReplacement(100000, 500),
+              StdSample(want, 100000, 500));
+    // Split seeds the child from one parent output.
+    Rng child = rng.Split();
+    std::mt19937_64 want_child(want() ^ 0x9e3779b97f4a7c15ULL);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(child.engine()(), want_child());
+    }
+    // The engines are still in step.
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng.engine()(), want());
+  }
 }
 
 TEST(StatsTest, MedianOddEven) {
