@@ -38,7 +38,11 @@ Report& Report::Value(const char* key, const std::string& text) {
   first_.back() = false;
   out_ += '\n';
   out_.append(2 * first_.size(), ' ');
-  if (key != nullptr) out_ += "\"" + obs::JsonEscape(key) + "\": ";
+  if (key != nullptr) {
+    out_ += '"';
+    out_ += obs::JsonEscape(key);
+    out_ += "\": ";
+  }
   out_ += text;
   return *this;
 }
@@ -66,7 +70,10 @@ Report& Report::Num(const char* key, double v, int decimals) {
 }
 
 Report& Report::Str(const char* key, const std::string& v) {
-  return Value(key, "\"" + obs::JsonEscape(v) + "\"");
+  std::string quoted(1, '"');
+  quoted += obs::JsonEscape(v);
+  quoted += '"';
+  return Value(key, quoted);
 }
 
 void Report::Write() {

@@ -9,7 +9,8 @@
 #                               # and tree pins again in a Release tree
 #                               # (build-release/), a build of the whole
 #                               # tree with the observability kill switch
-#                               # on (build-obs-off/), the bench gates and
+#                               # on and warnings fatal (build-obs-off/,
+#                               # Release), the bench gates and
 #                               # perfbench/selftest.py
 #   TSAN=1 scripts/check.sh     # additionally build with -DAIMAI_SANITIZE=thread
 #                               # and run the concurrency-sensitive suites
@@ -84,9 +85,12 @@ done
 # macros compile to nothing, so a variable read only inside one becomes
 # unused and -Werror stops src/. The whole tree (library, aimai_cli,
 # every test and bench binary) must still build; nothing runs, because
-# the obs-asserting tests expect the instrumentation to be on.
+# the obs-asserting tests expect the instrumentation to be on. This is
+# also the warning-clean gate for the Release tree: -Werror here makes
+# every warning in tests/, bench/ and examples/ fatal too (src/ keeps its
+# own flags, where GCC 12's false-positive -Wrestrict stays non-fatal).
 cmake -B build-obs-off -S . -DCMAKE_BUILD_TYPE=Release \
-  -DAIMAI_OBS_DISABLE=ON >/dev/null
+  -DAIMAI_OBS_DISABLE=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-obs-off -j
 # Every gated bench writes BENCH_<name>.json through bench/report: it must
 # parse as strict JSON (no NaN/Infinity constants) and start from the

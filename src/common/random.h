@@ -131,19 +131,50 @@ class Rng {
 ///
 /// Build one per fill: the `(n, s)` constants are computed once here. A
 /// draw consumes the same `Uniform()` values in the same order and
-/// evaluates the same expressions as computing everything per draw, so
-/// the values and the generator state left behind are bit-identical to
-/// that (DESIGN.md, determinism contract).
+/// reaches the same outcome on every iteration as computing everything
+/// per draw, so the values and the generator state left behind are
+/// bit-identical to that (DESIGN.md, determinism contract).
+///
+/// For 0 < s < 1 a fill of at least `kMinGridDraws` draws also gets a
+/// fast inverse: cubic interpolation of the closed-form `HIntegralInv`
+/// on a uniform grid of `u`, with a per-interval guard derived from a
+/// written error bound (interpolation error plus the closed form's own
+/// rounding; see BuildFastInverse). An iteration whose interpolated `x`
+/// lies farther than the guard from every boundary its outcome depends
+/// on (k +- 0.5, k - s_shift) is decided from it; every other iteration
+/// runs the closed form verbatim, which stays the definition. The grid
+/// is sized from `draws`, the number of values the caller expects to
+/// draw; that count never changes a value.
 class ZipfSampler {
  public:
-  ZipfSampler(int64_t n, double s);
+  /// Fills smaller than this draw every value through the closed form.
+  static constexpr size_t kMinGridDraws = 1024;
+
+  ZipfSampler(int64_t n, double s, size_t draws);
 
   int64_t Draw(Rng* rng) const;
 
+  /// One rejection-inversion iteration at `u` (Draw's `u`, in
+  /// [h_x1, h_n]): the candidate, whether it is accepted, and whether
+  /// the fast inverse decided it. Draw loops over this; tests sweep it.
+  struct Iteration {
+    int64_t k;
+    bool accept;
+    bool fast;
+  };
+  Iteration Iterate(double u) const;
+
  private:
+  /// Cubic in `t`, the position inside one grid interval, plus the guard
+  /// band (in units of x) its value must clear to decide an iteration.
+  struct Cubic {
+    double c0, c1, c2, c3, guard;
+  };
+
   double HIntegral(double x) const;
   double HIntegralInv(double x) const;
   double H(double x) const;
+  void BuildFastInverse(size_t draws);
 
   int64_t n_;
   double s_;
@@ -151,6 +182,9 @@ class ZipfSampler {
   double h_x1_ = 0;
   double h_n_ = 0;
   double s_shift_ = 0;
+  double grid_lo_ = 0;
+  double grid_inv_h_ = 0;
+  std::vector<Cubic> grid_;  // Empty: every iteration is closed form.
 };
 
 }  // namespace aimai

@@ -58,7 +58,7 @@ void DataGenerator::FillUniformInt(Column* col, size_t n, int64_t lo,
 void DataGenerator::FillZipfInt(Column* col, size_t n, int64_t lo,
                                 int64_t domain, double s) {
   AIMAI_CHECK(domain >= 1);
-  ZipfSampler zipf(domain, s);
+  ZipfSampler zipf(domain, s, n);
   col->Reserve(n);
   for (size_t i = 0; i < n; ++i) {
     col->AppendInt(lo + zipf.Draw(&rng_) - 1);
@@ -68,7 +68,7 @@ void DataGenerator::FillZipfInt(Column* col, size_t n, int64_t lo,
 void DataGenerator::FillForeignKey(Column* col, size_t n, int64_t parent_rows,
                                    double s) {
   AIMAI_CHECK(parent_rows >= 1);
-  ZipfSampler zipf(parent_rows, s);
+  ZipfSampler zipf(parent_rows, s, n);
   col->Reserve(n);
   for (size_t i = 0; i < n; ++i) {
     col->AppendInt(zipf.Draw(&rng_) - 1);
@@ -98,7 +98,7 @@ void DataGenerator::FillDictString(Column* col, size_t n, int64_t vocab,
                                    double s, const std::string& prefix) {
   AIMAI_CHECK(vocab >= 1);
   col->SetDictionary(BuildSortedDict(vocab, prefix));
-  ZipfSampler zipf(vocab, s);
+  ZipfSampler zipf(vocab, s, n);
   col->Reserve(n);
   for (size_t i = 0; i < n; ++i) {
     col->AppendCode(static_cast<int32_t>(zipf.Draw(&rng_) - 1));
@@ -122,7 +122,7 @@ void DataGenerator::FillBucketCorrelatedDict(Column* col, const Column& src,
   AIMAI_CHECK(n < (1ULL << 32));
   // Codes lie in [0, vocab), so counting them is sorting them: a sorted
   // multiset is unique, whatever the sort.
-  ZipfSampler zipf(vocab, zipf_s > 0 ? zipf_s : 0.6);
+  ZipfSampler zipf(vocab, zipf_s > 0 ? zipf_s : 0.6, n);
   std::vector<uint32_t> code_count(static_cast<size_t>(vocab));
   for (size_t i = 0; i < n; ++i) ++code_count[zipf.Draw(&rng_) - 1];
 

@@ -56,7 +56,7 @@ TEST(RngTest, SplitDecorrelates) {
 
 TEST(RngTest, ZipfIsSkewedAndBounded) {
   Rng rng(7);
-  ZipfSampler zipf(100, 1.0);
+  ZipfSampler zipf(100, 1.0, 20000);
   std::map<int64_t, int> counts;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
@@ -73,7 +73,7 @@ TEST(RngTest, ZipfIsSkewedAndBounded) {
 
 TEST(RngTest, ZipfZeroSkewIsUniformish) {
   Rng rng(7);
-  ZipfSampler zipf(10, 0.0);
+  ZipfSampler zipf(10, 0.0, 30000);
   std::map<int64_t, int> counts;
   for (int i = 0; i < 30000; ++i) counts[zipf.Draw(&rng)]++;
   for (int64_t v = 1; v <= 10; ++v) {

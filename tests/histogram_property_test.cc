@@ -326,6 +326,7 @@ TEST(HistogramOracleTest, DenseCountPathMatchesSortBasedBuild) {
   constexpr int64_t k53 = int64_t{1} << 53;
   Rng rng(17);
   std::vector<std::pair<std::string, std::vector<int64_t>>> cases;
+  cases.reserve(16);
   auto uniform = [&rng](size_t n, int64_t lo, int64_t hi) {
     std::vector<int64_t> v;
     for (size_t r = 0; r < n; ++r) v.push_back(rng.UniformInt(lo, hi));

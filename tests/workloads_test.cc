@@ -5,13 +5,16 @@
 
 #include <algorithm>
 #include <bit>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "obs/obs.h"
 #include "storage/data_generator.h"
 #include "workloads/collection.h"
@@ -486,65 +489,266 @@ TEST(GenerateSpanTest, EveryFamilyRecordsItsSpan) {
 
 #endif  // !AIMAI_OBS_DISABLED
 
+/// The rejection-inversion closed form exactly as the per-draw sampler
+/// every generator used before ZipfSampler wrote it: the (n, s) constants
+/// and one iteration at a given u.
+struct ClosedFormZipf {
+  struct Outcome {
+    int64_t k;
+    bool accept;
+  };
+
+  ClosedFormZipf(int64_t n, double s) : n(n), s(s) {
+    h_x1 = HIntegral(1.5) - 1.0;
+    h_n = HIntegral(static_cast<double>(n) + 0.5);
+    s_shift = 2.0 - HIntegralInv(HIntegral(2.5) - H(2.0));
+  }
+
+  double HIntegral(double x) const {
+    const double log_x = std::log(x);
+    if (std::abs(1.0 - s) < 1e-12) return log_x;
+    return (std::exp((1.0 - s) * log_x) - 1.0) / (1.0 - s);
+  }
+  double HIntegralInv(double x) const {
+    if (std::abs(1.0 - s) < 1e-12) return std::exp(x);
+    double t = x * (1.0 - s);
+    if (t < -1.0) t = -1.0;
+    return std::exp(std::log1p(t) / (1.0 - s));
+  }
+  double H(double x) const { return std::exp(-s * std::log(x)); }
+
+  /// One draw: iterations until one accepts (s <= 0 is uniform).
+  int64_t Draw(Rng* rng) const {
+    if (s <= 0.0) return rng->UniformInt(1, n);
+    while (true) {
+      const Outcome it = Iterate(h_n + rng->Uniform() * (h_x1 - h_n));
+      if (it.accept) return it.k;
+    }
+  }
+
+  Outcome Iterate(double u) const {
+    const double x = HIntegralInv(u);
+    double k = std::floor(x + 0.5);
+    if (k < 1.0) k = 1.0;
+    if (k > static_cast<double>(n)) k = static_cast<double>(n);
+    return {static_cast<int64_t>(k),
+            k - x <= s_shift || u >= HIntegral(k + 0.5) - H(k)};
+  }
+
+  int64_t n;
+  double s;
+  double h_x1, h_n, s_shift;
+};
+
 /// The per-draw Zipf sampler every generator used before ZipfSampler: it
 /// recomputes the (n, s) constants and the reject threshold on every draw.
 /// ZipfSampler must reproduce it value for value and draw for draw.
 int64_t ReferenceZipf(Rng* rng, int64_t n, double s) {
-  if (s <= 0.0) return rng->UniformInt(1, n);
-  const double sd = s;
-  auto h_integral = [sd](double x) -> double {
-    const double log_x = std::log(x);
-    if (std::abs(1.0 - sd) < 1e-12) return log_x;
-    return (std::exp((1.0 - sd) * log_x) - 1.0) / (1.0 - sd);
-  };
-  auto h_integral_inv = [sd](double x) -> double {
-    if (std::abs(1.0 - sd) < 1e-12) return std::exp(x);
-    double t = x * (1.0 - sd);
-    if (t < -1.0) t = -1.0;
-    return std::exp(std::log1p(t) / (1.0 - sd));
-  };
-  auto h = [sd](double x) { return std::exp(-sd * std::log(x)); };
-
-  const double h_x1 = h_integral(1.5) - 1.0;
-  const double h_n = h_integral(static_cast<double>(n) + 0.5);
-  const double s_shift = 2.0 - h_integral_inv(h_integral(2.5) - h(2.0));
-
-  while (true) {
-    const double u = h_n + rng->Uniform() * (h_x1 - h_n);
-    const double x = h_integral_inv(u);
-    double k = std::floor(x + 0.5);
-    if (k < 1.0) k = 1.0;
-    if (k > static_cast<double>(n)) k = static_cast<double>(n);
-    if (k - x <= s_shift || u >= h_integral(k + 0.5) - h(k)) {
-      return static_cast<int64_t>(k);
-    }
-  }
+  return ClosedFormZipf(n, s).Draw(rng);
 }
+
+/// A sampler as a fill builds it: domain, skew, and the fill's row count
+/// (which sizes the fast inverse's grid).
+struct ZipfCase {
+  int64_t n;
+  double s;
+  size_t draws;
+};
+
+std::string Describe(const ZipfCase& c) {
+  return StrFormat("n %lld s %.17g draws %zu", static_cast<long long>(c.n),
+                   c.s, c.draws);
+}
+
+/// Draws `count` values from a sampler built for `c` and from the closed
+/// form on equal seeds — through the per-draw reference, or with its
+/// constants computed once (the same values) when `per_draw` is false —
+/// and expects the same values and the same engine state after the last
+/// draw.
+void ExpectMatchesReference(const ZipfCase& c, uint64_t seed, size_t count,
+                            bool per_draw = false) {
+  Rng got_rng(seed), want_rng(seed);
+  const ZipfSampler zipf(c.n, c.s, c.draws);
+  const ClosedFormZipf closed(c.n, c.s);
+  size_t mismatches = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const int64_t got = zipf.Draw(&got_rng);
+    ASSERT_GE(got, 1) << Describe(c);
+    ASSERT_LE(got, c.n) << Describe(c);
+    const int64_t want = per_draw ? ReferenceZipf(&want_rng, c.n, c.s)
+                                  : closed.Draw(&want_rng);
+    if (got != want) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u) << Describe(c);
+  EXPECT_EQ(got_rng.engine()(), want_rng.engine()()) << Describe(c);
+}
+
+constexpr size_t kOracleDraws = 1'000'000;
 
 // Tiny and mid-size domains (4096 / 4097), the tpch_sf key domains
 // (75k orders at SF 0.05, 6M lineitems at SF 1) and the skews the
-// generators pass, including the s == 1 log form and s <= 0 (uniform).
+// generators pass, including the s == 1 log form and s <= 0 (uniform),
+// each at a fill size with the full grid and one below kMinGridDraws.
 TEST(ZipfSamplerOracleTest, MatchesPerDrawReferenceAndLeavesSameState) {
   const std::vector<int64_t> ns = {1, 2, 7, 4096, 4097, 75000, 6'000'000};
   const std::vector<double> ss = {0.0, 0.6, 0.9, 1.0, 1.1, 1.5};
   uint64_t seed = 1;
   for (int64_t n : ns) {
     for (double s : ss) {
-      Rng got_rng(seed), want_rng(seed);
-      ++seed;
-      ZipfSampler zipf(n, s);
-      int64_t mismatches = 0;
-      for (int i = 0; i < 4000; ++i) {
-        const int64_t got = zipf.Draw(&got_rng);
-        const int64_t want = ReferenceZipf(&want_rng, n, s);
-        ASSERT_GE(got, 1);
-        ASSERT_LE(got, n);
-        if (got != want) ++mismatches;
+      for (size_t draws : {size_t{100}, size_t{300'000}}) {
+        ExpectMatchesReference({n, s, draws}, seed++, 4000,
+                               /*per_draw=*/true);
       }
-      EXPECT_EQ(mismatches, 0) << "n " << n << " s " << s;
-      EXPECT_EQ(got_rng.engine()(), want_rng.engine()())
-          << "n " << n << " s " << s;
     }
+  }
+}
+
+// The (domain, skew, rows) of the tpch_sf fills at SF 0.05 and of the
+// SF 1 key columns (l_orderkey's 1.5M orders; the 6M domain is the SF 1
+// lineitem count), a million draws each.
+TEST(ZipfSamplerOracleTest, TpchSfFillsOverAMillionDraws) {
+  const std::vector<ZipfCase> cases = {
+      {25, 0.9, 500},           {25, 0.9, 7500},
+      {10000, 0.9, 40000},      {500, 0.9, 40000},
+      {7500, 0.9, 75000},       {75000, 0.9, 300000},
+      {10000, 0.9, 300000},     {500, 0.9, 300000},
+      {5, 0.8, 75000},          {7, 0.8, 300000},
+      {3, 0.8, 300000},         {5, 0.8, 7500},
+      {25, 0.8, 10000},         {1'500'000, 0.9, 6'000'000},
+      {6'000'000, 0.9, 6'000'000}};
+  uint64_t seed = 1000;
+  for (const ZipfCase& c : cases) {
+    ExpectMatchesReference(c, seed++, kOracleDraws);
+  }
+}
+
+// tpch_like at zipf 0.9 and 0.5 (scale 1, plus the 0.6 skew its bucket
+// fills fall back to at zipf 0), tpcds_like at 0.8 (scale 1), and each
+// skew of the customer profiles (0.3 to 0.9 and 1.1) at a domain and row
+// count from their ranges.
+TEST(ZipfSamplerOracleTest, OtherFamiliesOverAMillionDraws) {
+  const std::vector<ZipfCase> cases = {
+      {750, 0.9, 3000},   {150, 0.9, 750},    {7, 0.9, 3000},
+      {750, 0.5, 3000},   {5, 0.5, 750},      {3, 0.6, 3000},
+      {25, 0.6, 200},     {1200, 0.8, 3000},  {150, 0.8, 3000},
+      {50, 0.8, 120},     {10000, 0.3, 5000}, {200, 0.4, 15000},
+      {50000, 0.5, 40000}, {37, 0.6, 4000},   {4000, 0.7, 25000},
+      {120, 0.8, 50000},  {20000, 0.9, 30000}, {8000, 1.1, 20000}};
+  uint64_t seed = 2000;
+  for (const ZipfCase& c : cases) {
+    ExpectMatchesReference(c, seed++, kOracleDraws);
+  }
+}
+
+// Domains of one and two values, skews near and at 1 (1 +- 1e-11 is just
+// outside the log form's 1e-12 band, 1 - 1e-13 inside it) and heavy
+// skews past 1.
+TEST(ZipfSamplerOracleTest, EdgeDomainsAndSkewsOverAMillionDraws) {
+  const std::vector<ZipfCase> cases = {
+      {1, 0.9, 300000},          {2, 0.9, 300000},
+      {2, 0.3, 300000},          {10000, 0.999, 300000},
+      {10000, 1 - 1e-11, 300000}, {10000, 1 + 1e-11, 300000},
+      {10000, 1 - 1e-13, 300000}, {10000, 1.1, 300000},
+      {10000, 1.5, 300000},      {10000, 3.0, 300000}};
+  uint64_t seed = 3000;
+  for (const ZipfCase& c : cases) {
+    ExpectMatchesReference(c, seed++, kOracleDraws);
+  }
+}
+
+/// The double `steps` representable values above (below, if negative) `u`.
+double StepUlps(double u, int64_t steps) {
+  // Map to integers that order like the doubles, step, and map back.
+  const int64_t bits = std::bit_cast<int64_t>(u);
+  const int64_t ordered = bits < 0 ? INT64_MIN - bits : bits;
+  const int64_t moved = ordered + steps;
+  return std::bit_cast<double>(moved < 0 ? INT64_MIN - moved : moved);
+}
+
+// Walks u across every decision boundary of a few samplers — the bin
+// edges k +- 0.5 and the shortcut edge k - s_shift, at the u where the
+// closed form puts them — in single representable steps up to 64 away
+// and then in doubling steps out past the guard band, and checks every
+// iteration's candidate and accept outcome against the closed form. The
+// fast inverse must decide some of these iterations (else the sweep
+// tests only the fallback), and with the guard removed it gets
+// iterations next to the boundaries wrong.
+TEST(ZipfSamplerOracleTest, FastInverseMatchesClosedFormAcrossBoundaries) {
+  const std::vector<std::pair<ZipfCase, int64_t>> cases = {
+      // Sampler, and the stride over k for the large domains.
+      {{3, 0.8, 300000}, 1},     {{7, 0.8, 300000}, 1},
+      {{25, 0.9, 7500}, 1},      {{500, 0.9, 300000}, 1},
+      {{200, 0.3, 15000}, 1},    {{2000, 0.999, 50000}, 7},
+      {{75000, 0.9, 300000}, 211}};
+  std::vector<int64_t> offsets;
+  for (int64_t d = -64; d <= 64; ++d) offsets.push_back(d);
+  for (int64_t d = 128; d <= (int64_t{1} << 40); d *= 2) {
+    offsets.push_back(d);
+    offsets.push_back(-d);
+  }
+  for (const auto& [c, stride] : cases) {
+    const ZipfSampler zipf(c.n, c.s, c.draws);
+    const ClosedFormZipf closed(c.n, c.s);
+    size_t checked = 0, fast = 0, mismatches = 0;
+    for (int64_t k = 1; k <= c.n; k += stride) {
+      const double kd = static_cast<double>(k);
+      for (double edge : {kd - 0.5, kd + 0.5, kd - closed.s_shift}) {
+        if (edge <= 0.5) continue;  // Below the smallest x.
+        const double u_edge = closed.HIntegral(edge);
+        for (int64_t d : offsets) {
+          const double u = StepUlps(u_edge, d);
+          if (!(u >= closed.h_x1 && u <= closed.h_n)) continue;
+          const ZipfSampler::Iteration got = zipf.Iterate(u);
+          const ClosedFormZipf::Outcome want = closed.Iterate(u);
+          ++checked;
+          fast += got.fast;
+          if (got.k != want.k || got.accept != want.accept) {
+            if (++mismatches <= 5) {
+              ADD_FAILURE() << Describe(c) << " u " << u << " (edge "
+                            << edge << ", " << d << " steps): got k "
+                            << got.k << " accept " << got.accept
+                            << ", closed form k " << want.k << " accept "
+                            << want.accept;
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << Describe(c) << " of " << checked;
+    EXPECT_GT(fast, checked / 8) << Describe(c) << " of " << checked;
+  }
+}
+
+// The fast inverse must decide almost every iteration of the tpch_sf fills
+// (SF 0.05, and SF 1's key columns), so a dead fast path cannot hide
+// behind the fallback; a fill below kMinGridDraws and skews s >= 1 have no
+// grid and decide none.
+TEST(ZipfSamplerOracleTest, FastInverseDecidesAlmostEveryTpchSfIteration) {
+  const std::vector<ZipfCase> decided = {
+      {25, 0.9, 7500},        {10000, 0.9, 40000},  {500, 0.9, 40000},
+      {7500, 0.9, 75000},     {75000, 0.9, 300000}, {10000, 0.9, 300000},
+      {500, 0.9, 300000},     {5, 0.8, 75000},      {7, 0.8, 300000},
+      {3, 0.8, 300000},       {5, 0.8, 7500},       {25, 0.8, 10000},
+      {1'500'000, 0.9, 6'000'000}};
+  const std::vector<ZipfCase> closed_only = {
+      {25, 0.9, 500}, {10000, 1.0, 300000}, {10000, 1.1, 300000}};
+  auto fast_share = [](const ZipfCase& c) {
+    const ZipfSampler zipf(c.n, c.s, c.draws);
+    const ClosedFormZipf closed(c.n, c.s);
+    Rng rng(99);
+    constexpr int kIterations = 100000;
+    int fast = 0;
+    for (int i = 0; i < kIterations; ++i) {
+      const double u = closed.h_n + rng.Uniform() * (closed.h_x1 - closed.h_n);
+      fast += zipf.Iterate(u).fast;
+    }
+    return static_cast<double>(fast) / kIterations;
+  };
+  for (const ZipfCase& c : decided) {
+    EXPECT_GE(fast_share(c), 0.99) << Describe(c);
+  }
+  for (const ZipfCase& c : closed_only) {
+    EXPECT_EQ(fast_share(c), 0.0) << Describe(c);
   }
 }
 
