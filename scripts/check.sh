@@ -32,8 +32,9 @@ ctest --test-dir build --output-on-failure -j
 ctest --test-dir build -L obs --output-on-failure -j
 # So must the concurrency suite (the TSan stage below depends on it).
 ctest --test-dir build -L parallel --output-on-failure -j
-# And the inference fast-path suite (compiled forests equal node-chasing
-# trees bit for bit, zero-allocation wrappers, the feature memo).
+# And the inference fast-path suite (every tree model serves what its own
+# Save() tokens say, checked by a test-local walker over those tokens;
+# zero-allocation wrappers, the feature memo).
 ctest --test-dir build -L inference --output-on-failure -j
 # And the optimizer suite (golden plan hashes over a query x configuration
 # sweep of every workload family, so no enumerator change moves one bit of
@@ -42,8 +43,9 @@ ctest --test-dir build -L optimizer --output-on-failure -j
 # And the workload-generator suite (golden table fingerprints and template
 # query names of every family, spec validation in the registry).
 ctest --test-dir build -L workloads --output-on-failure -j
-# And the tree-learner suite (golden Save() hashes of every tree ensemble,
-# the column-major bin matrix every tree of a fit reads).
+# And the tree-learner suite (golden Save() hashes and prediction pins of
+# every tree model, every truncated model file failing to load, the
+# column-major bin matrix every tree of a fit reads).
 ctest --test-dir build -L ml --output-on-failure -j
 # And the execution-engine suite (vectorized-vs-row bit-identity of
 # results, actual cardinalities, and derived costs).
@@ -71,9 +73,10 @@ ctest --test-dir build -L tpch_sf --output-on-failure -j
 ctest --test-dir build -L traffic --output-on-failure -j
 # The generator and tree pins must also hold at the build type perfbench
 # measures: golden table fingerprints, the ZipfSampler / bucket-correlated
-# dictionary oracles, golden model Save() hashes, the compiled-forest
-# identities and the index bulk-load oracles (the bucket pass slices key
-# values in floating point), rebuilt and rerun in a Release tree.
+# dictionary oracles, golden model Save() hashes and prediction pins, the
+# token walker over every tree model's saved trees and the index bulk-load
+# oracles (the bucket pass slices key values in floating point), rebuilt
+# and rerun in a Release tree.
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j --target common_test workloads_test \
   tpch_sf_test ml_tree_test inference_test btree_test

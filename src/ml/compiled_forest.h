@@ -7,35 +7,63 @@
 
 namespace aimai {
 
-/// Flattened structure-of-arrays decision forest. Trained tree ensembles
-/// (RandomForest, GradientBoostedTrees, HistGradientBoosting) compile
-/// their pointer-per-node trees into five parallel arrays — feature index,
-/// split threshold, left/right child offsets, and a leaf-payload offset —
-/// traversed iteratively with no virtual dispatch and no per-call
-/// allocation. Leaf payloads (class distributions or regression values)
-/// live contiguously in `leaf_values_` with a fixed stride.
+/// The one stored form of a decision tree: a structure-of-arrays forest.
+/// Every tree model (DecisionTree, RandomForest, GradientBoostedTrees,
+/// HistGradientBoosting and the regressors) grows its trees straight into
+/// one, saves from it and loads into it, and predicts by walking it: five
+/// parallel node arrays (feature, split threshold, left/right child ids,
+/// and a payload of `payload_stride` doubles per node), traversed
+/// iteratively with no virtual dispatch and no per-call allocation.
+///
+/// A leaf's payload is what a walk returns: a class distribution
+/// (stride num_classes) or a regression value (stride 1). A split's
+/// payload is never walked to. In a stride-1 forest it holds the split's
+/// value, which a boosted tree saves (the value the node had as a leaf
+/// before it split); in a wider forest it stays zero.
 ///
 /// The accumulate helpers visit trees in insertion order and add payloads
-/// in that order, so every compiled result is bit-identical to the
-/// node-chasing scalar path it replaces.
+/// in that order.
 class CompiledForest {
  public:
+  /// Node `id` of one tree as the tree codec reads it: tree-local child
+  /// ids (-1 for a leaf) and the node's payload.
+  struct Node {
+    int feature;  // -1 marks a leaf.
+    double threshold;
+    int left;
+    int right;
+    const double* payload;
+  };
+
   bool empty() const { return roots_.empty(); }
   size_t num_trees() const { return roots_.size(); }
   size_t num_nodes() const { return feature_.size(); }
   size_t payload_stride() const { return payload_stride_; }
 
-  /// Drops all trees and declares the leaf payload width: 1 for regression
+  /// Drops all trees and declares the payload width: 1 for regression
   /// values, num_classes for classification leaf distributions.
   void Reset(size_t payload_stride);
 
-  /// Starts a new tree. Subsequent AddSplit/AddLeaf calls append its nodes;
-  /// `left`/`right` in AddSplit are node ids local to this tree, in the
-  /// order the nodes are appended (node 0 is the root).
+  /// Starts a new tree. Nodes appended afterwards get tree-local ids 0, 1,
+  /// ... in order (node 0 is the root).
   void BeginTree();
-  void AddSplit(int feature, double threshold, int left, int right);
-  /// Appends a leaf, copying `payload_stride` doubles from `payload`.
-  void AddLeaf(const double* payload);
+  /// Appends a leaf with a zero payload to the current tree and returns
+  /// its tree-local id.
+  int AddNode();
+  /// Payload of node `id` of the current tree (payload_stride doubles;
+  /// valid until the next AddNode).
+  double* MutablePayload(int id);
+  /// Makes node `id` of the current tree a split: a walk goes to `left`
+  /// iff x[feature] <= threshold. Children are tree-local ids of later
+  /// nodes; a loader may name ones it has not appended yet.
+  void SetSplit(int id, int feature, double threshold, int left, int right);
+
+  /// Node count of tree `t`, and its node `id` (0 <= id < tree_size(t)).
+  size_t tree_size(size_t t) const;
+  Node node(size_t t, int id) const;
+  /// Largest feature index any split reads (-1 if none). A loaded model
+  /// can only be applied to rows with more features than this.
+  int MaxFeature() const;
 
   /// Leaf payload for example `x` in tree `t` (iterative descent).
   const double* Leaf(size_t t, const double* x) const {
@@ -44,8 +72,7 @@ class CompiledForest {
       const size_t u = static_cast<size_t>(id);
       id = x[feature_[u]] <= threshold_[u] ? left_[u] : right_[u];
     }
-    return &leaf_values_[static_cast<size_t>(
-        payload_[static_cast<size_t>(id)])];
+    return &payload_[static_cast<size_t>(id) * payload_stride_];
   }
 
   /// Bagging accumulation: adds every tree's payload into
@@ -73,8 +100,7 @@ class CompiledForest {
   std::vector<double> threshold_;   // Go left iff x[feature] <= threshold.
   std::vector<int32_t> left_;       // Absolute node ids.
   std::vector<int32_t> right_;
-  std::vector<int32_t> payload_;    // Leaf offset into leaf_values_.
-  std::vector<double> leaf_values_;
+  std::vector<double> payload_;     // payload_stride_ doubles per node.
 };
 
 }  // namespace aimai

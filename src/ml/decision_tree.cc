@@ -257,11 +257,13 @@ double GiniFromCounts(const std::vector<uint32_t>& counts, double total) {
 // Fit-time state. Nodes partition global dataset row ids; the binner's
 // matrix, labels and targets are all indexed by them.
 struct DecisionTree::BuildContext {
+  CompiledForest* out = nullptr;
   const FeatureBinner* binner = nullptr;
   const int* labels = nullptr;      // Classification.
   const double* targets = nullptr;  // Regression.
   size_t d = 0;
   size_t features_per_split = 0;
+  bool regression = false;
   size_t k = 1;  // Histogram cells per bin: classes, or 1 for regression.
   Rng rng{1};
   FeatureBinner own_binner;  // Standalone fits only.
@@ -276,15 +278,15 @@ struct DecisionTree::BuildContext {
 };
 
 int DecisionTree::BuildNode(BuildContext* ctx, size_t begin, size_t end,
-                            int depth) {
-  const int node_id = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
+                            int depth) const {
+  const int node_id = ctx->out->AddNode();
   Sample* const samples = ctx->samples.data();
+  const bool regression = ctx->regression;
 
   // Node statistics. m counts draws: sample weights summed.
   size_t m = 0;
   double sum = 0, sumsq = 0;
-  if (is_regression_) {
+  if (regression) {
     m = end - begin;
     for (size_t i = begin; i < end; ++i) {
       const double t = ctx->targets[samples[i].row];
@@ -292,7 +294,7 @@ int DecisionTree::BuildNode(BuildContext* ctx, size_t begin, size_t end,
       sumsq += t * t;
     }
   } else {
-    ctx->counts.assign(static_cast<size_t>(num_classes_), 0);
+    ctx->counts.assign(ctx->k, 0);
     for (size_t i = begin; i < end; ++i) {
       ctx->counts[static_cast<size_t>(ctx->labels[samples[i].row])] +=
           samples[i].weight;
@@ -303,21 +305,20 @@ int DecisionTree::BuildNode(BuildContext* ctx, size_t begin, size_t end,
   const double md = static_cast<double>(m);
 
   auto make_leaf = [&]() {
-    Node& leaf = nodes_[static_cast<size_t>(node_id)];
-    if (is_regression_) {
-      leaf.value = sum / md;
+    double* payload = ctx->out->MutablePayload(node_id);
+    if (regression) {
+      payload[0] = sum / md;
     } else {
-      leaf.dist.assign(static_cast<size_t>(num_classes_), 0.0);
-      for (size_t c = 0; c < ctx->counts.size(); ++c) {
-        leaf.dist[c] = static_cast<double>(ctx->counts[c]) / md;
+      for (size_t c = 0; c < ctx->k; ++c) {
+        payload[c] = static_cast<double>(ctx->counts[c]) / md;
       }
     }
     return node_id;
   };
 
   const double parent_impurity =
-      is_regression_ ? (sumsq - sum * sum / md) / md
-                     : GiniFromCounts(ctx->counts, md);
+      regression ? (sumsq - sum * sum / md) / md
+                 : GiniFromCounts(ctx->counts, md);
 
   if (depth >= options_.max_depth || m < 2 * options_.min_samples_leaf ||
       parent_impurity <= options_.min_impurity_decrease) {
@@ -345,7 +346,7 @@ int DecisionTree::BuildNode(BuildContext* ctx, size_t begin, size_t end,
     if (ctx->binner->NumBins(f) < 2) continue;
     const uint8_t* col = ctx->binner->Column(f);
     const int fi = static_cast<int>(f);
-    if (is_regression_) {
+    if (regression) {
       ScanRegressionFeature(view, ctx->targets, lane, ctx->h_sum.data(), fi,
                             col, &best);
       continue;
@@ -375,11 +376,9 @@ int DecisionTree::BuildNode(BuildContext* ctx, size_t begin, size_t end,
 
   const int left_id = BuildNode(ctx, begin, mid, depth + 1);
   const int right_id = BuildNode(ctx, mid, end, depth + 1);
-  Node& node = nodes_[static_cast<size_t>(node_id)];
-  node.feature = best.feature;
-  node.threshold = ctx->binner->EdgeValue(fidx, best.bin);
-  node.left = left_id;
-  node.right = right_id;
+  ctx->out->SetSplit(node_id, best.feature,
+                     ctx->binner->EdgeValue(fidx, best.bin), left_id,
+                     right_id);
   return node_id;
 }
 
@@ -399,11 +398,11 @@ size_t FeaturesPerSplit(double fraction, size_t d) {
 
 void DecisionTree::Build(BuildContext* ctx, const Dataset& data,
                          const std::vector<size_t>& rows,
-                         const FeatureBinner* shared_binner) {
+                         const FeatureBinner* shared_binner) const {
   AIMAI_CHECK(!rows.empty());
   AIMAI_CHECK(data.n() <= std::numeric_limits<uint32_t>::max());
   AIMAI_CHECK(rows.size() <= std::numeric_limits<uint32_t>::max());
-  nodes_.clear();
+  AIMAI_CHECK(ctx->out->payload_stride() == ctx->k);
   ctx->d = data.d();
   ctx->rng = Rng(options_.seed);
   ctx->features_per_split =
@@ -414,7 +413,6 @@ void DecisionTree::Build(BuildContext* ctx, const Dataset& data,
   }
   AIMAI_CHECK(shared_binner->num_rows() == data.n());
   ctx->binner = shared_binner;
-  ctx->k = is_regression_ ? 1 : static_cast<size_t>(num_classes_);
   ctx->left.assign(ctx->k, 0);
   ctx->lanes.assign(kLanes * FeatureBinner::kMaxBins * ctx->k, 0);
   ctx->h_sum.assign(FeatureBinner::kMaxBins, 0.0);
@@ -422,7 +420,7 @@ void DecisionTree::Build(BuildContext* ctx, const Dataset& data,
   // per-tree copy. Classification samples are the distinct rows, each
   // weighted by its number of draws.
   ctx->samples.clear();
-  if (is_regression_) {
+  if (ctx->regression) {
     for (size_t r : rows) {
       ctx->samples.push_back({static_cast<uint32_t>(r), 1});
     }
@@ -435,158 +433,197 @@ void DecisionTree::Build(BuildContext* ctx, const Dataset& data,
       }
     }
   }
+  ctx->out->BeginTree();
   BuildNode(ctx, 0, ctx->samples.size(), 0);
+}
+
+void DecisionTree::GrowClassification(const Dataset& data,
+                                      const std::vector<size_t>& rows,
+                                      int num_classes,
+                                      const FeatureBinner* shared_binner,
+                                      CompiledForest* out) const {
+  AIMAI_CHECK(num_classes >= 1);
+  BuildContext ctx;
+  ctx.out = out;
+  ctx.k = static_cast<size_t>(num_classes);
+  ctx.labels = data.labels().data();
+  Build(&ctx, data, rows, shared_binner);
+}
+
+void DecisionTree::GrowRegression(const Dataset& data,
+                                  const std::vector<size_t>& rows,
+                                  const std::vector<double>& targets,
+                                  const FeatureBinner* shared_binner,
+                                  CompiledForest* out) const {
+  AIMAI_CHECK(targets.size() == data.n());
+  BuildContext ctx;
+  ctx.out = out;
+  ctx.regression = true;
+  ctx.targets = targets.data();
+  Build(&ctx, data, rows, shared_binner);
 }
 
 void DecisionTree::FitClassification(const Dataset& data,
                                      const std::vector<size_t>& rows,
                                      int num_classes,
                                      const FeatureBinner* shared_binner) {
-  AIMAI_CHECK(num_classes >= 1);
-  is_regression_ = false;
   num_classes_ = num_classes;
-  BuildContext ctx;
-  ctx.labels = data.labels().data();
-  Build(&ctx, data, rows, shared_binner);
+  forest_.Reset(static_cast<size_t>(num_classes));
+  GrowClassification(data, rows, num_classes, shared_binner, &forest_);
 }
 
 void DecisionTree::FitRegression(const Dataset& data,
                                  const std::vector<size_t>& rows,
                                  const std::vector<double>& targets,
                                  const FeatureBinner* shared_binner) {
-  AIMAI_CHECK(targets.size() == data.n());
-  is_regression_ = true;
   num_classes_ = 0;
-  BuildContext ctx;
-  ctx.targets = targets.data();
-  Build(&ctx, data, rows, shared_binner);
+  forest_.Reset(1);
+  GrowRegression(data, rows, targets, shared_binner, &forest_);
 }
 
-int DecisionTree::MaxFeature() const {
-  int max_feature = -1;
-  for (const Node& n : nodes_) max_feature = std::max(max_feature, n.feature);
-  return max_feature;
+namespace {
+
+size_t PayloadStride(int num_classes) {
+  return num_classes == 0 ? 1 : static_cast<size_t>(num_classes);
 }
 
-int DecisionTree::FindLeaf(const double* x) const {
-  int id = 0;
-  while (nodes_[static_cast<size_t>(id)].feature >= 0) {
-    const Node& n = nodes_[static_cast<size_t>(id)];
-    id = x[n.feature] <= n.threshold ? n.left : n.right;
-  }
-  return id;
-}
-
-const std::vector<double>& DecisionTree::LeafDistribution(
-    const double* x) const {
-  AIMAI_CHECK(!is_regression_ && !nodes_.empty());
-  return nodes_[static_cast<size_t>(FindLeaf(x))].dist;
-}
-
-double DecisionTree::PredictValue(const double* x) const {
-  AIMAI_CHECK(is_regression_ && !nodes_.empty());
-  return nodes_[static_cast<size_t>(FindLeaf(x))].value;
-}
-
-void DecisionTree::CompileInto(CompiledForest* out) const {
-  AIMAI_CHECK(!nodes_.empty());
-  out->BeginTree();
-  for (const Node& n : nodes_) {
-    if (n.feature >= 0) {
-      out->AddSplit(n.feature, n.threshold, n.left, n.right);
-    } else if (is_regression_) {
-      out->AddLeaf(&n.value);
-    } else {
-      out->AddLeaf(n.dist.data());
-    }
-  }
-}
-
-void DecisionTree::Save(TokenWriter* w) const {
+void SaveTreeRecord(const CompiledForest& forest, size_t t, int num_classes,
+                    TokenWriter* w) {
   w->WriteTag("tree");
-  w->WriteInt(num_classes_);
-  w->WriteBool(is_regression_);
-  w->WriteUInt(nodes_.size());
-  for (const Node& n : nodes_) {
-    w->WriteInt(n.feature);
-    w->WriteDouble(n.threshold);
-    w->WriteInt(n.left);
-    w->WriteInt(n.right);
-    w->WriteDouble(n.value);
-    w->WriteDoubleVector(n.dist);
-  }
+  w->WriteInt(num_classes);
+  w->WriteBool(num_classes == 0);
+  SaveTreeNodes(forest, t, num_classes, NodeLayout::kTree, w);
 }
 
-Status DecisionTree::Load(TokenReader* r) {
+// Reads a `tree` record's header: its class count, 0 for a regression
+// tree.
+Status LoadTreeHeader(TokenReader* r, int* num_classes) {
   r->ExpectTag("tree");
   const int64_t classes = r->ReadInt();
   const bool regression = r->ReadBool();
-  const uint64_t n = r->ReadUInt();
   if (!r->ok()) return r->status();
-  if (regression ? classes != 0 : (classes < 1 || classes > kMaxClasses)) {
+  if (regression ? classes != 0
+                 : (classes < 1 || classes > DecisionTree::kMaxClasses)) {
     return Status::DataLoss("tree: bad class count");
   }
-  if (n == 0 || n > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    return Status::DataLoss("tree: bad node count");
-  }
-  const size_t dist_size = static_cast<size_t>(classes);
-  // Nodes are read one by one, so a node count the stream cannot hold
-  // ends in a truncated-stream error, not in a huge allocation.
-  std::vector<Node> nodes;
-  for (uint64_t i = 0; i < n; ++i) {
-    Node node;
-    const int64_t feature = r->ReadInt();
-    node.threshold = r->ReadDouble();
-    const int64_t left = r->ReadInt();
-    const int64_t right = r->ReadInt();
-    node.value = r->ReadDouble();
-    node.dist = r->ReadDoubleVector();
-    if (!r->ok()) return r->status();
-    if (feature < -1 || feature > std::numeric_limits<int>::max()) {
-      return Status::DataLoss("tree: bad split feature");
-    }
-    node.feature = static_cast<int>(feature);
-    if (node.feature >= 0) {
-      // Nodes are saved in preorder: children come after their parent, so
-      // in-range child ids cannot form a cycle.
-      const auto is_child = [&](int64_t id) {
-        return id > static_cast<int64_t>(i) && id < static_cast<int64_t>(n);
-      };
-      if (!is_child(left) || !is_child(right)) {
-        return Status::DataLoss("tree: child id out of range");
-      }
-      node.left = static_cast<int>(left);
-      node.right = static_cast<int>(right);
-    } else if (node.dist.size() != dist_size) {
-      return Status::DataLoss("tree: leaf distribution size mismatch");
-    }
-    nodes.push_back(std::move(node));
-  }
-  num_classes_ = static_cast<int>(classes);
-  is_regression_ = regression;
-  nodes_ = std::move(nodes);
+  *num_classes = static_cast<int>(classes);
   return Status::Ok();
 }
 
-Status LoadTrees(TokenReader* r, int num_classes,
-                 std::vector<std::unique_ptr<DecisionTree>>* trees) {
+}  // namespace
+
+void SaveTreeNodes(const CompiledForest& forest, size_t t, int num_classes,
+                   NodeLayout layout, TokenWriter* w) {
+  const size_t n = forest.tree_size(t);
+  const size_t dist_size = static_cast<size_t>(num_classes);
+  w->WriteUInt(n);
+  for (size_t i = 0; i < n; ++i) {
+    const CompiledForest::Node node = forest.node(t, static_cast<int>(i));
+    w->WriteInt(node.feature);
+    w->WriteDouble(node.threshold);
+    w->WriteInt(node.left);
+    w->WriteInt(node.right);
+    w->WriteDouble(num_classes == 0 ? node.payload[0] : 0.0);
+    if (layout == NodeLayout::kTree) {
+      // The dist vector, as WriteDoubleVector lays it out.
+      const size_t size = node.feature < 0 ? dist_size : 0;
+      w->WriteUInt(size);
+      for (size_t c = 0; c < size; ++c) w->WriteDouble(node.payload[c]);
+    }
+  }
+}
+
+Status LoadTreeNodes(TokenReader* r, int num_classes, NodeLayout layout,
+                     CompiledForest* out) {
+  AIMAI_CHECK(out->payload_stride() == PayloadStride(num_classes));
+  AIMAI_CHECK(num_classes == 0 || layout == NodeLayout::kTree);
+  constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+  const uint64_t n = r->ReadUInt();
+  if (!r->ok()) return r->status();
+  if (n == 0 || n > static_cast<uint64_t>(kMaxInt)) {
+    return Status::DataLoss("tree: bad node count");
+  }
+  const int64_t end = static_cast<int64_t>(n);
+  const size_t dist_size = static_cast<size_t>(num_classes);
+  out->BeginTree();
+  std::vector<double> dist;
+  for (int64_t i = 0; i < end; ++i) {
+    const int64_t feature = r->ReadInt();
+    const double threshold = r->ReadDouble();
+    const int64_t left = r->ReadInt();
+    const int64_t right = r->ReadInt();
+    const double value = r->ReadDouble();
+    if (layout == NodeLayout::kTree) dist = r->ReadDoubleVector();
+    if (!r->ok()) return r->status();
+    if (feature < -1 || feature > kMaxInt) {
+      return Status::DataLoss("tree: bad split feature");
+    }
+    const int id = out->AddNode();
+    if (num_classes == 0) *out->MutablePayload(id) = value;
+    if (feature >= 0) {
+      // Nodes are saved in preorder (boosted trees: parents before the
+      // children they split into), so in-range child ids cannot form a
+      // cycle.
+      if (left <= i || left >= end || right <= i || right >= end) {
+        return Status::DataLoss("tree: child id out of range");
+      }
+      out->SetSplit(id, static_cast<int>(feature), threshold,
+                    static_cast<int>(left), static_cast<int>(right));
+    } else if (layout == NodeLayout::kTree) {
+      if (dist.size() != dist_size) {
+        return Status::DataLoss("tree: leaf distribution size mismatch");
+      }
+      std::copy(dist.begin(), dist.end(), out->MutablePayload(id));
+    }
+  }
+  return Status::Ok();
+}
+
+void SaveTrees(const CompiledForest& forest, int num_classes,
+               TokenWriter* w) {
+  w->WriteUInt(forest.num_trees());
+  for (size_t t = 0; t < forest.num_trees(); ++t) {
+    SaveTreeRecord(forest, t, num_classes, w);
+  }
+}
+
+Status LoadTrees(TokenReader* r, int num_classes, CompiledForest* out) {
   const uint64_t n = r->ReadUInt();
   if (!r->ok()) return r->status();
   if (n == 0) return Status::DataLoss("ensemble: no trees");
   // Trees are read one by one: a tree count the stream cannot hold ends
   // in a truncated-stream error.
-  std::vector<std::unique_ptr<DecisionTree>> loaded;
+  CompiledForest loaded;
+  loaded.Reset(PayloadStride(num_classes));
   for (uint64_t i = 0; i < n; ++i) {
-    auto t = std::make_unique<DecisionTree>();
-    const Status st = t->Load(r);
+    int classes = 0;
+    Status st = LoadTreeHeader(r, &classes);
     if (!st.ok()) return st;
-    if (t->is_regression() != (num_classes == 0) ||
-        t->num_classes() != num_classes) {
+    if (classes != num_classes) {
       return Status::DataLoss("ensemble: tree kind does not match");
     }
-    loaded.push_back(std::move(t));
+    st = LoadTreeNodes(r, num_classes, NodeLayout::kTree, &loaded);
+    if (!st.ok()) return st;
   }
-  *trees = std::move(loaded);
+  *out = std::move(loaded);
+  return Status::Ok();
+}
+
+void DecisionTree::Save(TokenWriter* w) const {
+  AIMAI_CHECK(!forest_.empty());
+  SaveTreeRecord(forest_, 0, num_classes_, w);
+}
+
+Status DecisionTree::Load(TokenReader* r) {
+  int classes = 0;
+  Status st = LoadTreeHeader(r, &classes);
+  if (!st.ok()) return st;
+  CompiledForest loaded;
+  loaded.Reset(PayloadStride(classes));
+  st = LoadTreeNodes(r, classes, NodeLayout::kTree, &loaded);
+  if (!st.ok()) return st;
+  num_classes_ = classes;
+  forest_ = std::move(loaded);
   return Status::Ok();
 }
 

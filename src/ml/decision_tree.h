@@ -2,7 +2,6 @@
 #define AIMAI_ML_DECISION_TREE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -56,10 +55,13 @@ class FeatureBinner {
   std::vector<uint8_t> bins_;  // Column-major: bins_[j * num_rows_ + i].
 };
 
-/// CART decision tree over binned features. Supports Gini-impurity
-/// classification and variance-reduction regression; per-split feature
-/// subsampling makes it the building block for Random Forests and
-/// gradient boosting.
+/// CART decision tree learner over binned features. Supports
+/// Gini-impurity classification and variance-reduction regression;
+/// per-split feature subsampling makes it the building block for Random
+/// Forests and gradient boosting. A fit grows its tree straight into a
+/// CompiledForest, the only stored form of a tree: the ensembles pass
+/// their own forest to Grow*, and a standalone tree (Fit*) keeps a
+/// one-tree forest of its own.
 class DecisionTree {
  public:
   struct Options {
@@ -80,74 +82,96 @@ class DecisionTree {
   explicit DecisionTree(Options options) : options_(options) {}
 
   /// Classification fit over `rows` of `data` (labels from data.Label);
-  /// `rows` may repeat ids, as a bootstrap sample does. An ensemble passes
-  /// the binner it fit on `data` once for all its trees; nullptr fits one
-  /// over `rows` for this tree alone.
-  void FitClassification(const Dataset& data, const std::vector<size_t>& rows,
-                         int num_classes, const FeatureBinner* shared_binner);
+  /// `rows` may repeat ids, as a bootstrap sample does. Appends the tree
+  /// to `out`, whose payload stride must be num_classes; leaves are class
+  /// distributions. An ensemble passes the binner it fit on `data` once
+  /// for all its trees; nullptr fits one over `rows` for this tree alone.
+  void GrowClassification(const Dataset& data, const std::vector<size_t>& rows,
+                          int num_classes, const FeatureBinner* shared_binner,
+                          CompiledForest* out) const;
 
   /// Regression fit against `targets[i]` for each dataset row i
   /// (targets.size() == data.n(); gradient boosting passes residuals).
+  /// Appends the tree to `out` (payload stride 1); leaves are means.
+  void GrowRegression(const Dataset& data, const std::vector<size_t>& rows,
+                      const std::vector<double>& targets,
+                      const FeatureBinner* shared_binner,
+                      CompiledForest* out) const;
+
+  /// Standalone fits: as Grow*, into this tree's own one-tree forest().
+  void FitClassification(const Dataset& data, const std::vector<size_t>& rows,
+                         int num_classes, const FeatureBinner* shared_binner);
   void FitRegression(const Dataset& data, const std::vector<size_t>& rows,
                      const std::vector<double>& targets,
                      const FeatureBinner* shared_binner);
 
-  /// Leaf class distribution (classification trees).
-  const std::vector<double>& LeafDistribution(const double* x) const;
+  const CompiledForest& forest() const { return forest_; }
 
-  /// Leaf mean (regression trees).
-  double PredictValue(const double* x) const;
-
-  size_t num_nodes() const { return nodes_.size(); }
-  int num_classes() const { return num_classes_; }
-  bool is_regression() const { return is_regression_; }
-  /// Largest feature index a split reads (-1 for a single leaf). A loaded
-  /// tree can only be applied to rows with more features than this.
-  int MaxFeature() const;
-
-  /// Appends this tree to a compiled forest (`out` must already have the
-  /// matching payload stride: num_classes for classification, 1 for
-  /// regression). Nodes keep their ids, so traversal visits the same
-  /// leaves as FindLeaf.
-  void CompileInto(CompiledForest* out) const;
-
-  /// Persists the trained tree (inference state only; refitting requires
-  /// the original data). `Load` returns DataLoss on a malformed stream or
-  /// structure (child ids that are not later nodes, a leaf distribution
-  /// whose size is not num_classes); it never aborts.
+  /// Persists the trained tree as one `tree` record (inference state
+  /// only; refitting requires the original data). `Load` returns DataLoss
+  /// on a malformed stream or structure (see LoadTreeNodes); it never
+  /// aborts.
   void Save(TokenWriter* w) const;
   Status Load(TokenReader* r);
 
  private:
-  struct Node {
-    int feature = -1;       // -1 for leaves.
-    double threshold = 0;   // Go left iff x[feature] <= threshold.
-    int left = -1;
-    int right = -1;
-    std::vector<double> dist;  // Classification leaves.
-    double value = 0;          // Regression leaves.
-  };
-
   struct BuildContext;
   void Build(BuildContext* ctx, const Dataset& data,
              const std::vector<size_t>& rows,
-             const FeatureBinner* shared_binner);
-  int BuildNode(BuildContext* ctx, size_t begin, size_t end, int depth);
-  int FindLeaf(const double* x) const;
+             const FeatureBinner* shared_binner) const;
+  int BuildNode(BuildContext* ctx, size_t begin, size_t end, int depth) const;
 
   Options options_;
-  int num_classes_ = 0;
-  bool is_regression_ = false;
-  std::vector<Node> nodes_;
+  int num_classes_ = 0;  // 0 for a regression tree.
+  CompiledForest forest_;
 };
 
-/// Reads a tree count and that many trees saved by DecisionTree::Save, as
-/// the tree ensembles persist them. Every tree must be a classification
-/// tree over `num_classes` classes, or a regression tree when
-/// `num_classes` is 0. On failure returns DataLoss and leaves `trees`
+/// The two on-disk node layouts of the tree codec below.
+enum class NodeLayout {
+  /// Nodes of a `tree` record (DecisionTree, and every tree of RandomForest,
+  /// GradientBoostedTrees and the regressors): feature, threshold, left,
+  /// right, value, dist. A classification leaf keeps its class
+  /// distribution in dist; a regression tree keeps its values (leaf means,
+  /// 0 at splits) in value, with an empty dist.
+  kTree,
+  /// HistGradientBoosting nodes: feature, threshold, left, right, value.
+  /// Every node keeps its value, a split the one it had as a leaf.
+  kHgbt,
+};
+
+/// The one tree-node codec, which every tree model's file goes through.
+/// `num_classes` is the class count of a classification forest (payload
+/// stride num_classes, kTree only), or 0 for a forest of values (payload
+/// stride 1: regression trees and boosting rounds).
+///
+/// Writes tree `t` of `forest`: its node count, then its nodes in
+/// `layout`. Leaves write threshold 0 and children -1; a classification
+/// node writes value 0 and a split an empty dist.
+void SaveTreeNodes(const CompiledForest& forest, size_t t, int num_classes,
+                   NodeLayout layout, TokenWriter* w);
+
+/// Reads a node count and that many nodes in `layout`, and appends them to
+/// `out` as one tree. Returns DataLoss on a node count of 0 or past
+/// INT_MAX, a feature below -1, a split child that is not a later node of
+/// the tree, or a leaf dist whose size is not num_classes. Nodes are read
+/// one at a time, so a count the stream cannot hold ends in a
+/// truncated-stream error, not in a huge allocation. What a walk never
+/// reads is not kept: a leaf's threshold and children, a classification
+/// node's value and a split's dist. On failure `out` may hold part of the
+/// tree: callers load into a scratch forest.
+Status LoadTreeNodes(TokenReader* r, int num_classes, NodeLayout layout,
+                     CompiledForest* out);
+
+/// Writes the forest's tree count, then every tree as a `tree` record, as
+/// the tree ensembles persist them.
+void SaveTrees(const CompiledForest& forest, int num_classes,
+               TokenWriter* w);
+
+/// Reads what SaveTrees writes into `out`. Every tree must be a
+/// classification tree over `num_classes` classes, or a regression tree
+/// when `num_classes` is 0. On failure returns DataLoss and leaves `out`
 /// unchanged.
-Status LoadTrees(TokenReader* r, int num_classes,
-                 std::vector<std::unique_ptr<DecisionTree>>* trees);
+Status LoadTrees(TokenReader* r, int num_classes, CompiledForest* out);
 
 }  // namespace aimai
 

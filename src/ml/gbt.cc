@@ -40,7 +40,7 @@ void GradientBoostedTrees::Fit(const Dataset& train) {
   num_classes_ = std::max(2, train.NumClasses());
   const size_t n = train.n();
   const size_t k = static_cast<size_t>(num_classes_);
-  trees_.clear();
+  forest_.Reset(1);
   Rng rng(options_.seed);
 
   std::vector<size_t> all(n);
@@ -67,51 +67,32 @@ void GradientBoostedTrees::Fit(const Dataset& train) {
         residual[i] =
             (train.Label(i) == static_cast<int>(c) ? 1.0 : 0.0) - p;
       }
-      auto tree = std::make_unique<DecisionTree>(
-          TreeOptions(options_, rng.engine()()));
-      tree->FitRegression(train, rows, residual, &binner);
+      DecisionTree(TreeOptions(options_, rng.engine()()))
+          .GrowRegression(train, rows, residual, &binner, &forest_);
+      const size_t t = forest_.num_trees() - 1;
       for (size_t i = 0; i < n; ++i) {
         scores[i * k + c] +=
-            options_.learning_rate * tree->PredictValue(train.Row(i));
+            options_.learning_rate * forest_.Leaf(t, train.Row(i))[0];
       }
-      trees_.push_back(std::move(tree));
     }
   }
-  Compile();
-}
-
-void GradientBoostedTrees::Compile() {
-  compiled_.Reset(1);
-  for (const auto& tree : trees_) tree->CompileInto(&compiled_);
 }
 
 void GradientBoostedTrees::PredictProbaInto(const double* x,
                                             double* out) const {
   AIMAI_SPAN("ml.gbt.predict");
-  AIMAI_CHECK(!compiled_.empty());
+  AIMAI_CHECK(!forest_.empty());
   const size_t k = static_cast<size_t>(num_classes_);
   std::fill(out, out + k, 0.0);
-  compiled_.AccumulateRoundRobin(x, k, options_.learning_rate, out);
+  forest_.AccumulateRoundRobin(x, k, options_.learning_rate, out);
   SoftmaxInPlace(out, k);
-}
-
-std::vector<double> GradientBoostedTrees::PredictProbaScalar(
-    const double* x) const {
-  const size_t k = static_cast<size_t>(num_classes_);
-  std::vector<double> s(k, 0.0);
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    s[t % k] += options_.learning_rate * trees_[t]->PredictValue(x);
-  }
-  SoftmaxInPlace(s.data(), k);
-  return s;
 }
 
 void GradientBoostedTrees::Save(TokenWriter* w) const {
   w->WriteTag("gbt");
   w->WriteInt(num_classes_);
   w->WriteDouble(options_.learning_rate);
-  w->WriteUInt(trees_.size());
-  for (const auto& t : trees_) t->Save(w);
+  SaveTrees(forest_, /*num_classes=*/0, w);
 }
 
 Status GradientBoostedTrees::Load(TokenReader* r) {
@@ -122,13 +103,10 @@ Status GradientBoostedTrees::Load(TokenReader* r) {
   if (classes < 2 || classes > DecisionTree::kMaxClasses) {
     return Status::DataLoss("gbt: bad class count");
   }
-  std::vector<std::unique_ptr<DecisionTree>> trees;
-  const Status st = LoadTrees(r, /*num_classes=*/0, &trees);
+  const Status st = LoadTrees(r, /*num_classes=*/0, &forest_);
   if (!st.ok()) return st;
   num_classes_ = static_cast<int>(classes);
   options_.learning_rate = learning_rate;
-  trees_ = std::move(trees);
-  Compile();
   return Status::Ok();
 }
 
@@ -136,7 +114,7 @@ void GradientBoostedTreesRegressor::Fit(const Dataset& train) {
   AIMAI_SPAN("ml.gbtreg.fit");
   AIMAI_CHECK(train.n() > 0);
   const size_t n = train.n();
-  trees_.clear();
+  forest_.Reset(1);
   Rng rng(options_.seed);
 
   std::vector<size_t> all(n);
@@ -154,28 +132,20 @@ void GradientBoostedTreesRegressor::Fit(const Dataset& train) {
     for (size_t i = 0; i < n; ++i) residual[i] = train.Target(i) - pred[i];
     const std::vector<size_t> rows =
         SubsampleRows(n, options_.subsample, &rng);
-    auto tree = std::make_unique<DecisionTree>(
-        TreeOptions(options_, rng.engine()()));
-    tree->FitRegression(train, rows, residual, &binner);
+    DecisionTree(TreeOptions(options_, rng.engine()()))
+        .GrowRegression(train, rows, residual, &binner, &forest_);
+    const size_t t = forest_.num_trees() - 1;
     for (size_t i = 0; i < n; ++i) {
-      pred[i] += options_.learning_rate * tree->PredictValue(train.Row(i));
+      pred[i] += options_.learning_rate * forest_.Leaf(t, train.Row(i))[0];
     }
-    trees_.push_back(std::move(tree));
   }
-  Compile();
-}
-
-void GradientBoostedTreesRegressor::Compile() {
-  compiled_.Reset(1);
-  for (const auto& tree : trees_) tree->CompileInto(&compiled_);
 }
 
 void GradientBoostedTreesRegressor::Save(TokenWriter* w) const {
   w->WriteTag("gbtreg");
   w->WriteDouble(base_);
   w->WriteDouble(options_.learning_rate);
-  w->WriteUInt(trees_.size());
-  for (const auto& t : trees_) t->Save(w);
+  SaveTrees(forest_, /*num_classes=*/0, w);
 }
 
 Status GradientBoostedTreesRegressor::Load(TokenReader* r) {
@@ -183,28 +153,17 @@ Status GradientBoostedTreesRegressor::Load(TokenReader* r) {
   const double base = r->ReadDouble();
   const double learning_rate = r->ReadDouble();
   if (!r->ok()) return r->status();
-  std::vector<std::unique_ptr<DecisionTree>> trees;
-  const Status st = LoadTrees(r, /*num_classes=*/0, &trees);
+  const Status st = LoadTrees(r, /*num_classes=*/0, &forest_);
   if (!st.ok()) return st;
   base_ = base;
   options_.learning_rate = learning_rate;
-  trees_ = std::move(trees);
-  Compile();
   return Status::Ok();
 }
 
 double GradientBoostedTreesRegressor::Predict(const double* x) const {
-  AIMAI_CHECK(!compiled_.empty());
+  AIMAI_CHECK(!forest_.empty());
   double out = base_;
-  compiled_.AccumulateRoundRobin(x, 1, options_.learning_rate, &out);
-  return out;
-}
-
-double GradientBoostedTreesRegressor::PredictScalar(const double* x) const {
-  double out = base_;
-  for (const auto& tree : trees_) {
-    out += options_.learning_rate * tree->PredictValue(x);
-  }
+  forest_.AccumulateRoundRobin(x, 1, options_.learning_rate, &out);
   return out;
 }
 

@@ -1,9 +1,6 @@
 #ifndef AIMAI_ML_GBT_H_
 #define AIMAI_ML_GBT_H_
 
-#include <memory>
-#include <vector>
-
 #include "ml/decision_tree.h"
 #include "ml/model.h"
 
@@ -12,7 +9,9 @@ namespace aimai {
 /// Gradient-boosted trees: multiclass classification via one regression
 /// tree per class per round fitted to the softmax residual, and a
 /// least-squares regressor variant (the boosting ensemble family from
-/// §4.1 / §6.1).
+/// §4.1 / §6.1). The rounds' trees live only in one stride-1
+/// CompiledForest, round-major with num_classes trees per round; a fit
+/// reads each new tree's outputs back through the forest's walker.
 class GradientBoostedTrees : public Classifier {
  public:
   struct Options {
@@ -30,21 +29,15 @@ class GradientBoostedTrees : public Classifier {
   void Fit(const Dataset& train) override;
   void PredictProbaInto(const double* x, double* out) const override;
 
-  /// Reference node-chasing path (bit-identity tests).
-  std::vector<double> PredictProbaScalar(const double* x) const;
-
   /// `Load` returns DataLoss on a malformed or truncated stream and then
   /// leaves the model unchanged.
   void Save(TokenWriter* w) const;
   Status Load(TokenReader* r);
 
  private:
-  void Compile();
-
   Options options_;
-  // trees_[round * num_classes + class].
-  std::vector<std::unique_ptr<DecisionTree>> trees_;
-  CompiledForest compiled_;
+  // Tree round * num_classes + class.
+  CompiledForest forest_;
 };
 
 /// Least-squares gradient boosting (plan-pair cost-ratio regressor, §6.1).
@@ -60,20 +53,14 @@ class GradientBoostedTreesRegressor : public Regressor {
   void Fit(const Dataset& train) override;
   double Predict(const double* x) const override;
 
-  /// Reference node-chasing path (bit-identity tests).
-  double PredictScalar(const double* x) const;
-
   /// As GradientBoostedTrees::Save / Load.
   void Save(TokenWriter* w) const;
   Status Load(TokenReader* r);
 
  private:
-  void Compile();
-
   Options options_;
   double base_ = 0;
-  std::vector<std::unique_ptr<DecisionTree>> trees_;
-  CompiledForest compiled_;
+  CompiledForest forest_;
 };
 
 }  // namespace aimai

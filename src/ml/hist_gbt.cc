@@ -2,22 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <queue>
 
 #include "common/check.h"
 #include "obs/obs.h"
 
 namespace aimai {
-
-double HistGradientBoosting::Tree::Predict(const double* x) const {
-  int id = 0;
-  while (nodes[static_cast<size_t>(id)].feature >= 0) {
-    const TreeNode& n = nodes[static_cast<size_t>(id)];
-    id = x[n.feature] <= n.threshold ? n.left : n.right;
-  }
-  return nodes[static_cast<size_t>(id)].value;
-}
 
 namespace {
 
@@ -38,11 +28,12 @@ struct LeafCandidate {
 
 }  // namespace
 
-HistGradientBoosting::Tree HistGradientBoosting::GrowTree(
-    const FeatureBinner& binner, const std::vector<size_t>& rows,
-    const std::vector<double>& grad, const std::vector<double>& hess) const {
+void HistGradientBoosting::GrowTree(const FeatureBinner& binner,
+                                    const std::vector<size_t>& rows,
+                                    const std::vector<double>& grad,
+                                    const std::vector<double>& hess,
+                                    CompiledForest* out) const {
   const size_t d = binner.num_features();
-  Tree tree;
 
   std::vector<uint32_t> order(rows.begin(), rows.end());
 
@@ -92,17 +83,22 @@ HistGradientBoosting::Tree HistGradientBoosting::GrowTree(
     }
   };
 
-  // Root.
+  // Root. Every node starts as a leaf with its Newton value, which it
+  // keeps when it splits.
+  out->BeginTree();
+  const auto add_leaf = [&](double g, double h) {
+    const int id = out->AddNode();
+    *out->MutablePayload(id) = leaf_value(g, h);
+    return id;
+  };
   LeafCandidate root;
-  root.node_id = 0;
   root.begin = 0;
   root.end = order.size();
   for (uint32_t r : order) {
     root.sum_g += grad[r];
     root.sum_h += hess[r];
   }
-  tree.nodes.emplace_back();
-  tree.nodes[0].value = leaf_value(root.sum_g, root.sum_h);
+  root.node_id = add_leaf(root.sum_g, root.sum_h);
   find_best(&root);
 
   std::priority_queue<LeafCandidate> heap;
@@ -137,18 +133,10 @@ HistGradientBoosting::Tree HistGradientBoosting::GrowTree(
     right.sum_g = leaf.sum_g - left.sum_g;
     right.sum_h = leaf.sum_h - left.sum_h;
 
-    left.node_id = static_cast<int>(tree.nodes.size());
-    tree.nodes.emplace_back();
-    tree.nodes.back().value = leaf_value(left.sum_g, left.sum_h);
-    right.node_id = static_cast<int>(tree.nodes.size());
-    tree.nodes.emplace_back();
-    tree.nodes.back().value = leaf_value(right.sum_g, right.sum_h);
-
-    TreeNode& parent = tree.nodes[static_cast<size_t>(leaf.node_id)];
-    parent.feature = leaf.feature;
-    parent.threshold = binner.EdgeValue(f, leaf.bin);
-    parent.left = left.node_id;
-    parent.right = right.node_id;
+    left.node_id = add_leaf(left.sum_g, left.sum_h);
+    right.node_id = add_leaf(right.sum_g, right.sum_h);
+    out->SetSplit(leaf.node_id, leaf.feature, binner.EdgeValue(f, leaf.bin),
+                  left.node_id, right.node_id);
     ++num_leaves;
 
     find_best(&left);
@@ -156,7 +144,6 @@ HistGradientBoosting::Tree HistGradientBoosting::GrowTree(
     find_best(&right);
     if (right.feature >= 0) heap.push(right);
   }
-  return tree;
 }
 
 void HistGradientBoosting::Fit(const Dataset& train) {
@@ -165,7 +152,7 @@ void HistGradientBoosting::Fit(const Dataset& train) {
   num_classes_ = std::max(2, train.NumClasses());
   const size_t n = train.n();
   const size_t k = static_cast<size_t>(num_classes_);
-  trees_.clear();
+  forest_.Reset(1);
   Rng rng(options_.seed);
 
   std::vector<size_t> all(n);
@@ -198,26 +185,11 @@ void HistGradientBoosting::Fit(const Dataset& train) {
         grad[i] = p - y;
         hess[i] = std::max(1e-9, p * (1.0 - p));
       }
-      Tree tree = GrowTree(binner, rows, grad, hess);
+      GrowTree(binner, rows, grad, hess, &forest_);
+      const size_t t = forest_.num_trees() - 1;
       for (size_t i = 0; i < n; ++i) {
         scores[i * k + c] +=
-            options_.learning_rate * tree.Predict(train.Row(i));
-      }
-      trees_.push_back(std::move(tree));
-    }
-  }
-  Compile();
-}
-
-void HistGradientBoosting::Compile() {
-  compiled_.Reset(1);
-  for (const Tree& t : trees_) {
-    compiled_.BeginTree();
-    for (const TreeNode& n : t.nodes) {
-      if (n.feature >= 0) {
-        compiled_.AddSplit(n.feature, n.threshold, n.left, n.right);
-      } else {
-        compiled_.AddLeaf(&n.value);
+            options_.learning_rate * forest_.Leaf(t, train.Row(i))[0];
       }
     }
   }
@@ -227,16 +199,9 @@ void HistGradientBoosting::Save(TokenWriter* w) const {
   w->WriteTag("hgbt");
   w->WriteInt(num_classes_);
   w->WriteDouble(options_.learning_rate);
-  w->WriteUInt(trees_.size());
-  for (const Tree& t : trees_) {
-    w->WriteUInt(t.nodes.size());
-    for (const TreeNode& n : t.nodes) {
-      w->WriteInt(n.feature);
-      w->WriteDouble(n.threshold);
-      w->WriteInt(n.left);
-      w->WriteInt(n.right);
-      w->WriteDouble(n.value);
-    }
+  w->WriteUInt(forest_.num_trees());
+  for (size_t t = 0; t < forest_.num_trees(); ++t) {
+    SaveTreeNodes(forest_, t, /*num_classes=*/0, NodeLayout::kHgbt, w);
   }
 }
 
@@ -249,68 +214,29 @@ Status HistGradientBoosting::Load(TokenReader* r) {
   if (classes < 2 || classes > DecisionTree::kMaxClasses || nt == 0) {
     return Status::DataLoss("hgbt: bad class or tree count");
   }
-  constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
-  // Trees and nodes are read one by one, so a count the stream cannot hold
-  // ends in a truncated-stream error, not in a huge allocation. GrowTree
-  // appends children after their parent, so a split's children must be
-  // later nodes of its tree, which also rules out cycles.
-  std::vector<Tree> trees;
+  // Trees are read one by one, so a count the stream cannot hold ends in a
+  // truncated-stream error.
+  CompiledForest loaded;
+  loaded.Reset(1);
   for (uint64_t t = 0; t < nt; ++t) {
-    const uint64_t nn = r->ReadUInt();
-    if (!r->ok()) return r->status();
-    if (nn == 0 || nn > static_cast<uint64_t>(kMaxInt)) {
-      return Status::DataLoss("hgbt: bad node count");
-    }
-    const int64_t end = static_cast<int64_t>(nn);
-    trees.emplace_back();
-    for (int64_t i = 0; i < end; ++i) {
-      TreeNode n;
-      const int64_t feature = r->ReadInt();
-      n.threshold = r->ReadDouble();
-      const int64_t left = r->ReadInt();
-      const int64_t right = r->ReadInt();
-      n.value = r->ReadDouble();
-      if (!r->ok()) return r->status();
-      if (feature < -1 || feature > kMaxInt) {
-        return Status::DataLoss("hgbt: bad split feature");
-      }
-      if (feature >= 0) {
-        if (left <= i || left >= end || right <= i || right >= end) {
-          return Status::DataLoss("hgbt: child id out of range");
-        }
-        n.feature = static_cast<int>(feature);
-        n.left = static_cast<int>(left);
-        n.right = static_cast<int>(right);
-      }
-      trees.back().nodes.push_back(n);
-    }
+    const Status st =
+        LoadTreeNodes(r, /*num_classes=*/0, NodeLayout::kHgbt, &loaded);
+    if (!st.ok()) return st;
   }
   num_classes_ = static_cast<int>(classes);
   options_.learning_rate = learning_rate;
-  trees_ = std::move(trees);
-  Compile();
+  forest_ = std::move(loaded);
   return Status::Ok();
 }
 
 void HistGradientBoosting::PredictProbaInto(const double* x,
                                             double* out) const {
   AIMAI_SPAN("ml.lgbm.predict");
-  AIMAI_CHECK(!compiled_.empty());
+  AIMAI_CHECK(!forest_.empty());
   const size_t k = static_cast<size_t>(num_classes_);
   std::fill(out, out + k, 0.0);
-  compiled_.AccumulateRoundRobin(x, k, options_.learning_rate, out);
+  forest_.AccumulateRoundRobin(x, k, options_.learning_rate, out);
   SoftmaxInPlace(out, k);
-}
-
-std::vector<double> HistGradientBoosting::PredictProbaScalar(
-    const double* x) const {
-  const size_t k = static_cast<size_t>(num_classes_);
-  std::vector<double> s(k, 0.0);
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    s[t % k] += options_.learning_rate * trees_[t].Predict(x);
-  }
-  SoftmaxInPlace(s.data(), k);
-  return s;
 }
 
 }  // namespace aimai

@@ -1,7 +1,6 @@
 #ifndef AIMAI_ML_HIST_GBT_H_
 #define AIMAI_ML_HIST_GBT_H_
 
-#include <memory>
 #include <vector>
 
 #include "ml/compiled_forest.h"
@@ -13,7 +12,10 @@ namespace aimai {
 /// LightGBM-style gradient boosting: histogram split finding on pre-binned
 /// features, *leaf-wise* (best-first) tree growth with a leaf cap, and
 /// second-order (Newton) leaf values with L2 regularization. This is the
-/// "LGBM" model family in the paper's Figure 7/8/10.
+/// "LGBM" model family in the paper's Figure 7/8/10. Trees grow straight
+/// into one stride-1 CompiledForest (round-major, num_classes per round),
+/// whose per-node payload also keeps each split's pre-split leaf value,
+/// which the `hgbt` file layout saves.
 class HistGradientBoosting : public Classifier {
  public:
   struct Options {
@@ -32,38 +34,21 @@ class HistGradientBoosting : public Classifier {
   void Fit(const Dataset& train) override;
   void PredictProbaInto(const double* x, double* out) const override;
 
-  /// Reference node-chasing path (bit-identity tests).
-  std::vector<double> PredictProbaScalar(const double* x) const;
-
   /// `Load` returns DataLoss on a malformed or truncated stream (counts,
-  /// child ids that are not later nodes of the same tree) and then leaves
-  /// the model unchanged.
+  /// child ids that are not later nodes of the same tree; see
+  /// LoadTreeNodes) and then leaves the model unchanged.
   void Save(TokenWriter* w) const;
   Status Load(TokenReader* r);
 
  private:
-  struct TreeNode {
-    int feature = -1;
-    double threshold = 0;
-    int left = -1;
-    int right = -1;
-    double value = 0;  // Leaf output.
-  };
-  struct Tree {
-    std::vector<TreeNode> nodes;
-    double Predict(const double* x) const;
-  };
-
-  /// Grows one leaf-wise tree on (grad, hess) for the sampled rows.
-  Tree GrowTree(const FeatureBinner& binner, const std::vector<size_t>& rows,
+  /// Grows one leaf-wise tree on (grad, hess) for the sampled rows and
+  /// appends it to `out`.
+  void GrowTree(const FeatureBinner& binner, const std::vector<size_t>& rows,
                 const std::vector<double>& grad,
-                const std::vector<double>& hess) const;
-
-  void Compile();
+                const std::vector<double>& hess, CompiledForest* out) const;
 
   Options options_;
-  std::vector<Tree> trees_;  // round-major, num_classes per round.
-  CompiledForest compiled_;
+  CompiledForest forest_;
 };
 
 }  // namespace aimai

@@ -11,8 +11,8 @@ namespace aimai {
 
 /// In-place softmax over s[0..k). Every classifier in this library uses
 /// this exact operation order (max over all entries starting from s[0],
-/// one exp/accumulate pass, one divide pass), so node-chasing and
-/// compiled paths produce bit-identical probabilities.
+/// one exp/accumulate pass, one divide pass), so a model and a reference
+/// path that softmax the same scores produce bit-identical probabilities.
 inline void SoftmaxInPlace(double* s, size_t k) {
   double mx = s[0];
   for (size_t c = 0; c < k; ++c) mx = std::max(mx, s[c]);
@@ -31,9 +31,8 @@ inline void SoftmaxInPlace(double* s, size_t k) {
 ///
 /// `PredictProbaInto` is the primitive every model implements: it writes
 /// num_classes() probabilities into a caller-provided buffer with no heap
-/// allocation; the tree ensembles answer it from compiled
-/// structure-of-arrays forests, bit-identical to their node-chasing
-/// reference paths (same floating-point operation order).
+/// allocation; the tree ensembles answer it by walking their
+/// CompiledForest, the only form in which they store their trees.
 class Classifier {
  public:
   virtual ~Classifier() = default;

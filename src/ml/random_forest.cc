@@ -36,7 +36,7 @@ void RandomForest::Fit(const Dataset& train) {
   AIMAI_SPAN("ml.rf.fit");
   AIMAI_CHECK(train.n() > 0);
   num_classes_ = std::max(2, train.NumClasses());
-  trees_.clear();
+  forest_.Reset(static_cast<size_t>(num_classes_));
   Rng rng(options_.seed);
 
   std::vector<size_t> all(train.n());
@@ -47,53 +47,25 @@ void RandomForest::Fit(const Dataset& train) {
   for (int t = 0; t < options_.num_trees; ++t) {
     const std::vector<size_t> rows =
         Bootstrap(train.n(), options_.bootstrap_fraction, &rng);
-    auto tree =
-        std::make_unique<DecisionTree>(TreeOptions(options_, rng.engine()()));
-    tree->FitClassification(train, rows, num_classes_, &binner);
-    trees_.push_back(std::move(tree));
+    DecisionTree(TreeOptions(options_, rng.engine()()))
+        .GrowClassification(train, rows, num_classes_, &binner, &forest_);
   }
-  Compile();
-}
-
-int RandomForest::MaxFeature() const {
-  int max_feature = -1;
-  for (const auto& t : trees_) {
-    max_feature = std::max(max_feature, t->MaxFeature());
-  }
-  return max_feature;
-}
-
-void RandomForest::Compile() {
-  compiled_.Reset(static_cast<size_t>(num_classes_));
-  for (const auto& tree : trees_) tree->CompileInto(&compiled_);
 }
 
 void RandomForest::PredictProbaInto(const double* x, double* out) const {
   AIMAI_SPAN("ml.rf.predict");
-  AIMAI_CHECK(!compiled_.empty());
+  AIMAI_CHECK(!forest_.empty());
   const size_t k = static_cast<size_t>(num_classes_);
   std::fill(out, out + k, 0.0);
-  compiled_.AccumulateAll(x, out);
-  const double inv = 1.0 / static_cast<double>(compiled_.num_trees());
+  forest_.AccumulateAll(x, out);
+  const double inv = 1.0 / static_cast<double>(forest_.num_trees());
   for (size_t c = 0; c < k; ++c) out[c] *= inv;
-}
-
-std::vector<double> RandomForest::PredictProbaScalar(const double* x) const {
-  AIMAI_CHECK(!trees_.empty());
-  std::vector<double> probs(static_cast<size_t>(num_classes_), 0.0);
-  for (const auto& tree : trees_) {
-    const std::vector<double>& d = tree->LeafDistribution(x);
-    for (size_t c = 0; c < probs.size(); ++c) probs[c] += d[c];
-  }
-  const double inv = 1.0 / static_cast<double>(trees_.size());
-  for (double& p : probs) p *= inv;
-  return probs;
 }
 
 void RandomForestRegressor::Fit(const Dataset& train) {
   AIMAI_SPAN("ml.rfreg.fit");
   AIMAI_CHECK(train.n() > 0);
-  trees_.clear();
+  forest_.Reset(1);
   Rng rng(options_.seed);
 
   std::vector<size_t> all(train.n());
@@ -104,24 +76,15 @@ void RandomForestRegressor::Fit(const Dataset& train) {
   for (int t = 0; t < options_.num_trees; ++t) {
     const std::vector<size_t> rows =
         Bootstrap(train.n(), options_.bootstrap_fraction, &rng);
-    auto tree =
-        std::make_unique<DecisionTree>(TreeOptions(options_, rng.engine()()));
-    tree->FitRegression(train, rows, train.targets(), &binner);
-    trees_.push_back(std::move(tree));
+    DecisionTree(TreeOptions(options_, rng.engine()()))
+        .GrowRegression(train, rows, train.targets(), &binner, &forest_);
   }
-  Compile();
-}
-
-void RandomForestRegressor::Compile() {
-  compiled_.Reset(1);
-  for (const auto& tree : trees_) tree->CompileInto(&compiled_);
 }
 
 void RandomForest::Save(TokenWriter* w) const {
   w->WriteTag("rf");
   w->WriteInt(num_classes_);
-  w->WriteUInt(trees_.size());
-  for (const auto& t : trees_) t->Save(w);
+  SaveTrees(forest_, num_classes_, w);
 }
 
 Status RandomForest::Load(TokenReader* r) {
@@ -131,43 +94,27 @@ Status RandomForest::Load(TokenReader* r) {
   if (classes < 2 || classes > DecisionTree::kMaxClasses) {
     return Status::DataLoss("forest: bad class count");
   }
-  std::vector<std::unique_ptr<DecisionTree>> trees;
-  const Status st = LoadTrees(r, static_cast<int>(classes), &trees);
+  const Status st = LoadTrees(r, static_cast<int>(classes), &forest_);
   if (!st.ok()) return st;
   num_classes_ = static_cast<int>(classes);
-  trees_ = std::move(trees);
-  Compile();
   return Status::Ok();
 }
 
 void RandomForestRegressor::Save(TokenWriter* w) const {
   w->WriteTag("rfreg");
-  w->WriteUInt(trees_.size());
-  for (const auto& t : trees_) t->Save(w);
+  SaveTrees(forest_, /*num_classes=*/0, w);
 }
 
 Status RandomForestRegressor::Load(TokenReader* r) {
   r->ExpectTag("rfreg");
-  std::vector<std::unique_ptr<DecisionTree>> trees;
-  const Status st = LoadTrees(r, /*num_classes=*/0, &trees);
-  if (!st.ok()) return st;
-  trees_ = std::move(trees);
-  Compile();
-  return Status::Ok();
+  return LoadTrees(r, /*num_classes=*/0, &forest_);
 }
 
 double RandomForestRegressor::Predict(const double* x) const {
-  AIMAI_CHECK(!compiled_.empty());
+  AIMAI_CHECK(!forest_.empty());
   double sum = 0;
-  compiled_.AccumulateAll(x, &sum);
-  return sum / static_cast<double>(compiled_.num_trees());
-}
-
-double RandomForestRegressor::PredictScalar(const double* x) const {
-  AIMAI_CHECK(!trees_.empty());
-  double sum = 0;
-  for (const auto& tree : trees_) sum += tree->PredictValue(x);
-  return sum / static_cast<double>(trees_.size());
+  forest_.AccumulateAll(x, &sum);
+  return sum / static_cast<double>(forest_.num_trees());
 }
 
 }  // namespace aimai

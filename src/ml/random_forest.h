@@ -1,9 +1,6 @@
 #ifndef AIMAI_ML_RANDOM_FOREST_H_
 #define AIMAI_ML_RANDOM_FOREST_H_
 
-#include <memory>
-#include <vector>
-
 #include "ml/decision_tree.h"
 #include "ml/model.h"
 
@@ -12,7 +9,9 @@ namespace aimai {
 /// Bagging ensemble of CART trees (the paper's best offline model family).
 /// Bootstrap-sampled trees with sqrt-feature subsampling; probabilities
 /// are the average of leaf distributions, making `Uncertainty` a usable
-/// adaptive-model signal (§4.3).
+/// adaptive-model signal (§4.3). The trees live only in one
+/// CompiledForest: each fit grows straight into it, and Save/Load go
+/// through the tree codec (SaveTrees / LoadTrees).
 class RandomForest : public Classifier {
  public:
   struct Options {
@@ -33,13 +32,9 @@ class RandomForest : public Classifier {
   void Fit(const Dataset& train) override;
   void PredictProbaInto(const double* x, double* out) const override;
 
-  /// Reference node-chasing path (pre-compilation); kept for the
-  /// bit-identity tests.
-  std::vector<double> PredictProbaScalar(const double* x) const;
-
-  size_t num_trees() const { return trees_.size(); }
+  size_t num_trees() const { return forest_.num_trees(); }
   /// Largest feature index any split reads (-1 if none).
-  int MaxFeature() const;
+  int MaxFeature() const { return forest_.MaxFeature(); }
 
   /// Persists / restores the trained ensemble (inference state). `Load`
   /// returns DataLoss on a malformed or truncated stream and then leaves
@@ -48,15 +43,12 @@ class RandomForest : public Classifier {
   Status Load(TokenReader* r);
 
  private:
-  void Compile();
-
   Options options_;
-  std::vector<std::unique_ptr<DecisionTree>> trees_;
-  CompiledForest compiled_;
+  CompiledForest forest_;
 };
 
 /// Random-forest regressor (used by the plan-level cost regressor
-/// baseline, §6.1).
+/// baseline, §6.1); its forest holds one mean per leaf.
 class RandomForestRegressor : public Regressor {
  public:
   using Options = RandomForest::Options;
@@ -67,19 +59,13 @@ class RandomForestRegressor : public Regressor {
   void Fit(const Dataset& train) override;
   double Predict(const double* x) const override;
 
-  /// Reference node-chasing path (bit-identity tests).
-  double PredictScalar(const double* x) const;
-
   /// As RandomForest::Save / Load.
   void Save(TokenWriter* w) const;
   Status Load(TokenReader* r);
 
  private:
-  void Compile();
-
   Options options_;
-  std::vector<std::unique_ptr<DecisionTree>> trees_;
-  CompiledForest compiled_;
+  CompiledForest forest_;
 };
 
 }  // namespace aimai

@@ -1,6 +1,8 @@
-// Inference fast path: the compiled SoA forests, the zero-allocation
-// wrappers and hidden-layer pass, and the plan-pair featurization memo
-// must all be bit-identical to the reference paths they replace.
+// Inference fast path: every tree model's forest must serve what its
+// saved trees say (a test-local walker over the Save() tokens), and the
+// zero-allocation wrappers, hidden-layer pass and plan-pair
+// featurization memo must be bit-identical to the reference paths they
+// replace.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,8 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -51,15 +55,153 @@ Dataset MakeRegData(size_t n, uint64_t seed) {
   return data;
 }
 
-/// Compiled (PredictProbaInto) vs node-chasing (PredictProbaScalar)
-/// probabilities on every row. EXPECT_EQ on doubles is exact — that is the
-/// point: the compiled path promises bit-identity, not closeness.
+// Test-local reference walker. It parses a tree model's own Save() tokens
+// into plain node lists and descends them with its own loop, so no part of
+// CompiledForest or of the tree decoder stands between a model's saved
+// trees and the outputs it is checked against.
+struct TokenNode {
+  int64_t feature;
+  double threshold;
+  int64_t left;
+  int64_t right;
+  double value;
+  std::vector<double> dist;  // `tree` records only.
+};
+using TokenTree = std::vector<TokenNode>;
+
+const TokenNode& WalkToLeaf(const TokenTree& tree, const double* x) {
+  size_t id = 0;
+  while (tree[id].feature >= 0) {
+    const TokenNode& n = tree[id];
+    id = static_cast<size_t>(x[n.feature] <= n.threshold ? n.left : n.right);
+  }
+  return tree[id];
+}
+
+TokenTree ReadNodes(TokenReader* r, bool with_dist) {
+  TokenTree tree(r->ReadUInt());
+  for (TokenNode& n : tree) {
+    n.feature = r->ReadInt();
+    n.threshold = r->ReadDouble();
+    n.left = r->ReadInt();
+    n.right = r->ReadInt();
+    n.value = r->ReadDouble();
+    if (with_dist) n.dist = r->ReadDoubleVector();
+  }
+  return tree;
+}
+
+// A tree count, then that many `tree` records.
+std::vector<TokenTree> ReadTreeRecords(TokenReader* r) {
+  std::vector<TokenTree> trees(r->ReadUInt());
+  for (TokenTree& t : trees) {
+    r->ExpectTag("tree");
+    r->ReadInt();   // Class count.
+    r->ReadBool();  // Regression flag.
+    t = ReadNodes(r, /*with_dist=*/true);
+  }
+  return trees;
+}
+
+// A model's saved trees and the scalars its outputs combine them with.
+struct TokenModel {
+  std::string kind;
+  size_t classes = 1;
+  double learning_rate = 0;
+  double base = 0;
+  std::vector<TokenTree> trees;
+};
+
 template <typename Model>
-void ExpectCompiledMatchesNodes(const Model& model, const Dataset& data) {
-  std::vector<double> fast(static_cast<size_t>(model.num_classes()));
+TokenModel ParseSaved(const Model& model) {
+  std::stringstream ss;
+  TokenWriter w(&ss);
+  model.Save(&w);
+  TokenModel m;
+  m.kind = ss.str().substr(0, ss.str().find(' '));  // The leading tag.
+  TokenReader r(&ss);
+  r.ExpectTag(m.kind.c_str());
+  if (m.kind == "rf") {
+    m.classes = static_cast<size_t>(r.ReadInt());
+    m.trees = ReadTreeRecords(&r);
+  } else if (m.kind == "rfreg") {
+    m.trees = ReadTreeRecords(&r);
+  } else if (m.kind == "gbt") {
+    m.classes = static_cast<size_t>(r.ReadInt());
+    m.learning_rate = r.ReadDouble();
+    m.trees = ReadTreeRecords(&r);
+  } else if (m.kind == "gbtreg") {
+    m.base = r.ReadDouble();
+    m.learning_rate = r.ReadDouble();
+    m.trees = ReadTreeRecords(&r);
+  } else if (m.kind == "hgbt") {
+    m.classes = static_cast<size_t>(r.ReadInt());
+    m.learning_rate = r.ReadDouble();
+    m.trees.resize(r.ReadUInt());
+    for (TokenTree& t : m.trees) t = ReadNodes(&r, /*with_dist=*/false);
+  } else if (m.kind == "tree") {
+    m.classes = static_cast<size_t>(r.ReadInt());
+    r.ReadBool();
+    m.trees.push_back(ReadNodes(&r, /*with_dist=*/true));
+  }
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return m;
+}
+
+// The model's outputs for `x` as its kind combines its trees' leaves:
+// bagged leaf distributions or means averaged in tree order, boosted
+// leaf values scaled and summed round-robin over the classes.
+std::vector<double> WalkOutputs(const TokenModel& m, const double* x) {
+  std::vector<double> out(m.kind == "rfreg" || m.kind == "gbtreg" ? 1
+                                                                  : m.classes);
+  if (m.kind == "tree") {
+    const TokenNode& leaf = WalkToLeaf(m.trees[0], x);
+    return m.classes == 0 ? std::vector<double>{leaf.value} : leaf.dist;
+  }
+  if (m.kind == "rf" || m.kind == "rfreg") {
+    for (const TokenTree& t : m.trees) {
+      const TokenNode& leaf = WalkToLeaf(t, x);
+      if (m.kind == "rf") {
+        for (size_t c = 0; c < out.size(); ++c) out[c] += leaf.dist[c];
+      } else {
+        out[0] += leaf.value;
+      }
+    }
+    if (m.kind == "rfreg") {
+      out[0] /= static_cast<double>(m.trees.size());
+    } else {
+      const double inv = 1.0 / static_cast<double>(m.trees.size());
+      for (double& p : out) p *= inv;
+    }
+    return out;
+  }
+  out[0] = m.base;
+  for (size_t t = 0; t < m.trees.size(); ++t) {
+    out[t % out.size()] +=
+        m.learning_rate * WalkToLeaf(m.trees[t], x).value;
+  }
+  if (m.kind != "gbtreg") SoftmaxInPlace(out.data(), out.size());
+  return out;
+}
+
+// Served outputs vs the token walker on every row, compared exactly: a
+// tree model must serve what its saved trees say, bit for bit.
+template <typename Model>
+void ExpectMatchesTokenWalker(const Model& model, const Dataset& data) {
+  const TokenModel m = ParseSaved(model);
+  ASSERT_FALSE(m.trees.empty()) << m.kind;
+  std::vector<double> got;
   for (size_t i = 0; i < data.n(); ++i) {
-    model.PredictProbaInto(data.Row(i), fast.data());
-    ASSERT_EQ(model.PredictProbaScalar(data.Row(i)), fast) << "row " << i;
+    const double* x = data.Row(i);
+    if constexpr (std::is_base_of_v<Classifier, Model>) {
+      got = model.PredictProba(x);
+    } else if constexpr (std::is_base_of_v<Regressor, Model>) {
+      got = {model.Predict(x)};
+    } else {
+      const double* leaf = model.forest().Leaf(0, x);
+      got.assign(leaf, leaf + model.forest().payload_stride());
+    }
+    ASSERT_EQ(WalkOutputs(m, x), got) << m.kind << " row " << i;
   }
 }
 
@@ -69,17 +211,8 @@ TEST(CompiledForestTest, DecisionTreeCompiledTraversalMatchesNodes) {
   for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
   DecisionTree tree;
   tree.FitClassification(data, rows, 3, nullptr);
-
-  CompiledForest cf;
-  cf.Reset(3);
-  tree.CompileInto(&cf);
-  ASSERT_EQ(cf.num_trees(), 1u);
-  ASSERT_EQ(cf.num_nodes(), tree.num_nodes());
-  for (size_t i = 0; i < data.n(); ++i) {
-    const std::vector<double>& ref = tree.LeafDistribution(data.Row(i));
-    const double* leaf = cf.Leaf(0, data.Row(i));
-    for (size_t c = 0; c < 3; ++c) ASSERT_EQ(ref[c], leaf[c]) << "row " << i;
-  }
+  ASSERT_EQ(tree.forest().num_trees(), 1u);
+  ExpectMatchesTokenWalker(tree, data);
 }
 
 TEST(CompiledForestTest, RegressionTreeCompiledTraversalMatchesNodes) {
@@ -90,41 +223,35 @@ TEST(CompiledForestTest, RegressionTreeCompiledTraversalMatchesNodes) {
   for (size_t i = 0; i < data.n(); ++i) targets[i] = data.Target(i);
   DecisionTree tree;
   tree.FitRegression(data, rows, targets, nullptr);
-
-  CompiledForest cf;
-  cf.Reset(1);
-  tree.CompileInto(&cf);
-  for (size_t i = 0; i < data.n(); ++i) {
-    ASSERT_EQ(tree.PredictValue(data.Row(i)), cf.Leaf(0, data.Row(i))[0]);
-  }
+  ExpectMatchesTokenWalker(tree, data);
 }
 
-TEST(InferenceTest, RandomForestCompiledAndBatchedBitIdentical) {
+TEST(InferenceTest, RandomForestMatchesTokenWalker) {
   const Dataset data = MakeClassData(400, 21);
   RandomForest::Options o;
   o.num_trees = 30;
   o.seed = 5;
   RandomForest rf(o);
   rf.Fit(data);
-  ExpectCompiledMatchesNodes(rf, data);
+  ExpectMatchesTokenWalker(rf, data);
 }
 
-TEST(InferenceTest, GbtCompiledAndBatchedBitIdentical) {
+TEST(InferenceTest, GbtMatchesTokenWalker) {
   const Dataset data = MakeClassData(400, 22);
   GradientBoostedTrees::Options o;
   o.seed = 6;
   GradientBoostedTrees gbt(o);
   gbt.Fit(data);
-  ExpectCompiledMatchesNodes(gbt, data);
+  ExpectMatchesTokenWalker(gbt, data);
 }
 
-TEST(InferenceTest, HistGbtCompiledAndBatchedBitIdentical) {
+TEST(InferenceTest, HistGbtMatchesTokenWalker) {
   const Dataset data = MakeClassData(400, 23);
   HistGradientBoosting::Options o;
   o.seed = 7;
   HistGradientBoosting lgbm(o);
   lgbm.Fit(data);
-  ExpectCompiledMatchesNodes(lgbm, data);
+  ExpectMatchesTokenWalker(lgbm, data);
 }
 
 TEST(InferenceTest, HybridDnnHiddenPassMatchesLastHiddenFeatures) {
@@ -164,7 +291,7 @@ TEST(InferenceTest, HybridDnnHiddenPassMatchesLastHiddenFeatures) {
   }
 }
 
-TEST(InferenceTest, RegressorsBatchedBitIdentical) {
+TEST(InferenceTest, RegressorsMatchTokenWalker) {
   const Dataset data = MakeRegData(400, 26);
 
   RandomForestRegressor::Options ro;
@@ -175,10 +302,8 @@ TEST(InferenceTest, RegressorsBatchedBitIdentical) {
   GradientBoostedTreesRegressor gbt;
   gbt.Fit(data);
 
-  for (size_t i = 0; i < data.n(); ++i) {
-    ASSERT_EQ(rf.PredictScalar(data.Row(i)), rf.Predict(data.Row(i)));
-    ASSERT_EQ(gbt.PredictScalar(data.Row(i)), gbt.Predict(data.Row(i)));
-  }
+  ExpectMatchesTokenWalker(rf, data);
+  ExpectMatchesTokenWalker(gbt, data);
 }
 
 TEST(InferenceTest, SaveLoadKeepsCompiledPathsIdentical) {
@@ -196,8 +321,9 @@ TEST(InferenceTest, SaveLoadKeepsCompiledPathsIdentical) {
   TokenReader r(&ss);
   ASSERT_TRUE(loaded.Load(&r).ok());
 
-  // The loaded model must recompile: compiled path, not just the nodes.
-  ExpectCompiledMatchesNodes(loaded, data);
+  // The loaded forest serves what its trees say, and what the fitted one
+  // served.
+  ExpectMatchesTokenWalker(loaded, data);
   std::vector<double> a(3), b(3);
   for (size_t i = 0; i < data.n(); i += 7) {
     rf.PredictProbaInto(data.Row(i), a.data());

@@ -186,7 +186,7 @@ TEST(DecisionTreeTest, FitsAxisAlignedRule) {
   int correct = 0;
   for (double x = 0.25; x < 20; x += 0.5) {
     const double q[1] = {x};
-    const std::vector<double>& dist = tree.LeafDistribution(q);
+    const double* dist = tree.forest().Leaf(0, q);
     const int pred = dist[1] > dist[0] ? 1 : 0;
     if (pred == (x > 10 ? 1 : 0)) ++correct;
   }
@@ -208,8 +208,8 @@ TEST(DecisionTreeTest, RegressionFitsStepFunction) {
   tree.FitRegression(d, rows, targets, nullptr);
   const double lo[1] = {2.0};
   const double hi[1] = {8.0};
-  EXPECT_NEAR(tree.PredictValue(lo), 2.0, 0.3);
-  EXPECT_NEAR(tree.PredictValue(hi), 8.0, 0.3);
+  EXPECT_NEAR(tree.forest().Leaf(0, lo)[0], 2.0, 0.3);
+  EXPECT_NEAR(tree.forest().Leaf(0, hi)[0], 8.0, 0.3);
 }
 
 TEST(DecisionTreeTest, MinSamplesLeafLimitsGrowth) {
@@ -222,7 +222,7 @@ TEST(DecisionTreeTest, MinSamplesLeafLimitsGrowth) {
   big_leaf.min_samples_leaf = 100;
   DecisionTree tree(big_leaf);
   tree.FitClassification(d, rows, 2, nullptr);
-  EXPECT_LE(tree.num_nodes(), 3u);
+  EXPECT_LE(tree.forest().num_nodes(), 3u);
 }
 
 TEST(RandomForestTest, MulticlassBlobs) {
@@ -378,12 +378,50 @@ void ExpectHash(uint64_t got, uint64_t want) {
   EXPECT_EQ(got, want) << "got 0x" << std::hex << got;
 }
 
+// Prediction pins: FNV-1a of the bit patterns of `width` outputs per row
+// of `data`, as `predict(row, out)` writes them. Recorded when every
+// model still kept node-list trees beside the forest it predicted from,
+// so they hold what the models serve, not only what they save, to the
+// models of that time.
+template <typename Predict>
+uint64_t OutputHash(const Dataset& data, size_t width, Predict predict) {
+  std::vector<double> out(data.n() * width);
+  for (size_t i = 0; i < data.n(); ++i) predict(data.Row(i), &out[i * width]);
+  return Fnv1a64(out.data(), out.size() * sizeof(double));
+}
+
+uint64_t PredictionHash(const Classifier& model, const Dataset& data) {
+  return OutputHash(data, static_cast<size_t>(model.num_classes()),
+                    [&](const double* x, double* out) {
+                      model.PredictProbaInto(x, out);
+                    });
+}
+
+uint64_t PredictionHash(const Regressor& model, const Dataset& data) {
+  return OutputHash(data, 1, [&](const double* x, double* out) {
+    *out = model.Predict(x);
+  });
+}
+
+// A standalone tree's output is its leaf payload: the class distribution
+// of a classification tree, the mean of a regression tree.
+uint64_t PredictionHash(const DecisionTree& tree, const Dataset& data) {
+  const CompiledForest& forest = tree.forest();
+  const size_t width = forest.payload_stride();
+  return OutputHash(data, width, [&](const double* x, double* out) {
+    const double* leaf = forest.Leaf(0, x);
+    std::copy(leaf, leaf + width, out);
+  });
+}
+
 TEST(GoldenModelTest, RandomForestSampledBinner) {
   RandomForest::Options o;
   o.num_trees = 12;
   RandomForest rf(o);
-  rf.Fit(GoldenData(5000, 31));
+  const Dataset data = GoldenData(5000, 31);
+  rf.Fit(data);
   ExpectHash(SavedHash(rf), 0x419afa97b2de393bull);
+  ExpectHash(PredictionHash(rf, data), 0x61e0b270db2bffa8ull);
 }
 
 TEST(GoldenModelTest, RandomForestRegressor) {
@@ -391,32 +429,40 @@ TEST(GoldenModelTest, RandomForestRegressor) {
   o.num_trees = 12;
   o.bootstrap_fraction = 0.7;
   RandomForestRegressor rf(o);
-  rf.Fit(GoldenData(700, 32));
+  const Dataset data = GoldenData(700, 32);
+  rf.Fit(data);
   ExpectHash(SavedHash(rf), 0x20768f5fe45c75a2ull);
+  ExpectHash(PredictionHash(rf, data), 0xdaf38c36bf72f0bbull);
 }
 
 TEST(GoldenModelTest, GradientBoostedTreesSampledBinner) {
   GradientBoostedTrees::Options o;
   o.num_rounds = 6;
   GradientBoostedTrees gbt(o);
-  gbt.Fit(GoldenData(5000, 33));
+  const Dataset data = GoldenData(5000, 33);
+  gbt.Fit(data);
   ExpectHash(SavedHash(gbt), 0x236958722ba40e13ull);
+  ExpectHash(PredictionHash(gbt, data), 0x5612c2a979174905ull);
 }
 
 TEST(GoldenModelTest, GradientBoostedTreesRegressor) {
   GradientBoostedTreesRegressor::Options o;
   o.num_rounds = 20;
   GradientBoostedTreesRegressor gbt(o);
-  gbt.Fit(GoldenData(900, 34));
+  const Dataset data = GoldenData(900, 34);
+  gbt.Fit(data);
   ExpectHash(SavedHash(gbt), 0x7ce63415ecbc6e9dull);
+  ExpectHash(PredictionHash(gbt, data), 0xde726765bfa34b3eull);
 }
 
 TEST(GoldenModelTest, HistGradientBoostingSampledBinner) {
   HistGradientBoosting::Options o;
   o.num_rounds = 5;
   HistGradientBoosting lgbm(o);
-  lgbm.Fit(GoldenData(5000, 35));
+  const Dataset data = GoldenData(5000, 35);
+  lgbm.Fit(data);
   ExpectHash(SavedHash(lgbm), 0x60b7de69aed95d29ull);
+  ExpectHash(PredictionHash(lgbm, data), 0xb71c31166f8da1d3ull);
 }
 
 TEST(GoldenModelTest, StandaloneTreesOnRowSubset) {
@@ -429,9 +475,11 @@ TEST(GoldenModelTest, StandaloneTreesOnRowSubset) {
   DecisionTree cls(o);
   cls.FitClassification(d, rows, 3, nullptr);
   ExpectHash(SavedHash(cls), 0x67e18b9c289bec50ull);
+  ExpectHash(PredictionHash(cls, d), 0x94652ee67d8c0545ull);
   DecisionTree reg(o);
   reg.FitRegression(d, rows, d.targets(), nullptr);
   ExpectHash(SavedHash(reg), 0xe0c2f43a57eb579full);
+  ExpectHash(PredictionHash(reg, d), 0x95f59cefa21b94f4ull);
 }
 
 // Golden models in the regime of the plan-pair datasets the learning loop
@@ -574,7 +622,8 @@ TEST(GoldenModelTest, StandaloneTreesPairLikeBootstrap) {
 }
 
 // Model files come from outside the process: a cut or malformed one must
-// fail to load with a Status, never abort.
+// fail to load with DATA_LOSS, never abort. The whole file must load back
+// to the same bytes and the same predictions.
 template <typename Model>
 void ExpectEveryTruncatedPrefixFails(const Model& fitted,
                                      const Dataset& data) {
@@ -586,7 +635,8 @@ void ExpectEveryTruncatedPrefixFails(const Model& fitted,
     std::istringstream in(bytes.substr(0, len));
     TokenReader r(&in);
     Model loaded;
-    ASSERT_FALSE(loaded.Load(&r).ok()) << "prefix of " << len << " bytes";
+    ASSERT_EQ(loaded.Load(&r).code(), StatusCode::kDataLoss)
+        << "prefix of " << len << " bytes";
   }
   std::istringstream in(bytes);
   TokenReader r(&in);
@@ -594,10 +644,7 @@ void ExpectEveryTruncatedPrefixFails(const Model& fitted,
   const Status st = loaded.Load(&r);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(SavedHash(loaded), SavedHash(fitted));
-  for (size_t i = 0; i < data.n(); ++i) {
-    EXPECT_EQ(loaded.PredictProba(data.Row(i)),
-              fitted.PredictProba(data.Row(i)));
-  }
+  EXPECT_EQ(PredictionHash(loaded, data), PredictionHash(fitted, data));
 }
 
 TEST(ModelLoadTest, EveryTruncatedForestPrefixFails) {
@@ -619,6 +666,34 @@ TEST(ModelLoadTest, EveryTruncatedForestPrefixFails) {
   HistGradientBoosting hgbt(ho);
   hgbt.Fit(data);
   ExpectEveryTruncatedPrefixFails(hgbt, data);
+
+  // The other tree models, on data with regression targets too.
+  const Dataset golden = GoldenData(80, 52);
+  GradientBoostedTrees::Options go;
+  go.num_rounds = 2;
+  go.max_depth = 3;
+  GradientBoostedTrees gbt(go);
+  gbt.Fit(golden);
+  ExpectEveryTruncatedPrefixFails(gbt, golden);
+  GradientBoostedTreesRegressor gbt_reg(go);
+  gbt_reg.Fit(golden);
+  ExpectEveryTruncatedPrefixFails(gbt_reg, golden);
+  RandomForestRegressor::Options ro;
+  ro.num_trees = 2;
+  ro.max_depth = 4;
+  RandomForestRegressor rf_reg(ro);
+  rf_reg.Fit(golden);
+  ExpectEveryTruncatedPrefixFails(rf_reg, golden);
+  std::vector<size_t> rows(golden.n());
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  DecisionTree::Options to;
+  to.max_depth = 4;
+  DecisionTree cls(to);
+  cls.FitClassification(golden, rows, 3, nullptr);
+  ExpectEveryTruncatedPrefixFails(cls, golden);
+  DecisionTree reg(to);
+  reg.FitRegression(golden, rows, golden.targets(), nullptr);
+  ExpectEveryTruncatedPrefixFails(reg, golden);
 }
 
 // One tree token stream: `nodes` holds (feature, left, right, dist size)
@@ -652,6 +727,34 @@ Status LoadForest(const std::string& bytes) {
   return rf.Load(&r);
 }
 
+// One boosted tree token stream: `nodes` holds (feature, left, right) per
+// node, as the hgbt layout saves them.
+std::string HgbtTokens(uint64_t claimed_nodes,
+                       const std::vector<std::vector<int64_t>>& nodes) {
+  std::ostringstream out;
+  TokenWriter w(&out);
+  w.WriteTag("hgbt");
+  w.WriteInt(2);
+  w.WriteDouble(0.1);
+  w.WriteUInt(1);
+  w.WriteUInt(claimed_nodes);
+  for (const std::vector<int64_t>& n : nodes) {
+    w.WriteInt(n[0]);
+    w.WriteDouble(0.5);
+    w.WriteInt(n[1]);
+    w.WriteInt(n[2]);
+    w.WriteDouble(0.25);
+  }
+  return out.str();
+}
+
+Status LoadBoosted(const std::string& bytes) {
+  std::istringstream in(bytes);
+  TokenReader r(&in);
+  HistGradientBoosting hgbt;
+  return hgbt.Load(&r);
+}
+
 TEST(ModelLoadTest, RejectsMalformedTreeStructure) {
   // A well-formed stump loads.
   ASSERT_TRUE(
@@ -677,26 +780,21 @@ TEST(ModelLoadTest, RejectsMalformedTreeStructure) {
   EXPECT_FALSE(LoadForest(TreeTokens(2, 0, {})).ok());
   // A forest whose trees disagree with its class count.
   EXPECT_FALSE(LoadForest(TreeTokens(1, 1, {{-1, -1, -1, 1}})).ok());
-  // A boosted stump whose right child is past its last node.
-  for (const uint64_t nodes : {3, 2}) {
-    std::stringstream ss;
-    TokenWriter w(&ss);
-    w.WriteTag("hgbt");
-    w.WriteInt(2);
-    w.WriteDouble(0.1);
-    w.WriteUInt(1);
-    w.WriteUInt(nodes);
-    for (const int64_t feature : {0, -1, -1}) {
-      w.WriteInt(feature);
-      w.WriteDouble(0.5);
-      w.WriteInt(feature < 0 ? -1 : 1);
-      w.WriteInt(feature < 0 ? -1 : 2);
-      w.WriteDouble(0.25);
-    }
-    TokenReader r(&ss);
-    HistGradientBoosting hgbt;
-    EXPECT_EQ(hgbt.Load(&r).ok(), nodes == 3);
-  }
+  // A boosted stump loads; one whose right child is past its last node
+  // does not.
+  const std::vector<std::vector<int64_t>> stump = {
+      {0, 1, 2}, {-1, -1, -1}, {-1, -1, -1}};
+  ASSERT_TRUE(LoadBoosted(HgbtTokens(3, stump)).ok());
+  EXPECT_EQ(LoadBoosted(HgbtTokens(2, stump)).code(), StatusCode::kDataLoss);
+  // A boosted split feature below -1, an empty boosted tree, and a node
+  // count the stream cannot hold.
+  EXPECT_EQ(LoadBoosted(HgbtTokens(3, {{-2, 1, 2}, {-1, -1, -1},
+                                       {-1, -1, -1}}))
+                .code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(LoadBoosted(HgbtTokens(0, {})).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(LoadBoosted(HgbtTokens(uint64_t{1} << 40, {{-1, -1, -1}})).code(),
+            StatusCode::kDataLoss);
 }
 
 // MaxFeature lets a caller check a loaded model against its feature width
